@@ -12,12 +12,12 @@ A cached entry is a :class:`DeclTemplate` — the block parsed as a
 standalone mini-unit with the node-uid counter reset to 1 and source
 lines starting at 1, so every template is position-independent.
 Reconstructing a unit (:func:`graft_unit`) walks the blocks in unit
-order, clones each template (:func:`clone_template_decl` shares the
-frozen ``CType`` values and copies only the mutable nodes), and remaps
-the clone into place (:func:`offset_node` adds the uid and line bases
-accumulated from the preceding blocks).  Only blocks without a cached
-template — in steady state exactly the one or two declarations the
-candidate edited — are actually parsed.
+order, clones each template (:func:`~repro.cfront.nodes.copy_tree`
+shares the frozen ``CType`` values and copies only the mutable nodes),
+and remaps the clone into place (:func:`offset_node` adds the uid and
+line bases accumulated from the preceding blocks).  Only blocks without
+a cached template — in steady state exactly the one or two declarations
+the candidate edited — are actually parsed.
 
 Uid-canonicalization contract
 -----------------------------
@@ -64,8 +64,8 @@ Parent-side reuse
 
 :func:`cow_clone_unit` applies the same decl-grain idea to the parent's
 ``edits/base.cloned_unit``: an edit that declares its dirty set shares
-the clean declaration subtrees by reference and deep-copies only the
-dirty ones (plus the unit ``__dict__`` residue a full ``clone()`` would
+the clean declaration subtrees by reference and copies only the dirty
+ones (plus the unit ``__dict__`` residue a full ``clone()`` would
 produce).  The safety argument is exactly the one fingerprint
 inheritance already rests on: an edit mutating a declaration outside
 its declared dirty set was already a correctness bug before any
@@ -74,7 +74,6 @@ sharing existed, and ``REPRO_INCREMENTAL=cross`` catches it.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import itertools
@@ -390,7 +389,7 @@ def _substitute_family(
     if family.template.env_updates:
         return None
     try:
-        decl = clone_template_decl(family.template.decl)
+        decl = N.copy_tree(family.template.decl)
         int_nodes: Dict[Tuple[int, int], N.Node] = {}
         pragma_nodes: Dict[int, N.Node] = {}
         for node in decl.walk():
@@ -566,31 +565,6 @@ def _register_hole_member(
 # --------------------------------------------------------------------------
 
 
-def clone_template_decl(node: N.Node) -> N.Node:
-    """Exact structural copy of a template subtree.
-
-    Faster than ``copy.deepcopy`` because everything immutable — the
-    ``CType`` values that dominate a declaration's payload, strings,
-    numbers — is shared rather than reconstructed; only the mutable
-    :class:`~repro.cfront.nodes.Node` dataclasses are copied.  Field
-    values (including ``uid``/``line``/``col``) are preserved verbatim;
-    :func:`offset_node` remaps the copy into its final position.
-    """
-    cls = node.__class__
-    new = object.__new__(cls)
-    dst = new.__dict__
-    for key, value in node.__dict__.items():
-        if isinstance(value, N.Node):
-            value = clone_template_decl(value)
-        elif type(value) is list:
-            value = [
-                clone_template_decl(item) if isinstance(item, N.Node) else item
-                for item in value
-            ]
-        dst[key] = value
-    return new
-
-
 def offset_node(root: N.Node, uid_base: int, line_base: int) -> None:
     """Shift a relative-coordinate subtree into unit position: every
     node's ``uid`` advances by *uid_base* and ``line`` by *line_base*
@@ -681,7 +655,7 @@ def graft_unit(
             stats.hits += 1
             _TEMPLATE_STATS["hits"] += 1
         started = time.perf_counter()
-        decl = clone_template_decl(template.decl)
+        decl = N.copy_tree(template.decl)
         stats.graft_seconds += time.perf_counter() - started
         started = time.perf_counter()
         offset_node(decl, uid_base, line_base)
@@ -791,19 +765,6 @@ def assert_units_identical(
 # Parent-side copy-on-write clone (edits/base.cloned_unit)
 # --------------------------------------------------------------------------
 
-#: ``TranslationUnit.__dict__`` residue a full ``clone()`` drops; the
-#: COW clone must drop exactly the same keys (anything else —
-#: ``_compiled_program``, ``_batch_program`` — is deep-copied so the
-#: lineage markers those values' ``__deepcopy__`` hooks produce are
-#: replicated bit for bit).
-_CLONE_DROPPED = frozenset((
-    "_fp_table", "_unit_fp", "_walk_uids", "_walk_index",
-    "_memo_worthwhile", "_profile_keys",
-))
-#: Dataclass fields copied by reference (immutable or scalar).
-_UNIT_FIELDS = frozenset(("line", "col", "uid", "top_name"))
-
-
 def _decl_name(decl: N.Decl) -> str:
     if isinstance(decl, N.StructDef):
         return decl.tag
@@ -815,22 +776,14 @@ def cow_clone_unit(
 ) -> N.TranslationUnit:
     """Clone *parent* for in-place rewriting of the *dirty* declarations
     only: dirty decls (matched by the same name/tag rule fingerprint
-    inheritance uses) are deep-copied, clean decls are shared by
-    reference.  Sharing is sound under the dirty contract that already
-    governs fingerprint inheritance — an edit never mutates outside its
-    declared dirty set — and units are never mutated once evaluation
-    starts, so sharing into evaluated candidates is read-only."""
-    decls: List[N.Decl] = [
-        copy.deepcopy(decl) if _decl_name(decl) in dirty else decl
+    inheritance uses) are copied with :func:`~repro.cfront.nodes.copy_tree`,
+    clean decls are shared by reference, and the unit-level state is
+    what :func:`~repro.cfront.nodes.clone` would give.  Sharing is sound
+    under the dirty contract that already governs fingerprint
+    inheritance — an edit never mutates outside its declared dirty set —
+    and units are never mutated once evaluation starts, so sharing into
+    evaluated candidates is read-only."""
+    return N.clone_unit_with(parent, [
+        N.copy_tree(decl) if _decl_name(decl) in dirty else decl
         for decl in parent.decls
-    ]
-    unit = object.__new__(N.TranslationUnit)
-    for key, value in parent.__dict__.items():
-        if key in _CLONE_DROPPED:
-            continue
-        if key == "decls":
-            value = decls
-        elif key not in _UNIT_FIELDS:
-            value = copy.deepcopy(value)
-        unit.__dict__[key] = value
-    return unit
+    ])

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import copy
 import itertools
+import typing
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .typesys import CType
 
@@ -42,44 +43,164 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (used by generic walkers)."""
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+        values = self.__dict__
+        try:
+            names = _CHILD_FIELDS[type(self)]
+        except KeyError:
+            names = child_fields(type(self))
+        for name in names:
+            value = values[name]
             if isinstance(value, Node):
                 yield value
-            elif isinstance(value, (list, tuple)):
+            elif type(value) is list:
                 for item in value:
                     if isinstance(item, Node):
                         yield item
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order.
+
+        An explicit stack rather than nested generators: children are
+        pushed in reverse so they pop in field order, which is the order
+        a recursive pre-order walk visits them.
+        """
+        reversed_fields = _CHILD_FIELDS_REVERSED
+        stack: List[Node] = [self]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            yield node
+            cls = type(node)
+            try:
+                names = reversed_fields[cls]
+            except KeyError:
+                names = reversed_fields[cls] = child_fields(cls)[::-1]
+            values = node.__dict__
+            for name in names:
+                value = values[name]
+                if isinstance(value, Node):
+                    push(value)
+                elif type(value) is list:
+                    for item in reversed(value):
+                        if isinstance(item, Node):
+                            push(item)
 
 
-def clone(node: Node) -> Node:
-    """Deep-copy a subtree, preserving node uids.
+NodeT = typing.TypeVar("NodeT", bound=Node)
+
+#: Annotations of dataclass fields that never hold a child node.
+_LEAF_TYPES = (int, float, str, CType)
+
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+_CHILD_FIELDS_REVERSED: Dict[type, Tuple[str, ...]] = {}
+
+
+def child_fields(cls: type) -> Tuple[str, ...]:
+    """Names of the fields of node class *cls* that can hold a child node
+    or a list of them, in declaration order.
+
+    Read once per class from the resolved field annotations: every field
+    annotated with a scalar, a string or a ``CType`` is a leaf, every
+    other one (a node class, ``Optional``/``List`` of one) is a candidate
+    whose value the walkers still type-check.
+    """
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        hints = typing.get_type_hints(cls)
+        names = tuple(
+            name
+            for name in cls.__dataclass_fields__
+            if not (
+                isinstance(hints[name], type)
+                and issubclass(hints[name], _LEAF_TYPES)
+            )
+        )
+        _CHILD_FIELDS[cls] = names
+    return names
+
+
+def copy_tree(node: NodeT) -> NodeT:
+    """Structural copy of a subtree: every node and node list is new,
+    everything else is shared.
+
+    Node fields hold nodes, lists of nodes, or immutable values —
+    strings, numbers and frozen ``CType`` values — so sharing the
+    latter is exact, and field values (``uid``/``line``/``col``
+    included) are preserved verbatim.  Unlike ``copy.deepcopy`` there is
+    no memo: a parsed or edited tree never holds the same node object
+    twice, so the copy has the source's shape.
+    """
+    cls = type(node)
+    new = object.__new__(cls)
+    values = new.__dict__
+    values.update(node.__dict__)
+    try:
+        names = _CHILD_FIELDS[cls]
+    except KeyError:
+        names = child_fields(cls)
+    for name in names:
+        value = values[name]
+        if isinstance(value, Node):
+            values[name] = copy_tree(value)
+        elif type(value) is list:
+            values[name] = [
+                copy_tree(item) if isinstance(item, Node) else item
+                for item in value
+            ]
+    return new
+
+
+#: ``TranslationUnit.__dict__`` memos that describe one unit object's
+#: content — fingerprints, walk indices, profile keys, the small-unit
+#: verdict.  A clone is made to be mutated, so it starts without them.
+#: Edits that can bound their rewrite re-inherit the surviving
+#: fingerprints through ``edits/base.cloned_unit``.
+_CLONE_DROPPED = frozenset((
+    "_fp_table", "_unit_fp", "_walk_uids", "_walk_index",
+    "_memo_worthwhile", "_profile_keys",
+))
+
+#: ``TranslationUnit`` fields a clone shares by reference (immutable).
+_UNIT_SCALARS = frozenset(("line", "col", "uid", "top_name"))
+
+
+def clone_unit_with(
+    unit: "TranslationUnit", decls: List["Decl"]
+) -> "TranslationUnit":
+    """A clone of *unit* whose declaration list is *decls*.
+
+    The dropped memos are skipped; every other ``__dict__`` entry —
+    the compiled and batch programs — is deep-copied, so their
+    ``__deepcopy__`` hooks leave the clone a compile-lineage marker
+    (see :mod:`repro.interp.compile`) instead of the parent's program.
+    """
+    new = object.__new__(TranslationUnit)
+    values = new.__dict__
+    for key, value in list(unit.__dict__.items()):
+        if key in _CLONE_DROPPED:
+            continue
+        if key == "decls":
+            value = decls
+        elif key not in _UNIT_SCALARS:
+            value = copy.deepcopy(value)
+        values[key] = value
+    return new
+
+
+def clone(node: NodeT) -> NodeT:
+    """Copy a subtree for in-place rewriting, preserving node uids.
 
     Edits operate on clones so the pristine program survives; preserved
     uids let diagnostics produced against the original still locate nodes
-    in the copy.
-
-    A clone is made to be mutated in place, so any cached content
-    fingerprints (see :mod:`repro.cfront.fingerprint`) are dropped from
-    the copy — a mutated declaration carrying an inherited digest would
-    be silently stale.  Edits that can bound their rewrite re-inherit
-    the surviving entries through ``edits/base.cloned_unit``.
+    in the copy.  Nodes are copied with :func:`copy_tree`; a whole unit
+    also goes through :func:`clone_unit_with`, which drops its cached
+    content fingerprints (see :mod:`repro.cfront.fingerprint`) — a
+    mutated declaration carrying an inherited digest would be silently
+    stale.
     """
-    copied = copy.deepcopy(node)
-    if isinstance(copied, TranslationUnit):
-        copied.__dict__.pop("_fp_table", None)
-        copied.__dict__.pop("_unit_fp", None)
-        copied.__dict__.pop("_walk_uids", None)
-        copied.__dict__.pop("_walk_index", None)
-        copied.__dict__.pop("_memo_worthwhile", None)
-        copied.__dict__.pop("_profile_keys", None)
-    return copied
+    if isinstance(node, TranslationUnit):
+        return clone_unit_with(node, [copy_tree(d) for d in node.decls])  # type: ignore[return-value]
+    return copy_tree(node)
 
 
 # --------------------------------------------------------------------------

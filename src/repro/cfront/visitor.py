@@ -5,16 +5,15 @@ Two flavours are provided:
 * :class:`Visitor` — read-only, dispatches on node class name
   (``visit_FunctionDef`` etc.), with a generic fallback that recurses.
 * module-level search helpers (:func:`find_all`, :func:`find_by_uid`,
-  :func:`parent_map`) used heavily by repair localization and the edits.
+  :func:`find_parent`) used heavily by repair localization and the edits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type, TypeVar
+from typing import Callable, List, Optional, Type
 
 from . import nodes as N
-
-NodeT = TypeVar("NodeT", bound=N.Node)
+from .nodes import NodeT
 
 
 class Visitor:
@@ -50,13 +49,14 @@ def find_by_uid(root: N.Node, uid: int) -> Optional[N.Node]:
     return None
 
 
-def parent_map(root: N.Node) -> Dict[int, N.Node]:
-    """Map each node uid to its parent node."""
-    parents: Dict[int, N.Node] = {}
+def find_parent(root: N.Node, child: N.Node) -> Optional[N.Node]:
+    """The node under *root* (inclusive) that holds *child* directly,
+    or None."""
     for node in root.walk():
-        for child in node.children():
-            parents[child.uid] = node
-    return parents
+        for candidate in node.children():
+            if candidate is child:
+                return node
+    return None
 
 
 def calls_to(root: N.Node, func_name: str) -> List[N.Call]:
@@ -111,10 +111,11 @@ def replace_expr(container: N.Node, old_uid: int, replacement: N.Expr) -> bool:
     """Replace the expression node with *old_uid* wherever it hangs off
     *container* (single-node field or inside a node list)."""
     for node in container.walk():
-        for field_name in node.__dataclass_fields__:
-            value = getattr(node, field_name)
+        values = node.__dict__
+        for field_name in N.child_fields(type(node)):
+            value = values[field_name]
             if isinstance(value, N.Node) and value.uid == old_uid:
-                setattr(node, field_name, replacement)
+                values[field_name] = replacement
                 return True
             if isinstance(value, list):
                 for i, item in enumerate(value):
@@ -142,10 +143,11 @@ def rewrite_exprs(node: N.Node, fn: Callable[[N.Expr], Optional[N.Expr]]) -> Non
         return value
 
     def _rewrite_children(owner: N.Node) -> None:
-        for field_name in owner.__dataclass_fields__:
-            child = getattr(owner, field_name)
+        values = owner.__dict__
+        for field_name in N.child_fields(type(owner)):
+            child = values[field_name]
             if isinstance(child, N.Node):
-                setattr(owner, field_name, rewrite(child))
+                values[field_name] = rewrite(child)
             elif isinstance(child, list):
                 for i, item in enumerate(child):
                     if isinstance(item, N.Node):

@@ -289,8 +289,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import analyze
     from .obs import baseline as baseline_mod
 
+    if args.verb in ("summary", "flame"):
+        try:
+            trace = analyze.load_journal(args.journal)
+        except OSError as exc:
+            print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
+            return 1
+        if not trace.spans and not trace.events:
+            print(
+                f"repro trace {args.verb}: {args.journal} holds no span or "
+                "event records (empty, or not a journal)",
+                file=sys.stderr,
+            )
+            return 1
+
     if args.verb == "summary":
-        trace = analyze.load_journal(args.journal)
         if args.json:
             print(json.dumps(
                 {
@@ -318,7 +331,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "flame":
-        trace = analyze.load_journal(args.journal)
         if args.format == "speedscope":
             text = json.dumps(
                 analyze.speedscope_document(trace, name=args.journal),
@@ -668,6 +680,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the explicitly-threaded ones.
         set_default_backend(args.interp_backend)
     trace_out = _resolve_trace_out(args)
+    if trace_out:
+        from .obs.export import trace_paths
+
+        try:
+            trace_paths(trace_out)
+        except ValueError as exc:
+            parser.error(str(exc))
     metrics_out = getattr(args, "metrics_out", None)
     progress = bool(getattr(args, "progress", False)) or progress_env_enabled()
     stream_out = getattr(args, "stream_out", None) or stream_env_path()

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...cfront import nodes as N
 from ...cfront import typesys as T
-from ...cfront.visitor import find_all, parent_map
+from ...cfront.visitor import find_all, find_parent
 from ...hls.diagnostics import ErrorType
 from ...hls.pragmas import loop_pragmas, parse_pragma
 from .base import Candidate, Edit, EditApplication, cloned_unit, owning_decl_names
@@ -44,15 +44,41 @@ def _loop_body_compound(loop: N.Stmt) -> Optional[N.Compound]:
 
 
 def _loops_in(unit: N.TranslationUnit) -> List[Tuple[N.FunctionDef, N.Stmt]]:
+    """Every ``for`` and ``while`` loop, function by function: a
+    function's ``for`` loops in pre-order, then its ``while`` loops."""
     out: List[Tuple[N.FunctionDef, N.Stmt]] = []
     for func in unit.functions():
         if func.body is None:
             continue
-        for loop in find_all(func.body, N.For):
-            out.append((func, loop))
-        for loop in find_all(func.body, N.While):
-            out.append((func, loop))
+        whiles: List[Tuple[N.FunctionDef, N.Stmt]] = []
+        for node in func.body.walk():
+            if isinstance(node, N.For):
+                out.append((func, node))
+            elif isinstance(node, N.While):
+                whiles.append((func, node))
+        out.extend(whiles)
     return out
+
+
+def _find_loop(
+    unit: N.TranslationUnit, loop_uid: int
+) -> Optional[Tuple[N.FunctionDef, N.Stmt]]:
+    """The first entry of :func:`_loops_in` whose loop has *loop_uid*,
+    found without listing every loop."""
+    for func in unit.functions():
+        if func.body is None:
+            continue
+        first_while = None
+        for node in func.body.walk():
+            if node.uid != loop_uid:
+                continue
+            if isinstance(node, N.For):
+                return func, node
+            if first_while is None and isinstance(node, N.While):
+                first_while = node
+        if first_while is not None:
+            return func, first_while
+    return None
 
 
 class IndexStaticEdit(Edit):
@@ -93,20 +119,17 @@ class IndexStaticEdit(Edit):
             if "tripcount" not in diag.message:
                 continue
             bound: Optional[int] = None
-            for _func, loop in _loops_in(candidate.unit):
-                if loop.uid != diag.node_uid:
-                    continue
-                cond = getattr(loop, "cond", None)
-                if cond is not None:
-                    observed = [
-                        max_observed_by_name(evidence.profile, node.name)
-                        for node in cond.walk()
-                        if isinstance(node, N.Ident)
-                    ]
-                    observed = [v for v in observed if v is not None]
-                    if observed:
-                        bound = max(1, int(max(observed)))
-                break
+            found = _find_loop(candidate.unit, diag.node_uid)
+            cond = getattr(found[1], "cond", None) if found else None
+            if cond is not None:
+                observed = [
+                    max_observed_by_name(evidence.profile, node.name)
+                    for node in cond.walk()
+                    if isinstance(node, N.Ident)
+                ]
+                observed = [v for v in observed if v is not None]
+                if observed:
+                    bound = max(1, int(max(observed)))
             label = (
                 f"index_static(loop@{diag.node_uid}, max={bound})"
                 if bound is not None
@@ -135,20 +158,20 @@ class IndexStaticEdit(Edit):
         unit = cloned_unit(
             candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
         )
-        for _func, loop in _loops_in(unit):
-            if loop.uid != loop_uid:
-                continue
-            body = _loop_body_compound(loop)
-            if body is None:
-                return None
-            if bound is None:
-                bound = self._bound_guess(unit, loop)
-            body.items.insert(
-                0,
-                N.Pragma(text=f"HLS loop_tripcount min=1 max={bound} avg={bound}"),
-            )
-            return candidate.with_unit(unit, label)
-        return None
+        found = _find_loop(unit, loop_uid)
+        if found is None:
+            return None
+        loop = found[1]
+        body = _loop_body_compound(loop)
+        if body is None:
+            return None
+        if bound is None:
+            bound = self._bound_guess(unit, loop)
+        body.items.insert(
+            0,
+            N.Pragma(text=f"HLS loop_tripcount min=1 max={bound} avg={bound}"),
+        )
+        return candidate.with_unit(unit, label)
 
     @staticmethod
     def _bound_guess(unit: N.TranslationUnit, loop: N.Stmt) -> int:
@@ -217,11 +240,11 @@ class ExploreUnrollEdit(Edit):
         for diag in diagnostics:
             if "unroll factor" not in diag.message and "Pre-synthesis" not in diag.message:
                 continue
-            size = None
-            for _func, loop in _loops_in(candidate.unit):
-                if loop.uid == diag.node_uid:
-                    size = IndexStaticEdit._bound_guess(candidate.unit, loop)
-                    break
+            found = _find_loop(candidate.unit, diag.node_uid)
+            size = (
+                IndexStaticEdit._bound_guess(candidate.unit, found[1])
+                if found else None
+            )
             factor = (
                 derive_partition_factor(size, UNROLL_FACTORS) if size else None
             )
@@ -277,17 +300,15 @@ class ExploreUnrollEdit(Edit):
 
     @staticmethod
     def _unroll_pragma_of(unit: N.TranslationUnit, loop_uid: int) -> Optional[N.Pragma]:
-        for _func, loop in _loops_in(unit):
-            if loop.uid != loop_uid:
-                continue
-            body = _loop_body_compound(loop)
-            if body is None:
-                return None
-            for stmt in body.items:
-                if isinstance(stmt, N.Pragma):
-                    pragma = parse_pragma(stmt)
-                    if pragma is not None and pragma.directive == "unroll":
-                        return stmt
+        found = _find_loop(unit, loop_uid)
+        body = _loop_body_compound(found[1]) if found else None
+        if body is None:
+            return None
+        for stmt in body.items:
+            if isinstance(stmt, N.Pragma):
+                pragma = parse_pragma(stmt)
+                if pragma is not None and pragma.directive == "unroll":
+                    return stmt
         return None
 
 
@@ -342,28 +363,21 @@ class MemResetEdit(Edit):
                 resolved = T.strip_typedefs(decl.type)
                 if isinstance(resolved, T.ArrayType) and resolved.size:
                     size = resolved.size
-        if size is None:
+        found = _find_loop(unit, loop_uid) if size is not None else None
+        if found is None:
             return None
-        for func in unit.functions():
-            if func.body is None:
-                continue
-            parents = parent_map(func.body)
-            for loop in find_all(func.body, N.For) + list(find_all(func.body, N.While)):
-                if loop.uid != loop_uid:
-                    continue
-                parent = parents.get(loop.uid)
-                items = getattr(parent, "items", None)
-                if not isinstance(items, list):
-                    return None
-                reset = parse_fragment_stmts(
-                    f"for (int __r = 0; __r < {size}; __r++) {{ "
-                    f"{array_name}[__r] = 0; }}",
-                    unit,
-                )
-                index = items.index(loop)
-                items[index:index] = reset
-                return candidate.with_unit(unit, label)
-        return None
+        func, loop = found
+        items = getattr(find_parent(func.body, loop), "items", None)
+        if not isinstance(items, list):
+            return None
+        reset = parse_fragment_stmts(
+            f"for (int __r = 0; __r < {size}; __r++) {{ "
+            f"{array_name}[__r] = 0; }}",
+            unit,
+        )
+        index = items.index(loop)
+        items[index:index] = reset
+        return candidate.with_unit(unit, label)
 
 
 class PerfPragmaEdit(Edit):
@@ -568,44 +582,34 @@ class PerfPragmaEdit(Edit):
         unit = cloned_unit(
             candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
         )
-        for func in unit.functions():
-            if func.body is None:
-                continue
-            for loop in find_all(func.body, N.For) + list(find_all(func.body, N.While)):
-                if loop.uid != loop_uid:
-                    continue
-                body = _loop_body_compound(loop)
-                if body is None:
-                    return None
-                body.items.append(N.Pragma(text=text))
-                return candidate.with_unit(unit, label)
-        return None
+        found = _find_loop(unit, loop_uid)
+        body = _loop_body_compound(found[1]) if found else None
+        if body is None:
+            return None
+        body.items.append(N.Pragma(text=text))
+        return candidate.with_unit(unit, label)
 
     @staticmethod
     def _insert_before_loop(candidate: Candidate, loop_uid: int, text: str, label: str):
         unit = cloned_unit(
             candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
         )
-        for func in unit.functions():
-            if func.body is None:
-                continue
-            parents = parent_map(func.body)
-            for loop in find_all(func.body, N.For) + list(find_all(func.body, N.While)):
-                if loop.uid != loop_uid:
-                    continue
-                parent = parents.get(loop.uid)
-                items = getattr(parent, "items", None)
-                if not isinstance(items, list):
-                    if func.body is parent or parent is None:
-                        items = func.body.items
-                    else:
-                        return None
-                if loop not in items:
-                    return None
-                index = items.index(loop)
-                items[index:index] = [N.Pragma(text=text)]
-                return candidate.with_unit(unit, label)
-        return None
+        found = _find_loop(unit, loop_uid)
+        if found is None:
+            return None
+        func, loop = found
+        parent = find_parent(func.body, loop)
+        items = getattr(parent, "items", None)
+        if not isinstance(items, list):
+            if func.body is parent or parent is None:
+                items = func.body.items
+            else:
+                return None
+        if loop not in items:
+            return None
+        index = items.index(loop)
+        items[index:index] = [N.Pragma(text=text)]
+        return candidate.with_unit(unit, label)
 
     def _partition_proposals(
         self, candidate: Candidate, derived: bool = False
@@ -664,18 +668,12 @@ class PerfPragmaEdit(Edit):
         unit = cloned_unit(
             candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
         )
-        for func in unit.functions():
-            if func.body is None:
-                continue
-            for loop in find_all(func.body, N.For) + list(find_all(func.body, N.While)):
-                if loop.uid != loop_uid:
-                    continue
-                body = _loop_body_compound(loop)
-                if body is None:
-                    return None
-                body.items.insert(0, N.Pragma(text=text))
-                return candidate.with_unit(unit, label)
-        return None
+        found = _find_loop(unit, loop_uid)
+        body = _loop_body_compound(found[1]) if found else None
+        if body is None:
+            return None
+        body.items.insert(0, N.Pragma(text=text))
+        return candidate.with_unit(unit, label)
 
     @staticmethod
     def _insert_partition(

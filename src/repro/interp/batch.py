@@ -59,6 +59,7 @@ from .memory import (
     Pointer,
     StreamValue,
     StructValue,
+    c_shift,
     c_to_python,
     coerce,
     default_value,
@@ -124,6 +125,7 @@ class _ConstPool:
             "_pointer_binop": _pointer_binop,
             "_coerce_value": _coerce_value,
             "_snapshot_arg": _snapshot_arg,
+            "c_shift": c_shift,
             "coerce": coerce,
             "default_value": default_value,
             "Pointer": Pointer,
@@ -407,7 +409,11 @@ class _BatchCompiler(_FunctionCompiler):
             return self._chg_numeric(la, ra) + [
                 f"{t} = int({la} {op} {ra})",
             ]
-        if op in ("<<", ">>", "&", "|", "^"):
+        if op in ("<<", ">>"):
+            return self._chg_numeric(la, ra) + [
+                f"{t} = c_shift({op!r}, int({la}), int({ra}))",
+            ]
+        if op in ("&", "|", "^"):
             return self._chg_numeric(la, ra) + [
                 f"{t} = int({la}) {op} int({ra})",
             ]

@@ -60,6 +60,7 @@ from .memory import (
     StreamValue,
     StructValue,
     _quantize_float,
+    c_shift,
     c_to_python,
     coerce,
     default_value,
@@ -233,8 +234,8 @@ _ARITH_APPLY: Dict[str, Callable[..., Any]] = {
     ">=": _cmp(lambda l, r: l >= r),
     "==": _cmp(lambda l, r: l == r),
     "!=": _cmp(lambda l, r: l != r),
-    "<<": _bitop(lambda l, r: l << r),
-    ">>": _bitop(lambda l, r: l >> r),
+    "<<": _bitop(lambda l, r: c_shift("<<", l, r)),
+    ">>": _bitop(lambda l, r: c_shift(">>", l, r)),
     "&": _bitop(lambda l, r: l & r),
     "|": _bitop(lambda l, r: l | r),
     "^": _bitop(lambda l, r: l ^ r),
@@ -448,10 +449,8 @@ def _fold_binop(op: str, left: Any, right: Any) -> Any:
         return int(left == right)
     if op == "!=":
         return int(left != right)
-    if op == "<<":
-        return int(left) << int(right)
-    if op == ">>":
-        return int(left) >> int(right)
+    if op in ("<<", ">>"):
+        return c_shift(op, int(left), int(right))
     if op == "&":
         return int(left) & int(right)
     if op == "|":

@@ -35,6 +35,7 @@ from .memory import (
     Pointer,
     StreamValue,
     StructValue,
+    c_shift,
     c_to_python,
     coerce,
     default_value,
@@ -566,10 +567,8 @@ class Interpreter:
             return int(left == right)
         if op == "!=":
             return int(left != right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
+        if op in ("<<", ">>"):
+            return c_shift(op, int(left), int(right))
         if op == "&":
             return int(left) & int(right)
         if op == "|":

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..errors import HlsSimulationFault, MemoryFault
+from ..errors import HlsSimulationFault, InterpError, MemoryFault
 from ..cfront import typesys as T
 
 
@@ -246,6 +246,28 @@ def _wrap_int(value: int, bits: int, signed: bool) -> int:
     if signed and value >= (1 << (bits - 1)):
         value -= 1 << bits
     return value
+
+
+#: Shift counts must lie in ``[0, MAX_SHIFT_COUNT)``.  1024 is the widest
+#: ``ap_int`` HLS accepts by default (``AP_INT_MAX_W``), so a larger count
+#: is over-wide for any operand HLS would build; the bound also keeps a
+#: fuzzed ``x << n`` from allocating a gigantic Python int.
+MAX_SHIFT_COUNT = 1024
+
+
+def c_shift(op: str, left: int, count: int) -> int:
+    """``left << count`` or ``left >> count`` on integer operands.
+
+    C leaves a negative or over-wide shift count undefined; the
+    interpreter faults on it, as it does on division by zero, so fuzzed
+    inputs that reach one count as an outcome.  Every engine shifts
+    through here, which keeps their fault messages identical.
+    """
+    if count < 0:
+        raise InterpError("negative shift count")
+    if count >= MAX_SHIFT_COUNT:
+        raise InterpError(f"shift count {count} is not below {MAX_SHIFT_COUNT}")
+    return left << count if op == "<<" else left >> count
 
 
 def python_to_c(value: Any, ctype: T.CType,

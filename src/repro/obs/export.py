@@ -303,7 +303,15 @@ def trace_paths(trace_out: str) -> Dict[str, str]:
 
     ``run.trace.json`` → journal ``run.trace.jsonl``, manifest
     ``run.trace.manifest.json``.  A non-``.json`` path gets plain
-    suffixes appended."""
+    suffixes appended, except a ``.jsonl`` one: the Chrome trace would
+    take the journal's suffix and the journal become ``x.jsonl.jsonl``,
+    so that raises :class:`ValueError`."""
+    if trace_out.endswith(".jsonl"):
+        stem = trace_out[: -len(".jsonl")]
+        raise ValueError(
+            f"--trace-out names the Chrome trace, not the journal: pass "
+            f"{stem}.json and the journal is written to {stem}.jsonl"
+        )
     if trace_out.endswith(".json"):
         stem = trace_out[: -len(".json")]
         return {

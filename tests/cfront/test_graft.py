@@ -311,7 +311,7 @@ class TestCowClone:
         unit_fingerprint(parent)  # populates _fp_table/_unit_fp
         assert "_fp_table" in parent.__dict__
         child = graft.cow_clone_unit(parent, {"kernel"})
-        for key in graft._CLONE_DROPPED:
+        for key in N._CLONE_DROPPED:
             assert key not in child.__dict__
         assert child.top_name == "kernel"
 

@@ -8,9 +8,9 @@ from repro.cfront.visitor import (
     enclosing_function,
     find_all,
     find_by_uid,
+    find_parent,
     insert_after,
     insert_before,
-    parent_map,
     replace_expr,
     replace_stmt_in,
     rewrite_exprs,
@@ -43,12 +43,13 @@ def test_find_by_uid():
     assert find_by_uid(unit, 10**9) is None
 
 
-def test_parent_map():
+def test_find_parent():
     unit = parse(SRC)
-    parents = parent_map(unit)
     loop = find_all(unit, N.For)[0]
-    parent = parents[loop.uid]
+    parent = find_parent(unit, loop)
     assert isinstance(parent, N.Compound)
+    assert any(item is loop for item in parent.items)
+    assert find_parent(unit, unit) is None
 
 
 def test_calls_to():

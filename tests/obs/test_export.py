@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.hls.clock import ACT_STYLE_CHECK, SimulatedClock
 from repro.obs import TraceRecorder
 from repro.obs.export import (
@@ -180,6 +182,10 @@ def test_trace_paths_conventions():
         "journal": "plain.jsonl",
         "manifest": "plain.manifest.json",
     }
+    # A journal-suffixed path would put the Chrome trace under the
+    # journal's name and the journal under ``run.jsonl.jsonl``.
+    with pytest.raises(ValueError, match=r"run\.json and the journal"):
+        trace_paths("out/run.jsonl")
 
 
 def test_exporters_create_parent_directories(tmp_path):

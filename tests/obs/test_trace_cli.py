@@ -208,6 +208,34 @@ class TestTraceVerbs:
         assert main(["trace", "check", journals["subjects"],
                      "--baseline", str(base)]) == 1
 
+    @pytest.mark.parametrize("verb", ["summary", "flame"])
+    @pytest.mark.parametrize("content", ["", "not json\n{also not}\n"],
+                             ids=["empty", "garbage"])
+    def test_unreadable_journal_fails(self, verb, content, tmp_path,
+                                      capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(content)
+        assert main(["trace", verb, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "no span or event records" in captured.err
+
+
+class TestTraceOut:
+    def test_jsonl_trace_out_is_refused(self, tmp_path, capsys):
+        kernel = tmp_path / "kernel.c"
+        kernel.write_text(KERNEL)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(kernel), "--top", "smooth",
+                  "--trace-out", str(tmp_path / "run.jsonl")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "run.json") + " " in err
+        assert str(tmp_path / "run.jsonl") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel.c"]
+
+
 class TestBrokenPipe:
     def test_piped_trace_output_exits_141_without_traceback(self, journals):
         # ``repro trace summary run.jsonl | head`` must not dump a
