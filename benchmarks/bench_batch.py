@@ -1,38 +1,39 @@
-"""Batch backend — pooled ``run_many`` vs per-input compiled execution.
+"""Batch engine — the pooled ``run_many`` pass and the cost of lowering.
 
-Three measurements, all emitted into ``benchmarks/out/BENCH_batch.json``
-(uploaded as a CI artifact, mirrored to the repo root):
+A layer microbenchmark, emitted into ``benchmarks/out/BENCH_batch.json``
+(uploaded as a CI artifact, mirrored to the repo root).  The end-to-end
+numbers live in ``bench_e2e``.
 
 1. **execution loop** — replay each Table 3 subject's fuzz corpus through
-   one ``run_many`` call on the batch backend against a per-input
-   ``run`` loop on the compiled backend.  Per-input (steps, fault-kind)
-   traces are asserted identical along the way, so the speedup is never
-   bought with semantic drift.  Target: >= 1.5x median.
-2. **codegen coverage** — per subject, how many functions the batch
-   compiler generated flat source for versus fell back to pooled
-   closures (a fallback-heavy subject would silently lose the speedup).
-3. **end-to-end Table 3 sweep** — the full ten-subject HeteroGen run
-   under ``interp_backend="batch"`` against the same sweep under
-   ``"compiled"``, with every per-subject result dict asserted
-   bit-identical between the two (the pipeline-level charge-identity
-   check).
+   one ``run_many`` call on the batch engine against a per-input ``run``
+   loop on the tree-walker.  Per-input (steps, fault-kind) traces are
+   asserted identical along the way, so the speedup is never bought with
+   semantic drift.  Target: >= 1.5x median.
+2. **lowering** — per subject, the seconds to lower an edited clone (one
+   literal in the kernel changed, as a repair edit changes one function)
+   with an empty code memo against a memo that the parent's lowering
+   filled, so every function but the edited one is a memo hit.  Target:
+   the memo makes lowering the clones >= 1.2x cheaper in total.
 """
 
 from __future__ import annotations
 
-import re
+import copy
 import statistics
 import time
 
-from repro.baselines import default_config, run_variant
-from repro.cli import result_to_dict
+from repro.cfront import nodes as N
 from repro.fuzz import FuzzConfig, fuzz_kernel
 from repro.interp import ExecLimits, engine_run_many, make_engine
+from repro.interp.batch import _CODE_MEMO, BatchProgram
+from repro.interp.compile import compile_program
+from repro.memo import clear_analysis_caches
 from repro.subjects import all_subjects
 
 from _shared import SEED, write_bench_json, write_table
 
-#: Corpus replays per backend when timing the execution loop.
+#: Corpus replays per engine when timing the execution loop, and
+#: lowerings per subject when timing the lowering.
 REPEATS = 3
 
 LOOSE = ExecLimits(max_steps=120_000, max_depth=128)
@@ -40,7 +41,7 @@ LOOSE = ExecLimits(max_steps=120_000, max_depth=128)
 
 def build_corpora():
     """One deterministic fuzz corpus per subject (built once, replayed
-    under both backends)."""
+    under both engines)."""
     corpora = []
     for subject in all_subjects():
         unit = subject.parse()
@@ -58,9 +59,9 @@ def build_corpora():
 def replay(engine, kernel, suite):
     """One pass over the suite; per-test (steps, fault-kind) trace.
 
-    Both backends go through :func:`engine_run_many`, so the batch side
-    exercises the pooled ``run_many`` fast path while the compiled side
-    runs the per-input loop — exactly the code paths the consumers use.
+    Both engines go through :func:`engine_run_many`, so the batch side
+    exercises the pooled ``run_many`` fast path while the tree side runs
+    the per-input loop — exactly the code paths the consumers use.
     """
     trace = []
     for record in engine_run_many(engine, kernel, suite):
@@ -74,63 +75,76 @@ def replay(engine, kernel, suite):
 def time_backend(unit, kernel, suite, backend):
     engine = make_engine(unit, backend=backend, limits=LOOSE,
                          want_out_args=False)
-    trace = replay(engine, kernel, suite)  # warm-up (and the compile)
+    trace = replay(engine, kernel, suite)  # warm-up (and the lowering)
     start = time.perf_counter()
     for _ in range(REPEATS):
         replay(engine, kernel, suite)
-    return time.perf_counter() - start, trace, engine
+    return time.perf_counter() - start, trace
 
 
 def run_batch_loop(corpora):
     rows = []
     for subject, unit, suite in corpora:
-        comp_s, comp_trace, _ = time_backend(unit, subject.kernel, suite,
-                                             "compiled")
-        batch_s, batch_trace, engine = time_backend(unit, subject.kernel,
-                                                    suite, "batch")
-        assert comp_trace == batch_trace, (
-            f"{subject.id}: batch diverged from compiled on the fuzz corpus"
+        tree_s, tree_trace = time_backend(unit, subject.kernel, suite, "tree")
+        batch_s, batch_trace = time_backend(unit, subject.kernel, suite,
+                                            "batch")
+        assert tree_trace == batch_trace, (
+            f"{subject.id}: batch diverged from the tree-walker on the "
+            "fuzz corpus"
         )
         rows.append({
             "subject": subject.id,
             "tests": len(suite),
-            "compiled_seconds": round(comp_s, 4),
+            "tree_seconds": round(tree_s, 4),
             "batch_seconds": round(batch_s, 4),
-            "speedup": round(comp_s / batch_s, 2) if batch_s else 0.0,
-            "generated_functions": engine.program.generated,
-            "fallback_functions": engine.program.fallback_functions,
+            "speedup": round(tree_s / batch_s, 2) if batch_s else 0.0,
         })
     return rows
 
 
-def run_table3_sweep(backend):
-    """Full ten-subject run; returns (elapsed, per-subject result dicts)."""
-    config = default_config(
-        budget_seconds=3 * 3600.0,
-        max_iterations=220,
-        fuzz_execs=800,
-        seed=SEED,
-        interp_backend=backend,
+def edited_clone(unit, kernel):
+    """A clone of *unit* with the kernel's first integer literal bumped."""
+    child = copy.deepcopy(unit)
+    lit = next(
+        n for n in child.function(kernel).walk() if isinstance(n, N.IntLit)
     )
-    start = time.perf_counter()
-    results = [
-        run_variant(subject, "HeteroGen", config)
-        for subject in all_subjects()
-    ]
-    elapsed = time.perf_counter() - start
-    assert all(r.hls_compatible and r.behavior_preserved for r in results)
-    return elapsed, [result_to_dict(r) for r in results]
+    lit.value += 1
+    return child
 
 
-def _strip_uids(obj):
-    """Replace ``@<uid>`` node references in strings with ``@N``."""
-    if isinstance(obj, dict):
-        return {k: _strip_uids(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_strip_uids(v) for v in obj]
-    if isinstance(obj, str):
-        return re.sub(r"@\d+", "@N", obj)
-    return obj
+def time_lowering(parent, child, memo_warm):
+    """Seconds for REPEATS lowerings of *child*, each after emptying the
+    code memo and, if *memo_warm*, lowering *parent* (untimed).  The
+    closure compilation the lowering reads is built beforehand and not
+    timed.  Also returns how many of the child's functions hit the memo."""
+    compile_program(parent)
+    compile_program(child)
+    total = 0.0
+    for _ in range(REPEATS):
+        clear_analysis_caches()
+        if memo_warm:
+            BatchProgram(parent)
+        hits = _CODE_MEMO.hits
+        start = time.perf_counter()
+        BatchProgram(child)
+        total += time.perf_counter() - start
+    return total, _CODE_MEMO.hits - hits
+
+
+def run_lowering(corpora):
+    rows = []
+    for subject, unit, _suite in corpora:
+        child = edited_clone(unit, subject.kernel)
+        cold_s, _ = time_lowering(unit, child, memo_warm=False)
+        warm_s, hits = time_lowering(unit, child, memo_warm=True)
+        rows.append({
+            "subject": subject.id,
+            "memo_hits": hits,
+            "cold_seconds": round(cold_s, 4),
+            "memo_seconds": round(warm_s, 4),
+        })
+    clear_analysis_caches()
+    return rows
 
 
 def test_batch_backend(benchmark):
@@ -138,61 +152,48 @@ def test_batch_backend(benchmark):
     loop_rows = benchmark.pedantic(
         run_batch_loop, args=(corpora,), rounds=1, iterations=1
     )
-
-    compiled_sweep_s, compiled_dicts = run_table3_sweep("compiled")
-    batch_sweep_s, batch_dicts = run_table3_sweep("batch")
-    # The pipeline-level identity check: every subject's full result —
-    # edits applied, speedup, repair iterations, generated tests — must
-    # be bit-identical under the batch backend.  Edit labels embed AST
-    # node uids (``loop@2278``) drawn from a process-global counter, so
-    # the second sweep in this process parses its units at higher uids;
-    # normalize those before comparing (the CI job re-runs the pipeline
-    # in separate processes and diffs the raw JSON byte-for-byte).
-    for comp_d, batch_d in zip(compiled_dicts, batch_dicts):
-        assert _strip_uids(comp_d) == _strip_uids(batch_d), (
-            f"{comp_d.get('subject')}: pipeline output diverged under batch"
-        )
+    lowering_rows = run_lowering(corpora)
 
     median_speedup = statistics.median(r["speedup"] for r in loop_rows)
+    cold_total = sum(r["cold_seconds"] for r in lowering_rows)
+    memo_total = sum(r["memo_seconds"] for r in lowering_rows)
     payload = {
         "repeats": REPEATS,
         "execution_loop": loop_rows,
         "median_speedup": median_speedup,
-        "codegen": {
-            "generated_functions": sum(
-                r["generated_functions"] for r in loop_rows
-            ),
-            "fallback_functions": sum(
-                r["fallback_functions"] for r in loop_rows
-            ),
-        },
-        "table3_sweep": {
-            "compiled_seconds": round(compiled_sweep_s, 1),
-            "batch_seconds": round(batch_sweep_s, 1),
-            "delta_seconds": round(compiled_sweep_s - batch_sweep_s, 1),
-            "pipeline_output_identical": True,
-        },
+        "lowering": lowering_rows,
+        "lowering_memo_speedup": round(cold_total / memo_total, 2),
     }
     write_bench_json("BENCH_batch.json", payload)
 
     lines = [
-        "Batch backend — pooled run_many vs per-input compiled loop",
-        f"{'ID':4} {'Tests':>5} {'Compiled(s)':>12} {'Batch(s)':>9} "
-        f"{'Speedup':>8} {'Fallbacks':>9}",
+        "Batch engine — pooled run_many vs per-input tree-walking loop",
+        f"{'ID':4} {'Tests':>5} {'Tree(s)':>8} {'Batch(s)':>9} {'Speedup':>8}",
     ]
     for row in loop_rows:
         lines.append(
             f"{row['subject']:4} {row['tests']:5} "
-            f"{row['compiled_seconds']:12.3f} {row['batch_seconds']:9.3f} "
-            f"{row['speedup']:7.2f}x {row['fallback_functions']:9}"
+            f"{row['tree_seconds']:8.3f} {row['batch_seconds']:9.3f} "
+            f"{row['speedup']:7.2f}x"
         )
     lines.append("")
     lines.append(f"median execution-loop speedup: {median_speedup:.2f}x "
                  f"(target: >= 1.5x)")
+    lines += [
+        "",
+        "Lowering an edited clone — empty code memo vs the parent's memo",
+        f"{'ID':4} {'Hits':>5} {'Cold(s)':>8} {'Memo(s)':>8}",
+    ]
+    for row in lowering_rows:
+        lines.append(
+            f"{row['subject']:4} {row['memo_hits']:5} "
+            f"{row['cold_seconds']:8.4f} {row['memo_seconds']:8.4f}"
+        )
     lines.append(
-        f"Table 3 sweep: {batch_sweep_s:.1f}s batch vs "
-        f"{compiled_sweep_s:.1f}s compiled (outputs bit-identical)"
+        f"lowering {cold_total / memo_total:.2f}x cheaper with the memo "
+        f"(target: >= 1.2x)"
     )
     write_table("bench_batch.txt", "\n".join(lines))
 
     assert median_speedup >= 1.5
+    assert cold_total >= 1.2 * memo_total

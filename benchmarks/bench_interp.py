@@ -1,19 +1,17 @@
-"""Interpreter backends — tree-walker vs closure-compiled engine.
+"""Interpreter engines — the tree-walking oracle vs the batch engine.
 
-Three measurements, all emitted into ``benchmarks/out/BENCH_interp.json``
-(uploaded as a CI artifact):
+A layer microbenchmark of per-input execution, emitted into
+``benchmarks/out/BENCH_interp.json`` (uploaded as a CI artifact).  The
+end-to-end numbers live in ``bench_e2e``.
 
-1. **interpreter loop** — replay each Table 3 subject's fuzz corpus under
-   both backends and compare wall-clock; step counts are asserted
-   bit-identical along the way, so the speedup is never bought with
-   semantic drift.  Target: >= 2x median.
+1. **interpreter loop** — replay each Table 3 subject's fuzz corpus one
+   ``run`` call at a time under both engines and compare wall-clock;
+   step counts are asserted bit-identical along the way, so the speedup
+   is never bought with semantic drift.  Target: >= 2x median.
 2. **limit enforcement** — the same replay under a tight step budget
    (exercising the hoisted ``ExecLimits`` fast path): per-test steps and
-   fault kinds must be identical across backends, proving the hoisting
+   fault kinds must be identical across engines, proving the hoisting
    changed no behaviour.
-3. **end-to-end Table 3 sweep** — one full ten-subject HeteroGen run
-   under the compiled default, against the 87.1 s wall-clock the sweep
-   cost when the tree-walker was the only engine.
 """
 
 from __future__ import annotations
@@ -21,20 +19,15 @@ from __future__ import annotations
 import statistics
 import time
 
-from repro.baselines import run_variant
 from repro.errors import InterpError
 from repro.fuzz import FuzzConfig, fuzz_kernel
 from repro.interp import ExecLimits, make_engine
 from repro.subjects import all_subjects
 
-from _shared import SEED, config_for, write_bench_json, write_table
+from _shared import SEED, write_bench_json, write_table
 
-#: Corpus replays per backend when timing the interpreter loop.
+#: Corpus replays per engine when timing the interpreter loop.
 REPEATS = 3
-
-#: Wall-clock of the ten-subject sweep when the tree-walker was the only
-#: execution engine (median of the PR 1 measurement runs).
-TREE_SWEEP_SECONDS = 87.1
 
 LOOSE = ExecLimits(max_steps=120_000, max_depth=128)
 TIGHT = ExecLimits(max_steps=500, max_depth=16)
@@ -42,7 +35,7 @@ TIGHT = ExecLimits(max_steps=500, max_depth=16)
 
 def build_corpora():
     """One deterministic fuzz corpus per subject (built once, replayed
-    under every backend/limit combination)."""
+    under every engine/limit combination)."""
     corpora = []
     for subject in all_subjects():
         unit = subject.parse()
@@ -61,7 +54,7 @@ def replay(engine, kernel, suite):
     """Run the suite once; returns per-test (steps, fault-kind) pairs.
 
     ``engine.steps`` is populated even when a run raises, so the trace is
-    comparable between backends on faulting inputs too."""
+    comparable between engines on faulting inputs too."""
     trace = []
     for test in suite:
         try:
@@ -75,63 +68,53 @@ def replay(engine, kernel, suite):
 def time_backend(unit, kernel, suite, backend, limits):
     engine = make_engine(unit, backend=backend, limits=limits,
                          want_out_args=False)
-    trace = replay(engine, kernel, suite)  # warm-up (and the compile)
+    trace = replay(engine, kernel, suite)  # warm-up (and the lowering)
     start = time.perf_counter()
     for _ in range(REPEATS):
         replay(engine, kernel, suite)
     return time.perf_counter() - start, trace
 
 
-def run_interp_loop(corpora):
+def compare(corpora, limits):
+    """Per subject: both engines' replay seconds and their shared trace."""
     rows = []
     for subject, unit, suite in corpora:
         tree_s, tree_trace = time_backend(unit, subject.kernel, suite,
-                                          "tree", LOOSE)
-        comp_s, comp_trace = time_backend(unit, subject.kernel, suite,
-                                          "compiled", LOOSE)
-        assert tree_trace == comp_trace, (
-            f"{subject.id}: backends diverged on the fuzz corpus"
+                                          "tree", limits)
+        batch_s, batch_trace = time_backend(unit, subject.kernel, suite,
+                                            "batch", limits)
+        assert tree_trace == batch_trace, (
+            f"{subject.id}: engines diverged on the fuzz corpus"
         )
-        rows.append({
+        rows.append((subject, suite, tree_s, batch_s, batch_trace))
+    return rows
+
+
+def run_interp_loop(corpora):
+    return [
+        {
             "subject": subject.id,
             "tests": len(suite),
             "tree_seconds": round(tree_s, 4),
-            "compiled_seconds": round(comp_s, 4),
-            "speedup": round(tree_s / comp_s, 2) if comp_s else 0.0,
-        })
-    return rows
+            "batch_seconds": round(batch_s, 4),
+            "speedup": round(tree_s / batch_s, 2) if batch_s else 0.0,
+        }
+        for subject, suite, tree_s, batch_s, _trace in compare(corpora, LOOSE)
+    ]
 
 
 def run_limit_microbench(corpora):
     """Tight-budget replay: the hoisted-limits fast path must preserve
-    every observable (steps at abort, fault kind) across backends."""
-    rows = []
-    for subject, unit, suite in corpora:
-        tree_s, tree_trace = time_backend(unit, subject.kernel, suite,
-                                          "tree", TIGHT)
-        comp_s, comp_trace = time_backend(unit, subject.kernel, suite,
-                                          "compiled", TIGHT)
-        assert tree_trace == comp_trace, (
-            f"{subject.id}: limit enforcement diverged under a tight budget"
-        )
-        rows.append({
+    every observable (steps at abort, fault kind) across engines."""
+    return [
+        {
             "subject": subject.id,
-            "aborted_tests": sum(1 for _s, kind in comp_trace if kind),
+            "aborted_tests": sum(1 for _s, kind in trace if kind),
             "tree_seconds": round(tree_s, 4),
-            "compiled_seconds": round(comp_s, 4),
-        })
-    return rows
-
-
-def run_table3_sweep():
-    start = time.perf_counter()
-    results = [
-        run_variant(subject, "HeteroGen", config_for("HeteroGen"))
-        for subject in all_subjects()
+            "batch_seconds": round(batch_s, 4),
+        }
+        for subject, _suite, tree_s, batch_s, trace in compare(corpora, TIGHT)
     ]
-    elapsed = time.perf_counter() - start
-    assert all(r.hls_compatible and r.behavior_preserved for r in results)
-    return elapsed
 
 
 def test_interp_backend(benchmark):
@@ -140,7 +123,6 @@ def test_interp_backend(benchmark):
         run_interp_loop, args=(corpora,), rounds=1, iterations=1
     )
     limit_rows = run_limit_microbench(corpora)
-    sweep_seconds = run_table3_sweep()
 
     median_speedup = statistics.median(r["speedup"] for r in loop_rows)
     payload = {
@@ -148,31 +130,21 @@ def test_interp_backend(benchmark):
         "interpreter_loop": loop_rows,
         "median_speedup": median_speedup,
         "limit_enforcement": limit_rows,
-        "table3_sweep": {
-            "compiled_seconds": round(sweep_seconds, 1),
-            "tree_baseline_seconds": TREE_SWEEP_SECONDS,
-            "speedup": round(TREE_SWEEP_SECONDS / sweep_seconds, 2),
-        },
     }
     write_bench_json("BENCH_interp.json", payload)
 
     lines = [
-        "Interpreter backends — closure-compiled vs tree-walking",
-        f"{'ID':4} {'Tests':>5} {'Tree(s)':>8} {'Compiled(s)':>12} {'Speedup':>8}",
+        "Interpreter engines — batch vs tree-walking, one run per input",
+        f"{'ID':4} {'Tests':>5} {'Tree(s)':>8} {'Batch(s)':>9} {'Speedup':>8}",
     ]
     for row in loop_rows:
         lines.append(
             f"{row['subject']:4} {row['tests']:5} {row['tree_seconds']:8.3f} "
-            f"{row['compiled_seconds']:12.3f} {row['speedup']:7.2f}x"
+            f"{row['batch_seconds']:9.3f} {row['speedup']:7.2f}x"
         )
     lines.append("")
     lines.append(f"median interpreter-loop speedup: {median_speedup:.2f}x "
                  f"(target: >= 2x)")
-    lines.append(
-        f"Table 3 sweep: {sweep_seconds:.1f}s compiled vs "
-        f"{TREE_SWEEP_SECONDS:.1f}s tree baseline"
-    )
     write_table("bench_interp.txt", "\n".join(lines))
 
     assert median_speedup >= 2.0
-    assert sweep_seconds < TREE_SWEEP_SECONDS

@@ -170,9 +170,9 @@ def clone_unit_with(
     """A clone of *unit* whose declaration list is *decls*.
 
     The dropped memos are skipped; every other ``__dict__`` entry —
-    the compiled and batch programs — is deep-copied, so their
-    ``__deepcopy__`` hooks leave the clone a compile-lineage marker
-    (see :mod:`repro.interp.compile`) instead of the parent's program.
+    the compiled program — is deep-copied, so its ``__deepcopy__`` hook
+    leaves the clone a compile-lineage marker (see
+    :mod:`repro.interp.compile`) instead of the parent's program.
     """
     new = object.__new__(TranslationUnit)
     values = new.__dict__

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -229,14 +229,25 @@ class StructType(CType):
             return 0
         return max(sizes) if self.is_union else sum(sizes)
 
+    def field_map(self) -> Dict[str, CType]:
+        """Field name → type, built on first use; the first of two
+        same-named fields wins, as in a linear scan."""
+        fmap = self.__dict__.get("_field_map")
+        if fmap is None:
+            fmap = {}
+            for f in self.fields:
+                fmap.setdefault(f.name, f.type)
+            self.__dict__["_field_map"] = fmap
+        return fmap
+
     def field_type(self, name: str) -> CType:
-        for f in self.fields:
-            if f.name == name:
-                return f.type
-        raise KeyError(f"struct {self.tag} has no field {name!r}")
+        ctype = self.field_map().get(name)
+        if ctype is None:
+            raise KeyError(f"struct {self.tag} has no field {name!r}")
+        return ctype
 
     def has_field(self, name: str) -> bool:
-        return any(f.name == name for f in self.fields)
+        return name in self.field_map()
 
     def __str__(self) -> str:
         kw = "union" if self.is_union else "struct"

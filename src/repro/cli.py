@@ -436,11 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def backend_flag(p):
         p.add_argument("--interp-backend", choices=list(BACKENDS),
-                       default=None, metavar="{tree,compiled,cross}",
+                       default=None, metavar="{" + ",".join(BACKENDS) + "}",
                        help="execution backend for all interpreted runs "
-                       "(default: the process default, normally 'compiled'; "
-                       "'cross' runs both backends and asserts identical "
-                       "behaviour)")
+                       "(default: the process default, normally 'batch'; "
+                       "'tree' is the reference tree-walker; 'batch-cross' "
+                       "runs both and asserts identical behaviour)")
 
     def obs_flags(p):
         p.add_argument("--trace-out", metavar="PATH", default=None,

@@ -132,8 +132,8 @@ class SearchConfig:
     the default; None/empty disables).  Ignored when ``use_cache`` is
     False — the store is a durable tier *under* the in-memory cache."""
     interp_backend: Optional[str] = None
-    """Execution backend for every interpreted run ("tree", "compiled",
-    "cross"; None = process default).  Deliberately NOT part of the
+    """Execution backend for every interpreted run ("tree", "batch",
+    "batch-cross"; None = process default).  Deliberately NOT part of the
     evaluation-cache context token: backends are bit-identical in every
     simulated measurement, so entries written under one backend are valid
     under any other."""

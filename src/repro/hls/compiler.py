@@ -42,7 +42,7 @@ from ..cfront.visitor import find_all
 from ..obs import SPAN_HLS_COMPILE, get_recorder
 from . import diagnostics as D
 from .clock import ACT_HLS_COMPILE, SimulatedClock
-from .memo import AnalysisCache
+from ..memo import AnalysisCache
 from .platform import DEVICES, SolutionConfig
 from .pragmas import has_dataflow, loop_pragmas, parse_pragma
 from .schedule import estimate, static_tripcount

@@ -38,7 +38,7 @@ from ..cfront.fingerprint import (
 )
 from ..cfront.visitor import find_all
 from ..obs import SPAN_SCHEDULE, get_recorder
-from .memo import AnalysisCache
+from ..memo import AnalysisCache
 from .platform import OFFLOAD_OVERHEAD_NS, ResourceUsage, SolutionConfig
 from .pragmas import function_pragmas, loop_pragmas
 

@@ -28,7 +28,7 @@ from ..cfront.fingerprint import exact_fp, unit_incremental_enabled
 from ..cfront.visitor import find_all
 from ..obs import SPAN_STYLE_CHECK, get_recorder
 from .clock import ACT_STYLE_CHECK, SimulatedClock
-from .memo import AnalysisCache
+from ..memo import AnalysisCache
 from .pragmas import FUNCTION_SCOPE, KNOWN_DIRECTIVES, LOOP_SCOPE, parse_pragma
 
 #: Simulated cost of one style check, in seconds.  Negligible next to a

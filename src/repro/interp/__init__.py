@@ -1,34 +1,30 @@
 """C interpreter substrate: execution, coverage, value profiling.
 
 Replaces native compilation + AFL instrumentation in the original paper's
-toolchain (see DESIGN.md).  Two execution backends share one semantics:
-the tree-walking :class:`Interpreter` and the closure-compiled
-:class:`CompiledEngine` (see ``repro.interp.compile``), with
-:class:`CrossCheckEngine` asserting they stay bit-identical.  The
-:class:`BatchEngine` (see ``repro.interp.batch``) lowers the closure
-form once more to flat generated Python and adds ``run_many`` — whole
-input sets through one pooled pass — with
-:class:`BatchCrossCheckEngine` asserting batch-vs-compiled identity.
+toolchain (see DESIGN.md).  Two engines share one semantics: the
+tree-walking :class:`Interpreter` is the oracle, and the default
+:class:`BatchEngine` (see ``repro.interp.batch``) lowers each function to
+flat generated Python and adds ``run_many`` — whole input sets through
+one pooled pass.  Where its code generator declines a node it splices in
+the closure the closure compiler (``repro.interp.compile``) builds for
+that node.  :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs
+both engines on every input and asserts they stay bit-identical.
 """
 
 from .coverage import CoverageRecorder, ValueProfile, branch_points
 from .interpreter import ExecLimits, ExecResult, Interpreter, run_program
-from .compile import (
+from .compile import compile_program
+from .batch import (
     BACKENDS,
     BackendMismatch,
-    CompiledEngine,
-    CrossCheckEngine,
-    compile_program,
-    default_backend,
-    make_engine,
-    set_default_backend,
-)
-from .batch import (
     BatchCrossCheckEngine,
     BatchEngine,
     BatchRecord,
     batch_program,
+    default_backend,
     engine_run_many,
+    make_engine,
+    set_default_backend,
 )
 from .memory import (
     MemBlock,
@@ -45,9 +41,7 @@ __all__ = [
     "BatchCrossCheckEngine",
     "BatchEngine",
     "BatchRecord",
-    "CompiledEngine",
     "CoverageRecorder",
-    "CrossCheckEngine",
     "ExecLimits",
     "ExecResult",
     "Interpreter",

@@ -1,19 +1,20 @@
 """Batched execution backend: whole input sets through one specialized pass.
 
-The closure backend (:mod:`.compile`) already resolves names and operators
-at compile time, but still pays one Python *call* per AST node per step.
-This module lowers each function once more — into a single flat Python
-function generated as source and ``exec``-compiled — so that the hot path
-of a kernel is ordinary Python bytecode: local-variable step accounting,
-inline arithmetic with the exact charge/fault schedule of the tree-walker,
-and direct frame indexing.  On top of that sits :class:`BatchEngine` with
-``run_many(func_name, arg_sets)``: the unit is compiled once, one
-:class:`~.compile.Runtime` is pooled across the whole batch (coverage and
-profile recorders are handed off per input, arenas reset instead of
-reallocate, the global frame is snapshot/replayed when provably safe), and
-each input is fault-isolated so a faulting sibling never poisons the rest.
+This is the default engine.  The closure compiler (:mod:`.compile`)
+resolves names and operators at compile time but still pays one Python
+*call* per AST node per step.  This module lowers each function once
+more — into a single flat Python function generated as source and
+``exec``-compiled — so that the hot path of a kernel is ordinary Python
+bytecode: local-variable step accounting, inline arithmetic with the exact
+charge/fault schedule of the tree-walker, and direct frame indexing.  On
+top of that sits :class:`BatchEngine` with ``run_many(func_name,
+arg_sets)``: the unit is compiled once, one :class:`~.compile.Runtime` is
+pooled across the whole batch (coverage and profile recorders are handed
+off per input, arenas reset instead of reallocate, the global frame is
+snapshot/replayed when provably safe), and each input is fault-isolated so
+a faulting sibling never poisons the rest.
 
-Charge semantics are bit-identical per input to ``tree``/``compiled``:
+Charge semantics are bit-identical per input to the tree-walker:
 
 * every inline charge site replicates the closure compiler's cost and its
   *order* relative to faults (divide-by-zero after the charge, pointer
@@ -28,19 +29,28 @@ Charge semantics are bit-identical per input to ``tree``/``compiled``:
   constants give the closure backend;
 * any node the generator does not handle falls back to the closure
   compiled for that exact node (the generator subclasses
-  :class:`~.compile._FunctionCompiler`, so scope state is shared), and any
-  generation failure falls back to the whole closure-compiled function.
+  :class:`~.compile._FunctionCompiler`, so scope state is shared).
 
-The :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs the
-compiled and batch backends on every input and asserts bit-identical
-results, mirroring the ``cross`` backend one level up the tower.
+Candidates of one repair search differ by one edit, so most functions
+generate source seen before.  The compiled code objects are memoized by
+function name and source digest; each program still ``exec``s a shared
+code object into its own constant pool, so identical source gives an
+identical function bound to that program's objects.
+
+:class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs the
+tree-walker and the batch engine on every input and asserts bit-identical
+results.  The backend registry (:data:`BACKENDS`, :func:`make_engine`)
+lives here too.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     HlsSimulationFault,
@@ -50,9 +60,10 @@ from ..errors import (
 )
 from ..cfront import nodes as N
 from ..cfront import typesys as T
+from ..memo import AnalysisCache
 from .builtins import BUILTINS
 from .coverage import CoverageRecorder, ValueProfile
-from .interpreter import ExecLimits, ExecResult, _Break, _Continue
+from .interpreter import ExecLimits, ExecResult, Interpreter, _Break, _Continue
 from .memory import (
     LValue,
     MemBlock,
@@ -83,23 +94,31 @@ from .compile import (
     _pointer_binop,
     _snapshot_arg,
     _try_fold,
-    CompiledEngine,
     CompiledFunction,
-    CrossCheckEngine,
     Runtime,
     compile_program,
 )
 
-import math
-
 __all__ = [
+    "BACKENDS",
+    "BackendMismatch",
     "BatchEngine",
     "BatchCrossCheckEngine",
     "BatchRecord",
     "BatchProgram",
     "batch_program",
+    "default_backend",
     "engine_run_many",
+    "make_engine",
+    "set_default_backend",
 ]
+
+#: Code objects of generated functions, keyed by ``(filename, digest of
+#: the source)``.  The digest keeps the source text itself out of memory;
+#: the cap bounds the code objects (~20 KB each for a subject's kernel)
+#: a long search keeps, while still holding every function a repair
+#: search's recent candidates share.
+_CODE_MEMO = AnalysisCache("batch.code", max_entries=256)
 
 
 def _over_b(rt: Runtime, steps: int) -> None:
@@ -109,7 +128,7 @@ def _over_b(rt: Runtime, steps: int) -> None:
 
 
 class _GiveUp(Exception):
-    """Internal: this node (or function) is not generatable — fall back."""
+    """Internal: this node is not generatable — fall back to its closure."""
 
 
 class _ConstPool:
@@ -1049,7 +1068,11 @@ class _BatchCompiler(_FunctionCompiler):
             "    return None",
         ]
         src = "\n".join(src_lines) + "\n"
-        code = compile(src, f"<batch:{cf.name}>", "exec")
+        filename = f"<batch:{cf.name}>"
+        digest = hashlib.blake2b(src.encode(), digest_size=16).digest()
+        code = _CODE_MEMO.get_or_compute(
+            (filename, digest), lambda: compile(src, filename, "exec")
+        )
         ns = self.pool.ns
         exec(code, ns)
         cf.body = ns.pop("_batch_body")
@@ -1063,61 +1086,38 @@ class _BatchCompiler(_FunctionCompiler):
 class BatchProgram:
     """All functions of one unit lowered to flat generated Python.
 
-    Wraps (and never mutates) the unit's :class:`CompiledProgram`: the
-    closure compilation — including PR 3 lineage reuse — happens first
-    and stays available as the per-node and per-function fallback.
-    Globals reuse the closure makers outright (they run once per input,
-    not per step).
+    Reads (and never mutates) the unit's :class:`CompiledProgram`, which
+    supplies the struct table and the global initializers (they run once
+    per input, not per step).  Every function is generated; a node the
+    generator declines is served by its closure, so the code generator
+    itself never gives up on a whole function.
     """
 
     def __init__(self, unit: N.TranslationUnit) -> None:
         self.unit = unit
         base = compile_program(unit)
-        self.base = base
         self.structs = base.structs
         self.global_bindings = base.global_bindings
         self.global_makers = base.global_makers
         self.functions: Dict[str, CompiledFunction] = {}
         self.methods: Dict[Tuple[str, str], CompiledFunction] = {}
-        self.generated = 0
-        self.fallback_functions = 0
         pool = _ConstPool()
         # Two phases: create every shell first so generated call sites
         # (including recursion and method dispatch) can pool the callee.
-        shells: List[Tuple[Any, N.FunctionDef, CompiledFunction]] = []
+        shells: List[Tuple[N.FunctionDef, CompiledFunction]] = []
         for decl in unit.decls:
             if isinstance(decl, N.FunctionDef) and decl.body is not None:
                 cf = CompiledFunction(decl)
                 self.functions[decl.name] = cf
-                shells.append((decl.name, decl, cf))
+                shells.append((decl, cf))
             elif isinstance(decl, N.StructDef):
                 for method in decl.methods:
                     if method.body is not None:
                         cf = CompiledFunction(method)
                         self.methods[(decl.tag, method.name)] = cf
-                        shells.append(((decl.tag, method.name), method, cf))
-        no_codegen = os.environ.get("REPRO_BATCH_NO_CODEGEN") == "1"
-        for key, func, cf in shells:
-            try:
-                if no_codegen:
-                    raise _GiveUp()
-                _BatchCompiler(self, pool).gen_function(func, cf)
-                self.generated += 1
-            except Exception:
-                # Serve this function with its closure compilation: the
-                # shell adopts the base body (and the matching binders
-                # and slot numbering), staying duck-compatible with the
-                # generated callers that pooled it.
-                base_cf = (
-                    base.methods[key] if isinstance(key, tuple)
-                    else base.functions[key]
-                )
-                cf.binders = base_cf.binders
-                cf.n_slots = base_cf.n_slots
-                cf.body = base_cf.body
-                cf.this_slot = base_cf.this_slot
-                cf.ret_coercer = base_cf.ret_coercer
-                self.fallback_functions += 1
+                        shells.append((method, cf))
+        for func, cf in shells:
+            _BatchCompiler(self, pool).gen_function(func, cf)
         self.poolable_globals = _poolable_globals(unit)
 
     def init_globals(self, rt: Runtime) -> None:
@@ -1125,25 +1125,38 @@ class BatchProgram:
         for make in self.global_makers:
             gframe.append(make(rt, _NO_FRAME))
 
-    def __deepcopy__(self, memo: Dict[int, Any]) -> None:
-        # A unit clone is about to be edited; it must re-lower from its
-        # own (lineage-reusing) closure compilation.
-        return None
 
-
+#: Lowered programs of the units run most recently, by unit identity.
+#: Consumers run one unit through several engines in a row (difftest,
+#: then co-simulation), so a few entries serve them all; keeping the
+#: program off the unit lets a finished candidate, or a result that holds
+#: its units, drop the generated code with the memo entry.  Each entry
+#: holds its unit (``BatchProgram.unit``), so an ``id`` is never reused
+#: while it is cached.  Sized by counting, over one pass of each
+#: ``bench_e2e`` workload at seed 2022, the lowerings of a unit that had
+#: been lowered before and dropped out: with 8 entries table3 re-lowers 4
+#: units of 85 lowerings, repair 3 of 79, store-warm 0 of 4, generated 7
+#: of 210; with 1 entry 6, 4, 0 and 22; with 16 entries 3, 3, 0 and 5.
+_RECENT_PROGRAMS: "OrderedDict[int, BatchProgram]" = OrderedDict()
+_RECENT_LIMIT = 8
 _BATCH_CACHE_LOCK = threading.Lock()
 
 
 def batch_program(unit: N.TranslationUnit) -> BatchProgram:
-    """Lower *unit* for batched execution, memoized per unit object."""
-    program = unit.__dict__.get("_batch_program")
-    if isinstance(program, BatchProgram):
-        return program
+    """Lower *unit* for batched execution, memoized for recent units.
+
+    Units are not mutated once they execute (edits clone), so a unit's
+    lowering stays valid while it is cached."""
+    key = id(unit)
     with _BATCH_CACHE_LOCK:
-        program = unit.__dict__.get("_batch_program")
-        if not isinstance(program, BatchProgram):
+        program = _RECENT_PROGRAMS.get(key)
+        if program is None:
             program = BatchProgram(unit)
-            unit.__dict__["_batch_program"] = program
+            _RECENT_PROGRAMS[key] = program
+            if len(_RECENT_PROGRAMS) > _RECENT_LIMIT:
+                _RECENT_PROGRAMS.popitem(last=False)
+        else:
+            _RECENT_PROGRAMS.move_to_end(key)
     return program
 
 
@@ -1157,7 +1170,7 @@ class BatchRecord:
 
     Exactly one of the three shapes holds: ``result`` is the
     :class:`ExecResult`; ``error`` is the fault the input raised (the
-    same type and message the compiled backend raises); ``skipped`` is
+    same type and message :meth:`BatchEngine.run` raises); ``skipped`` is
     True when the batch's ``max_faults`` budget was exhausted before
     this input executed.
     """
@@ -1202,7 +1215,7 @@ class BatchEngine:
         self.captured: List[List[Any]] = []
         self.steps = 0
 
-    # -- single-input path (drop-in for CompiledEngine.run) ---------------
+    # -- single-input path (drop-in for Interpreter.run) ------------------
 
     def run(self, func_name: str, args: List[Any]) -> ExecResult:
         program = self.program
@@ -1377,13 +1390,40 @@ class BatchEngine:
         return records
 
 
-class BatchCrossCheckEngine(CrossCheckEngine):
-    """Runs compiled and batch on every input, asserting identity.
+class BackendMismatch(AssertionError):
+    """The batch backend diverged from the tree-walker."""
 
-    Reuses the cross-check comparison verbatim one level up the tower:
-    the ``tree`` slot holds the compiled backend (the reference) and the
-    ``compiled`` slot the batch backend (the candidate) — mismatch
-    messages read accordingly.
+
+def _identical(left: Any, right: Any) -> bool:
+    """Exact structural equality, with NaN equal to NaN."""
+    if isinstance(left, float) and isinstance(right, float):
+        return left == right or (left != left and right != right)
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        return len(left) == len(right) and all(
+            _identical(a, b) for a, b in zip(left, right)
+        )
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _identical(v, right[k]) for k, v in left.items()
+        )
+    return type(left) is type(right) and left == right
+
+
+def _profile_key(profile: ValueProfile) -> Tuple[Dict[int, Tuple], Dict[str, int]]:
+    ranges = {
+        uid: (r.name, repr(r.min_value), repr(r.max_value),
+              r.is_integer, r.samples)
+        for uid, r in profile.ranges.items()
+    }
+    return ranges, dict(profile.call_depths)
+
+
+class BatchCrossCheckEngine:
+    """Runs the tree-walker and batch on every input, asserting identity.
+
+    Observables, step counts, coverage hits, value profiles, captured
+    arguments and faults (type and message) must all agree; the batch
+    result is returned.
     """
 
     def __init__(
@@ -1394,20 +1434,66 @@ class BatchCrossCheckEngine(CrossCheckEngine):
         capture_calls: str = "",
         want_out_args: bool = True,
     ) -> None:
-        self.tree = CompiledEngine(
+        self.tree = Interpreter(
             unit, limits=limits, hls_mode=hls_mode,
             capture_calls=capture_calls, want_out_args=want_out_args,
         )
-        self.compiled = BatchEngine(
+        self.batch = BatchEngine(
             unit, limits=limits, hls_mode=hls_mode,
             capture_calls=capture_calls, want_out_args=want_out_args,
         )
         self.unit = unit
-        self.limits = self.compiled.limits
+        self.limits = self.batch.limits
         self.hls_mode = hls_mode
         self.capture_calls = capture_calls
         self.want_out_args = want_out_args
         self.captured: List[List[Any]] = []
+
+    def run(self, func_name: str, args: List[Any]) -> ExecResult:
+        tree_result = tree_exc = None
+        batch_result = batch_exc = None
+        try:
+            tree_result = self.tree.run(func_name, args)
+        except Exception as exc:
+            tree_exc = exc
+        try:
+            batch_result = self.batch.run(func_name, args)
+        except Exception as exc:
+            batch_exc = exc
+        where = f"{func_name}{args!r}"
+        if tree_exc is not None or batch_exc is not None:
+            if tree_exc is None or batch_exc is None:
+                raise BackendMismatch(
+                    f"{where}: tree raised {tree_exc!r} but batch raised "
+                    f"{batch_exc!r}"
+                )
+            if type(tree_exc) is not type(batch_exc) \
+                    or str(tree_exc) != str(batch_exc):
+                raise BackendMismatch(
+                    f"{where}: fault mismatch — tree {tree_exc!r}, "
+                    f"batch {batch_exc!r}"
+                )
+            raise tree_exc
+        assert tree_result is not None and batch_result is not None
+        checks = (
+            ("observable", tree_result.observable(),
+             batch_result.observable()),
+            ("step", tree_result.steps, batch_result.steps),
+            ("coverage", tree_result.coverage.hits,
+             batch_result.coverage.hits),
+            ("value-profile", _profile_key(tree_result.profile),
+             _profile_key(batch_result.profile)),
+            ("captured-args", tree_result.captured_args,
+             batch_result.captured_args),
+        )
+        for what, expected, actual in checks:
+            if not _identical(expected, actual):
+                raise BackendMismatch(
+                    f"{where}: {what} mismatch — tree {expected!r}, "
+                    f"batch {actual!r}"
+                )
+        self.captured = batch_result.captured_args
+        return batch_result
 
 
 def engine_run_many(
@@ -1440,3 +1526,55 @@ def engine_run_many(
         else:
             records.append(BatchRecord(result=result))
     return records
+
+
+# --------------------------------------------------------------------------
+# Backend selection
+# --------------------------------------------------------------------------
+
+#: ``tree`` is the oracle, ``batch`` the default, ``batch-cross`` checks
+#: the one against the other on every input.
+BACKENDS = ("tree", "batch", "batch-cross")
+
+_ENGINES = {
+    "tree": Interpreter,
+    "batch": BatchEngine,
+    "batch-cross": BatchCrossCheckEngine,
+}
+
+_default_backend = os.environ.get("REPRO_INTERP_BACKEND", "batch")
+
+
+def default_backend() -> str:
+    """The backend used when no explicit choice is given."""
+    return _default_backend
+
+
+def set_default_backend(name: str) -> None:
+    global _default_backend
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown interpreter backend {name!r}; choose from {BACKENDS}"
+        )
+    _default_backend = name
+
+
+def make_engine(
+    unit: N.TranslationUnit,
+    backend: Optional[str] = None,
+    limits: Optional[ExecLimits] = None,
+    hls_mode: bool = False,
+    capture_calls: str = "",
+    want_out_args: bool = True,
+):
+    """Construct an execution engine for *unit* with the chosen backend."""
+    name = backend or _default_backend
+    engine = _ENGINES.get(name)
+    if engine is None:
+        raise ValueError(
+            f"unknown interpreter backend {name!r}; choose from {BACKENDS}"
+        )
+    return engine(
+        unit, limits=limits, hls_mode=hls_mode,
+        capture_calls=capture_calls, want_out_args=want_out_args,
+    )

@@ -24,19 +24,20 @@ module lowers each parsed function **once** into nested Python closures:
 Semantics are bit-identical to the tree-walker — same step charges at the
 same program points, same heap accounting, same wrap-around and fault
 behaviour in CPU and HLS mode, same :class:`ExecResult` contents.  The
-:class:`CrossCheckEngine` runs both backends and asserts exactly that.
+closures are not an engine of their own: the batch backend
+(:mod:`.batch`) subclasses :class:`_FunctionCompiler`, splices a node's
+closure in wherever its code generator declines that node, and takes
+its global initializers from the :class:`CompiledProgram`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct as _struct
 import threading
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
-    HlsSimulationFault,
     InterpError,
     InterpLimitExceeded,
     MemoryFault,
@@ -47,7 +48,6 @@ from .builtins import BUILTINS, RawAlloc
 from .coverage import CoverageRecorder, ValueProfile
 from .interpreter import (
     ExecLimits,
-    ExecResult,
     Interpreter,
     _Break,
     _Continue,
@@ -61,10 +61,8 @@ from .memory import (
     StructValue,
     _quantize_float,
     c_shift,
-    c_to_python,
     coerce,
     default_value,
-    python_to_c,
 )
 
 # Abstract step costs — must stay in lockstep with interpreter.py.
@@ -1805,10 +1803,10 @@ class _FunctionCompiler:
                     f"member access {name!r} on a non-struct value"
                 )
             struct_type = rt.structs.get(target.tag)
-            if struct_type is not None and struct_type.has_field(name):
-                ctype = struct_type.field_type(name)
-            else:
-                ctype = T.INT
+            ctype = (
+                struct_type.field_map().get(name, T.INT)
+                if struct_type is not None else T.INT
+            )
             return LValue(ctype, struct=target, field_name=name)
 
         return lv_member
@@ -2200,257 +2198,3 @@ def compiled_program_of(unit: N.TranslationUnit) -> Optional[CompiledProgram]:
     compilation of this unit)."""
     program = unit.__dict__.get("_compiled_program")
     return program if isinstance(program, CompiledProgram) else None
-
-
-# --------------------------------------------------------------------------
-# Engines
-# --------------------------------------------------------------------------
-
-
-class CompiledEngine:
-    """Drop-in replacement for Interpreter backed by compiled closures."""
-
-    def __init__(
-        self,
-        unit: N.TranslationUnit,
-        limits: Optional[ExecLimits] = None,
-        hls_mode: bool = False,
-        capture_calls: str = "",
-        want_out_args: bool = True,
-    ) -> None:
-        self.unit = unit
-        self.limits = limits or ExecLimits()
-        self.hls_mode = hls_mode
-        self.capture_calls = capture_calls
-        self.want_out_args = want_out_args
-        self.program = compile_program(unit)
-        self.captured: List[List[Any]] = []
-        self.steps = 0
-
-    def run(self, func_name: str, args: List[Any]) -> ExecResult:
-        program = self.program
-        cf = program.functions.get(func_name)
-        if cf is None:
-            raise InterpError(f"no function named {func_name!r}")
-        rt = Runtime(self.limits, program.structs, self.capture_calls)
-        self.captured = rt.captured
-        try:
-            program.init_globals(rt)
-            runtime_args: List[Any] = []
-            params = cf.params
-            for param, arg in zip(params, args):
-                try:
-                    runtime_args.append(
-                        python_to_c(arg, param.type, program.structs)
-                    )
-                except (TypeError, ValueError) as exc:
-                    # A test tuple shaped for a different signature (the
-                    # search retargeting the top function, say) is a
-                    # faulty candidate, not a harness crash.
-                    raise InterpError(
-                        f"{func_name}: cannot marshal argument "
-                        f"{param.name!r}: {exc}"
-                    ) from exc
-            if len(args) != len(params):
-                raise InterpError(
-                    f"{func_name} expects {len(params)} args, got {len(args)}"
-                )
-            value = _call(rt, cf, runtime_args, None)
-        except MemoryFault as exc:
-            if self.hls_mode and getattr(exc, "oob_array", False):
-                raise HlsSimulationFault(str(exc)) from exc
-            raise
-        finally:
-            self.steps = rt.steps
-            self.coverage = rt.coverage
-            self.profile = rt.profile
-        out_args = (
-            [c_to_python(a) for a in runtime_args]
-            if self.want_out_args else []
-        )
-        return ExecResult(
-            value=c_to_python(value),
-            out_args=out_args,
-            steps=rt.steps,
-            coverage=rt.coverage,
-            profile=rt.profile,
-            captured_args=rt.captured,
-        )
-
-
-class BackendMismatch(AssertionError):
-    """The compiled backend diverged from the tree-walker."""
-
-
-def _identical(left: Any, right: Any) -> bool:
-    """Exact structural equality, with NaN equal to NaN."""
-    if isinstance(left, float) and isinstance(right, float):
-        return left == right or (left != left and right != right)
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        return len(left) == len(right) and all(
-            _identical(a, b) for a, b in zip(left, right)
-        )
-    if isinstance(left, dict) and isinstance(right, dict):
-        return left.keys() == right.keys() and all(
-            _identical(v, right[k]) for k, v in left.items()
-        )
-    return type(left) is type(right) and left == right
-
-
-def _profile_key(profile: ValueProfile) -> Tuple[Dict[int, Tuple], Dict[str, int]]:
-    ranges = {
-        uid: (r.name, repr(r.min_value), repr(r.max_value),
-              r.is_integer, r.samples)
-        for uid, r in profile.ranges.items()
-    }
-    return ranges, dict(profile.call_depths)
-
-
-class CrossCheckEngine:
-    """Runs both backends on every input and asserts bit-identical results."""
-
-    def __init__(
-        self,
-        unit: N.TranslationUnit,
-        limits: Optional[ExecLimits] = None,
-        hls_mode: bool = False,
-        capture_calls: str = "",
-        want_out_args: bool = True,
-    ) -> None:
-        self.tree = Interpreter(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-        self.compiled = CompiledEngine(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-        self.unit = unit
-        self.limits = self.compiled.limits
-        self.hls_mode = hls_mode
-        self.capture_calls = capture_calls
-        self.want_out_args = want_out_args
-        self.captured: List[List[Any]] = []
-
-    def run(self, func_name: str, args: List[Any]) -> ExecResult:
-        tree_result = tree_exc = None
-        comp_result = comp_exc = None
-        try:
-            tree_result = self.tree.run(func_name, args)
-        except Exception as exc:
-            tree_exc = exc
-        try:
-            comp_result = self.compiled.run(func_name, args)
-        except Exception as exc:
-            comp_exc = exc
-        if tree_exc is not None or comp_exc is not None:
-            if tree_exc is None or comp_exc is None:
-                raise BackendMismatch(
-                    f"{func_name}{args!r}: tree raised {tree_exc!r} but "
-                    f"compiled raised {comp_exc!r}"
-                )
-            if type(tree_exc) is not type(comp_exc) \
-                    or str(tree_exc) != str(comp_exc):
-                raise BackendMismatch(
-                    f"{func_name}{args!r}: fault mismatch — tree "
-                    f"{tree_exc!r}, compiled {comp_exc!r}"
-                )
-            raise tree_exc
-        assert tree_result is not None and comp_result is not None
-        if not _identical(tree_result.observable(), comp_result.observable()):
-            raise BackendMismatch(
-                f"{func_name}{args!r}: observable mismatch — tree "
-                f"{tree_result.observable()!r}, compiled "
-                f"{comp_result.observable()!r}"
-            )
-        if tree_result.steps != comp_result.steps:
-            raise BackendMismatch(
-                f"{func_name}{args!r}: step mismatch — tree "
-                f"{tree_result.steps}, compiled {comp_result.steps}"
-            )
-        if tree_result.coverage.hits != comp_result.coverage.hits:
-            raise BackendMismatch(
-                f"{func_name}{args!r}: coverage mismatch — "
-                f"only-tree {tree_result.coverage.hits - comp_result.coverage.hits!r}, "
-                f"only-compiled {comp_result.coverage.hits - tree_result.coverage.hits!r}"
-            )
-        if _profile_key(tree_result.profile) != _profile_key(comp_result.profile):
-            raise BackendMismatch(
-                f"{func_name}{args!r}: value-profile mismatch — tree "
-                f"{_profile_key(tree_result.profile)!r}, compiled "
-                f"{_profile_key(comp_result.profile)!r}"
-            )
-        if not _identical(tree_result.captured_args,
-                          comp_result.captured_args):
-            raise BackendMismatch(
-                f"{func_name}{args!r}: captured-args mismatch"
-            )
-        self.captured = comp_result.captured_args
-        return comp_result
-
-
-# --------------------------------------------------------------------------
-# Backend selection
-# --------------------------------------------------------------------------
-
-BACKENDS = ("tree", "compiled", "cross", "batch", "batch-cross")
-
-_default_backend = os.environ.get("REPRO_INTERP_BACKEND", "compiled")
-
-
-def default_backend() -> str:
-    """The backend used when no explicit choice is given."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> None:
-    global _default_backend
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown interpreter backend {name!r}; choose from {BACKENDS}"
-        )
-    _default_backend = name
-
-
-def make_engine(
-    unit: N.TranslationUnit,
-    backend: Optional[str] = None,
-    limits: Optional[ExecLimits] = None,
-    hls_mode: bool = False,
-    capture_calls: str = "",
-    want_out_args: bool = True,
-):
-    """Construct an execution engine for *unit* with the chosen backend."""
-    name = backend or _default_backend
-    if name == "tree":
-        return Interpreter(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-    if name == "compiled":
-        return CompiledEngine(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-    if name == "cross":
-        return CrossCheckEngine(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-    if name == "batch":
-        from .batch import BatchEngine
-
-        return BatchEngine(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-    if name == "batch-cross":
-        from .batch import BatchCrossCheckEngine
-
-        return BatchCrossCheckEngine(
-            unit, limits=limits, hls_mode=hls_mode,
-            capture_calls=capture_calls, want_out_args=want_out_args,
-        )
-    raise ValueError(
-        f"unknown interpreter backend {name!r}; choose from {BACKENDS}"
-    )

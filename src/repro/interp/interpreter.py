@@ -802,10 +802,10 @@ def run_program(
 ) -> ExecResult:
     """One-shot convenience wrapper around an execution engine.
 
-    *backend* selects tree / compiled / cross (defaulting to the process
-    default, see :func:`repro.interp.compile.default_backend`).
+    *backend* selects tree / batch / batch-cross (defaulting to the
+    process default, see :func:`repro.interp.batch.default_backend`).
     """
-    from .compile import make_engine  # deferred: compile imports this module
+    from .batch import make_engine  # deferred: batch imports this module
 
     engine = make_engine(
         unit,

@@ -1,0 +1,134 @@
+"""Bounded, thread-safe memo tables for pure per-function sub-analyses.
+
+The style checker, the synthesizability checker and the scheduler all
+run pure analyses over individual functions; across a repair search the
+same (function-content, context) point is analysed hundreds of times
+because each candidate differs from its parent by one edit.  An
+:class:`AnalysisCache` memoizes those sub-results content-addressed by
+AST fingerprints (see :mod:`repro.cfront.fingerprint`).  The batch
+interpreter keeps its compiled code objects in one too, keyed by a
+digest of the generated source.
+
+The module depends on nothing but the fingerprint mode switches, so the
+interpreter and the HLS model can both import it without a cycle.
+
+Rules for what may live in a cache:
+
+* **pure computation only** — diagnostics, violation tuples, cycle
+  counts, frozen resource snapshots.  Never simulated-clock charges,
+  never invocation-counter bumps: those belong to the live pipeline so
+  cached and uncached runs stay bit-identical in every reported
+  measurement;
+* values must be immutable (tuples of frozen dataclasses) or defensively
+  copied by the caller on every hit;
+* keys must capture *all* inputs of the computation — the function's
+  exact fingerprint plus whatever unit-level context the analysis reads.
+
+In cross-check mode (``REPRO_INCREMENTAL=cross``) every hit recomputes
+the value and raises :class:`~repro.cfront.fingerprint.IncrementalMismatch`
+if the cached result diverges — the regression harness for the
+invalidation logic.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, List
+
+from .cfront.fingerprint import (
+    IncrementalMismatch,
+    cross_check_enabled,
+    incremental_enabled,
+)
+
+#: Per-cache capacity.  Entries are small (tuples of diagnostics or a
+#: handful of numbers); a few thousand cover the largest search runs.
+DEFAULT_MAX_ENTRIES = 4096
+
+_REGISTRY: List["AnalysisCache"] = []
+_REGISTRY_LOCK = threading.Lock()
+
+
+class AnalysisCache:
+    """One LRU memo table for a named sub-analysis."""
+
+    def __init__(
+        self,
+        name: str,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        verify: bool = True,
+    ) -> None:
+        self.name = name
+        self.max_entries = max_entries
+        self.verify = verify
+        """Whether cross-check mode recomputes on hits.  Disabled for
+        caches whose compute callback has side effects on the caller
+        (e.g. the scheduler's counter frames) — those are covered by the
+        report-level cross-check instead."""
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        with _REGISTRY_LOCK:
+            _REGISTRY.append(self)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """Return the memoized value for *key*, computing (and storing)
+        it on a miss.  Incremental mode off → straight pass-through, no
+        cache traffic.  Cross-check mode → hits recompute and verify."""
+        if not incremental_enabled():
+            return compute()
+        with self._lock:
+            sentinel_miss = key not in self._entries
+            if not sentinel_miss:
+                self._entries.move_to_end(key)
+                value = self._entries[key]
+                self.hits += 1
+            else:
+                self.misses += 1
+        if sentinel_miss:
+            value = compute()
+            with self._lock:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+            return value
+        if cross_check_enabled() and self.verify:
+            fresh = compute()
+            if fresh != value:
+                raise IncrementalMismatch(
+                    f"analysis cache {self.name!r}: memoized value diverges "
+                    f"from recomputation for key {key!r}\n"
+                    f"  cached: {value!r}\n  fresh:  {fresh!r}"
+                )
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+
+
+def clear_analysis_caches() -> None:
+    """Empty every registered cache (tests and benchmark cold runs)."""
+    with _REGISTRY_LOCK:
+        caches = list(_REGISTRY)
+    for cache in caches:
+        cache.clear()
+
+
+def analysis_cache_stats() -> Dict[str, Dict[str, int]]:
+    """Per-cache hit/miss/size counters (benchmark reporting)."""
+    with _REGISTRY_LOCK:
+        caches = list(_REGISTRY)
+    return {
+        c.name: {"hits": c.hits, "misses": c.misses, "entries": len(c)}
+        for c in caches
+    }

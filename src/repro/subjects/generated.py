@@ -11,7 +11,7 @@ pointer arithmetic (including a deliberately out-of-bounds program for
 fault-path coverage), recursion, static locals and global initializers.
 
 They exist to be executed, not transpiled: the backend equivalence tests
-run every program under ``tree``, ``compiled`` and ``batch`` and assert
+run every program under ``tree`` and ``batch`` and assert
 bit-identical results, so a codegen regression in any engine shows up
 as a cross-backend diff on this corpus before it shows up in a paper
 table.  Sources are built from templates where a parameter (bit width,

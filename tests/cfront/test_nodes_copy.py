@@ -74,7 +74,7 @@ def test_clone_matches_deepcopy(name, load):
         assert type(a) is type(b)
         assert a.__dict__.keys() == b.__dict__.keys()
     # The compiled program becomes a lineage marker to the same ancestor
-    # either way; the batch program is dropped to None.
+    # either way; a batch program is never stored on a unit.
     lineage = cloned.__dict__.get("_compiled_program")
     expected = reference.__dict__.get("_compiled_program")
     assert type(lineage) is type(expected)

@@ -19,7 +19,12 @@ import pytest
 
 from repro.cfront import graft
 from repro.cfront import nodes as N
-from repro.cfront.fingerprint import exact_fp, structural_fp
+from repro.cfront.fingerprint import (
+    exact_fp,
+    forced_mode,
+    incremental_mode,
+    structural_fp,
+)
 from repro.cfront.parser import parse
 from repro.cfront.printer import render, render_decl, render_unit_from_blocks
 from repro.core import RepairSearch, SearchConfig, parallel
@@ -100,7 +105,13 @@ def clean_wire_state():
     for stats in (parallel._CONTEXT_STATS, parallel._UNIT_CACHE_STATS):
         for key in stats:
             stats[key] = 0
-    yield
+    # The search builds delta jobs only with incremental mode on (the
+    # planner is fingerprint-based), so a process started with
+    # REPRO_INCREMENTAL=0 runs these tests with it switched back on.
+    # Tests of the incremental-off worker path set it on the job.
+    mode = incremental_mode()
+    with forced_mode("on" if mode == "off" else mode):
+        yield
     (blocks, baselines, seeded, shipped, payloads, templates,
      contexts, cstats, units, ustats) = saved
     parallel._DECL_BLOCKS.clear()

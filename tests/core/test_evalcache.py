@@ -279,8 +279,8 @@ class TestSharedCacheAcrossRuns:
 class TestBackendIndependentKeys:
     """Cache keys must carry no execution-backend information: both
     backends are bit-identical in every simulated measurement, so an
-    entry written under the tree-walker is valid under the compiled
-    engine (and vice versa)."""
+    entry written under the tree-walker is valid under the batch engine
+    (and vice versa)."""
 
     def evaluate_once(self, cache, backend):
         unit = parse(BROKEN_SRC, top_name="kernel")
@@ -295,13 +295,13 @@ class TestBackendIndependentKeys:
         candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
         return search.evaluate(candidate), search
 
-    def test_tree_populated_cache_hits_under_compiled(self):
+    def test_tree_populated_cache_hits_under_batch(self):
         cache = EvalCache()
         cold_eval, cold_search = self.evaluate_once(cache, "tree")
         assert cold_search.stats.cache_misses == 1
         assert cold_search.stats.cache_hits == 0
 
-        warm_eval, warm_search = self.evaluate_once(cache, "compiled")
+        warm_eval, warm_search = self.evaluate_once(cache, "batch")
         assert warm_search.stats.cache_hits == 1
         assert warm_search.stats.cache_misses == 0
         assert warm_eval.fitness == cold_eval.fitness
@@ -311,5 +311,5 @@ class TestBackendIndependentKeys:
         the backend name to the cache context, silently halving the hit
         ratio of mixed-backend runs."""
         _eval, tree_search = self.evaluate_once(EvalCache(), "tree")
-        _eval, compiled_search = self.evaluate_once(EvalCache(), "compiled")
-        assert tree_search._cache_context == compiled_search._cache_context
+        _eval, batch_search = self.evaluate_once(EvalCache(), "batch")
+        assert tree_search._cache_context == batch_search._cache_context

@@ -396,25 +396,32 @@ def test_interp_clone_reuses_unchanged_function_closures():
 def test_interp_clone_reuse_does_not_leak_stale_globals():
     with forced_mode("on"):
         unit = parse(REUSE_SRC, top_name="kernel")
-        compile_program(unit)
+        parent = compile_program(unit)
         child_unit = copy.deepcopy(unit)
         glob = next(
             d for d in child_unit.decls
             if isinstance(d, N.VarDecl) and d.name == "scale"
         )
         glob.init.value = 5  # scale: 2 -> 5
-        from repro.interp import run_program
+        child = compile_program(child_unit)
+        # A changed global changes the environment every closure was
+        # compiled against: the global-profile gate must refuse all reuse,
+        # even of `kernel`, whose own text is unchanged.
+        assert child.reused_functions == 0
+        for name in ("helper", "shift", "kernel"):
+            assert child.functions[name] is not parent.functions[name]
 
-        original = run_program(
-            unit, "kernel", [[1, 2, 3, 4] + [0] * 12, 4], backend="compiled"
-        )
-        changed = run_program(
-            child_unit, "kernel", [[1, 2, 3, 4] + [0] * 12, 4], backend="compiled"
-        )
-        assert original.value == 20
+        from repro.interp import BatchEngine
+
+        def run_closures(program):
+            engine = BatchEngine(program.unit)
+            engine.program = program  # the closures, not generated code
+            return engine.run("kernel", [[1, 2, 3, 4] + [0] * 12, 4])
+
+        assert run_closures(parent).value == 20
         # A stale reused closure reading the old global env would return
-        # 20 here — the global-profile gate must force a recompile.
-        assert changed.value == 50
+        # 20 here.
+        assert run_closures(child).value == 50
 
 
 def test_interp_reuse_disabled_when_incremental_off():

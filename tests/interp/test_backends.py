@@ -1,10 +1,10 @@
-"""Backend equivalence: the tree-walker vs the closure-compiled engine.
+"""Backend equivalence: the tree-walker, the closure compiler and batch.
 
 Edge semantics that historically diverge between interpreter
 implementations — integer wrap at every width, pointer arithmetic across
 block boundaries, short-circuit step charges, HLS static-array faults —
-asserted identical across both backends, plus the cross-check harness
-and the backend-selection machinery themselves.
+asserted identical across the engines of :mod:`.engines`, plus the
+``batch-cross`` harness and the backend-selection machinery themselves.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from repro.errors import HlsSimulationFault, InterpError, MemoryFault
 from repro.interp import (
     BACKENDS,
     BackendMismatch,
-    CompiledEngine,
-    CrossCheckEngine,
-    ExecLimits,
+    BatchCrossCheckEngine,
+    BatchEngine,
     Interpreter,
     compile_program,
     default_backend,
@@ -28,11 +27,13 @@ from repro.interp import (
 )
 from repro.interp.compile import CompiledProgram
 
-BOTH = pytest.mark.parametrize("backend", ["tree", "compiled", "batch"])
+from .engines import ENGINES, engine_for, run_on
+
+BOTH = pytest.mark.parametrize("backend", ENGINES)
 
 
 def run_c(source, func, args, backend, **kwargs):
-    return run_program(parse(source), func, args, backend=backend, **kwargs)
+    return run_on(parse(source), func, args, backend, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_pointer_walks_off_block_faults(backend):
 def test_pointer_fault_messages_identical():
     """A divergent diagnostic would trip the cross-check harness."""
     excs = []
-    for backend in ("tree", "compiled"):
+    for backend in ENGINES:
         with pytest.raises(MemoryFault) as info:
             run_c(WALK_SRC, "poke", [4], backend)
         excs.append(str(info.value))
@@ -178,16 +179,17 @@ int fallback(int a, int b) {
 def test_short_circuit_step_charges_match(src, args):
     unit = parse(src)
     func = "guard" if src is SHORT_AND else "fallback"
-    tree = run_program(unit, func, args, backend="tree")
-    compiled = run_program(unit, func, args, backend="compiled")
-    assert tree.value == compiled.value
-    assert tree.steps == compiled.steps
+    tree = run_on(unit, func, args, "tree")
+    for backend in ENGINES[1:]:
+        other = run_on(unit, func, args, backend)
+        assert tree.value == other.value
+        assert tree.steps == other.steps
 
 
 def test_short_circuit_skips_rhs_charges():
     unit = parse(SHORT_AND)
-    taken = run_program(unit, "guard", [3, 10], backend="compiled")
-    skipped = run_program(unit, "guard", [0, 10], backend="compiled")
+    taken = run_program(unit, "guard", [3, 10], backend="batch")
+    skipped = run_program(unit, "guard", [0, 10], backend="batch")
     # a == 0 short-circuits past the division, so fewer abstract steps —
     # and crucially no division fault.
     assert skipped.steps < taken.steps
@@ -227,19 +229,20 @@ def test_static_array_overflow_is_memory_fault_on_cpu(backend):
 def test_full_result_identical_on_recursive_program(tree_source):
     unit = parse(tree_source)
     args = [[5, 3, 8, 1, 4, 9, 2, 7, 6, 0, 11, 13, 12, 10, 15, 14], 16]
-    tree = run_program(unit, "kernel", args, backend="tree")
-    compiled = run_program(unit, "kernel", args, backend="compiled")
-    assert tree.observable() == compiled.observable()
-    assert tree.steps == compiled.steps
-    assert tree.coverage.hits == compiled.coverage.hits
+    tree = run_on(unit, "kernel", args, "tree")
+    for backend in ENGINES[1:]:
+        other = run_on(unit, "kernel", args, backend)
+        assert tree.observable() == other.observable()
+        assert tree.steps == other.steps
+        assert tree.coverage.hits == other.coverage.hits
 
 
 @BOTH
 def test_want_out_args_gating(backend, sum_array_source):
     unit = parse(sum_array_source)
     args = [[1, 2, 3, 4, 5, 6, 7, 8], 8]
-    lean = make_engine(unit, backend=backend, want_out_args=False)
-    full = make_engine(unit, backend=backend)
+    lean = engine_for(unit, backend, want_out_args=False)
+    full = engine_for(unit, backend)
     lean_result = lean.run("sum_array", list(args))
     full_result = full.run("sum_array", list(args))
     assert lean_result.out_args == []
@@ -253,35 +256,35 @@ def test_want_out_args_gating(backend, sum_array_source):
 # ---------------------------------------------------------------------------
 
 def test_cross_backend_runs_and_agrees(sum_array_source):
-    engine = make_engine(parse(sum_array_source), backend="cross")
-    assert isinstance(engine, CrossCheckEngine)
+    engine = make_engine(parse(sum_array_source), backend="batch-cross")
+    assert isinstance(engine, BatchCrossCheckEngine)
     result = engine.run("sum_array", [[1, 2, 3, 4, 5, 6, 7, 8], 4])
     assert result.value == 10
 
 
 def test_cross_backend_compares_exceptions():
-    engine = make_engine(parse(WALK_SRC), backend="cross")
+    engine = make_engine(parse(WALK_SRC), backend="batch-cross")
     with pytest.raises(MemoryFault):
         engine.run("poke", [4])
 
 
 def test_cross_backend_detects_value_divergence(sum_array_source):
-    engine = make_engine(parse(sum_array_source), backend="cross")
-    real_run = engine.compiled.run
+    engine = make_engine(parse(sum_array_source), backend="batch-cross")
+    real_run = engine.batch.run
 
     def tampered(func_name, args):
         result = real_run(func_name, args)
         result.value += 1
         return result
 
-    engine.compiled.run = tampered
+    engine.batch.run = tampered
     with pytest.raises(BackendMismatch):
         engine.run("sum_array", [[1, 2, 3, 4, 5, 6, 7, 8], 4])
 
 
 def test_cross_backend_detects_missing_exception(sum_array_source):
-    engine = make_engine(parse(WALK_SRC), backend="cross")
-    engine.compiled.run = lambda func_name, args: None  # swallows the fault
+    engine = make_engine(parse(WALK_SRC), backend="batch-cross")
+    engine.batch.run = lambda func_name, args: None  # swallows the fault
     with pytest.raises(BackendMismatch):
         engine.run("poke", [4])
 
@@ -300,16 +303,13 @@ def test_backend_mismatch_is_not_interp_error():
 def test_make_engine_types(sum_array_source):
     unit = parse(sum_array_source)
     assert isinstance(make_engine(unit, backend="tree"), Interpreter)
-    assert isinstance(make_engine(unit, backend="compiled"), CompiledEngine)
-    assert isinstance(make_engine(unit, backend="cross"), CrossCheckEngine)
-    from repro.interp import BatchCrossCheckEngine, BatchEngine
-
     assert isinstance(make_engine(unit, backend="batch"), BatchEngine)
     assert isinstance(
         make_engine(unit, backend="batch-cross"), BatchCrossCheckEngine
     )
-    with pytest.raises(ValueError):
-        make_engine(unit, backend="bogus")
+    for retired in ("compiled", "cross", "bogus"):
+        with pytest.raises(ValueError):
+            make_engine(unit, backend=retired)
 
 
 def test_default_backend_roundtrip(sum_array_source):
@@ -318,15 +318,13 @@ def test_default_backend_roundtrip(sum_array_source):
     try:
         set_default_backend("tree")
         assert isinstance(make_engine(unit), Interpreter)
-        set_default_backend("compiled")
-        assert isinstance(make_engine(unit), CompiledEngine)
+        set_default_backend("batch")
+        assert isinstance(make_engine(unit), BatchEngine)
         with pytest.raises(ValueError):
-            set_default_backend("bogus")
+            set_default_backend("compiled")
     finally:
         set_default_backend(original)
-    assert set(BACKENDS) == {
-        "tree", "compiled", "cross", "batch", "batch-cross"
-    }
+    assert BACKENDS == ("tree", "batch", "batch-cross")
 
 
 def test_compiled_program_cached_per_unit(sum_array_source):
@@ -353,8 +351,8 @@ def test_clone_recompiles(sum_array_source):
     assert recompiled is not program
     args = [[1, 2, 3, 4, 5, 6, 7, 8], 8]
     assert (
-        run_program(unit, "sum_array", args, backend="compiled").value
-        == run_program(copy_unit, "sum_array", args, backend="compiled").value
+        run_program(unit, "sum_array", args, backend="batch").value
+        == run_program(copy_unit, "sum_array", args, backend="batch").value
     )
 
 

@@ -136,12 +136,12 @@ def test_max_faults_skips_remainder_in_order():
 
 
 def test_generic_loop_matches_native_run_many():
-    """The compiled backend through engine_run_many must produce the
-    same record stream the batch backend builds natively."""
+    """The tree-walker through engine_run_many must produce the same
+    record stream the batch backend builds natively."""
     tests = [[GOOD, 1], [GOOD, 9], [GOOD, 3], [GOOD, 8], [GOOD, 0]]
     native = batch_engine(OOB_SRC).run_many("pick", tests, max_faults=2)
     looped = engine_run_many(
-        make_engine(parse(OOB_SRC), backend="compiled", limits=LIMITS),
+        make_engine(parse(OOB_SRC), backend="tree", limits=LIMITS),
         "pick", tests, max_faults=2,
     )
     assert len(native) == len(looped) == len(tests)

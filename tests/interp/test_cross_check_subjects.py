@@ -1,11 +1,12 @@
-"""Acceptance: both backends stay bit-identical across the Table 3 subjects.
+"""Acceptance: batch stays bit-identical to the tree-walker across Table 3.
 
-Fuzzing each subject under ``backend="cross"`` executes every generated
-input through both the tree-walker and the closure-compiled engine and
-asserts identical observables, step counts, coverage hits and value
-profiles.  :class:`BackendMismatch` is an ``AssertionError``, not an
-``InterpError``, so a divergence is never swallowed as an ordinary
-candidate fault — it fails the fuzz campaign (and this test) outright.
+Fuzzing each subject under ``backend="batch-cross"`` executes every
+generated input through both the tree-walker (the oracle) and the batch
+engine and asserts identical observables, step counts, coverage hits,
+value profiles and captured arguments.  :class:`BackendMismatch` is an
+``AssertionError``, not an ``InterpError``, so a divergence is never
+swallowed as an ordinary candidate fault — it fails the fuzz campaign
+(and this test) outright.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def test_fuzz_corpus_cross_checks(subject):
         try:
             seeds = get_kernel_seed(
                 unit, subject.host, subject.kernel, list(subject.host_args),
-                backend="cross",
+                backend="batch-cross",
             ) + (seeds or [])
         except InterpError:
             pass
@@ -44,13 +45,15 @@ def test_fuzz_corpus_cross_checks(subject):
         FuzzConfig(max_execs=CROSS_EXECS, plateau_execs=CROSS_EXECS, seed=7),
         seeds=seeds,
         limits=LIMITS,
-        backend="cross",
+        backend="batch-cross",
     )
     assert report.execs > 0
 
     # Replay part of the corpus in HLS mode: the wrap/fault translation
     # path must agree between backends too.
-    engine = make_engine(unit, backend="cross", limits=LIMITS, hls_mode=True)
+    engine = make_engine(
+        unit, backend="batch-cross", limits=LIMITS, hls_mode=True
+    )
     for test in report.suite(20):
         try:
             engine.run(subject.kernel, test)

@@ -4,10 +4,11 @@ The ten Table 3 subjects each exercise one seeded incompatibility; the
 generated corpus (:mod:`repro.subjects.generated`) sweeps the rest of
 the parseable subset — wrap at every width, fixed-point, streams,
 structs, pointer faults, recursion, statics, globals.  Every program is
-run under ``tree``, ``compiled`` and ``batch`` and the full observable
-surface (value, out args, steps, coverage, fault type and message) must
-be identical; the batch backend is additionally required to run every
-test through one ``run_many`` call with per-record identity.
+run under the tree-walker, the closure compiler and batch (see
+:mod:`.engines`) and the full observable surface (value, out args, steps,
+coverage, fault type and message) must be identical; the batch backend
+is additionally required to run every test through one ``run_many`` call
+with per-record identity.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 from repro.errors import InterpError
 from repro.interp import ExecLimits, engine_run_many, make_engine
 from repro.subjects import generated_subjects
+
+from .engines import ENGINES, engine_for
 
 LIMITS = ExecLimits(max_steps=500_000, max_depth=256)
 
@@ -42,8 +45,8 @@ def observe(engine, kernel, test):
 def test_backends_agree(gs):
     unit = gs.parse()
     engines = {
-        backend: make_engine(unit, backend=backend, limits=LIMITS)
-        for backend in ("tree", "compiled", "batch")
+        backend: engine_for(unit, backend, limits=LIMITS)
+        for backend in ENGINES
     }
     saw_fault = False
     for test in gs.tests:
@@ -60,11 +63,11 @@ def test_backends_agree(gs):
 def test_run_many_matches_per_input_runs(gs):
     unit = gs.parse()
     batch = make_engine(unit, backend="batch", limits=LIMITS)
-    compiled = make_engine(unit, backend="compiled", limits=LIMITS)
+    tree = make_engine(unit, backend="tree", limits=LIMITS)
     records = engine_run_many(batch, gs.kernel, gs.tests)
     assert len(records) == len(gs.tests)
     for test, record in zip(gs.tests, records):
-        expected = observe(compiled, gs.kernel, test)
+        expected = observe(tree, gs.kernel, test)
         if record.error is not None:
             assert expected[0] == "fault"
             assert type(record.error).__name__ == expected[1]
@@ -82,13 +85,16 @@ def test_run_many_matches_per_input_runs(gs):
 def test_corpus_generates_without_fallbacks():
     """The corpus exists to exercise the batch code generator: if a
     program silently fell back to pooled closures, its coverage claim
-    would be hollow.  Every function of every program must generate."""
+    would be hollow.  Every function of every program must be generated
+    code, not a closure."""
     for gs in CORPUS:
-        engine = make_engine(gs.parse(), backend="batch", limits=LIMITS)
-        assert engine.program.fallback_functions == 0, (
-            f"{gs.name}: batch codegen fell back"
-        )
-        assert engine.program.generated > 0
+        program = make_engine(gs.parse(), backend="batch", limits=LIMITS).program
+        bodies = list(program.functions.values()) + list(program.methods.values())
+        assert bodies, gs.name
+        for cf in bodies:
+            assert cf.body.__code__.co_filename == f"<batch:{cf.name}>", (
+                f"{gs.name}: {cf.name} is not generated code"
+            )
 
 
 def test_corpus_shape():

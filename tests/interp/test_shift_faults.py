@@ -16,13 +16,14 @@ from repro.core.heterogen import HeteroGen, HeteroGenConfig
 from repro.core.search import SearchConfig
 from repro.errors import InterpError
 from repro.fuzz import FuzzConfig
-from repro.interp import ExecLimits, make_engine
+from repro.interp import ExecLimits
 from repro.interp.memory import MAX_SHIFT_COUNT, c_shift
 from repro.cfront.parser import parse
 from repro.subjects import generated_subjects
 
+from .engines import ENGINES, engine_for
+
 LIMITS = ExecLimits(max_steps=500_000, max_depth=256)
-BACKENDS = ("tree", "compiled", "batch")
 FIXED = ("fixed_s7", "fixed_u5", "fixed_s13")
 CORPUS = {g.name: g for g in generated_subjects()}
 
@@ -52,9 +53,9 @@ def test_engines_fault_identically(count):
     args = [list(range(1, 9)), count]
     surfaces = {
         backend: outcome(
-            make_engine(unit, backend=backend, limits=LIMITS), gs.kernel, args
+            engine_for(unit, backend, limits=LIMITS), gs.kernel, args
         )
-        for backend in BACKENDS
+        for backend in ENGINES
     }
     assert surfaces["tree"][0] == "fault", surfaces
     assert surfaces["tree"] == surfaces["compiled"] == surfaces["batch"]
@@ -71,9 +72,9 @@ def test_literal_and_compound_shifts_fault(op):
     unit = parse(f"int k(int x) {{ {body} }}", top_name="k")
     surfaces = {
         backend: outcome(
-            make_engine(unit, backend=backend, limits=LIMITS), "k", [5]
+            engine_for(unit, backend, limits=LIMITS), "k", [5]
         )
-        for backend in BACKENDS
+        for backend in ENGINES
     }
     assert surfaces["tree"][:3] == ("fault", "InterpError", "negative shift count")
     assert surfaces["tree"] == surfaces["compiled"] == surfaces["batch"]
