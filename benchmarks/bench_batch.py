@@ -26,7 +26,6 @@ from repro.cfront import nodes as N
 from repro.fuzz import FuzzConfig, fuzz_kernel
 from repro.interp import ExecLimits, engine_run_many, make_engine
 from repro.interp.batch import _CODE_MEMO, BatchProgram
-from repro.interp.compile import compile_program
 from repro.memo import clear_analysis_caches
 from repro.subjects import all_subjects
 
@@ -114,11 +113,8 @@ def edited_clone(unit, kernel):
 
 def time_lowering(parent, child, memo_warm):
     """Seconds for REPEATS lowerings of *child*, each after emptying the
-    code memo and, if *memo_warm*, lowering *parent* (untimed).  The
-    closure compilation the lowering reads is built beforehand and not
-    timed.  Also returns how many of the child's functions hit the memo."""
-    compile_program(parent)
-    compile_program(child)
+    code memo and, if *memo_warm*, lowering *parent* (untimed).  Also
+    returns how many of the child's functions hit the memo."""
     total = 0.0
     for _ in range(REPEATS):
         clear_analysis_caches()

@@ -6,7 +6,7 @@ Two measurements, both emitted into ``benchmarks/out/BENCH_incremental.json``
 1. **per-stage microbench** — a simulated repair chain per subject: clone
    the unit with a dirty-set naming only the kernel, mutate one literal,
    then run the four toolchain stages (style check, HLS compile, schedule
-   estimate, interpreter compile).  Timed once with the incremental
+   estimate, interpreter lowering).  Timed once with the incremental
    caches on and once with ``REPRO_INCREMENTAL=0``; stage outputs are
    asserted identical along the way, so the speedup is never bought with
    semantic drift.  Per-cache hit/miss counters from
@@ -31,7 +31,7 @@ from repro.hls.compiler import compile_unit
 from repro.hls.memo import analysis_cache_stats, clear_analysis_caches
 from repro.hls.schedule import estimate
 from repro.hls.stylecheck import check_style
-from repro.interp.compile import compile_program
+from repro.interp.batch import BatchProgram
 from repro.subjects import all_subjects
 
 from _shared import config_for, write_bench_json, write_table
@@ -114,7 +114,7 @@ def _run_chain_timed(subject, mode):
             t2 = time.perf_counter()
             schedule = estimate(child, config)
             t3 = time.perf_counter()
-            compile_program(child)
+            BatchProgram(child)
             t4 = time.perf_counter()
             timings["style"] += t1 - t0
             timings["compile"] += t2 - t1

@@ -306,7 +306,6 @@ def _wire_mode_stats(totals, elapsed):
             / max(1, totals["decl_cache_hits"] + totals["decl_cache_misses"]),
             3,
         ),
-        "reused_functions": totals["reused_functions"],
         "sweep_seconds": round(elapsed, 1),
     }
 

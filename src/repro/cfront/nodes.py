@@ -16,7 +16,6 @@ differential testing.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import typing
 from dataclasses import dataclass, field
@@ -150,40 +149,25 @@ def copy_tree(node: NodeT) -> NodeT:
     return new
 
 
-#: ``TranslationUnit.__dict__`` memos that describe one unit object's
-#: content — fingerprints, walk indices, profile keys, the small-unit
-#: verdict.  A clone is made to be mutated, so it starts without them.
-#: Edits that can bound their rewrite re-inherit the surviving
-#: fingerprints through ``edits/base.cloned_unit``.
-_CLONE_DROPPED = frozenset((
-    "_fp_table", "_unit_fp", "_walk_uids", "_walk_index",
-    "_memo_worthwhile", "_profile_keys",
-))
-
-#: ``TranslationUnit`` fields a clone shares by reference (immutable).
-_UNIT_SCALARS = frozenset(("line", "col", "uid", "top_name"))
-
-
 def clone_unit_with(
     unit: "TranslationUnit", decls: List["Decl"]
 ) -> "TranslationUnit":
     """A clone of *unit* whose declaration list is *decls*.
 
-    The dropped memos are skipped; every other ``__dict__`` entry —
-    the compiled program — is deep-copied, so its ``__deepcopy__`` hook
-    leaves the clone a compile-lineage marker (see
-    :mod:`repro.interp.compile`) instead of the parent's program.
+    Only the dataclass fields are copied; the scalar ones are immutable
+    and shared.  Every other ``__dict__`` entry is a memo of the source
+    unit's content (fingerprints, walk indices, profile keys, the
+    small-unit verdict), and a clone is made to be mutated, so it starts
+    without them.  Edits that can bound their rewrite re-inherit the
+    surviving fingerprints through ``edits/base.cloned_unit``.
     """
     new = object.__new__(TranslationUnit)
     values = new.__dict__
-    for key, value in list(unit.__dict__.items()):
-        if key in _CLONE_DROPPED:
-            continue
-        if key == "decls":
-            value = decls
-        elif key not in _UNIT_SCALARS:
-            value = copy.deepcopy(value)
-        values[key] = value
+    fields = TranslationUnit.__dataclass_fields__
+    for key, value in unit.__dict__.items():
+        if key in fields:
+            values[key] = value
+    values["decls"] = decls
     return new
 
 

@@ -107,8 +107,6 @@ class WireStats:
     """Parsing the candidate source (0 on a parsed-unit cache hit)."""
     unit_cache_hit: bool
     """The worker served the parse from its fingerprint-keyed unit cache."""
-    reused_functions: int
-    """Interpreter closures adopted from the worker's compiled ancestor."""
     delta: bool
     """The job arrived in the delta wire format (vs full source)."""
     graft_seconds: float = 0.0

@@ -11,9 +11,9 @@ Wire format
 -----------
 
 Live search state does not cross the process boundary.  AST nodes are
-mutable, closure-compiled programs (:mod:`repro.interp.compile`) hold
-unpicklable cell chains, and shipping either would be both slow and a
-determinism hazard.  A job (:class:`EvalJob`) therefore carries only
+mutable, lowered programs (:mod:`repro.interp.batch`) hold exec'd
+functions and unpicklable cell chains, and shipping either would be
+both slow and a determinism hazard.  A job (:class:`EvalJob`) therefore carries only
 plain data:
 
 * the candidate's source — as a whole rendered string, or (the default)
@@ -104,11 +104,6 @@ entirely under ``REPRO_AST_GRAFT=0``; the mode rides the job envelope
 so workers mirror the parent, never their own environment.  Identical
 source text parses (under the counter reset) to a value-identical
 tree, so reuse in either tier is observationally exact.
-Workers also carry the interpreter-closure lineage across jobs: the
-last compiled program per context seeds
-:func:`~repro.interp.compile.seed_compile_lineage` on the next freshly
-parsed unit, so unedited functions are not recompiled (guarded by the
-same exact-fingerprint fixpoint the clone path uses).
 
 Fork-server pool
 ----------------
@@ -167,7 +162,6 @@ from ..hls.compiler import compile_unit
 from ..hls.platform import SolutionConfig
 from ..hls.stylecheck import check_style
 from ..interp import ExecLimits
-from ..interp.compile import compiled_program_of, seed_compile_lineage
 from ..obs import TraceRecorder, get_recorder, scoped_recorder
 from .evalcache import CachedEvaluation, WireStats, canonicalize_evaluation
 
@@ -190,7 +184,7 @@ _MAX_WORKER_CONTEXTS = 8
 #: practice — the bound exists for long-lived (server-style) processes.
 _MAX_DECL_BLOCKS = 4096
 #: Worker-side parsed-unit LRU capacity.  Each entry pins a full AST
-#: plus its compiled program, so this stays small.  What it serves:
+#: plus its memos, so this stays small.  What it serves:
 #: :class:`DeltaMiss` resends re-parsing content their delta twin
 #: shipped, and later searches over the same subject (reruns, warm
 #: sweeps) re-submitting content a previous search already parsed —
@@ -513,9 +507,6 @@ class _WorkerContext:
     tests: Tuple[Tuple[Any, ...], ...] = ()
     """The diff-test subset the context was materialized with — delta
     jobs ship ``tests=None`` and read it from here."""
-    compiled_parent: Any = None
-    """Most recent compiled program of this context — the closure-reuse
-    ancestor seeded onto the next freshly parsed candidate."""
 
 
 _WORKER_CONTEXTS: "OrderedDict[str, _WorkerContext]" = OrderedDict()
@@ -789,25 +780,13 @@ def _evaluate_pipeline(job: EvalJob) -> Any:
         unit, parse_seconds, unit_cached, gstats = _candidate_unit(
             job, source, blocks
         )
-        if not unit_cached:
-            # Closure reuse across jobs: let the first compile of this
-            # unit adopt the context's previous program where the exact-
-            # fingerprint fixpoint proves it bit-identical.
-            seed_compile_lineage(unit, context.compiled_parent)
         result = _run_stages(job, context, unit)
-        program = compiled_program_of(unit)
-        reused = 0
-        if program is not None:
-            context.compiled_parent = program
-            if not unit_cached:
-                reused = program.reused_functions
         return replace(
             result,
             wire=WireStats(
                 splice_seconds=splice_seconds,
                 parse_seconds=parse_seconds,
                 unit_cache_hit=unit_cached,
-                reused_functions=reused,
                 delta=job.decls is not None,
                 graft_seconds=gstats.graft_seconds if gstats else 0.0,
                 uid_remap_seconds=gstats.remap_seconds if gstats else 0.0,
@@ -958,7 +937,6 @@ _WIRE_TOTALS: Dict[str, Any] = {
     "decl_cache_misses": 0,
     "grafted_jobs": 0,
     "worker_results": 0,
-    "reused_functions": 0,
 }
 _ACCOUNT_WIRE_BYTES = False
 
@@ -973,7 +951,7 @@ def set_wire_accounting(enabled: bool) -> None:
 def wire_totals() -> Dict[str, Any]:
     """Parent-side wire counters: jobs by format, resends after delta
     misses, measured pickle bytes, and the worker-reported overhead
-    breakdown (splice/parse seconds, parse-cache hits, reused closures)."""
+    breakdown (splice/parse seconds, parse-cache hits)."""
     return dict(_WIRE_TOTALS)
 
 
@@ -1022,7 +1000,6 @@ def record_worker_wire(wire: WireStats) -> None:
     _WIRE_TOTALS["decl_cache_misses"] += wire.decl_cache_misses
     if wire.grafted:
         _WIRE_TOTALS["grafted_jobs"] += 1
-    _WIRE_TOTALS["reused_functions"] += wire.reused_functions
     recorder = get_recorder()
     if recorder.enabled:
         recorder.metrics.inc(
@@ -1036,10 +1013,6 @@ def record_worker_wire(wire: WireStats) -> None:
         if wire.decl_cache_misses:
             recorder.metrics.inc(
                 "worker.decl_cache", wire.decl_cache_misses, outcome="miss"
-            )
-        if wire.reused_functions:
-            recorder.metrics.inc(
-                "worker.closure_reuse", wire.reused_functions
             )
 
 

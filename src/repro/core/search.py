@@ -14,6 +14,7 @@ toolchain time) while actually running in milliseconds.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -318,11 +319,17 @@ class RepairSearch:
             subset,
             extra=f"max_faults={EVAL_MAX_FAULTS}|limits={limits!r}",
         )
-        # What the worker pool keys contexts by: the full token is a
-        # 64-hex content hash, but tens of bytes ride every job, so the
-        # wire carries a 64-bit prefix (collision odds across the
-        # handful of live contexts: ~1e-17).
-        self._wire_context = self._cache_context[:16]
+        # What the worker pool keys contexts by.  Workers keep one job
+        # template per context and outlive a search, so the token also
+        # covers the template's per-search knobs the cache context leaves
+        # out; a later search with the checker off must not inflate its
+        # jobs against a template that has it on.  Tens of bytes ride
+        # every job, so the wire carries a 64-bit prefix (collision odds
+        # across the handful of live contexts: ~1e-17).
+        self._wire_context = hashlib.sha256(
+            f"{self._cache_context}|style={self.config.use_style_checker}"
+            f"|backend={self.config.interp_backend}".encode()
+        ).hexdigest()[:16]
         self._inflight: Dict[str, "Future[CachedEvaluation]"] = {}
         if self.config.executor not in EXECUTORS:
             raise ValueError(

@@ -5,15 +5,15 @@ toolchain (see DESIGN.md).  Two engines share one semantics: the
 tree-walking :class:`Interpreter` is the oracle, and the default
 :class:`BatchEngine` (see ``repro.interp.batch``) lowers each function to
 flat generated Python and adds ``run_many`` — whole input sets through
-one pooled pass.  Where its code generator declines a node it splices in
-the closure the closure compiler (``repro.interp.compile``) builds for
-that node.  :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs
-both engines on every input and asserts they stay bit-identical.
+one pooled pass.  Where its code generator declines an expression it
+splices in the closure ``repro.interp.compile`` builds for that node, and
+a unit's global initializers are such closures too.
+:class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs both
+engines on every input and asserts they stay bit-identical.
 """
 
 from .coverage import CoverageRecorder, ValueProfile, branch_points
 from .interpreter import ExecLimits, ExecResult, Interpreter, run_program
-from .compile import compile_program
 from .batch import (
     BACKENDS,
     BackendMismatch,
@@ -54,7 +54,6 @@ __all__ = [
     "branch_points",
     "c_to_python",
     "engine_run_many",
-    "compile_program",
     "default_backend",
     "make_engine",
     "python_to_c",

@@ -1,13 +1,12 @@
 """Batched execution backend: whole input sets through one specialized pass.
 
-This is the default engine.  The closure compiler (:mod:`.compile`)
-resolves names and operators at compile time but still pays one Python
-*call* per AST node per step.  This module lowers each function once
-more — into a single flat Python function generated as source and
-``exec``-compiled — so that the hot path of a kernel is ordinary Python
-bytecode: local-variable step accounting, inline arithmetic with the exact
-charge/fault schedule of the tree-walker, and direct frame indexing.  On
-top of that sits :class:`BatchEngine` with ``run_many(func_name,
+This is the default engine.  It lowers each function once — into a
+single flat Python function generated as source and ``exec``-compiled —
+so that the hot path of a kernel is ordinary Python bytecode:
+local-variable step accounting, inline arithmetic with the exact
+charge/fault schedule of the tree-walker, and direct frame indexing,
+with names resolved to frame slots at compile time (:mod:`.compile`).
+On top of that sits :class:`BatchEngine` with ``run_many(func_name,
 arg_sets)``: the unit is compiled once, one :class:`~.compile.Runtime` is
 pooled across the whole batch (coverage and profile recorders are handed
 off per input, arenas reset instead of reallocate, the global frame is
@@ -16,18 +15,17 @@ a faulting sibling never poisons the rest.
 
 Charge semantics are bit-identical per input to the tree-walker:
 
-* every inline charge site replicates the closure compiler's cost and its
+* every inline charge site replicates the tree-walker's cost and its
   *order* relative to faults (divide-by-zero after the charge, pointer
   checks before the memory charge, …);
 * step counting runs in a local variable and is reconciled with
   ``rt.steps`` around every call that leaves generated code (``_call``,
   builtins, fallback closures, block makers) and in a ``finally`` guard,
-  so budget overruns raise at exactly the same step as the closures do;
+  so budget overruns raise at exactly the same step as the tree-walker;
 * ``break``/``continue`` become ``_Break``/``_Continue`` exceptions raised
-  at the charge site and caught by the innermost generated loop — the same
-  nearest-loop (and cross-frame, via ``_call``) semantics the signal
-  constants give the closure backend;
-* any node the generator does not handle falls back to the closure
+  at the charge site and caught by the innermost generated loop — the
+  tree-walker's nearest-loop (and cross-frame, via ``_call``) semantics;
+* any expression the generator does not handle falls back to the closure
   compiled for that exact node (the generator subclasses
   :class:`~.compile._FunctionCompiler`, so scope state is shared).
 
@@ -78,8 +76,6 @@ from .memory import (
 )
 from .compile import (
     _ARITH_APPLY,
-    _BRK,
-    _CNT,
     _RET,
     _Binding,
     _FunctionCompiler,
@@ -96,7 +92,6 @@ from .compile import (
     _try_fold,
     CompiledFunction,
     Runtime,
-    compile_program,
 )
 
 __all__ = [
@@ -226,9 +221,9 @@ class _BatchCompiler(_FunctionCompiler):
 
     Subclasses the closure compiler so scope/slot bookkeeping, accessors,
     param binders, and block makers are the real ones; ``compile_expr``
-    and friends are *not* overridden, so any node the generator declines
-    is closure-compiled with correct scope state and spliced in as a
-    pooled callable.
+    and friends are *not* overridden, so any expression the generator
+    declines is closure-compiled with correct scope state and spliced in
+    as a pooled callable.
     """
 
     def __init__(self, program: "BatchProgram", pool: _ConstPool) -> None:
@@ -1045,7 +1040,8 @@ class _BatchCompiler(_FunctionCompiler):
             self.scopes[-1]["this"] = this_binding
             cf.this_slot = this_binding.slot
         assert func.body is not None
-        # Like the closure compiler, the top-level compound is uncharged.
+        # The tree-walker enters the body via _exec_block directly, so the
+        # top-level compound is not charged as a statement.
         body = self.gen_compound(func.body, charge=False)
         self._pop_scope()
         cf.n_slots = self.n_slots
@@ -1086,24 +1082,22 @@ class _BatchCompiler(_FunctionCompiler):
 class BatchProgram:
     """All functions of one unit lowered to flat generated Python.
 
-    Reads (and never mutates) the unit's :class:`CompiledProgram`, which
-    supplies the struct table and the global initializers (they run once
-    per input, not per step).  Every function is generated; a node the
-    generator declines is served by its closure, so the code generator
-    itself never gives up on a whole function.
+    Every function is generated; a node the generator declines is served
+    by its closure, so the code generator itself never gives up on a
+    whole function.  Global initializers are block-maker closures (they
+    run once per input, not per step).
     """
 
     def __init__(self, unit: N.TranslationUnit) -> None:
         self.unit = unit
-        base = compile_program(unit)
-        self.structs = base.structs
-        self.global_bindings = base.global_bindings
-        self.global_makers = base.global_makers
+        self.structs: Dict[str, T.StructType] = {}
+        self.global_bindings: Dict[str, _Binding] = {}
+        self.global_makers: List[Any] = []
         self.functions: Dict[str, CompiledFunction] = {}
         self.methods: Dict[Tuple[str, str], CompiledFunction] = {}
-        pool = _ConstPool()
-        # Two phases: create every shell first so generated call sites
-        # (including recursion and method dispatch) can pool the callee.
+        # Create every shell first so generated call sites (including
+        # recursion and method dispatch) and global initializers that
+        # call a function can pool the callee.
         shells: List[Tuple[N.FunctionDef, CompiledFunction]] = []
         for decl in unit.decls:
             if isinstance(decl, N.FunctionDef) and decl.body is not None:
@@ -1111,11 +1105,33 @@ class BatchProgram:
                 self.functions[decl.name] = cf
                 shells.append((decl, cf))
             elif isinstance(decl, N.StructDef):
+                assert isinstance(decl.type, T.StructType)
+                self.structs[decl.tag] = decl.type
                 for method in decl.methods:
                     if method.body is not None:
                         cf = CompiledFunction(method)
                         self.methods[(decl.tag, method.name)] = cf
                         shells.append((method, cf))
+        # Globals compile in declaration order; each initializer sees only
+        # the globals registered before it (matching _init_globals).
+        for decl in unit.decls:
+            if not isinstance(decl, N.VarDecl):
+                continue
+            maker = _FunctionCompiler(self)._compile_var_block(
+                decl, is_global=True
+            )
+            self.global_makers.append(maker)
+            ctype = T.strip_typedefs(decl.type)
+            is_array = isinstance(ctype, T.ArrayType)
+            self.global_bindings[decl.name] = _Binding(
+                kind="global",
+                slot=len(self.global_makers) - 1,
+                is_array=is_array,
+                observe_uid=None if is_array else decl.uid,
+                ctype=ctype.elem if is_array else decl.type,
+                maybe_unset=False,
+            )
+        pool = _ConstPool()
         for func, cf in shells:
             _BatchCompiler(self, pool).gen_function(func, cf)
         self.poolable_globals = _poolable_globals(unit)

@@ -1,41 +1,34 @@
-"""Closure-compiled execution backend for the C interpreter.
+"""Runtime, call protocol and expression closures shared by the batch engine.
 
-The tree-walking :class:`~repro.interp.interpreter.Interpreter` pays per
-*step* for work that is invariant per *program point*: isinstance dispatch
-in ``_eval``/``_exec``, operator string matching in ``_apply_binop``, type
-tests in ``_coerce``, and a scope-chain dict walk in ``_lookup``.  This
-module lowers each parsed function **once** into nested Python closures:
+The batch backend (:mod:`.batch`) lowers every function into one flat
+generated Python function.  This module holds what that code runs on and
+what it falls back to:
 
-* every local variable is resolved at compile time to a *slot* — an index
-  into a flat per-call frame list — so reads and writes are list indexing
-  instead of dict-chain lookups;
-* every AST node gets a specialized evaluator chosen at compile time
-  (one closure per node), so the per-step dispatch cost is a single
-  Python call;
-* coverage probe keys ``(uid, outcome)`` and value-profile hooks are
-  pre-bound tuples, and pure-literal arithmetic subtrees are folded to
-  constants at compile time (charging the exact step cost the tree-walker
-  would have charged);
-* ``break``/``continue``/``return`` travel as signal constants returned
-  from statement closures instead of exceptions (the tree-walker's
-  cross-frame exception semantics are preserved by re-raising at call
-  boundaries).
+* :class:`Runtime`, the per-run mutable state (step and heap budgets,
+  coverage and value-profile recorders, the global frame, statics), and
+  :func:`_call`, the call protocol every generated call site uses;
+* :class:`CompiledFunction`, one function's shell: parameter binders,
+  frame size, return coercer and the generated body;
+* :class:`_FunctionCompiler`, which resolves every local variable at
+  compile time to a *slot* in a flat per-call frame list and lowers a
+  single expression, lvalue or declaration's block maker to nested
+  closures.  The batch code generator subclasses it, so scope state is
+  shared: an expression the generator declines is served by its closure,
+  and the unit's global initializers are block-maker closures.
 
-Semantics are bit-identical to the tree-walker — same step charges at the
-same program points, same heap accounting, same wrap-around and fault
-behaviour in CPU and HLS mode, same :class:`ExecResult` contents.  The
-closures are not an engine of their own: the batch backend
-(:mod:`.batch`) subclasses :class:`_FunctionCompiler`, splices a node's
-closure in wherever its code generator declines that node, and takes
-its global initializers from the :class:`CompiledProgram`.
+The closures charge the tree-walker's step costs at the same program
+points, fold pure-literal arithmetic subtrees to constants (charging the
+exact cost the tree-walker would have charged), pre-bind coverage probe
+keys ``(uid, outcome)`` and value-profile hooks, and raise the same
+faults in CPU and HLS mode, so a fallback is observably identical to
+the tree-walker.
 """
 
 from __future__ import annotations
 
 import math
 import struct as _struct
-import threading
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     InterpError,
@@ -74,21 +67,9 @@ _COST_CALL = 5
 _COST_BRANCH = 1
 
 
-class _Signal:
-    """Control-flow signal returned by statement closures."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<signal {self.name}>"
-
-
-_BRK = _Signal("break")
-_CNT = _Signal("continue")
-_RET = _Signal("return")
+#: Returned by a function body that executed a ``return`` (the value is
+#: in ``Runtime.retval``); a body that runs off its end returns None.
+_RET = object()
 
 #: Frame sentinel for a slot whose declaration has not executed yet.
 _UNSET = object()
@@ -586,30 +567,21 @@ def _call(rt: Runtime, cf: CompiledFunction, args: List[Any],
         value = rt.retval
         rt.retval = None
         return cf.ret_coercer(rt, value) if value is not None else None
-    if sig is _BRK:
-        raise _Break()
-    if sig is _CNT:
-        raise _Continue()
     return None
 
 
 class _FunctionCompiler:
-    """Lowers one function body into closures over a slot frame."""
+    """Compile-time scopes over a slot frame, and expression closures.
 
-    def __init__(self, program: "CompiledProgram") -> None:
+    *program* is a :class:`~.batch.BatchProgram`: the compiler reads its
+    ``functions``, ``methods``, ``structs`` and ``global_bindings``.
+    """
+
+    def __init__(self, program: Any) -> None:
         self.program = program
         self.scopes: List[Dict[str, _Binding]] = []
         self.scope_resets: List[List[int]] = []
         self.n_slots = 0
-        #: Call bindings this function's closures captured, as
-        #: ``(kind, name)`` with kind in {"func", "builtin", "undef"}.
-        #: Incremental recompilation replays these to decide whether a
-        #: fingerprint-unchanged function may reuse its old closures: a
-        #: "func" binding pins the callee's CompiledFunction object, the
-        #: other kinds pin the *absence* of a defined function by that name.
-        self.deps: List[Tuple[str, str]] = []
-        #: True when any closure captured the program's method table.
-        self.uses_methods = False
 
     # -- scopes and slots --------------------------------------------------
 
@@ -713,29 +685,7 @@ class _FunctionCompiler:
             static = chain[0]
         return acc, static
 
-    # -- function entry ----------------------------------------------------
-
-    def compile_function(self, func: N.FunctionDef,
-                         cf: CompiledFunction) -> None:
-        self._push_scope()
-        for param in func.params:
-            binding = self._declare_param(param)
-            cf.binders.append(self._make_param_binder(param))
-            assert binding.slot == len(cf.binders) - 1
-        if func.owner_struct:
-            this_binding = _Binding(
-                kind="local", slot=self._new_slot(), is_array=False,
-                observe_uid=None, ctype=T.PointerType(T.VOID),
-                maybe_unset=False,
-            )
-            self.scopes[-1]["this"] = this_binding
-            cf.this_slot = this_binding.slot
-        assert func.body is not None
-        # The tree-walker enters the body via _exec_block directly, so the
-        # top-level compound is not charged as a statement.
-        cf.body = self._compile_compound(func.body, charge=False)
-        self._pop_scope()
-        cf.n_slots = self.n_slots
+    # -- parameters and declarations ---------------------------------------
 
     def _make_param_binder(
         self, param: N.ParamDecl
@@ -763,351 +713,6 @@ class _FunctionCompiler:
             return MemBlock(orig_type, [co(rt, arg)], label=pname)
 
         return bind
-
-    # -- statements --------------------------------------------------------
-
-    def compile_stmt(self, stmt: N.Stmt, conditional: bool = False):
-        if isinstance(stmt, N.Compound):
-            return self._compile_compound(stmt, charge=True)
-        if isinstance(stmt, N.ExprStmt):
-            expr_c = self.compile_expr(stmt.expr)
-
-            def c_expr(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                expr_c(rt, frame)
-                return None
-
-            return c_expr
-        if isinstance(stmt, N.DeclStmt):
-            return self._compile_decl(stmt.decl, conditional)
-        if isinstance(stmt, N.If):
-            return self._compile_if(stmt)
-        if isinstance(stmt, N.While):
-            return self._compile_while(stmt)
-        if isinstance(stmt, N.DoWhile):
-            return self._compile_dowhile(stmt)
-        if isinstance(stmt, N.For):
-            return self._compile_for(stmt)
-        if isinstance(stmt, N.Return):
-            if stmt.value is None:
-
-                def c_ret_void(rt, frame):
-                    rt.steps += 1
-                    if rt.steps > rt.max_steps:
-                        _over_steps(rt)
-                    rt.retval = None
-                    return _RET
-
-                return c_ret_void
-            value_c = self.compile_expr(stmt.value)
-
-            def c_ret(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                rt.retval = value_c(rt, frame)
-                return _RET
-
-            return c_ret
-        if isinstance(stmt, N.Break):
-
-            def c_brk(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                return _BRK
-
-            return c_brk
-        if isinstance(stmt, N.Continue):
-
-            def c_cnt(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                return _CNT
-
-            return c_cnt
-        if isinstance(stmt, (N.Pragma, N.Empty)):
-
-            def c_nop(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                return None
-
-            return c_nop
-        message = f"cannot execute {type(stmt).__name__}"
-
-        def c_bad(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            raise InterpError(message)
-
-        return c_bad
-
-    def _compile_body_stmt(self, stmt: N.Stmt):
-        """Compile the direct child of a branch/loop.
-
-        Non-compound children execute in the *enclosing* dynamic scope, so
-        a bare declaration there is only conditionally bound.
-        """
-        if isinstance(stmt, N.Compound):
-            return self._compile_compound(stmt, charge=True)
-        return self.compile_stmt(stmt, conditional=True)
-
-    def _compile_compound(self, stmt: N.Compound, charge: bool):
-        self._push_scope()
-        stmt_cs = tuple(self.compile_stmt(s) for s in stmt.items)
-        resets = tuple(self._pop_scope())
-        if charge:
-            if resets:
-
-                def c_block(rt, frame):
-                    rt.steps += 1
-                    if rt.steps > rt.max_steps:
-                        _over_steps(rt)
-                    for slot in resets:
-                        frame[slot] = _UNSET
-                    for s in stmt_cs:
-                        sig = s(rt, frame)
-                        if sig is not None:
-                            return sig
-                    return None
-
-                return c_block
-
-            def c_block_fast(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                for s in stmt_cs:
-                    sig = s(rt, frame)
-                    if sig is not None:
-                        return sig
-                return None
-
-            return c_block_fast
-        if resets:
-
-            def c_body(rt, frame):
-                for slot in resets:
-                    frame[slot] = _UNSET
-                for s in stmt_cs:
-                    sig = s(rt, frame)
-                    if sig is not None:
-                        return sig
-                return None
-
-            return c_body
-
-        def c_body_fast(rt, frame):
-            for s in stmt_cs:
-                sig = s(rt, frame)
-                if sig is not None:
-                    return sig
-            return None
-
-        return c_body_fast
-
-    def _compile_if(self, stmt: N.If):
-        cond_c = self.compile_expr(stmt.cond)
-        key_t = (stmt.uid, True)
-        key_f = (stmt.uid, False)
-        then_c = self._compile_body_stmt(stmt.then)
-        if stmt.other is None:
-
-            def c_if(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                value = cond_c(rt, frame)
-                taken = (value.block is not None) \
-                    if type(value) is Pointer else bool(value)
-                rt.cov_add(key_t if taken else key_f)
-                if taken:
-                    return then_c(rt, frame)
-                return None
-
-            return c_if
-        else_c = self._compile_body_stmt(stmt.other)
-
-        def c_ifelse(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            value = cond_c(rt, frame)
-            taken = (value.block is not None) \
-                if type(value) is Pointer else bool(value)
-            rt.cov_add(key_t if taken else key_f)
-            if taken:
-                return then_c(rt, frame)
-            return else_c(rt, frame)
-
-        return c_ifelse
-
-    def _compile_while(self, stmt: N.While):
-        # Compile the body before the condition: a bare-statement body can
-        # declare a name the condition resolves dynamically from the second
-        # iteration on, and the _UNSET-fallback accessor reproduces that
-        # only if the declaration is in scope when the condition compiles.
-        body_c = self._compile_body_stmt(stmt.body)
-        cond_c = self.compile_expr(stmt.cond)
-        key_t = (stmt.uid, True)
-        key_f = (stmt.uid, False)
-
-        def c_while(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            cov_add = rt.cov_add
-            while True:
-                value = cond_c(rt, frame)
-                taken = (value.block is not None) \
-                    if type(value) is Pointer else bool(value)
-                cov_add(key_t if taken else key_f)
-                if not taken:
-                    return None
-                try:
-                    sig = body_c(rt, frame)
-                except _Break:
-                    return None
-                except _Continue:
-                    continue
-                if sig is None:
-                    continue
-                if sig is _BRK:
-                    return None
-                if sig is _CNT:
-                    continue
-                return sig
-
-        return c_while
-
-    def _compile_dowhile(self, stmt: N.DoWhile):
-        body_c = self._compile_body_stmt(stmt.body)
-        cond_c = self.compile_expr(stmt.cond)
-        key_t = (stmt.uid, True)
-        key_f = (stmt.uid, False)
-
-        def c_dowhile(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            cov_add = rt.cov_add
-            while True:
-                try:
-                    sig = body_c(rt, frame)
-                except _Break:
-                    return None
-                except _Continue:
-                    sig = None
-                if sig is not None and sig is not _CNT:
-                    if sig is _BRK:
-                        return None
-                    return sig
-                value = cond_c(rt, frame)
-                taken = (value.block is not None) \
-                    if type(value) is Pointer else bool(value)
-                cov_add(key_t if taken else key_f)
-                if not taken:
-                    return None
-
-        return c_dowhile
-
-    def _compile_for(self, stmt: N.For):
-        self._push_scope()
-        init_c = self.compile_stmt(stmt.init) if stmt.init is not None else None
-        # Compile the body before cond/step: a bare declaration in the body
-        # lands in the For's dynamic scope, where later iterations' cond and
-        # step evaluations can see it (via the _UNSET-fallback accessor).
-        body_c = self._compile_body_stmt(stmt.body)
-        cond_c = self.compile_expr(stmt.cond) if stmt.cond is not None else None
-        step_c = self.compile_expr(stmt.step) if stmt.step is not None else None
-        resets = tuple(self._pop_scope())
-        key_t = (stmt.uid, True)
-        key_f = (stmt.uid, False)
-
-        def c_for(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            for slot in resets:
-                frame[slot] = _UNSET
-            if init_c is not None:
-                sig = init_c(rt, frame)
-                if sig is not None:
-                    return sig
-            cov_add = rt.cov_add
-            while True:
-                if cond_c is not None:
-                    value = cond_c(rt, frame)
-                    taken = (value.block is not None) \
-                        if type(value) is Pointer else bool(value)
-                    cov_add(key_t if taken else key_f)
-                    if not taken:
-                        return None
-                try:
-                    sig = body_c(rt, frame)
-                except _Break:
-                    return None
-                except _Continue:
-                    sig = None
-                if sig is not None and sig is not _CNT:
-                    if sig is _BRK:
-                        return None
-                    return sig
-                if step_c is not None:
-                    step_c(rt, frame)
-
-        return c_for
-
-    # -- declarations ------------------------------------------------------
-
-    def _compile_decl(self, decl: N.VarDecl, conditional: bool):
-        make = self._compile_var_block(decl)
-        binding = self._declare(decl, conditional)
-        slot = binding.slot
-        if decl.is_static:
-            uid = decl.uid
-
-            def c_static(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                block = rt.statics.get(uid)
-                if block is None:
-                    block = make(rt, frame)
-                    rt.statics[uid] = block
-                frame[slot] = block
-                return None
-
-            return c_static
-        if binding.is_array:
-
-            def c_decl_array(rt, frame):
-                rt.steps += 1
-                if rt.steps > rt.max_steps:
-                    _over_steps(rt)
-                frame[slot] = make(rt, frame)
-                return None
-
-            return c_decl_array
-        uid = decl.uid
-        name = decl.name
-
-        def c_decl(rt, frame):
-            rt.steps += 1
-            if rt.steps > rt.max_steps:
-                _over_steps(rt)
-            block = make(rt, frame)
-            frame[slot] = block
-            rt.observe(uid, name, block.cells[0])
-            return None
-
-        return c_decl
 
     def _compile_var_block(
         self, decl: N.VarDecl, is_global: bool = False
@@ -1827,7 +1432,6 @@ class _FunctionCompiler:
         arg_cs = tuple(self.compile_expr(a) for a in expr.args)
         cf = self.program.functions.get(name)
         if cf is not None:
-            self.deps.append(("func", name))
             fname = name
 
             def c_call(rt, frame):
@@ -1839,7 +1443,6 @@ class _FunctionCompiler:
             return c_call
         builtin = BUILTINS.get(name)
         if builtin is not None:
-            self.deps.append(("builtin", name))
 
             def c_builtin(rt, frame):
                 args = [a(rt, frame) for a in arg_cs]
@@ -1849,7 +1452,6 @@ class _FunctionCompiler:
                 return builtin(rt, args)
 
             return c_builtin
-        self.deps.append(("undef", name))
         message = f"call to undefined function {name!r} at line {expr.line}"
 
         def c_undef(rt, frame):
@@ -1861,7 +1463,6 @@ class _FunctionCompiler:
 
     def _compile_method_call(self, expr: N.Call):
         assert isinstance(expr.func, N.Member)
-        self.uses_methods = True
         member = expr.func
         obj_c = self.compile_expr(member.obj)
         arg_cs = tuple(self.compile_expr(a) for a in expr.args)
@@ -1911,290 +1512,3 @@ class _FunctionCompiler:
             )
 
         return c_method
-
-
-# --------------------------------------------------------------------------
-# Whole-unit compilation
-# --------------------------------------------------------------------------
-
-
-class _CompiledLineage:
-    """Deepcopy residue of a :class:`CompiledProgram`.
-
-    A unit clone must not *be* served by its ancestor's compilation (the
-    clone is about to be edited), but it may *reuse parts* of it once its
-    own content is known.  Deepcopying a program therefore leaves this
-    marker in the clone's cache slot; ``compile_program`` follows it to
-    the ancestor and reuses per-function closures for functions whose
-    exact fingerprints are unchanged.  The marker deep-copies to itself,
-    so a chain of never-executed clones still points at the most recent
-    actually-compiled ancestor.
-    """
-
-    __slots__ = ("program",)
-
-    def __init__(self, program: "CompiledProgram") -> None:
-        self.program = program
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> "_CompiledLineage":
-        return self
-
-
-#: Key of a compiled body: a function name, or ``(struct_tag, method)``.
-_CfKey = Any
-
-
-def _reusable_keys(
-    unit: N.TranslationUnit, parent: "CompiledProgram"
-) -> Set[_CfKey]:
-    """Which of *parent*'s compiled functions may serve *unit* verbatim.
-
-    Sound reuse needs two things.  First, everything a closure captured
-    from *outside* its own function must be unchanged: global slot
-    numbers, struct layouts and typedefs — guaranteed by requiring every
-    non-function top-level declaration to be exact-fingerprint-identical
-    in the same order (globals always recompile regardless; their makers
-    are cheap and reference function objects of the new program).
-    Second, the function itself and everything its closures *pin* must
-    match: its own exact fingerprint (closures embed uids and line
-    numbers), each "func" call binding must resolve to a callee that is
-    itself reused (the closure holds that exact CompiledFunction), each
-    "builtin"/"undef" binding requires the name to still not be a defined
-    function, and a method call pins the whole method table.  The last
-    three are checked as a shrinking fixpoint: start from all
-    fingerprint-equal functions, drop violators until stable — mutually
-    recursive fingerprint-equal functions legitimately survive.
-    """
-    from ..cfront.fingerprint import exact_fp, unit_incremental_enabled
-
-    if not unit_incremental_enabled(unit):
-        return set()
-
-    def env_profile(u: N.TranslationUnit) -> List[Tuple[str, str]]:
-        return [
-            (type(d).__name__, exact_fp(u, d))
-            for d in u.decls
-            if not isinstance(d, N.FunctionDef)
-        ]
-
-    if env_profile(unit) != env_profile(parent.unit):
-        return set()
-
-    def defs_by_key(u: N.TranslationUnit) -> Dict[_CfKey, N.FunctionDef]:
-        out: Dict[_CfKey, N.FunctionDef] = {}
-        for d in u.decls:
-            if isinstance(d, N.FunctionDef) and d.body is not None:
-                out[d.name] = d
-            elif isinstance(d, N.StructDef):
-                for m in d.methods:
-                    if m.body is not None:
-                        out[(d.tag, m.name)] = m
-        return out
-
-    new_defs = defs_by_key(unit)
-    old_defs = defs_by_key(parent.unit)
-    new_func_names = {k for k in new_defs if isinstance(k, str)}
-    method_keys = {k for k in new_defs if not isinstance(k, str)}
-    candidates: Set[_CfKey] = set()
-    for key, new_def in new_defs.items():
-        old_def = old_defs.get(key)
-        if old_def is None or key not in parent.deps:
-            continue
-        if exact_fp(unit, new_def) == exact_fp(parent.unit, old_def):
-            candidates.add(key)
-
-    changed = True
-    while changed:
-        changed = False
-        for key in list(candidates):
-            ok = True
-            for kind, name in parent.deps[key]:
-                if kind == "func":
-                    if name not in candidates:
-                        ok = False
-                        break
-                elif name in new_func_names:
-                    # A name that bound to a builtin (or to nothing) now
-                    # names a defined function: resolution would differ.
-                    ok = False
-                    break
-            if ok and key in parent.uses_methods:
-                ok = method_keys <= candidates
-            if not ok:
-                candidates.discard(key)
-                changed = True
-    return candidates
-
-
-class CompiledProgram:
-    """All functions of one translation unit, compiled once.
-
-    With a *parent* (the compiled ancestor a clone descends from),
-    functions approved by :func:`_reusable_keys` adopt the parent's
-    CompiledFunction objects instead of recompiling; everything else —
-    globals, struct/binding tables, changed functions — is compiled
-    fresh against this program.  Reused closures keep referencing the
-    ancestor's AST nodes; exact-fingerprint equality makes those nodes
-    value-identical to this unit's, so observable behaviour (including
-    uids in observations and line numbers in errors) is bit-identical.
-    """
-
-    def __deepcopy__(self, memo: Dict[int, Any]) -> Optional[_CompiledLineage]:
-        # Units are cloned before being edited; a clone must not inherit
-        # the compilation of the pristine tree wholesale.  Leave a lineage
-        # marker so the clone can reuse unchanged functions when it first
-        # executes.  None — full recompile — when incremental is off or
-        # the unit is small: the reuse check itself (exact fingerprints
-        # plus a dependency fixpoint) costs more than recompiling a
-        # couple of functions.
-        from ..cfront.fingerprint import unit_incremental_enabled
-
-        return _CompiledLineage(self) if unit_incremental_enabled(self.unit) else None
-
-    def __init__(
-        self,
-        unit: N.TranslationUnit,
-        parent: Optional["CompiledProgram"] = None,
-    ) -> None:
-        from ..cfront.fingerprint import memo_worthwhile
-
-        self.unit = unit
-        # Pre-populate the small-unit verdict cached on unit.__dict__:
-        # __deepcopy__ consults it while that very dict is being copied,
-        # so it must not be computed (= written) for the first time there.
-        memo_worthwhile(unit)
-        self.functions: Dict[str, CompiledFunction] = {}
-        self.methods: Dict[Tuple[str, str], CompiledFunction] = {}
-        self.structs: Dict[str, T.StructType] = {}
-        self.global_bindings: Dict[str, _Binding] = {}
-        self.global_makers: List[Callable[[Runtime], MemBlock]] = []
-        #: call bindings per compiled key, carried across reuse so later
-        #: generations can run the fixpoint against this program too.
-        self.deps: Dict[_CfKey, Tuple[Tuple[str, str], ...]] = {}
-        self.uses_methods: Set[_CfKey] = set()
-        self.reused_functions = 0
-        reusable = _reusable_keys(unit, parent) if parent is not None else set()
-        to_compile: List[Tuple[_CfKey, N.FunctionDef, CompiledFunction]] = []
-
-        def register(key: _CfKey, func: N.FunctionDef) -> CompiledFunction:
-            if key in reusable:
-                assert parent is not None
-                cf = parent.methods[key] if isinstance(key, tuple) else (
-                    parent.functions[key]
-                )
-                self.deps[key] = parent.deps[key]
-                if key in parent.uses_methods:
-                    self.uses_methods.add(key)
-                self.reused_functions += 1
-            else:
-                cf = CompiledFunction(func)
-                to_compile.append((key, func, cf))
-            return cf
-
-        for decl in unit.decls:
-            if isinstance(decl, N.FunctionDef) and decl.body is not None:
-                self.functions[decl.name] = register(decl.name, decl)
-            elif isinstance(decl, N.StructDef):
-                assert isinstance(decl.type, T.StructType)
-                self.structs[decl.tag] = decl.type
-                for method in decl.methods:
-                    if method.body is not None:
-                        key = (decl.tag, method.name)
-                        self.methods[key] = register(key, method)
-        # Globals compile in declaration order; each initializer sees only
-        # the globals registered before it (matching _init_globals).
-        for decl in unit.decls:
-            if not isinstance(decl, N.VarDecl):
-                continue
-            compiler = _FunctionCompiler(self)
-            maker = compiler._compile_var_block(decl, is_global=True)
-            self.global_makers.append(maker)
-            ctype = T.strip_typedefs(decl.type)
-            is_array = isinstance(ctype, T.ArrayType)
-            self.global_bindings[decl.name] = _Binding(
-                kind="global",
-                slot=len(self.global_makers) - 1,
-                is_array=is_array,
-                observe_uid=None if is_array else decl.uid,
-                ctype=ctype.elem if is_array else decl.type,
-                maybe_unset=False,
-            )
-        for key, func, cf in to_compile:
-            compiler = _FunctionCompiler(self)
-            compiler.compile_function(func, cf)
-            self.deps[key] = tuple(compiler.deps)
-            if compiler.uses_methods:
-                self.uses_methods.add(key)
-
-    def init_globals(self, rt: Runtime) -> None:
-        gframe = rt.gframe
-        for make in self.global_makers:
-            gframe.append(make(rt, _NO_FRAME))
-
-
-_PROGRAM_CACHE_LOCK = threading.Lock()
-
-
-def compile_program(unit: N.TranslationUnit) -> CompiledProgram:
-    """Compile *unit*, memoized per translation-unit object.
-
-    Candidate pipelines parse each canonical source into a fresh unit and
-    then run many tests against it, so memoizing on object identity gives
-    one compilation per candidate.  Units are not mutated after execution
-    starts (edits always clone), which keeps the cache sound.  The program
-    is stashed on the unit itself (TranslationUnit is an eq-comparing
-    dataclass, hence unhashable) so it dies with the unit.  A cloned unit
-    carries a :class:`_CompiledLineage` marker instead of a program; the
-    first compilation of the clone follows it and reuses the ancestor's
-    closures for fingerprint-unchanged functions.
-    """
-    program = unit.__dict__.get("_compiled_program")
-    if isinstance(program, CompiledProgram):
-        return program
-    with _PROGRAM_CACHE_LOCK:
-        program = unit.__dict__.get("_compiled_program")
-        if not isinstance(program, CompiledProgram):
-            parent = (
-                program.program
-                if isinstance(program, _CompiledLineage)
-                else None
-            )
-            program = CompiledProgram(unit, parent=parent)
-            unit.__dict__["_compiled_program"] = program
-    return program
-
-
-def seed_compile_lineage(unit: N.TranslationUnit, ancestor: Any) -> bool:
-    """Give a freshly parsed unit a compiled ancestor to reuse from.
-
-    The clone path gets lineage for free via ``__deepcopy__``; a unit
-    that arrived by *re-parsing* rendered source (a process-pool worker)
-    has no such ancestry even though the previous job's program may
-    share most functions.  Seeding plants the same :class:`_CompiledLineage`
-    marker a deepcopy would have left, so the first
-    :func:`compile_program` on the unit runs the usual exact-fingerprint
-    + dependency-fixpoint reuse check (:func:`_reusable_keys`) against
-    *ancestor* — reuse is only ever taken where it is provably
-    bit-identical, so seeding can only save wall-clock, never change a
-    result.  No-op (returns False) when incremental mode is off, the
-    unit is too small for the check to pay off, the unit already has a
-    program or lineage, or *ancestor* is not a compiled program.
-    """
-    from ..cfront.fingerprint import unit_incremental_enabled
-
-    if not isinstance(ancestor, CompiledProgram):
-        return False
-    if not unit_incremental_enabled(unit):
-        return False
-    if "_compiled_program" in unit.__dict__:
-        return False
-    unit.__dict__["_compiled_program"] = _CompiledLineage(ancestor)
-    return True
-
-
-def compiled_program_of(unit: N.TranslationUnit) -> Optional[CompiledProgram]:
-    """The program :func:`compile_program` memoized on *unit*, if any
-    (a lineage marker does not count — it is an ancestor, not a
-    compilation of this unit)."""
-    program = unit.__dict__.get("_compiled_program")
-    return program if isinstance(program, CompiledProgram) else None

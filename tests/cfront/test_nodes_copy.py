@@ -20,7 +20,6 @@ from repro.cfront import nodes as N
 from repro.cfront.fingerprint import unit_fingerprint
 from repro.core.evalcache import _walk_uids
 from repro.interp.batch import batch_program
-from repro.interp.compile import _CompiledLineage, compile_program
 from repro.subjects import all_subjects, generated_subjects
 
 PROGRAMS = [(s.id, s.parse) for s in all_subjects()] + [
@@ -42,11 +41,14 @@ def reference_walk(node: N.Node) -> Iterator[N.Node]:
                     yield from reference_walk(item)
 
 
+#: The ``TranslationUnit`` dataclass fields: all a clone carries.
+UNIT_FIELDS = set(N.TranslationUnit.__dataclass_fields__)
+
+
 def with_memos(unit: N.TranslationUnit) -> N.TranslationUnit:
-    """Populate the unit-level caches a clone must drop or deep-copy."""
+    """Populate the unit-level caches a clone must drop."""
     unit_fingerprint(unit)
     _walk_uids(unit)
-    compile_program(unit)
     batch_program(unit)
     return unit
 
@@ -64,23 +66,21 @@ def ctypes_of(unit: N.TranslationUnit) -> List[object]:
 @pytest.mark.parametrize("name,load", PROGRAMS, ids=IDS)
 def test_clone_matches_deepcopy(name, load):
     unit = with_memos(load())
+    assert set(unit.__dict__) > UNIT_FIELDS  # the memos are there to drop
     cloned = N.clone(unit)
     reference = copy.deepcopy(unit)
-    for key in N._CLONE_DROPPED:
-        reference.__dict__.pop(key, None)
+    for key in set(reference.__dict__) - UNIT_FIELDS:
+        reference.__dict__.pop(key)
     assert cloned == reference
     assert list(cloned.__dict__) == list(reference.__dict__)
     for a, b in zip(cloned.walk(), reference.walk(), strict=True):
         assert type(a) is type(b)
         assert a.__dict__.keys() == b.__dict__.keys()
-    # The compiled program becomes a lineage marker to the same ancestor
-    # either way; a batch program is never stored on a unit.
-    lineage = cloned.__dict__.get("_compiled_program")
-    expected = reference.__dict__.get("_compiled_program")
-    assert type(lineage) is type(expected)
-    if isinstance(lineage, _CompiledLineage):
-        assert lineage.program is expected.program
-    assert cloned.__dict__.get("_batch_program") is None
+    # A clone carries its fields and nothing else: no memo of the source
+    # unit's content, and no lowered program (batch keeps those off the
+    # unit, keyed by identity).
+    assert set(cloned.__dict__) == UNIT_FIELDS
+    assert batch_program(cloned) is not batch_program(unit)
 
 
 @pytest.mark.parametrize("name,load", PROGRAMS, ids=IDS)

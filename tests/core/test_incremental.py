@@ -14,7 +14,6 @@ job sets it).
 from __future__ import annotations
 
 import contextlib
-import copy
 import itertools
 import os
 
@@ -33,7 +32,6 @@ from repro.hls.memo import clear_analysis_caches
 from repro.hls.platform import SolutionConfig
 from repro.hls.schedule import estimate
 from repro.hls.stylecheck import check_style
-from repro.interp.compile import CompiledProgram, compile_program
 from repro.obs import SPAN_TRANSPILE, TraceRecorder, scoped_recorder
 from repro.subjects import all_subjects, get_subject
 
@@ -360,91 +358,6 @@ def test_candidate_key_modes_agree_on_distinctions():
         assert same == base, mode
         assert edited != base, mode
         assert retuned != base, mode
-
-
-# ---------------------------------------------------------------------------
-# Interpreter closure reuse across clones
-# ---------------------------------------------------------------------------
-
-# Closure reuse — like every other fingerprint memo — is gated on
-# `unit_incremental_enabled`, so reuse tests need a unit above the
-# small-unit threshold.  One extra helper over KERNEL_SRC does it.
-REUSE_SRC = KERNEL_SRC.replace(
-    "int helper(int x) {",
-    "int shift(int x) {\n    return x + scale;\n}\n\nint helper(int x) {",
-)
-
-
-def test_interp_clone_reuses_unchanged_function_closures():
-    with forced_mode("on"):
-        unit = parse(REUSE_SRC, top_name="kernel")
-        parent = compile_program(unit)
-        child_unit = copy.deepcopy(unit)
-        # Mutate only `kernel` in the clone.
-        kernel = child_unit.function("kernel")
-        lit = next(n for n in kernel.walk() if isinstance(n, N.IntLit))
-        lit.value += 1
-        child = compile_program(child_unit)
-        assert isinstance(child, CompiledProgram)
-        assert child is not parent
-        # `helper` is byte-identical: its compiled closure is shared.
-        assert child.functions["helper"] is parent.functions["helper"]
-        assert child.functions["kernel"] is not parent.functions["kernel"]
-        assert child.reused_functions >= 1
-
-
-def test_interp_clone_reuse_does_not_leak_stale_globals():
-    with forced_mode("on"):
-        unit = parse(REUSE_SRC, top_name="kernel")
-        parent = compile_program(unit)
-        child_unit = copy.deepcopy(unit)
-        glob = next(
-            d for d in child_unit.decls
-            if isinstance(d, N.VarDecl) and d.name == "scale"
-        )
-        glob.init.value = 5  # scale: 2 -> 5
-        child = compile_program(child_unit)
-        # A changed global changes the environment every closure was
-        # compiled against: the global-profile gate must refuse all reuse,
-        # even of `kernel`, whose own text is unchanged.
-        assert child.reused_functions == 0
-        for name in ("helper", "shift", "kernel"):
-            assert child.functions[name] is not parent.functions[name]
-
-        from repro.interp import BatchEngine
-
-        def run_closures(program):
-            engine = BatchEngine(program.unit)
-            engine.program = program  # the closures, not generated code
-            return engine.run("kernel", [[1, 2, 3, 4] + [0] * 12, 4])
-
-        assert run_closures(parent).value == 20
-        # A stale reused closure reading the old global env would return
-        # 20 here.
-        assert run_closures(child).value == 50
-
-
-def test_interp_reuse_disabled_when_incremental_off():
-    with forced_mode("off"):
-        unit = parse(REUSE_SRC, top_name="kernel")
-        compile_program(unit)
-        child_unit = copy.deepcopy(unit)
-        assert child_unit.__dict__.get("_compiled_program") is None
-        child = compile_program(child_unit)
-        assert child.reused_functions == 0
-
-
-def test_interp_reuse_bypassed_for_small_units():
-    """Below the small-unit threshold the reuse check (fingerprints plus
-    a dependency fixpoint) costs more than recompiling, so a clone of a
-    small unit carries no lineage marker at all."""
-    with forced_mode("on"):
-        unit = parse(KERNEL_SRC, top_name="kernel")  # 2 functions: small
-        compile_program(unit)
-        child_unit = copy.deepcopy(unit)
-        assert child_unit.__dict__.get("_compiled_program") is None
-        child = compile_program(child_unit)
-        assert child.reused_functions == 0
 
 
 # ---------------------------------------------------------------------------

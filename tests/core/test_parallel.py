@@ -111,6 +111,24 @@ class TestProcessExecutorEquivalence:
         )
         assert_equivalent(serial, process)
 
+    def test_checker_off_after_checker_on_in_warm_pool(self):
+        """Workers outlive a search and keep one job template per
+        context.  A search with the style checker off, over the same
+        program and tests as an earlier one with it on, must not have
+        its jobs evaluated with the earlier search's checker setting."""
+        run_search(use_cache=False, workers=2, executor="process")
+        _s, serial = run_search(
+            use_cache=False, workers=1, executor="thread",
+            use_style_checker=False,
+        )
+        _s, process = run_search(
+            use_cache=False, workers=2, executor="process",
+            use_style_checker=False,
+        )
+        assert_equivalent(serial, process)
+        assert process.stats.style_rejections == 0
+        assert process.stats.hls_invocations == process.stats.cache_misses
+
     def test_process_jobs_do_not_tick_parent_compile_counter(self):
         """Real compiles happen in the workers; the parent-process global
         invocation counter must not move (the per-run accounting lives in

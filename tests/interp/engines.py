@@ -1,12 +1,14 @@
 """The engines the interpreter equivalence tests compare.
 
 ``tree`` (the oracle) and ``batch`` (the default) are product backends.
-``compiled`` names the closure compiler of :mod:`repro.interp.compile`,
-which batch splices in wherever its code generator declines a node and
-which builds every unit's global initializers.  No product backend lowers
-a whole function to closures, so these tests reach all of it by lowering
-every function with :meth:`_FunctionCompiler.compile_function` instead of
-the code generator, inside an otherwise ordinary :class:`BatchEngine`.
+``compiled`` names the expression closures of :mod:`repro.interp.compile`,
+which batch splices in wherever its code generator declines an
+expression and which build every unit's global initializers.  The
+generator declines few expressions on its own, so these tests reach the
+closures by making it decline all of them: statements are still
+generated, and every expression inside them is served by
+:meth:`_BatchCompiler._fallback_expr`, inside an otherwise ordinary
+:class:`BatchEngine`.
 """
 
 from __future__ import annotations
@@ -16,29 +18,41 @@ from unittest import mock
 
 from repro.cfront import nodes as N
 from repro.interp import BatchEngine, make_engine
-from repro.interp.batch import BatchProgram, _BatchCompiler
-from repro.interp.compile import _FunctionCompiler
+from repro.interp.batch import BatchProgram, _BatchCompiler, _GiveUp
 
 #: Every engine an equivalence test should agree across.
 ENGINES = ("tree", "compiled", "batch")
 
 
+def _decline(self: _BatchCompiler, expr: N.Expr):
+    raise _GiveUp()
+
+
+def _effect_by_value(self: _BatchCompiler, expr: N.Expr) -> List[str]:
+    return self.gen_expr(expr)[0]
+
+
 def closure_lowering():
-    """While active, batch lowers every function to closures instead of
-    generated code (units already lowered keep their program)."""
-    return mock.patch.object(
-        _BatchCompiler, "gen_function", _FunctionCompiler.compile_function
+    """While active, batch serves every expression by its closure
+    (units already lowered keep their program).
+
+    Expression statements that assign or increment generate their own
+    stores unless they go through ``gen_expr`` too, so both entry points
+    decline.
+    """
+    return mock.patch.multiple(
+        _BatchCompiler, _gen_expr=_decline, _gen_expr_effect=_effect_by_value
     )
 
 
 def closure_program(unit: N.TranslationUnit) -> BatchProgram:
-    """*unit* with every function lowered to closures, not generated code."""
+    """*unit* lowered with every expression served by its closure."""
     with closure_lowering():
         return BatchProgram(unit)
 
 
 def engine_for(unit: N.TranslationUnit, backend: str, **kwargs: Any):
-    """``make_engine``, plus ``"compiled"`` for the closure compiler."""
+    """``make_engine``, plus ``"compiled"`` for the expression closures."""
     if backend != "compiled":
         return make_engine(unit, backend=backend, **kwargs)
     engine = BatchEngine(unit, **kwargs)

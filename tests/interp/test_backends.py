@@ -1,4 +1,4 @@
-"""Backend equivalence: the tree-walker, the closure compiler and batch.
+"""Backend equivalence: the tree-walker, batch's expression closures and batch.
 
 Edge semantics that historically diverge between interpreter
 implementations — integer wrap at every width, pointer arithmetic across
@@ -19,13 +19,12 @@ from repro.interp import (
     BatchCrossCheckEngine,
     BatchEngine,
     Interpreter,
-    compile_program,
     default_backend,
     make_engine,
     run_program,
     set_default_backend,
 )
-from repro.interp.compile import CompiledProgram
+from repro.interp.batch import _profile_key
 
 from .engines import ENGINES, engine_for, run_on
 
@@ -237,6 +236,56 @@ def test_full_result_identical_on_recursive_program(tree_source):
         assert tree.coverage.hits == other.coverage.hits
 
 
+GLOBAL_CALL_SRC = """
+int scale(int x) {
+    if (x > 2) { return x * 3; }
+    return x + 1;
+}
+int g = scale(4);
+int h = g + scale(1);
+int kernel(int a) {
+    g = g + a;
+    return g * 10 + h;
+}
+"""
+
+STRUCT_GLOBAL_SRC = """
+struct Pt { unsigned char x; int y; };
+struct Pt origin;
+int kernel(int a) {
+    origin.x = origin.x + a;
+    origin.y = origin.x * 2;
+    return origin.x + origin.y;
+}
+"""
+
+
+@pytest.mark.parametrize("src,args,value", [
+    (GLOBAL_CALL_SRC, [5], 184),  # g = 12, h = 14
+    (GLOBAL_CALL_SRC, [-3], 104),
+    (STRUCT_GLOBAL_SRC, [300], 132),  # x wraps to 44 by its field type
+], ids=["global-calls-function", "global-calls-function-neg", "struct-global"])
+def test_global_initializers_match(src, args, value):
+    """Global initializers are built per unit by batch itself: one that
+    calls a defined function binds to batch's generated function, and
+    stores to a struct-typed global's fields coerce to the field types
+    in batch's struct table."""
+    unit = parse(src)
+    tree = run_on(unit, "kernel", args, "tree")
+    assert tree.value == value
+    for backend in ENGINES[1:]:
+        engine = engine_for(unit, backend)
+        for _ in range(2):  # every run re-initializes the globals
+            other = engine.run("kernel", list(args))
+            assert tree.observable() == other.observable()
+            assert tree.steps == other.steps
+            assert tree.coverage.hits == other.coverage.hits
+            assert _profile_key(tree.profile) == _profile_key(other.profile)
+    if src is GLOBAL_CALL_SRC:
+        # scale's branch runs only inside the initializers.
+        assert len(tree.coverage.hits) == 2
+
+
 @BOTH
 def test_want_out_args_gating(backend, sum_array_source):
     unit = parse(sum_array_source)
@@ -297,7 +346,7 @@ def test_backend_mismatch_is_not_interp_error():
 
 
 # ---------------------------------------------------------------------------
-# Backend selection and the compile cache
+# Backend selection
 # ---------------------------------------------------------------------------
 
 def test_make_engine_types(sum_array_source):
@@ -325,35 +374,6 @@ def test_default_backend_roundtrip(sum_array_source):
     finally:
         set_default_backend(original)
     assert BACKENDS == ("tree", "batch", "batch-cross")
-
-
-def test_compiled_program_cached_per_unit(sum_array_source):
-    unit = parse(sum_array_source)
-    assert compile_program(unit) is compile_program(unit)
-
-
-def test_clone_recompiles(sum_array_source):
-    from repro.cfront.nodes import clone
-
-    unit = parse(sum_array_source)
-    program = compile_program(unit)
-    copy_unit = clone(unit)
-    # The stale compilation must not travel into the clone wholesale: an
-    # edited clone executing the original's closures would be a silent
-    # miscompile.  Incrementally the clone carries a lineage marker (so
-    # unchanged functions can be reused once its content is known), but
-    # never the program itself.
-    assert not isinstance(
-        copy_unit.__dict__.get("_compiled_program"), CompiledProgram
-    )
-    recompiled = compile_program(copy_unit)
-    assert isinstance(recompiled, CompiledProgram)
-    assert recompiled is not program
-    args = [[1, 2, 3, 4, 5, 6, 7, 8], 8]
-    assert (
-        run_program(unit, "sum_array", args, backend="batch").value
-        == run_program(copy_unit, "sum_array", args, backend="batch").value
-    )
 
 
 # ---------------------------------------------------------------------------

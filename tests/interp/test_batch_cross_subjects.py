@@ -1,10 +1,11 @@
-"""Acceptance: the closure compiler stays bit-identical across Table 3.
+"""Acceptance: batch's expression closures stay bit-identical across Table 3.
 
-Batch splices the closure compiler's code in wherever its generator
-declines a node, and every unit's global initializers are closures, so
-the closure compiler must match the tree-walker on its own too.  Under
-:func:`~.engines.closure_lowering`, fuzzing each subject with
-``backend="batch-cross"`` runs every function as closures against the
+Batch splices an expression's closure in wherever its generator declines
+the expression, and every unit's global initializers are closures, so
+the closures must match the tree-walker on their own too.  Under
+:func:`~.engines.closure_lowering` the generator declines every
+expression, so fuzzing each subject with ``backend="batch-cross"`` runs
+generated statements whose every expression is a closure against the
 tree-walker and asserts identical observables, step counts, coverage
 hits and value profiles.  A divergence raises ``BackendMismatch`` (an
 ``AssertionError``), failing the campaign outright.
