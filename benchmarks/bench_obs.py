@@ -65,7 +65,6 @@ def _quick_config():
         budget_seconds=2400.0,
         max_iterations=60,
         fuzz_execs=200,
-        workers=1,
     )
 
 

@@ -28,7 +28,6 @@ def default_config(
     max_iterations: int = 260,
     fuzz_execs: int = 1200,
     seed: int = 2022,
-    workers: int = 1,
     use_cache: bool = True,
     interp_backend: Optional[str] = None,
 ) -> HeteroGenConfig:
@@ -39,7 +38,6 @@ def default_config(
             budget_seconds=budget_seconds,
             max_iterations=max_iterations,
             seed=seed,
-            workers=workers,
             use_cache=use_cache,
             interp_backend=interp_backend,
         ),

@@ -279,12 +279,6 @@ def strip_fingerprints(unit: N.TranslationUnit) -> None:
     unit.__dict__.pop(UNIT_FP_ATTR, None)
 
 
-def _decl_name(decl: N.Decl) -> str:
-    if isinstance(decl, N.StructDef):
-        return decl.tag
-    return getattr(decl, "name", "")
-
-
 def inherit_fingerprints(
     child: N.TranslationUnit,
     parent: N.TranslationUnit,
@@ -307,7 +301,7 @@ def inherit_fingerprints(
     dirty_names = set(dirty)
     table = _table(child)
     for decl in parent.decls:
-        name = _decl_name(decl)
+        name = N.decl_name(decl)
         if name in dirty_names:
             continue
         entry = parent_table.get(decl.uid)

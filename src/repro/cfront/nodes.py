@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import typing
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .typesys import CType
 
@@ -169,6 +169,31 @@ def clone_unit_with(
             values[key] = value
     values["decls"] = decls
     return new
+
+
+def decl_name(decl: "Decl") -> str:
+    """The name dirty sets use for a top-level declaration: a struct's
+    tag, otherwise its ``name`` ("" when it has none)."""
+    if isinstance(decl, StructDef):
+        return decl.tag
+    return getattr(decl, "name", "")
+
+
+def cow_clone_unit(
+    parent: "TranslationUnit", dirty: Set[str]
+) -> "TranslationUnit":
+    """Clone *parent* for in-place rewriting of the *dirty* declarations
+    only: dirty decls (matched by :func:`decl_name`, as fingerprint
+    inheritance matches them) are copied with :func:`copy_tree`, clean
+    decls are shared by reference, and the unit-level state is what
+    :func:`clone` would give.  Sharing is sound under the dirty contract that already
+    governs fingerprint inheritance — an edit never mutates outside its
+    declared dirty set — and units are never mutated once evaluation
+    starts, so sharing into evaluated candidates is read-only."""
+    return clone_unit_with(parent, [
+        copy_tree(decl) if decl_name(decl) in dirty else decl
+        for decl in parent.decls
+    ])
 
 
 def clone(node: NodeT) -> NodeT:

@@ -681,7 +681,7 @@ class Parser:
         :class:`~repro.cfront.nodes.Cast` nodes with a non-empty
         ``explicit_policy`` in this form, so accepting it here keeps the
         render → parse round trip closed for repaired candidates (the
-        process executor ships candidates as rendered source)."""
+        HLS-C output of a repair is rendered source)."""
         self._advance()  # thls
         self._expect("punct", "::")
         self._expect("ident", "to")

@@ -10,7 +10,7 @@ repair edits can produce.  Used for:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from . import nodes as N
 from . import typesys as T
@@ -261,32 +261,6 @@ class Printer:
 def render(unit: N.TranslationUnit) -> str:
     """Render a translation unit back to C source text."""
     return Printer().render(unit)
-
-
-def render_decl(decl: N.Decl) -> str:
-    """Render one top-level declaration as a standalone block.
-
-    The block carries no trailing newline; :func:`render_unit_from_blocks`
-    re-joins blocks into exactly what :func:`render` would have produced
-    for the whole unit.  This is the unit of transfer for the delta wire
-    format (:mod:`repro.core.parallel`): a structurally identical decl
-    always renders to an identical block, so blocks can be cached and
-    shipped by structural fingerprint.
-    """
-    printer = Printer()
-    printer.print_decl(decl)
-    return "\n".join(printer.lines)
-
-
-def render_unit_from_blocks(blocks: Sequence[str]) -> str:
-    """Reassemble :func:`render` output from per-decl blocks.
-
-    Invariant (property-tested):
-    ``render_unit_from_blocks(render_decl(d) for d in unit.decls) ==
-    render(unit)`` — decl blocks never contain blank lines, and
-    :func:`render` separates decls with exactly one blank line.
-    """
-    return "\n\n".join(blocks) + "\n"
 
 
 def count_loc(unit: N.TranslationUnit) -> int:

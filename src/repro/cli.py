@@ -89,28 +89,9 @@ def result_to_dict(result: TranspileResult) -> dict:
     }
 
 
-def _workers_count(text: str) -> int:
-    """argparse type for ``--workers``: a whole number of workers ≥ 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers expects an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--workers must be >= 1 (got {value}); use 1 for serial "
-            "evaluation"
-        )
-    return value
-
-
-def _apply_parallel_flags(search: SearchConfig, args: argparse.Namespace) -> None:
-    """Overlay the executor/store/synthesis CLI flags on a search config
-    whose defaults already honour REPRO_EXECUTOR / REPRO_WORKERS /
-    REPRO_STORE / REPRO_SYNTH."""
-    if getattr(args, "executor", None):
-        search.executor = args.executor
+def _apply_search_flags(search: SearchConfig, args: argparse.Namespace) -> None:
+    """Overlay the store/synthesis CLI flags on a search config whose
+    defaults already honour REPRO_STORE / REPRO_SYNTH."""
     if getattr(args, "no_store", False):
         search.store_path = None
     elif getattr(args, "store", None):
@@ -127,12 +108,11 @@ def cmd_transpile(args: argparse.Namespace) -> int:
             budget_seconds=args.budget_hours * 3600.0,
             max_iterations=args.max_iterations,
             seed=args.seed,
-            workers=args.workers,
             use_cache=not args.no_cache,
             interp_backend=args.interp_backend,
         ),
     )
-    _apply_parallel_flags(config.search, args)
+    _apply_search_flags(config.search, args)
     tool = HeteroGen(config)
     result = tool.transpile(
         source,
@@ -226,11 +206,10 @@ def cmd_subjects(args: argparse.Namespace) -> int:
         config = default_config(
             max_iterations=args.max_iterations,
             seed=args.seed,
-            workers=args.workers,
             use_cache=not args.no_cache,
             interp_backend=args.interp_backend,
         )
-        _apply_parallel_flags(config.search, args)
+        _apply_search_flags(config.search, args)
         result = run_variant(subject, args.variant, config)
         if args.json:
             print(json.dumps(result_to_dict(result), indent=2))
@@ -473,20 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-q", "--quiet", action="store_true",
                        help="only errors on stderr")
 
-    def parallel_flags(p):
-        p.add_argument("--workers", type=_workers_count, default=1,
-                       help="worker-pool width for speculative candidate "
-                       "evaluation (1 = serial).  Speculation never changes "
-                       "reported results — history, fitness and simulated "
-                       "clock are bit-identical to serial; only wall-clock "
-                       "drops.  With the default thread executor the GIL "
-                       "limits scaling; combine with --executor process")
-        p.add_argument("--executor", choices=["thread", "process"],
-                       default=None,
-                       help="where candidate evaluation runs: 'thread' "
-                       "(in-process; GIL-bound) or 'process' (persistent "
-                       "worker-process pool, GIL-free).  Default: "
-                       "$REPRO_EXECUTOR or 'thread'")
+    def search_flags(p):
         p.add_argument("--store", metavar="PATH", default=None,
                        help="persistent evaluation store (SQLite): verdicts "
                        "are reused across runs with identical reported "
@@ -519,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-iterations", type=int, default=220)
     t.add_argument("--diff", action="store_true",
                    help="print a unified diff instead of the full output")
-    parallel_flags(t)
+    search_flags(t)
     common(t)
     backend_flag(t)
     obs_flags(t)
@@ -548,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["HeteroGen", "WithoutChecker",
                             "WithoutDependence", "HeteroRefactor"])
     s.add_argument("--max-iterations", type=int, default=220)
-    parallel_flags(s)
+    search_flags(s)
     common(s, kernel=False)
     backend_flag(s)
     obs_flags(s)

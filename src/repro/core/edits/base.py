@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ...cfront import fingerprint, graft
+from ...cfront import fingerprint
 from ...cfront import nodes as N
 from ...cfront.nodes import clone
 from ...hls.diagnostics import Diagnostic, ErrorType
@@ -172,21 +172,17 @@ def cloned_unit(
     the rewrite's extent is unknown: nothing is inherited and every
     digest is recomputed lazily — always safe, never wrong.
 
-    With a declared dirty set (and incremental mode plus graft mode both
-    on), the clone is **copy-on-write** at the declaration grain
-    (:func:`~repro.cfront.graft.cow_clone_unit`): dirty declarations are
+    With a declared dirty set (and incremental mode on), the clone is
+    **copy-on-write** at the declaration grain
+    (:func:`~repro.cfront.nodes.cow_clone_unit`): dirty declarations are
     deep-copied, clean ones shared by reference.  The sharing rests on
     the same dirty contract fingerprint inheritance already does — an
     edit mutating outside its declared set was a bug before any sharing
-    existed — and ``REPRO_INCREMENTAL=cross`` / ``REPRO_AST_GRAFT=off``
+    existed — and ``REPRO_INCREMENTAL=cross`` / ``REPRO_INCREMENTAL=0``
     respectively check and disable it.
     """
-    if (
-        dirty is not None
-        and fingerprint.incremental_enabled()
-        and graft.graft_mode() == "on"
-    ):
-        unit = graft.cow_clone_unit(candidate.unit, set(dirty))
+    if dirty is not None and fingerprint.incremental_enabled():
+        unit = N.cow_clone_unit(candidate.unit, set(dirty))
     else:
         unit = clone(candidate.unit)
     assert isinstance(unit, N.TranslationUnit)

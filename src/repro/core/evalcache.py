@@ -41,22 +41,19 @@ those count actual toolchain executions, which is how the cost-asymmetry
 measurements stay meaningful.
 
 Entries are safe to share across runs and threads: reports are treated
-as immutable once stored, and the cache itself is lock-protected so the
-parallel fan-out in :class:`~repro.core.search.RepairSearch` can consult
-it from worker threads.
+as immutable once stored, and the cache itself is lock-protected.
 
 Canonical uid space
 -------------------
 
 Node uids are drawn from a process-global counter, so the uids embedded
 in diagnostics are an artifact of *which* structurally-equal candidate
-was evaluated first — meaningless to another process (the process
-executor re-parses candidates) and to the next run (the persistent
-store outlives the uid counter).  Payloads that cross a cache, process
-or store boundary are therefore held in the **canonical uid space**:
-every ``node_uid`` is replaced by the node's position in the unit's
-pre-order walk, encoded as ``-(index + 1)`` (0 keeps meaning "no
-node").  Structural equality implies walk isomorphism, so rebinding a
+was evaluated first — meaningless to another process and to the next
+run (the persistent store outlives the uid counter).  Payloads that
+cross a cache or store boundary are therefore held in the **canonical
+uid space**: every ``node_uid`` is replaced by the node's position in
+the unit's pre-order walk, encoded as ``-(index + 1)`` (0 keeps meaning
+"no node").  Structural equality implies walk isomorphism, so rebinding a
 canonical payload against the consuming candidate's tree
 (:func:`rebind_evaluation`) yields exactly the diagnostics a fresh
 toolchain run on that candidate would have produced — which is also why
@@ -91,38 +88,6 @@ DEFAULT_MAX_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
-class WireStats:
-    """Per-job overhead breakdown a process worker ships back on the
-    evaluation payload (see :mod:`repro.core.parallel`).
-
-    Wall-clock only — never simulated charges — and ephemeral by the
-    same contract as ``CachedEvaluation.trace``: the consuming search
-    folds it into the parent-side wire counters and strips it before
-    the payload reaches any cache tier.
-    """
-
-    splice_seconds: float
-    """Reassembling full source from delta decl blocks (0 for full jobs)."""
-    parse_seconds: float
-    """Parsing the candidate source (0 on a parsed-unit cache hit)."""
-    unit_cache_hit: bool
-    """The worker served the parse from its fingerprint-keyed unit cache."""
-    delta: bool
-    """The job arrived in the delta wire format (vs full source)."""
-    graft_seconds: float = 0.0
-    """Cloning cached decl templates into the grafted unit (0 when the
-    job full-parsed)."""
-    uid_remap_seconds: float = 0.0
-    """The deterministic uid/line renumbering pass over grafted decls."""
-    decl_cache_hits: int = 0
-    """Decl-template cache hits while reconstructing this job's unit."""
-    decl_cache_misses: int = 0
-    """Decl blocks that had to be mini-parsed (template-cache misses)."""
-    grafted: bool = False
-    """The unit was graft-reconstructed instead of full-parsed."""
-
-
-@dataclass(frozen=True)
 class CachedEvaluation:
     """The toolchain's verdict on one (source, config) point, plus the
     simulated charges the real run cost."""
@@ -134,16 +99,12 @@ class CachedEvaluation:
     trace: Optional[Tuple[Any, ...]] = None
     """Observability side-channel: the span subtrace of the real
     toolchain run (see :meth:`repro.obs.TraceRecorder.subtrace`), riding
-    the wire format back from worker threads/processes.  Ephemeral by
+    the payload back to the consuming ``evaluate`` call.  Ephemeral by
     contract — it carries wall-clock values, so the consuming search
     re-parents it into the live recorder and **strips it before the
     payload reaches any cache tier** (:meth:`EvalCache.put` enforces
     this): nothing cached or stored ever holds wall-clock data, which is
     what keeps traced and untraced runs bit-identical."""
-    wire: Optional[WireStats] = None
-    """Process-worker overhead breakdown (see :class:`WireStats`).
-    Ephemeral like ``trace``: wall-clock data, stripped before every
-    cache tier, never part of any key."""
 
     @property
     def style_rejected(self) -> bool:
@@ -189,10 +150,10 @@ def candidate_key(
 def cached_candidate_key(candidate: Any, context: str = "") -> str:
     """:func:`candidate_key` memoized on the candidate object itself.
 
-    The speculative fan-out recomputes the key for the frontier's best
-    entries on *every* iteration; a candidate's unit and config are
-    immutable once published, so the key is computed once and stashed on
-    the (frozen) dataclass via ``object.__setattr__``.  The context token
+    Synthesis-mode frontier dedup and the evaluation lookup both key the
+    same candidate; its unit and config are immutable once published, so
+    the key is computed once and stashed on the (frozen) dataclass via
+    ``object.__setattr__``.  The context token
     is kept alongside so a candidate crossing into another search (a
     shared frontier would be a bug, but a cheap guard beats a silent
     cross-context hit) never reuses a stale key.
@@ -408,29 +369,17 @@ class EvalCache:
         return entry, "store"
 
     def contains(self, key: str) -> bool:
-        """Presence probe that does not disturb hit/miss accounting
-        (used by the speculative fan-out to skip redundant submits)."""
+        """Presence probe that does not disturb hit/miss accounting."""
         with self._lock:
             if key in self._entries:
                 return True
         return self.store is not None and self.store.contains(key)
 
-    def contains_many(self, keys: Sequence[str]) -> set:
-        """Batched :meth:`contains`: which of *keys* are present in any
-        tier.  One store round trip instead of one per key — the
-        speculative fan-out probes a whole frontier window at once."""
-        with self._lock:
-            found = {key for key in keys if key in self._entries}
-        missing = [key for key in keys if key not in found]
-        if missing and self.store is not None:
-            found |= self.store.contains_many(missing)
-        return found
-
     def put(self, key: str, value: CachedEvaluation) -> None:
-        if value.trace is not None or value.wire is not None:
-            # The trace/wire side-channels carry wall-clock data; they
-            # must never survive into a cache tier (see CachedEvaluation).
-            value = replace(value, trace=None, wire=None)
+        if value.trace is not None:
+            # The trace side-channel carries wall-clock data; it must
+            # never survive into a cache tier (see CachedEvaluation).
+            value = replace(value, trace=None)
         self._insert(key, value)
         if self.store is not None:
             self.store.put(key, value)

@@ -14,20 +14,14 @@ toolchain time) while actually running in milliseconds.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
 import random
-import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
-from ..cfront.fingerprint import incremental_mode
-from ..cfront.graft import graft_mode
-from ..cfront.printer import render
 from ..difftest import DiffReport, differential_test, run_cpu_reference
 from ..hls.clock import SimulatedClock
 from ..hls.compiler import compile_unit
@@ -55,21 +49,6 @@ from .evalcache import (
     rebind_evaluation,
 )
 from .fitness import Fitness, fitness_from_reports
-from .parallel import (
-    EXECUTORS,
-    DeltaJob,
-    DeltaMiss,
-    EvalJob,
-    default_executor,
-    default_workers,
-    delta_wire_enabled,
-    note_delta_miss,
-    plan_decl_entries,
-    record_worker_wire,
-    register_baseline,
-    submit_job,
-    submit_job_batch,
-)
 from .store import default_store_path, get_store
 from .synth import Evidence, synthesis_default
 
@@ -98,36 +77,6 @@ class SearchConfig:
     """Memoize candidate evaluations (see :mod:`repro.core.evalcache`).
     Cached and uncached searches produce identical results and identical
     simulated-clock activity; only real wall-clock differs."""
-    workers: int = field(default_factory=lambda: default_workers() or 1)
-    """Worker-pool width for speculative candidate evaluation (env
-    ``REPRO_WORKERS`` sets the default).
-
-    **Determinism contract:** speculation never changes reported
-    results.  Values above 1 pre-evaluate the frontier's best entries
-    concurrently, but the main loop consumes candidates strictly in
-    priority order and merges each one's journalled clock charges at
-    consumption time, so the search history, fitness trajectory and
-    every simulated-clock measurement are bit-identical to serial mode
-    under a fixed seed — only real wall-clock changes.
-
-    With the default ``executor="thread"`` the workers share the GIL
-    and CPU-bound evaluation barely overlaps; use
-    ``executor="process"`` (CLI ``--executor process``) for real
-    scaling."""
-    executor: str = field(default_factory=default_executor)
-    """``"thread"`` or ``"process"`` (env ``REPRO_EXECUTOR`` sets the
-    default).  ``process`` ships candidates to a persistent worker-
-    process pool as compact jobs — by default in the delta wire format
-    (``REPRO_DELTA_WIRE``; only the edit's dirty declarations cross the
-    wire, see :mod:`repro.core.parallel`) — same determinism contract
-    as above, without the GIL."""
-    eval_batch: int = 2
-    """Process-executor dispatch batching: up to this many speculative
-    frontier jobs share one pool submission, amortizing pickle/IPC
-    per candidate.  ``1`` disables batching.  Pure wall-clock knob —
-    the main loop still consumes results strictly in priority order
-    and replays charges at consumption time, so every reported
-    measurement is unchanged.  Ignored by the thread executor."""
     store_path: Optional[str] = field(default_factory=default_store_path)
     """Path of the persistent evaluation store (env ``REPRO_STORE`` sets
     the default; None/empty disables).  Ignored when ``use_cache`` is
@@ -149,32 +98,6 @@ class SearchConfig:
     search is bit-identical to the pre-synthesis implementation.  Only
     active together with ``use_dependence`` (the WithoutDependence
     ablation measures blind enumeration by design)."""
-
-    def __post_init__(self) -> None:
-        if (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise ValueError(
-                f"SearchConfig.workers must be an integer >= 1, got "
-                f"{self.workers!r} (0 would deadlock the process "
-                f"executor; negatives are meaningless)"
-            )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTORS}"
-            )
-        if (
-            not isinstance(self.eval_batch, int)
-            or isinstance(self.eval_batch, bool)
-            or self.eval_batch < 1
-        ):
-            raise ValueError(
-                f"SearchConfig.eval_batch must be an integer >= 1, got "
-                f"{self.eval_batch!r}"
-            )
 
 
 @dataclass
@@ -319,27 +242,6 @@ class RepairSearch:
             subset,
             extra=f"max_faults={EVAL_MAX_FAULTS}|limits={limits!r}",
         )
-        # What the worker pool keys contexts by.  Workers keep one job
-        # template per context and outlive a search, so the token also
-        # covers the template's per-search knobs the cache context leaves
-        # out; a later search with the checker off must not inflate its
-        # jobs against a template that has it on.  Tens of bytes ride
-        # every job, so the wire carries a 64-bit prefix (collision odds
-        # across the handful of live contexts: ~1e-17).
-        self._wire_context = hashlib.sha256(
-            f"{self._cache_context}|style={self.config.use_style_checker}"
-            f"|backend={self.config.interp_backend}".encode()
-        ).hexdigest()[:16]
-        self._inflight: Dict[str, "Future[CachedEvaluation]"] = {}
-        if self.config.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.config.executor!r}; "
-                f"expected one of {EXECUTORS}"
-            )
-        self._process_mode = self.config.executor == "process"
-        self._original_source: Optional[str] = None
-        self._job_template: Optional[EvalJob] = None
-        self._baseline_registered = False
         self._families: Optional[Dict[str, str]] = None
 
     # -- observability helpers ---------------------------------------------------
@@ -383,126 +285,92 @@ class RepairSearch:
         seen: Set[Any] = {dedup_key(initial)}
         best: Optional[Evaluation] = None
         success_seconds: Optional[float] = None
-        executor: Optional[ThreadPoolExecutor] = None
-        speculative = self.config.workers > 1
-        if speculative and not self._process_mode:
-            warnings.warn(
-                "SearchConfig.workers > 1 with executor='thread': the GIL "
-                "serializes the CPU-bound toolchain pipeline, so thread "
-                "workers barely overlap real work; use executor='process' "
-                "(--executor process / REPRO_EXECUTOR=process) for scaling.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repair-eval",
-            )
-
         rec = get_recorder()
-        try:
-            with rec.span(
-                SPAN_SEARCH,
-                clock=self.clock,
-                kernel=self.kernel_name,
-                executor=self.config.executor,
-                workers=self.config.workers,
+        with rec.span(SPAN_SEARCH, clock=self.clock, kernel=self.kernel_name):
+            if rec.enabled:
+                # Spans are reported at *close*; live subscribers
+                # (repro.obs.stream) learn the budget from this
+                # event, which is emitted immediately.
+                rec.event(
+                    "search_started",
+                    kernel=self.kernel_name,
+                    budget_seconds=self.config.budget_seconds,
+                    max_iterations=self.config.max_iterations,
+                )
+            while (
+                frontier
+                and self.stats.iterations < self.config.max_iterations
+                and self.clock.seconds < self.config.budget_seconds
             ):
-                if rec.enabled:
-                    # Spans are reported at *close*; live subscribers
-                    # (repro.obs.stream) learn the budget from this
-                    # event, which is emitted immediately.
-                    rec.event(
-                        "search_started",
-                        kernel=self.kernel_name,
-                        budget_seconds=self.config.budget_seconds,
-                        max_iterations=self.config.max_iterations,
-                    )
-                while (
-                    frontier
-                    and self.stats.iterations < self.config.max_iterations
-                    and self.clock.seconds < self.config.budget_seconds
+                _prio, _tick, candidate = heapq.heappop(frontier)
+                self.stats.iterations += 1
+                with rec.span(
+                    SPAN_ITERATION,
+                    clock=self.clock,
+                    iteration=self.stats.iterations,
                 ):
-                    if speculative:
-                        self._speculate(frontier, executor)
-                    _prio, _tick, candidate = heapq.heappop(frontier)
-                    self.stats.iterations += 1
-                    with rec.span(
-                        SPAN_ITERATION,
-                        clock=self.clock,
-                        iteration=self.stats.iterations,
+                    evaluation = self.evaluate(candidate)
+                    if evaluation.style_rejected:
+                        self.history.append(
+                            f"style-reject {candidate.applied[-1:]}"
+                        )
+                        if rec.enabled and candidate.applied:
+                            label = candidate.applied[-1]
+                            rec.metrics.inc(
+                                "edit.style_rejects",
+                                edit=label.split("(", 1)[0],
+                                family=self._edit_family(label),
+                            )
+                        continue
+                    if evaluation.fitness.better_than(
+                        best.fitness if best else None
                     ):
-                        evaluation = self.evaluate(candidate)
-                        if evaluation.style_rejected:
-                            self.history.append(
-                                f"style-reject {candidate.applied[-1:]}"
+                        best = evaluation
+                        self.history.append(
+                            f"new best {evaluation.fitness} "
+                            f"after {candidate.applied}"
+                        )
+                        if rec.enabled and candidate.applied:
+                            label = candidate.applied[-1]
+                            rec.metrics.inc(
+                                "edit.new_best",
+                                edit=label.split("(", 1)[0],
+                                family=self._edit_family(label),
                             )
-                            if rec.enabled and candidate.applied:
-                                label = candidate.applied[-1]
-                                rec.metrics.inc(
-                                    "edit.style_rejects",
-                                    edit=label.split("(", 1)[0],
-                                    family=self._edit_family(label),
-                                )
-                            continue
-                        if evaluation.fitness.better_than(
-                            best.fitness if best else None
+                        if (
+                            success_seconds is None
+                            and evaluation.fitness.is_behavior_preserving
                         ):
-                            best = evaluation
-                            self.history.append(
-                                f"new best {evaluation.fitness} "
-                                f"after {candidate.applied}"
+                            success_seconds = min(
+                                self.clock.seconds,
+                                self.config.budget_seconds,
                             )
-                            if rec.enabled and candidate.applied:
-                                label = candidate.applied[-1]
-                                rec.metrics.inc(
-                                    "edit.new_best",
-                                    edit=label.split("(", 1)[0],
-                                    family=self._edit_family(label),
+                            if rec.enabled:
+                                rec.event(
+                                    "repair_success",
+                                    sim_seconds=success_seconds,
+                                    iteration=self.stats.iterations,
+                                    attempts=self.stats.attempts,
                                 )
-                            if (
-                                success_seconds is None
-                                and evaluation.fitness.is_behavior_preserving
-                            ):
-                                success_seconds = min(
-                                    self.clock.seconds,
-                                    self.config.budget_seconds,
+                                # Synthesis's headline measurement:
+                                # candidate evaluations spent per
+                                # repaired subject.
+                                rec.metrics.observe(
+                                    "search.candidates_per_repair",
+                                    float(self.stats.attempts),
+                                    kernel=self.kernel_name,
+                                    synthesis=self.config.use_synthesis,
                                 )
-                                if rec.enabled:
-                                    rec.event(
-                                        "repair_success",
-                                        sim_seconds=success_seconds,
-                                        iteration=self.stats.iterations,
-                                        attempts=self.stats.attempts,
-                                    )
-                                    # Synthesis's headline measurement:
-                                    # candidate evaluations spent per
-                                    # repaired subject.
-                                    rec.metrics.observe(
-                                        "search.candidates_per_repair",
-                                        float(self.stats.attempts),
-                                        kernel=self.kernel_name,
-                                        synthesis=self.config.use_synthesis,
-                                    )
-                        children = self._propose_children(evaluation)
-                        for child in children:
-                            key = dedup_key(child)
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            priority = self._child_priority(evaluation, child)
-                            heapq.heappush(
-                                frontier, (priority, next(counter), child)
-                            )
-        finally:
-            for future in self._inflight.values():
-                future.cancel()
-            self._inflight.clear()
-            if executor is not None:
-                executor.shutdown(wait=True)
-            # The process pool is shared and persistent (fork-server
-            # style): it is deliberately NOT shut down here, so later
-            # searches reuse warm workers.
+                    children = self._propose_children(evaluation)
+                    for child in children:
+                        key = dedup_key(child)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        priority = self._child_priority(evaluation, child)
+                        heapq.heappush(
+                            frontier, (priority, next(counter), child)
+                        )
         return SearchResult(
             best=best,
             stats=self.stats,
@@ -512,66 +380,6 @@ class RepairSearch:
             budget_seconds=self.config.budget_seconds,
         )
 
-    def _speculate(
-        self,
-        frontier: List[Tuple[Tuple, int, Candidate]],
-        executor: Optional[ThreadPoolExecutor],
-    ) -> None:
-        """Pre-evaluate the frontier's best entries on the worker pool.
-
-        The main loop still consumes candidates strictly in priority
-        order and merges each one's journalled clock charges at that
-        point, so speculation changes *when* the toolchain pipeline runs
-        but never what the search observes: results, history and
-        simulated-clock activity are bit-identical to serial mode.
-        Speculative results for candidates that never get popped are
-        simply dropped (their charges never reach the main clock).
-
-        On the process executor the window widens to
-        ``workers * eval_batch`` and pending submissions go out as
-        chunked batches (:func:`~repro.core.parallel.submit_job_batch`)
-        so pickle/IPC round trips are amortized over several
-        candidates; cache presence is probed for the whole window in
-        one batched query either way."""
-        batch = 1
-        window = self.config.workers
-        if executor is None and self.config.eval_batch > 1:
-            batch = self.config.eval_batch
-            window = self.config.workers * batch
-        pending: List[Tuple[str, Candidate]] = []
-        taken: Set[str] = set()
-        for _prio, _tick, candidate in heapq.nsmallest(window, frontier):
-            if len(self._inflight) + len(pending) >= window * 2:
-                break
-            key = cached_candidate_key(candidate, self._cache_context)
-            if key in self._inflight or key in taken:
-                continue
-            taken.add(key)
-            pending.append((key, candidate))
-        if not pending:
-            return
-        if self.cache is not None:
-            cached = self.cache.contains_many([key for key, _ in pending])
-            pending = [
-                (key, candidate)
-                for key, candidate in pending
-                if key not in cached
-            ]
-        if executor is not None:
-            for key, candidate in pending:
-                self._inflight[key] = executor.submit(
-                    self._run_toolchain, candidate
-                )
-            return
-        for start in range(0, len(pending), batch):
-            chunk = pending[start:start + batch]
-            futures = submit_job_batch(
-                [self._make_job(candidate) for _, candidate in chunk],
-                self.config.workers,
-            )
-            for (key, _), future in zip(chunk, futures):
-                self._inflight[key] = future
-
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, candidate: Candidate) -> Evaluation:
@@ -580,13 +388,12 @@ class RepairSearch:
         A cache hit replays the recorded simulated charges (identical
         clock activity to a real run) without re-running the toolchain;
         a miss runs the pipeline on a recording clock and merges its
-        charges here, on the main thread, in consumption order — which
-        keeps batched and serial execution bit-identical.
+        charges here.
 
-        Observability mirrors that contract: a worker subtrace riding
+        Observability mirrors that contract: the run's subtrace riding
         the payload is grafted under this call's ``search.evaluate``
-        span at consumption order — then stripped, so wall-clock data
-        never reaches a cache tier."""
+        span — then stripped, so wall-clock data never reaches a cache
+        tier."""
         self.stats.attempts += 1
         rec = get_recorder()
         last = candidate.applied[-1] if candidate.applied else ""
@@ -616,8 +423,8 @@ class RepairSearch:
             )
         assert raw.compile_report is not None
         # Payloads live in the canonical uid space (they may have come
-        # from another process, a previous run, or a structurally-equal
-        # twin of this candidate); rebind them to this candidate's tree.
+        # from a previous run or a structurally-equal twin of this
+        # candidate); rebind them to this candidate's tree.
         bound = rebind_evaluation(raw, candidate.unit)
         return Evaluation(
             candidate=candidate,
@@ -629,12 +436,11 @@ class RepairSearch:
     def _lookup_or_execute(
         self, candidate: Candidate, rec: Any
     ) -> CachedEvaluation:
-        """Cache tiers → in-flight speculation → real execution."""
+        """Cache tiers → real execution."""
         raw: Optional[CachedEvaluation] = None
         key: Optional[str] = None
-        if self.cache is not None or self._inflight or self._process_mode:
+        if self.cache is not None:
             key = cached_candidate_key(candidate, self._cache_context)
-        if self.cache is not None and key is not None:
             raw, tier = self.cache.lookup(key)
             if tier == "store":
                 self.stats.store_hits += 1
@@ -642,27 +448,8 @@ class RepairSearch:
                 self.stats.store_misses += 1
         if raw is not None:
             self.stats.cache_hits += 1
-            # A speculative run for the same key may still be in flight
-            # (submitted before the entry landed): pop and cancel it so
-            # it stops occupying an inflight slot — and a worker — until
-            # shutdown.
-            if key is not None:
-                stale = self._inflight.pop(key, None)
-                if stale is not None:
-                    stale.cancel()
         else:
-            future = self._inflight.pop(key, None) if key is not None else None
-            raw = future.result() if future is not None else self._execute(candidate)
-            while isinstance(raw, DeltaMiss):
-                # The worker lacked referenced decl blocks (spawn pool,
-                # cache eviction): note the gap so planning re-ships
-                # them, then fall back to a full-source job.  Wall-clock
-                # only — the full job's result is what is consumed.
-                note_delta_miss(raw.missing)
-                raw = submit_job(
-                    self._make_job(candidate, full_source=True),
-                    self.config.workers,
-                ).result()
+            raw = self._run_toolchain(candidate)
             self.stats.cache_misses += 1
             if self.config.use_style_checker:
                 self.stats.style_checks += 1
@@ -678,113 +465,30 @@ class RepairSearch:
                             code=diag.code,
                             severity=diag.severity,
                         )
-            if raw.wire is not None:
-                # Fold the worker's overhead breakdown into the parent-
-                # side wire counters, then strip it: wall-clock data
-                # must not reach any cache tier.
-                record_worker_wire(raw.wire)
-                raw = replace(raw, wire=None)
             if raw.trace is not None:
                 # Graft the captured stage spans under the open
-                # ``search.evaluate`` span (consumption order), then
-                # strip them: wall-clock data must not reach any cache
-                # tier.
+                # ``search.evaluate`` span, then strip them: wall-clock
+                # data must not reach any cache tier.
                 if rec.enabled:
                     rec.attach_subtrace(raw.trace)
-                    rec.metrics.inc("worker.jobs", pid=raw.trace[1])
                 raw = replace(raw, trace=None)
             if self.cache is not None and key is not None:
                 self.cache.put(key, raw)
         return raw
 
-    def _execute(self, candidate: Candidate) -> CachedEvaluation:
-        """Run the toolchain pipeline where the executor says to run it."""
-        if self._process_mode:
-            return submit_job(self._make_job(candidate), self.config.workers).result()
-        return self._run_toolchain(candidate)
-
-    def _make_job(
-        self, candidate: Candidate, full_source: bool = False
-    ) -> Any:
-        """Package a candidate as a picklable worker job (wire format of
-        :mod:`repro.core.parallel`): plain data, never live AST or
-        engine objects.  By default the candidate travels as a slim
-        :class:`DeltaJob` envelope — packed per-decl fingerprints with
-        dictionary-compressed blocks only for declarations not already
-        known to the workers, inflated worker-side against the
-        context-resident job template; ``full_source=True`` (the
-        :class:`DeltaMiss` fallback) and the ``REPRO_DELTA_WIRE=0`` /
-        ``REPRO_INCREMENTAL=0`` escape hatches ship a whole-source
-        :class:`EvalJob` instead."""
-        import dataclasses
-
-        if self._job_template is None:
-            self._original_source = render(self.original)
-            self._job_template = EvalJob(
-                source="",
-                config=candidate.config,
-                context_id=self._wire_context,
-                original_source=self._original_source,
-                kernel_name=self.kernel_name,
-                tests=tuple(tuple(test) for test in self._diff_tests),
-                limits=self.limits,
-                max_faults=EVAL_MAX_FAULTS,
-                use_style_checker=self.config.use_style_checker,
-                interp_backend=self.config.interp_backend,
-                incremental=incremental_mode(),
-            )
-        delta = not full_source and self._delta_wire()
-        if delta and not self._baseline_registered:
-            # Baseline broadcast: workers re-derive the decl blocks,
-            # original source, diff tests and job template from the
-            # context registries (filled before the pool forks), so
-            # delta jobs never re-ship any of them.
-            register_baseline(
-                self._wire_context,
-                self.original,
-                tests=self._job_template.tests,
-                original_source=self._original_source,
-                template=self._job_template,
-            )
-            self._baseline_registered = True
-        if delta:
-            return DeltaJob(
-                c=self._wire_context,
-                g=candidate.config,
-                d=plan_decl_entries(
-                    candidate.unit, self._wire_context, self.config.workers
-                ),
-                i=incremental_mode(),
-                t=get_recorder().enabled,
-                a=graft_mode(),
-            )
-        return dataclasses.replace(
-            self._job_template,
-            source=render(candidate.unit),
-            config=candidate.config,
-            incremental=incremental_mode(),
-            trace=get_recorder().enabled,
-            graft=graft_mode(),
-        )
-
-    def _delta_wire(self) -> bool:
-        return delta_wire_enabled() and incremental_mode() != "off"
-
     def _run_toolchain(self, candidate: Candidate) -> CachedEvaluation:
         """Execute the real pipeline against a recording clock.
 
         Returns a canonical-uid-space payload (see
-        :mod:`repro.core.evalcache`), exactly like the process workers
-        do, so every entry that reaches the cache or store is uniform.
-        Pure in everything but the recorder: reads only immutable search
-        state (original unit, precomputed CPU reference, test subset), so
-        worker threads may run it speculatively.
+        :mod:`repro.core.evalcache`), so every entry that reaches the
+        cache or store is uniform.  Pure in everything but the recorder:
+        reads only immutable search state (original unit, precomputed
+        CPU reference, test subset).
 
         When tracing is enabled, stage spans are captured into a
         run-local recorder and returned as a subtrace on the payload's
-        ``trace`` side-channel — identical to what a process worker
-        ships back — so the consuming ``evaluate`` call re-parents them
-        uniformly regardless of executor."""
+        ``trace`` side-channel, which the consuming ``evaluate`` call
+        re-parents under its span."""
         if not get_recorder().enabled:
             return self._toolchain_pipeline(candidate)
         tracer = TraceRecorder()

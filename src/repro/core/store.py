@@ -40,9 +40,9 @@ Concurrency
 -----------
 
 SQLite in WAL mode with a generous busy timeout: one writer at a time,
-readers never block, which is exactly the access pattern of a parent
-search plus a handful of speculative workers (writes are rare — one per
-real toolchain execution — and tiny).  Every process opens its own
+readers never block, which is exactly the access pattern of a subject
+sweep fanned out over worker processes (writes are rare — one per real
+toolchain execution — and tiny).  Every process opens its own
 connection; cross-process safety is the database's problem, not ours.
 """
 
@@ -55,7 +55,7 @@ import sqlite3
 import threading
 import time
 from collections import OrderedDict
-from typing import Iterable, Optional, Set, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..obs import get_recorder
 
@@ -81,11 +81,11 @@ STORE_ENV = "REPRO_STORE"
 
 _SQLITE_BUSY_TIMEOUT_MS = 30_000
 
-#: Decoded-payload memo capacity.  A warm 100%-hit run re-reads the
-#: same keys the speculative fan-out already probed and the search then
-#: consumes; memoizing the decoded object skips the SELECT *and* the
-#: unpickle on the second touch, which is what keeps a fully-warm run
-#: strictly cheaper than the cold run that wrote the entries.
+#: Decoded-payload memo capacity.  Searches sharing one open store (a
+#: sweep, or a rerun in the same process) re-read the same keys;
+#: memoizing the decoded object skips the SELECT *and* the unpickle on
+#: the second touch, which is what keeps a fully-warm run strictly
+#: cheaper than the cold run that wrote the entries.
 _MAX_DECODED = 1024
 
 
@@ -111,7 +111,7 @@ def default_store_path() -> Optional[str]:
 
 
 # --------------------------------------------------------------------------
-# Payload serialization (shared with the process executor)
+# Payload serialization
 # --------------------------------------------------------------------------
 
 
@@ -320,8 +320,7 @@ class EvalStore:
             self._decoded.popitem(last=False)
 
     def contains(self, key: str) -> bool:
-        """Presence probe without hit/miss accounting (speculation uses
-        this to skip submitting jobs whose verdict is already durable)."""
+        """Presence probe without hit/miss accounting."""
         with self._lock:
             if key in self._decoded:
                 return True
@@ -329,29 +328,6 @@ class EvalStore:
                 "SELECT 1 FROM evaluations WHERE key = ?", (key,)
             ).fetchone()
         return row is not None
-
-    def contains_many(self, keys: Iterable[str]) -> Set[str]:
-        """Batched :meth:`contains`: one SELECT for a whole probe window
-        instead of one round trip per key."""
-        pending = list(keys)
-        found: Set[str] = set()
-        if not pending:
-            return found
-        with self._lock:
-            for key in pending:
-                if key in self._decoded:
-                    found.add(key)
-            pending = [key for key in pending if key not in found]
-            # SQLite caps bound parameters (999 traditionally); chunk.
-            for start in range(0, len(pending), 500):
-                chunk = pending[start:start + 500]
-                marks = ",".join("?" * len(chunk))
-                rows = self._conn.execute(
-                    f"SELECT key FROM evaluations WHERE key IN ({marks})",
-                    chunk,
-                ).fetchall()
-                found.update(row[0] for row in rows)
-        return found
 
     def put(self, key: str, evaluation: "CachedEvaluation") -> None:
         blob = encode_evaluation(evaluation)
@@ -407,7 +383,7 @@ _OPEN_PID = os.getpid()
 def get_store(path: str) -> EvalStore:
     """One :class:`EvalStore` per path per process.
 
-    Searches, the pipeline and pool workers all route through here, so a
+    Searches, the pipeline and subject workers all route through here, so a
     sweep over many subjects shares a single connection (and a single
     set of counters) per store file instead of opening one per search.
     """

@@ -139,7 +139,7 @@ class ValueProfile:
     stack-capacity evidence).
 
     uids are process-local: ``clone()`` preserves them but a render →
-    re-parse round trip (the process executor's wire format) does not.
+    re-parse round trip (a rendered candidate parsed again) does not.
     :meth:`bind` therefore snapshots a uid → structural-key mapping from
     the profiled unit, and :meth:`range_for_node` resolves lookups
     against *any* structurally matching unit — uid fast path first,

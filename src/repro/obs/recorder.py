@@ -25,18 +25,15 @@ enforce that:
    whose hooks are constant-time no-ops, so an untraced run pays only a
    global lookup per hook (benchmarked in ``benchmarks/bench_obs.py``).
 
-Worker subtraces
-----------------
+Subtraces
+---------
 
-Candidate evaluation may run on a worker thread or in a worker process.
-Its spans are captured into a *local* recorder scoped to that one
-toolchain run (:func:`scoped_recorder`), exported as a compact picklable
-subtrace, shipped back on the ``CachedEvaluation`` wire format, and
-re-parented under the consuming span by :meth:`TraceRecorder.attach_subtrace`
-— at consumption order, mirroring exactly how journalled clock charges
-are replayed.  Serial, thread-speculative and process-pool runs all
-take this one path, so the span *tree* is identical across executors
-(only real timestamps differ).
+A candidate's toolchain run records its spans into a *local* recorder
+scoped to that one run (:func:`scoped_recorder`), exported as a compact
+picklable subtrace, carried back on the ``CachedEvaluation`` payload,
+and re-parented under the consuming span by
+:meth:`TraceRecorder.attach_subtrace` — mirroring exactly how journalled
+clock charges are replayed into the search clock.
 
 Subscribers
 -----------
@@ -334,8 +331,7 @@ class TraceRecorder:
         Local span ids are remapped to fresh ids; roots of the subtrace
         become children of the current span.  Wall times are re-based so
         the subtrace starts at the attach call — work is *accounted at
-        consumption order*, exactly like journalled clock charges, which
-        keeps the span tree independent of speculation timing.  The
+        consumption order*, exactly like journalled clock charges.  The
         shipped metrics merge into this recorder's registry the same
         way."""
         if not subtrace or len(subtrace) < 3 or subtrace[0] != SUBTRACE_TAG:
@@ -430,9 +426,8 @@ def scoped_recorder(recorder: Any) -> Iterator[Any]:
     """Thread-scoped recorder override.
 
     Candidate evaluation uses this to capture one toolchain run into a
-    local recorder — on the main thread, a speculative worker thread or
-    a pool worker process alike — without touching the global recorder
-    other threads are writing to."""
+    local recorder without touching the global recorder other threads
+    may be writing to."""
     previous = getattr(_OVERRIDES, "recorder", None)
     _OVERRIDES.recorder = recorder
     try:

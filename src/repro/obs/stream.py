@@ -5,8 +5,7 @@ determinism-safe span tree; this module is the first consumer of that
 stream while the run is still going.  A **subscriber** is a read-only
 sink attached via :meth:`TraceRecorder.add_subscriber`, notified once
 per completed record (span close or event emit), in completion order —
-the exact order journalled clock charges are consumed, so what a sink
-sees is independent of speculation timing.
+the exact order journalled clock charges are consumed.
 
 Two sinks ship:
 

@@ -15,9 +15,10 @@ from typing import Iterator, List
 
 import pytest
 
-from repro.cfront import graft
 from repro.cfront import nodes as N
 from repro.cfront.fingerprint import unit_fingerprint
+from repro.cfront.parser import parse
+from repro.cfront.printer import render
 from repro.core.evalcache import _walk_uids
 from repro.interp.batch import batch_program
 from repro.subjects import all_subjects, generated_subjects
@@ -140,9 +141,9 @@ def test_copy_tree_of_subtree_matches_deepcopy():
 @pytest.mark.parametrize("subject", all_subjects(), ids=lambda s: s.id)
 def test_cow_clone_copies_exactly_the_dirty_decls(subject):
     unit = with_memos(subject.parse())
-    names = [graft._decl_name(d) for d in unit.decls]
+    names = [N.decl_name(d) for d in unit.decls]
     dirty = {names[-1], names[0]}
-    child = graft.cow_clone_unit(unit, dirty)
+    child = N.cow_clone_unit(unit, dirty)
     assert child == N.clone(unit)
     assert list(child.__dict__) == list(N.clone(unit).__dict__)
     for name, old, new in zip(names, unit.decls, child.decls, strict=True):
@@ -151,3 +152,36 @@ def test_cow_clone_copies_exactly_the_dirty_decls(subject):
             assert not {id(n) for n in old.walk()} & {id(n) for n in new.walk()}
         else:
             assert new is old
+
+
+class TestCowClone:
+    """The copy-on-write unit clone used by ``cloned_unit``."""
+
+    SRC = (
+        "int helper(int x) {\n    return x + 1;\n}\n\n"
+        "int kernel(int a) {\n    return helper(a);\n}\n"
+    )
+
+    def test_shares_clean_and_copies_dirty(self):
+        parent = parse(self.SRC, top_name="kernel")
+        child = N.cow_clone_unit(parent, {"kernel"})
+        assert child.decls[0] is parent.decls[0]
+        assert child.decls[1] is not parent.decls[1]
+        assert child == parent  # value-identical before any rewrite
+        assert child.decls is not parent.decls
+
+    def test_drops_unit_bookkeeping(self):
+        parent = parse(self.SRC, top_name="kernel")
+        unit_fingerprint(parent)  # populates _fp_table/_unit_fp
+        assert "_fp_table" in parent.__dict__
+        child = N.cow_clone_unit(parent, {"kernel"})
+        fields = set(N.TranslationUnit.__dataclass_fields__)
+        assert set(child.__dict__) == fields
+        assert child.top_name == "kernel"
+
+    def test_render_and_fingerprints_match_deepcopy(self):
+        parent = parse(self.SRC, top_name="kernel")
+        cow = N.cow_clone_unit(parent, {"kernel"})
+        deep = N.clone(parent)
+        assert render(cow) == render(deep)
+        assert unit_fingerprint(cow) == unit_fingerprint(deep)

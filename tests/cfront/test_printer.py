@@ -48,8 +48,8 @@ ROUNDTRIP_SOURCES = [
     """,
     "void f(hls::stream<unsigned> &in, hls::stream<unsigned> &out) { out.write(in.read()); }",
     # Figure 4 explicit-policy cast, the shape type_casting repair edits
-    # emit; the process executor ships candidates as rendered source, so
-    # this round trip must stay closed.
+    # emit; repaired candidates are emitted as rendered source, so this
+    # round trip must stay closed.
     """
     int f(int x) {
         return (int)thls::to<fpga_float<8,71>, thls::convert_policy(0xF)>(x);

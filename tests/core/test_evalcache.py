@@ -1,6 +1,6 @@
 """Evaluation-cache tests: the memo itself, and the equivalence
-guarantees the search makes about it (cached vs uncached vs parallel
-runs are indistinguishable in every simulated measurement)."""
+guarantees the search makes about it (cached and uncached runs are
+indistinguishable in every simulated measurement)."""
 
 import re
 
@@ -224,18 +224,6 @@ class TestCachedEquivalence:
         assert stats.attempts == stats.cache_hits + stats.cache_misses
         assert stats.hls_invocations == stats.cache_misses - stats.style_rejections
         assert stats.hls_invocations < stats.attempts
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_workers_identical_to_serial(self, workers):
-        _s, serial = run_search(use_cache=True, workers=1)
-        _s, parallel = run_search(use_cache=True, workers=workers)
-        assert_equivalent(serial, parallel)
-        assert serial.stats.cache_hits == parallel.stats.cache_hits
-
-    def test_parallel_without_cache_identical_to_serial(self):
-        _s, serial = run_search(use_cache=False, workers=1)
-        _s, parallel = run_search(use_cache=False, workers=3)
-        assert_equivalent(serial, parallel)
 
 
 class TestSharedCacheAcrossRuns:

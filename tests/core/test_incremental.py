@@ -47,11 +47,10 @@ def _quick_config():
         budget_seconds=2400.0,
         max_iterations=60,
         fuzz_execs=200,
-        workers=1,
     )
 
 
-def _observables(subject, mode, executor="thread", workers=1, recorder=None):
+def _observables(subject, mode, recorder=None):
     """One full transpile under *mode*, reduced to comparable values.
 
     Every pass starts from identical global state: the uid counter is
@@ -65,8 +64,6 @@ def _observables(subject, mode, executor="thread", workers=1, recorder=None):
     clear_analysis_caches()
     clock = SimulatedClock.recording()
     config = _quick_config()
-    config.search.executor = executor
-    config.search.workers = workers
     tracing = (
         scoped_recorder(recorder) if recorder is not None
         else contextlib.nullcontext()
@@ -112,36 +109,6 @@ def _assert_identical(subject_id):
         )
 
 
-def _assert_process_identical(subject_id):
-    """Process-executor cross-check: shipping evaluation to a worker
-    pool (delta-wire jobs, canonical-uid payloads, journalled-charge
-    replay) must leave every observable bit-identical to the serial run
-    — including the uids embedded in history labels, because candidate
-    *proposal* stays in the parent.  Checked with the delta wire format
-    on (the default) and off (``REPRO_DELTA_WIRE=0`` whole-source jobs):
-    the protocol may only change what crosses the wire, never a result."""
-    subject = get_subject(subject_id)
-    serial = _observables(subject, "on")
-    process = _observables(subject, "on", executor="process", workers=2)
-    for field in serial:
-        assert process[field] == serial[field], (
-            f"{subject_id}: process-executor run diverged on {field!r}"
-        )
-    previous = os.environ.get("REPRO_DELTA_WIRE")
-    os.environ["REPRO_DELTA_WIRE"] = "0"
-    try:
-        full_wire = _observables(subject, "on", executor="process", workers=2)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_DELTA_WIRE", None)
-        else:
-            os.environ["REPRO_DELTA_WIRE"] = previous
-    for field in serial:
-        assert full_wire[field] == serial[field], (
-            f"{subject_id}: delta-off process run diverged on {field!r}"
-        )
-
-
 @pytest.mark.parametrize("subject_id", QUICK_SUBJECTS)
 def test_incremental_pipeline_bit_identical_quick(subject_id):
     _assert_identical(subject_id)
@@ -156,50 +123,26 @@ def test_incremental_pipeline_bit_identical_full(subject_id):
     _assert_identical(subject_id)
 
 
-@pytest.mark.parametrize("subject_id", QUICK_SUBJECTS)
-def test_process_executor_bit_identical_quick(subject_id):
-    _assert_process_identical(subject_id)
-
-
-@pytest.mark.skipif(not FULL_SWEEP, reason="set REPRO_CROSSCHECK_FULL=1")
-@pytest.mark.parametrize(
-    "subject_id",
-    [s.id for s in all_subjects() if s.id not in QUICK_SUBJECTS],
-)
-def test_process_executor_bit_identical_full(subject_id):
-    _assert_process_identical(subject_id)
-
-
 def _assert_tracing_identical(subject_id):
-    """The observability contract: a fully-traced run — serial and
-    process-parallel — is bit-identical to the untraced serial run on
-    every observable, including the simulated-clock charge journal.
+    """The observability contract: a fully-traced run is bit-identical to
+    the untraced run on every observable, including the simulated-clock
+    charge journal.
     Spans only *read* the clock; wall-clock timestamps never feed back
     into candidate keys or charges."""
     subject = get_subject(subject_id)
     baseline = _observables(subject, "on")
     serial_rec = TraceRecorder()
     serial = _observables(subject, "on", recorder=serial_rec)
-    process_rec = TraceRecorder()
-    process = _observables(
-        subject, "on", executor="process", workers=2, recorder=process_rec
-    )
     for field in baseline:
         assert serial[field] == baseline[field], (
-            f"{subject_id}: traced serial run diverged on {field!r}"
+            f"{subject_id}: traced run diverged on {field!r}"
         )
-        assert process[field] == baseline[field], (
-            f"{subject_id}: traced process run diverged on {field!r}"
-        )
-    # The traces themselves must be substantive, not vacuously empty.
-    for rec in (serial_rec, process_rec):
-        names = {s.name for s in rec.spans()}
-        assert SPAN_TRANSPILE in names
-        assert "search.evaluate" in names
-    worker_spans = [
-        s for s in process_rec.spans() if "worker_pid" in s.args
-    ]
-    assert worker_spans, "process run recorded no re-parented worker spans"
+    # The trace itself must be substantive, not vacuously empty.
+    names = {s.name for s in serial_rec.spans()}
+    assert SPAN_TRANSPILE in names
+    assert "search.evaluate" in names
+    grafted = [s for s in serial_rec.spans() if "worker_pid" in s.args]
+    assert grafted, "no toolchain subtrace was re-parented under its span"
 
 
 @pytest.mark.parametrize("subject_id", QUICK_SUBJECTS)
@@ -358,44 +301,6 @@ def test_candidate_key_modes_agree_on_distinctions():
         assert same == base, mode
         assert edited != base, mode
         assert retuned != base, mode
-
-
-# ---------------------------------------------------------------------------
-# Speculative-evaluation hygiene (S1)
-# ---------------------------------------------------------------------------
-
-
-class _FakeFuture:
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-        return True
-
-
-def test_cache_hit_pops_and_cancels_stale_inflight_future():
-    """A speculative run submitted before its cache entry landed must be
-    evicted on the hit — a leaked future occupies an inflight slot (and a
-    worker) until shutdown."""
-    from repro.core import RepairSearch, SearchConfig
-
-    unit = parse(KERNEL_SRC, top_name="kernel")
-    search = RepairSearch(
-        original=unit,
-        kernel_name="kernel",
-        tests=[[[1, 2, 3, 4] + [0] * 12, 4]],
-        config=SearchConfig(use_cache=True, workers=1),
-    )
-    candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
-    search.evaluate(candidate)  # miss: populates the cache
-    key = cached_candidate_key(candidate, search._cache_context)
-    stale = _FakeFuture()
-    search._inflight[key] = stale
-    evaluation = search.evaluate(candidate)  # hit
-    assert key not in search._inflight
-    assert stale.cancelled
-    assert evaluation.fitness is not None
 
 
 # ---------------------------------------------------------------------------

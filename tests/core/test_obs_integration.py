@@ -39,7 +39,7 @@ int kernel(int data[8], int n) {
 def _quick_config():
     return HeteroGenConfig(
         fuzz=FuzzConfig(max_execs=60, seed=7),
-        search=SearchConfig(max_iterations=8, seed=7, workers=1),
+        search=SearchConfig(max_iterations=8, seed=7),
     )
 
 

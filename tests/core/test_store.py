@@ -12,7 +12,8 @@ from repro.core.evalcache import (
     canonicalize_evaluation,
     rebind_evaluation,
 )
-from repro.core.parallel import EvalJob, evaluate_job
+from repro.core.edits import Candidate
+from repro.core.search import RepairSearch, SearchConfig
 from repro.core.store import (
     SCHEMA_VERSION,
     EvalStore,
@@ -55,20 +56,15 @@ def real_evaluation():
     dataclasses; the style checker is off so the pipeline always
     reaches the compiler.
     """
-    job = EvalJob(
-        source=SRC,
-        config=SolutionConfig(top_name="kernel"),
-        context_id="ctx",
-        original_source=SRC,
+    unit = parse(SRC, top_name="kernel")
+    search = RepairSearch(
+        original=unit,
         kernel_name="kernel",
-        tests=(([1, 2, 3, 4], 4),),
-        limits=None,
-        max_faults=3,
-        use_style_checker=False,
-        interp_backend=None,
-        incremental="on",
+        tests=[[[1, 2, 3, 4], 4]],
+        config=SearchConfig(use_cache=False, use_style_checker=False),
     )
-    return evaluate_job(job)
+    candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
+    return search._run_toolchain(candidate)
 
 
 class TestEvalStore:
@@ -178,27 +174,6 @@ class TestDecodeMemo:
         assert store.get("k") is None
         assert store.decode_memo_hits == 0
 
-    def test_contains_many_batches_across_tiers(self, tmp_path):
-        store = EvalStore(str(tmp_path / "s.sqlite"))
-        store.put("disk-only", entry())
-        store.put("memoized", entry())
-        store.get("memoized")  # now in the decode memo
-        present = store.contains_many(
-            ["disk-only", "memoized", "absent", "also-absent"]
-        )
-        assert present == {"disk-only", "memoized"}
-        assert store.contains_many([]) == set()
-
-    def test_contains_many_chunks_large_key_sets(self, tmp_path):
-        """More keys than one SQLite IN(...) statement's parameter chunk
-        (500) still resolve correctly."""
-        store = EvalStore(str(tmp_path / "s.sqlite"))
-        keys = [f"k{index}" for index in range(1203)]
-        for key in keys[::3]:
-            store.put(key, entry())
-        present = store.contains_many(keys)
-        assert present == set(keys[::3])
-
 
 class TestRegistry:
     def test_get_store_shares_one_connection_per_path(self, tmp_path):
@@ -266,8 +241,8 @@ class TestCanonicalUidSpace:
 
     def test_canonicalize_then_rebind_is_identity(self):
         unit = parse(SRC, top_name="kernel")
-        job_result = real_evaluation()
-        bound = rebind_evaluation(job_result, unit)
+        raw = real_evaluation()
+        bound = rebind_evaluation(raw, unit)
         assert rebind_evaluation(canonicalize_evaluation(bound, unit), unit) == bound
 
     def test_zero_uid_stays_zero(self):

@@ -141,8 +141,8 @@ class TestValueProfile:
 class TestProfileStructuralKeys:
     """Profile lookups must survive both unit copies the pipeline makes:
     ``clone()`` (preserves uids — the fast path) and a render→re-parse
-    round trip (fresh uids — the structural-fingerprint fallback the
-    process executor's wire format forces)."""
+    round trip (fresh uids — the structural-fingerprint fallback a
+    re-parsed rendering forces)."""
 
     SRC = """
     int helper(int n) {

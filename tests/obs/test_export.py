@@ -153,7 +153,7 @@ def test_write_metrics_snapshot(tmp_path):
 
 
 def test_run_manifest_identity_fields(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+    monkeypatch.setenv("REPRO_INTERP_BACKEND", "tree")
     manifest = run_manifest(
         command=["subjects", "--run", "P1"],
         config={"seed": 2022},
@@ -163,7 +163,7 @@ def test_run_manifest_identity_fields(tmp_path, monkeypatch):
     assert manifest["command"] == ["subjects", "--run", "P1"]
     assert manifest["config"] == {"seed": 2022}
     assert manifest["toolchain_salt"]
-    assert manifest["env"]["REPRO_EXECUTOR"] == "thread"
+    assert manifest["env"]["REPRO_INTERP_BACKEND"] == "tree"
 
     path = write_manifest(str(tmp_path / "run.manifest.json"),
                           command=["x"], subject="P3")

@@ -136,38 +136,6 @@ class TestStudy:
         assert payload["accuracy"] > 0.9
 
 
-class TestWorkersValidation:
-    def test_type_accepts_positive_integers(self):
-        from repro.cli import _workers_count
-        assert _workers_count("1") == 1
-        assert _workers_count("8") == 8
-
-    def test_type_rejects_non_integers(self):
-        import argparse
-        from repro.cli import _workers_count
-        with pytest.raises(argparse.ArgumentTypeError, match="integer"):
-            _workers_count("two")
-        with pytest.raises(argparse.ArgumentTypeError, match="integer"):
-            _workers_count("1.5")
-
-    def test_type_rejects_zero_and_negative(self):
-        import argparse
-        from repro.cli import _workers_count
-        with pytest.raises(argparse.ArgumentTypeError, match=">= 1"):
-            _workers_count("0")
-        with pytest.raises(argparse.ArgumentTypeError, match=">= 1"):
-            _workers_count("-3")
-
-    def test_parser_exits_on_bad_workers(self, capsys):
-        parser = build_parser()
-        for bad in ("0", "-1", "x"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(
-                    ["transpile", "f.c", "--kernel", "k", "--workers", bad]
-                )
-        capsys.readouterr()  # swallow argparse's stderr usage text
-
-
 class TestSynthFlags:
     def test_default_is_unset(self):
         args = build_parser().parse_args(
