@@ -272,6 +272,83 @@ def unit_fingerprint(unit: N.TranslationUnit) -> str:
     return combined
 
 
+def _feed_pragma_free(value: object, h) -> None:
+    if isinstance(value, N.Node):
+        if type(value) is N.Pragma:
+            # A pragma in a single-statement slot executes as ``;``.
+            h.update(b"(Empty{%d})" % value.line)
+            return
+        h.update(b"(")
+        h.update(type(value).__name__.encode())
+        h.update(b"{%d" % value.line)
+        for name in type(value).__dataclass_fields__:
+            if name in _META_FIELDS:
+                continue
+            h.update(name.encode())
+            h.update(b"=")
+            _feed_pragma_free(getattr(value, name), h)
+        h.update(b"})")
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[")
+        for item in value:
+            if type(item) is not N.Pragma:
+                _feed_pragma_free(item, h)
+        h.update(b"]")
+    else:
+        h.update(repr(value).encode())
+        h.update(b"|")
+
+
+def pragma_free_fingerprint(unit: N.TranslationUnit) -> str:
+    """Digest of what executing *unit* can observe: its pragma-free
+    program (see :func:`strip_pragmas`) with every node's line, since
+    fault texts quote lines.  Pragmas, ``col`` and ``uid`` are left out.
+    """
+    h = hashlib.sha256()
+    _feed_pragma_free(unit, h)
+    return h.hexdigest()
+
+
+def strip_pragmas(unit: N.TranslationUnit) -> N.TranslationUnit:
+    """*unit* with every :class:`~repro.cfront.nodes.Pragma` removed.
+
+    A pragma in a statement list is dropped; one that fills a
+    single-statement slot (``if (c) #pragma …``) becomes an empty
+    statement with its location, which both interpreters execute alike.
+    Declarations holding no pragma are shared with *unit*, as
+    :func:`~repro.cfront.nodes.cow_clone_unit` shares clean ones; *unit*
+    itself is returned when it holds none at all.
+    """
+    decls = []
+    changed = False
+    for decl in unit.decls:
+        if type(decl) is N.Pragma:
+            changed = True
+        elif any(type(node) is N.Pragma for node in decl.walk()):
+            decls.append(_strip_copy(decl))
+            changed = True
+        else:
+            decls.append(decl)
+    return N.clone_unit_with(unit, decls) if changed else unit
+
+
+def _strip_copy(decl: N.Decl) -> N.Decl:
+    copy = N.copy_tree(decl)
+    for node in copy.walk():
+        values = node.__dict__
+        for name in N.child_fields(type(node)):
+            value = values[name]
+            if type(value) is N.Pragma:
+                values[name] = N.Empty(
+                    line=value.line, col=value.col, uid=value.uid
+                )
+            elif type(value) is list:
+                values[name] = [
+                    item for item in value if type(item) is not N.Pragma
+                ]
+    return copy
+
+
 def strip_fingerprints(unit: N.TranslationUnit) -> None:
     """Drop every cached digest from *unit* (used by ``clone`` so a copy
     made for in-place mutation never carries stale entries)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Hashable, List, Optional, Sequence, Set
 
 from ..errors import FuzzError, InterpError
 from ..cfront import nodes as N
@@ -31,6 +31,7 @@ from ..interp import (
     make_engine,
 )
 from ..hls.clock import ACT_FUZZING, SimulatedClock
+from ..memo import canonical_value
 from ..obs import SPAN_FUZZ, get_recorder
 from .corpus import Corpus
 from .mutation import Mutator, random_seed_args
@@ -126,6 +127,7 @@ def fuzz_kernel(
     execs = 0
     tests_generated = 0
     since_new = 0
+    seen: Set[Hashable] = set()
     rec = get_recorder()
 
     def execute_batch(arg_sets: List[List[Any]]) -> List[int]:
@@ -135,11 +137,36 @@ def fuzz_kernel(
         one specialized pass), a plain loop elsewhere.  Each input's
         coverage is recorded independently and merged in input order, so
         the per-input deltas are identical to one-at-a-time execution.
+
+        Only inputs the campaign has not run before are executed.  Both
+        engines reset globals, statics and heap per input, so a run is a
+        pure function of its input: a repeat's coverage is already
+        merged, and it gets a delta of 0.  A repeat still counts as an
+        exec, so the budget, the plateau counter and the simulated fuzz
+        time are those of running it.  Inputs are told apart by
+        :func:`~repro.memo.canonical_value`, which separates ``0.0`` from
+        ``-0.0`` and ``1`` from ``1.0`` and ``True``.
         """
         nonlocal execs
+        first_run: List[bool] = []
+        unseen: List[List[Any]] = []
+        for args in arg_sets:
+            key = canonical_value(args)
+            fresh = key not in seen
+            if fresh:
+                seen.add(key)
+                unseen.append(args)
+            first_run.append(fresh)
+        records = iter(
+            engine_run_many(interp, kernel_name, unseen) if unseen else ()
+        )
         deltas: List[int] = []
-        for record in engine_run_many(interp, kernel_name, arg_sets):
+        for fresh in first_run:
             execs += 1
+            if not fresh:
+                deltas.append(0)
+                continue
+            record = next(records)
             before = len(coverage.hits)
             if record.result is None:
                 deltas.append(0)  # crashing inputs exercise nothing repeatable

@@ -6,15 +6,25 @@ performance side of the fitness function).  Functional execution uses the
 interpreter in HLS mode, so finite-resource bugs (undersized arrays,
 too-narrow bitwidths, overflowing software stacks) surface as divergent
 outputs or :class:`HlsSimulationFault` — both observable to the harness.
+
+Pragmas steer synthesis, not what the design computes, so the functional
+model runs the candidate's *pragma-free* program: latency still comes
+from :func:`~repro.hls.schedule.estimate` on the real candidate.  Most
+repair edits only insert or retune pragmas, and the candidates they make
+share one pragma-free program, so the per-test outcomes are memoized on
+a digest of that program and every other input of the run.  The
+simulated clock is charged on every call, hit or miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from ..cfront import nodes as N
-from ..interp import ExecLimits, engine_run_many, make_engine
+from ..cfront.fingerprint import pragma_free_fingerprint, strip_pragmas
+from ..interp import ExecLimits, default_backend, engine_run_many, make_engine
+from ..memo import AnalysisCache, canonical_value
 from .clock import ACT_SIMULATION, SimulatedClock
 from .platform import SolutionConfig
 from .schedule import ScheduleReport, estimate
@@ -82,10 +92,50 @@ def simulate(
         of their tests buys no fitness signal.
     """
     report = SimulationReport()
-    interp = make_engine(
-        unit, backend=backend, limits=limits or ExecLimits(), hls_mode=True
-    )
+    limits = limits or ExecLimits()
     kernel = config.top_name
+    backend = backend or default_backend()
+    key = (
+        pragma_free_fingerprint(unit), kernel, canonical_value(tests),
+        astuple(limits), max_faults, backend,
+    )
+    outcomes = _OUTCOMES.get_or_compute(
+        key, lambda: _run_tests(unit, kernel, tests, limits, max_faults,
+                                backend),
+    )
+    report.outcomes = [TestOutcome(*outcome) for outcome in outcomes]
+    report.schedule = estimate(unit, config)
+    report.sim_seconds = SIMULATION_SECONDS_PER_TEST * len(tests)
+    if clock is not None:
+        clock.charge(ACT_SIMULATION, report.sim_seconds)
+    return report
+
+
+#: Per-test outcomes of a pragma-free program, as ``(ok, observable,
+#: fault, skipped)`` tuples.
+_OUTCOMES = AnalysisCache("simulate.outcomes")
+
+
+def _run_tests(
+    unit: N.TranslationUnit,
+    kernel: str,
+    tests: List[List[Any]],
+    limits: ExecLimits,
+    max_faults: Optional[int],
+    backend: str,
+) -> Tuple[Tuple[Any, ...], ...]:
+    """Execute *tests* on the pragma-free program of *unit*.
+
+    Both interpreters charge a step for each pragma statement they
+    pass, so running *unit* itself could exhaust a step budget the
+    pragma-free program stays within — and the memo key is blind to
+    pragmas.  Running the stripped program makes the outcomes a function
+    of the key alone.
+    """
+    interp = make_engine(
+        strip_pragmas(unit), backend=backend, limits=limits, hls_mode=True
+    )
+    outcomes = []
     # One batched call covers all inputs: the batch backend pools its
     # runtime across the suite, every other backend is looped with the
     # same record contract (per-input fault isolation, max_faults abort
@@ -93,21 +143,13 @@ def simulate(
     for record in engine_run_many(interp, kernel, tests,
                                   max_faults=max_faults):
         if record.skipped:
-            report.outcomes.append(TestOutcome(
-                ok=False,
-                fault="skipped: fault budget exhausted",
-                skipped=True,
-            ))
+            outcomes.append(
+                (False, None, "skipped: fault budget exhausted", True)
+            )
         elif record.error is not None:
-            report.outcomes.append(
-                TestOutcome(ok=False, fault=str(record.error))
-            )
+            outcomes.append((False, None, str(record.error), False))
         else:
-            report.outcomes.append(
-                TestOutcome(ok=True, observable=record.result.observable())
+            outcomes.append(
+                (True, record.result.observable(), "", False)
             )
-    report.schedule = estimate(unit, config)
-    report.sim_seconds = SIMULATION_SECONDS_PER_TEST * len(tests)
-    if clock is not None:
-        clock.charge(ACT_SIMULATION, report.sim_seconds)
-    return report
+    return tuple(outcomes)

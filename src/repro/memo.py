@@ -7,7 +7,9 @@ because each candidate differs from its parent by one edit.  An
 :class:`AnalysisCache` memoizes those sub-results content-addressed by
 AST fingerprints (see :mod:`repro.cfront.fingerprint`).  The batch
 interpreter keeps its compiled code objects in one too, keyed by a
-digest of the generated source.
+digest of the generated source, and co-simulation keeps the per-test
+outcomes of each pragma-free candidate program in another (see
+:mod:`repro.hls.simulator`).
 
 The module depends on nothing but the fingerprint mode switches, so the
 interpreter and the HLS model can both import it without a cycle.
@@ -15,10 +17,10 @@ interpreter and the HLS model can both import it without a cycle.
 Rules for what may live in a cache:
 
 * **pure computation only** — diagnostics, violation tuples, cycle
-  counts, frozen resource snapshots.  Never simulated-clock charges,
-  never invocation-counter bumps: those belong to the live pipeline so
-  cached and uncached runs stay bit-identical in every reported
-  measurement;
+  counts, frozen resource snapshots, co-simulation outcomes.  Never
+  simulated-clock charges, never invocation-counter bumps: those belong
+  to the live pipeline so cached and uncached runs stay bit-identical in
+  every reported measurement;
 * values must be immutable (tuples of frozen dataclasses) or defensively
   copied by the caller on every hit;
 * keys must capture *all* inputs of the computation — the function's
@@ -27,11 +29,13 @@ Rules for what may live in a cache:
 In cross-check mode (``REPRO_INCREMENTAL=cross``) every hit recomputes
 the value and raises :class:`~repro.cfront.fingerprint.IncrementalMismatch`
 if the cached result diverges — the regression harness for the
-invalidation logic.
+invalidation logic.  The two are compared by :func:`canonical_value`, so a
+NaN in a memoized result matches the NaN its recomputation yields.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List
@@ -101,7 +105,9 @@ class AnalysisCache:
             return value
         if cross_check_enabled() and self.verify:
             fresh = compute()
-            if fresh != value:
+            # Compared by canonical key: a recomputed NaN is not ``==``
+            # to the memoized one, yet it is the same value.
+            if canonical_value(fresh) != canonical_value(value):
                 raise IncrementalMismatch(
                     f"analysis cache {self.name!r}: memoized value diverges "
                     f"from recomputation for key {key!r}\n"
@@ -114,6 +120,37 @@ class AnalysisCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+
+
+_pack_double = struct.Struct("<d").pack
+
+
+def canonical_value(value: Any) -> Hashable:
+    """A hashable key for a plain test value that tells apart every value
+    the interpreter can tell apart.
+
+    ``==`` is too coarse for that: ``1 == 1.0 == True`` and
+    ``0.0 == -0.0``, and ``nan`` equals nothing, not even itself.  Here a
+    float is keyed by its bit pattern and a bool by its type, so two
+    values get equal keys only if they are the same value of the same
+    type.  Lists, tuples and dicts (in insertion order) are keyed
+    element-wise.  Any other value is keyed by its type and itself, so
+    an unhashable one raises :class:`TypeError` when the key is hashed.
+    """
+    kind = type(value)
+    if kind is int or kind is str or value is None:
+        return value
+    if kind is float:
+        return (float, _pack_double(value))
+    if kind is list:
+        return tuple([canonical_value(item) for item in value])
+    if kind is tuple:
+        return (tuple, tuple([canonical_value(item) for item in value]))
+    if kind is dict:
+        return (dict, tuple([
+            (canonical_value(k), canonical_value(v)) for k, v in value.items()
+        ]))
+    return (kind, value)
 
 
 def clear_analysis_caches() -> None:

@@ -160,3 +160,57 @@ def test_mutation_after_dirty_clone_changes_only_dirty_digest():
         unit, _func(unit, "helper")
     )
     assert fp.unit_fingerprint(child) != fp.unit_fingerprint(unit)
+
+
+# ---------------------------------------------------------------------------
+# Pragma-free execution digest
+# ---------------------------------------------------------------------------
+
+PRAGMA_SOURCE = """#pragma HLS top
+int helper(int x) { return x + 1; }
+int k(int a[4], int n) {
+    int t = 0;
+    for (int i = 0; i < 4; i++) {
+#pragma HLS unroll
+        if (a[i] > n)
+#pragma HLS occurrence cycle=2
+        t += helper(a[i]);
+    }
+    return t;
+}
+"""
+
+
+def test_strip_pragmas_drops_listed_and_empties_slotted_pragmas():
+    unit = parse(PRAGMA_SOURCE, top_name="k")
+    before = render(unit)
+    bare = fp.strip_pragmas(unit)
+    assert not any(isinstance(n, N.Pragma) for n in bare.walk())
+    assert render(unit) == before  # the candidate itself is untouched
+    branch = next(n for n in bare.walk() if isinstance(n, N.If))
+    assert isinstance(branch.then, N.Empty)
+    assert branch.then.line == 8
+    # Only the declaration holding pragmas is copied.
+    assert bare.decls[0] is unit.decls[1]
+    assert fp.strip_pragmas(bare) is bare
+
+
+def test_pragma_free_fingerprint_ignores_pragmas_uids_and_columns():
+    unit = parse(PRAGMA_SOURCE, top_name="k")
+    digest = fp.pragma_free_fingerprint(unit)
+    assert fp.pragma_free_fingerprint(fp.strip_pragmas(unit)) == digest
+    retuned = parse(
+        PRAGMA_SOURCE.replace("unroll", "unroll factor=2")
+        .replace("    int t", "  int t"),
+        top_name="k",
+    )
+    assert fp.pragma_free_fingerprint(retuned) == digest
+
+
+def test_pragma_free_fingerprint_sees_lines_and_semantics():
+    unit = parse(PRAGMA_SOURCE, top_name="k")
+    digest = fp.pragma_free_fingerprint(unit)
+    shifted = parse("\n" + PRAGMA_SOURCE, top_name="k")
+    assert fp.pragma_free_fingerprint(shifted) != digest
+    changed = parse(PRAGMA_SOURCE.replace("x + 1", "x + 2"), top_name="k")
+    assert fp.pragma_free_fingerprint(changed) != digest

@@ -28,7 +28,7 @@ from repro.core.edits.base import Candidate
 from repro.core.evalcache import cached_candidate_key, candidate_key
 from repro.hls.clock import SimulatedClock
 from repro.hls.compiler import compile_unit
-from repro.hls.memo import clear_analysis_caches
+from repro.hls.memo import analysis_cache_stats, clear_analysis_caches
 from repro.hls.platform import SolutionConfig
 from repro.hls.schedule import estimate
 from repro.hls.stylecheck import check_style
@@ -121,6 +121,9 @@ def test_incremental_pipeline_bit_identical_quick(subject_id):
 )
 def test_incremental_pipeline_bit_identical_full(subject_id):
     _assert_identical(subject_id)
+    # Each of these subjects co-simulates candidates that differ only in
+    # pragmas, so the cross-checked run verified memoized outcomes.
+    assert analysis_cache_stats()["simulate.outcomes"]["hits"] > 0
 
 
 def _assert_tracing_identical(subject_id):

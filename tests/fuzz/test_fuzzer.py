@@ -11,8 +11,13 @@ from repro.fuzz import (
     fuzz_kernel,
     get_kernel_seed,
 )
+from repro.baselines.variants import default_config
+from repro.fuzz import fuzzer
 from repro.hls import SimulatedClock
 from repro.hls.clock import ACT_FUZZING
+from repro.interp import engine_run_many
+from repro.memo import canonical_value
+from repro.subjects import get_subject
 
 BRANCHY = """
 int classify(int a[8], int n) {
@@ -151,6 +156,68 @@ class TestFuzzLoop:
         unit = parse(src)
         report = fuzz_kernel(unit, "k", FuzzConfig(max_execs=300, plateau_execs=100))
         assert report.execs > 0  # survived the faults
+
+
+def _counting_runs(monkeypatch):
+    """Record every input that reaches the fuzzer's interpreter."""
+    ran = []
+
+    def counting(engine, func_name, arg_sets, **kwargs):
+        ran.extend(arg_sets)
+        return engine_run_many(engine, func_name, arg_sets, **kwargs)
+
+    monkeypatch.setattr(fuzzer, "engine_run_many", counting)
+    return ran
+
+
+def _report_fields(report):
+    return {
+        "execs": report.execs,
+        "tests_generated": report.tests_generated,
+        "fuzz_seconds": report.fuzz_seconds,
+        "coverage_ratio": report.coverage_ratio,
+        "coverage": sorted(report.coverage.hits),
+        "corpus": [
+            (e.args, e.new_branches, e.generation) for e in report.corpus
+        ],
+    }
+
+
+class TestDistinctInputsRunOnce:
+    def test_p1_campaign_runs_each_distinct_input_once(self, monkeypatch):
+        subject = get_subject("P1")
+        unit = parse(subject.source, top_name=subject.kernel)
+        config = default_config()
+        seeds = get_kernel_seed(
+            unit, subject.host, subject.kernel, list(subject.host_args)
+        ) + list(subject.existing_test_list() or [])
+        ran = _counting_runs(monkeypatch)
+        report = fuzz_kernel(
+            unit, subject.kernel, config.fuzz, seeds=seeds,
+            limits=config.limits,
+        )
+        assert len(ran) == len({canonical_value(args) for args in ran})
+        assert len(ran) == 96
+        # The campaign itself is the one that ran every input.
+        assert report.execs == 401
+        assert report.tests_generated == 401
+        assert report.fuzz_seconds == pytest.approx(20.05)
+        assert report.coverage_ratio == 1.0
+        assert len(report.corpus) == 1
+
+    def test_skipping_repeats_matches_running_every_input(self, monkeypatch):
+        unit = parse(BRANCHY)
+        config = FuzzConfig(max_execs=600, plateau_execs=200, seed=5)
+        ran = _counting_runs(monkeypatch)
+        deduplicated = _report_fields(fuzz_kernel(unit, "classify", config))
+        distinct = len(ran)
+        ran.clear()
+
+        # A fresh key per input turns deduplication off.
+        monkeypatch.setattr(fuzzer, "canonical_value", lambda _: object())
+        every = _report_fields(fuzz_kernel(unit, "classify", config))
+        assert deduplicated == every
+        assert len(ran) == every["execs"] > distinct
 
 
 class TestCoverageOfSuite:

@@ -1,8 +1,11 @@
 """HLS co-simulation, device model and simulated-clock tests."""
 
+import math
+
 import pytest
 
 from repro.cfront import parse
+from repro.cfront.fingerprint import forced_mode, strip_pragmas
 from repro.hls import (
     DEVICES,
     SimulatedClock,
@@ -10,7 +13,9 @@ from repro.hls import (
     simulate,
 )
 from repro.hls.clock import ACT_SIMULATION
+from repro.hls.memo import analysis_cache_stats, clear_analysis_caches
 from repro.hls.platform import ResourceUsage
+from repro.interp import ExecLimits, make_engine
 
 
 class TestSimulate:
@@ -80,6 +85,111 @@ class TestSimulate:
         report = simulate(unit, SolutionConfig(top_name="kernel"), [])
         assert report.schedule is not None
         assert report.kernel_latency_ns > 0
+
+
+def _outcome_hits():
+    return analysis_cache_stats()["simulate.outcomes"]["hits"]
+
+
+class TestPragmaFreeCoSimulation:
+    """Co-simulation runs the pragma-free program, memoized across
+    candidates that differ only in pragmas."""
+
+    PIPELINED = """
+    int kernel(int a[8]) {
+        int total = 0;
+        for (int i = 0; i < 8; i++) {
+    #pragma HLS pipeline II=1
+            total += a[i];
+        }
+        return total;
+    }
+    """
+    TESTS = [[[1, 2, 3, 4, 5, 6, 7, 8]], [[0, -1, 0, -1, 0, -1, 0, -1]]]
+
+    def setup_method(self):
+        clear_analysis_caches()
+
+    @pytest.mark.parametrize("backend", ["tree", "batch"])
+    def test_pragma_step_charges_do_not_change_outcomes(self, backend):
+        unit = parse(self.PIPELINED, top_name="kernel")
+        bare = strip_pragmas(unit)
+        steps = make_engine(bare, backend=backend).run(
+            "kernel", self.TESTS[0]
+        ).steps
+        # Room for the pragma-free run, not for the eight steps the
+        # pragma in the loop body charges when it is executed.
+        limits = ExecLimits(max_steps=steps + 4)
+        with pytest.raises(Exception, match="step"):
+            make_engine(unit, backend=backend, limits=limits).run(
+                "kernel", self.TESTS[0]
+            )
+        config = SolutionConfig(top_name="kernel")
+        with forced_mode("off"):
+            pragmas = simulate(unit, config, self.TESTS, limits=limits,
+                               backend=backend)
+            free = simulate(bare, config, self.TESTS, limits=limits,
+                            backend=backend)
+        assert pragmas.outcomes == free.outcomes
+        assert all(o.ok for o in pragmas.outcomes)
+        assert pragmas.outcomes[0].observable[0] == 36
+
+    def test_pragma_only_edit_hits_memo_and_keeps_latency_and_charge(self):
+        config = SolutionConfig(top_name="kernel")
+        unit = parse(self.PIPELINED, top_name="kernel")
+        bare = strip_pragmas(unit)
+        clock = SimulatedClock()
+        with forced_mode("on"):
+            first = simulate(bare, config, self.TESTS, clock=clock)
+            hits = _outcome_hits()
+            second = simulate(unit, config, self.TESTS, clock=clock)
+        assert _outcome_hits() == hits + 1
+        assert second.outcomes == first.outcomes
+        assert second.outcomes is not first.outcomes
+        # Latency is estimated on the real candidate, pragmas included.
+        assert second.kernel_latency_ns < first.kernel_latency_ns
+        assert clock.count(ACT_SIMULATION) == 2
+        assert clock.seconds == pytest.approx(8.0)
+
+    def test_memo_key_covers_tests_limits_and_fault_budget(self):
+        config = SolutionConfig(top_name="kernel")
+        unit = parse(self.PIPELINED, top_name="kernel")
+        with forced_mode("on"):
+            simulate(unit, config, self.TESTS)
+            simulate(unit, config, self.TESTS[:1])
+            simulate(unit, config, self.TESTS,
+                     limits=ExecLimits(max_steps=10))
+            simulate(unit, config, self.TESTS, max_faults=1)
+            simulate(unit, config, [[[1, 2, 3, 4, 5, 6, 7, 8.0]]])
+            assert _outcome_hits() == 0
+            simulate(unit, config, self.TESTS)
+        assert _outcome_hits() == 1
+
+    def test_fault_quoting_a_line_names_its_own_line(self):
+        config = SolutionConfig(top_name="k")
+        flat = parse("int k(int x){ return f(x); }", top_name="k")
+        shifted = parse(
+            "int k(int x){\n#pragma HLS inline\n return f(x); }",
+            top_name="k",
+        )
+        for unit, line in ((flat, 1), (shifted, 3), (flat, 1)):
+            (outcome,) = simulate(unit, config, [[1]]).outcomes
+            assert not outcome.ok
+            assert outcome.fault.endswith(f"at line {line}")
+
+    def test_cross_check_holds_nan_outcomes_equal(self):
+        unit = parse(
+            "float k(float a){ float b=a*a*a*a; float c=b*b*b*b; "
+            "return c-c; }",
+            top_name="k",
+        )
+        config = SolutionConfig(top_name="k")
+        with forced_mode("cross"):
+            first = simulate(unit, config, [[1e30]])
+            second = simulate(unit, config, [[1e30]])
+        assert _outcome_hits() == 1
+        for report in (first, second):
+            assert math.isnan(report.outcomes[0].observable[0])
 
 
 class TestSimulatedClock:
