@@ -3,11 +3,9 @@
 Replaces native compilation + AFL instrumentation in the original paper's
 toolchain (see DESIGN.md).  Two engines share one semantics: the
 tree-walking :class:`Interpreter` is the oracle, and the default
-:class:`BatchEngine` (see ``repro.interp.batch``) lowers each function to
-flat generated Python and adds ``run_many`` — whole input sets through
-one pooled pass.  Where its code generator declines an expression it
-splices in the closure ``repro.interp.compile`` builds for that node, and
-a unit's global initializers are such closures too.
+:class:`BatchEngine` (see ``repro.interp.batch``) lowers each function,
+and a unit's global initializers, to flat generated Python and adds
+``run_many`` — whole input sets through one pooled pass.
 :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs both
 engines on every input and asserts they stay bit-identical.
 """

@@ -5,29 +5,30 @@ single flat Python function generated as source and ``exec``-compiled —
 so that the hot path of a kernel is ordinary Python bytecode:
 local-variable step accounting, inline arithmetic with the exact
 charge/fault schedule of the tree-walker, and direct frame indexing,
-with names resolved to frame slots at compile time (:mod:`.compile`).
-On top of that sits :class:`BatchEngine` with ``run_many(func_name,
-arg_sets)``: the unit is compiled once, one :class:`~.compile.Runtime` is
-pooled across the whole batch (coverage and profile recorders are handed
-off per input, arenas reset instead of reallocate, the global frame is
-snapshot/replayed when provably safe), and each input is fault-isolated so
-a faulting sibling never poisons the rest.
+with names resolved to frame slots at compile time.  A unit's global
+initializers are one more generated function.  On top of that sits
+:class:`BatchEngine` with ``run_many(func_name, arg_sets)``: the unit is
+compiled once, one :class:`Runtime` is pooled across the whole batch
+(coverage and profile recorders are handed off per input, arenas reset
+instead of reallocate, the global frame is snapshot/replayed when
+provably safe), and each input is fault-isolated so a faulting sibling
+never poisons the rest.
 
-Charge semantics are bit-identical per input to the tree-walker:
+Charge semantics are bit-identical per input to the tree-walker
+(:mod:`.interpreter` is the specification of every charge, its order
+relative to faults, and every fault's type and text):
 
 * every inline charge site replicates the tree-walker's cost and its
   *order* relative to faults (divide-by-zero after the charge, pointer
-  checks before the memory charge, …);
+  checks before the memory charge, the heap charge before an array's
+  cells, …);
 * step counting runs in a local variable and is reconciled with
   ``rt.steps`` around every call that leaves generated code (``_call``,
-  builtins, fallback closures, block makers) and in a ``finally`` guard,
+  builtins, the generic operator helpers) and in a ``finally`` guard,
   so budget overruns raise at exactly the same step as the tree-walker;
 * ``break``/``continue`` become ``_Break``/``_Continue`` exceptions raised
   at the charge site and caught by the innermost generated loop — the
-  tree-walker's nearest-loop (and cross-frame, via ``_call``) semantics;
-* any expression the generator does not handle falls back to the closure
-  compiled for that exact node (the generator subclasses
-  :class:`~.compile._FunctionCompiler`, so scope state is shared).
+  tree-walker's nearest-loop (and cross-frame, via ``_call``) semantics.
 
 Candidates of one repair search differ by one edit, so most functions
 generate source seen before.  The compiled code objects are memoized by
@@ -46,9 +47,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct as _struct
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..errors import (
     HlsSimulationFault,
@@ -59,39 +63,30 @@ from ..errors import (
 from ..cfront import nodes as N
 from ..cfront import typesys as T
 from ..memo import AnalysisCache
-from .builtins import BUILTINS
+from .builtins import BUILTINS, RawAlloc
 from .coverage import CoverageRecorder, ValueProfile
-from .interpreter import ExecLimits, ExecResult, Interpreter, _Break, _Continue
+from .interpreter import (
+    _COST_DIV,
+    _COST_FLOAT_OP,
+    _COST_INT_OP,
+    ExecLimits,
+    ExecResult,
+    Interpreter,
+    _Break,
+    _Continue,
+)
 from .memory import (
-    LValue,
     MemBlock,
+    NULL,
     Pointer,
     StreamValue,
     StructValue,
+    _quantize_float,
     c_shift,
     c_to_python,
     coerce,
     default_value,
     python_to_c,
-)
-from .compile import (
-    _ARITH_APPLY,
-    _RET,
-    _Binding,
-    _FunctionCompiler,
-    _NO_FRAME,
-    _UNSET,
-    _apply_binop,
-    _call,
-    _charge_heap,
-    _coerce_value,
-    _make_coercer,
-    _over_steps,
-    _pointer_binop,
-    _snapshot_arg,
-    _try_fold,
-    CompiledFunction,
-    Runtime,
 )
 
 __all__ = [
@@ -115,6 +110,58 @@ __all__ = [
 #: search's recent candidates share.
 _CODE_MEMO = AnalysisCache("batch.code", max_entries=256)
 
+#: Returned by a function body that executed a ``return`` (the value is
+#: in ``Runtime.retval``); a body that runs off its end returns None.
+_RET = object()
+
+#: Frame sentinel for a slot whose declaration has not executed yet.
+_UNSET = object()
+
+_NO_FRAME: List[Any] = []
+
+
+# --------------------------------------------------------------------------
+# Runtime state and the helpers generated code calls
+# --------------------------------------------------------------------------
+
+
+class Runtime:
+    """Per-run mutable state shared by all generated functions."""
+
+    __slots__ = (
+        "steps", "max_steps", "heap_cells", "max_heap", "depth", "max_depth",
+        "coverage", "cov_add", "profile", "observe", "active", "gframe",
+        "statics", "captured", "capture_name", "retval", "structs",
+    )
+
+    def __init__(
+        self,
+        limits: ExecLimits,
+        structs: Dict[str, T.StructType],
+        capture_name: str,
+    ) -> None:
+        self.steps = 0
+        self.max_steps = limits.max_steps
+        self.heap_cells = 0
+        self.max_heap = limits.max_heap_cells
+        self.depth = 0
+        self.max_depth = limits.max_depth
+        self.coverage = CoverageRecorder()
+        self.cov_add = self.coverage.hits.add
+        self.profile = ValueProfile()
+        self.observe = self.profile.observe
+        self.active: Dict[str, int] = {}
+        self.gframe: List[MemBlock] = []
+        self.statics: Dict[int, MemBlock] = {}
+        self.captured: List[List[Any]] = []
+        self.capture_name = capture_name
+        self.retval: Any = None
+        self.structs = structs
+
+
+def _over_steps(rt: Runtime) -> None:
+    raise InterpLimitExceeded(f"step budget of {rt.max_steps} exceeded")
+
 
 def _over_b(rt: Runtime, steps: int) -> None:
     """Reconcile a local step counter, then raise the budget fault."""
@@ -122,8 +169,381 @@ def _over_b(rt: Runtime, steps: int) -> None:
     _over_steps(rt)
 
 
-class _GiveUp(Exception):
-    """Internal: this node is not generatable — fall back to its closure."""
+def _charge_heap(rt: Runtime, cells: int) -> None:
+    rt.heap_cells += cells
+    if rt.heap_cells > rt.max_heap:
+        raise InterpLimitExceeded("heap budget exceeded")
+
+
+def _fresh_cells(elem: T.CType, structs: Dict[str, T.StructType],
+                 count: int) -> List[Any]:
+    """*count* independently default-initialized cells of type *elem*."""
+    return [default_value(elem, structs) for _ in range(count)]
+
+
+#: The binary operators the generator inlines; any other operator goes
+#: through :func:`_apply_binop`, which charges and then rejects it.
+_ARITH_OPS = frozenset((
+    "+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
+    "<<", ">>", "&", "|", "^",
+))
+
+
+def _apply_binop(rt: Runtime, op: str, left: Any, right: Any) -> Any:
+    """Interpreter._apply_binop where it is not inlined: unknown operators
+    and the offset comparison of two pointers."""
+    if type(left) is Pointer or type(right) is Pointer:
+        return _pointer_binop(rt, op, left, right)
+    is_float = type(left) is float or type(right) is float
+    rt.steps += 8 if op in ("/", "%") else 4 if is_float else 1
+    if rt.steps > rt.max_steps:
+        _over_steps(rt)
+    if op not in _ARITH_OPS:
+        raise InterpError(f"unknown binary operator {op!r}")
+    if op in ("/", "%") and right == 0:
+        raise MemoryFault("division by zero" if op == "/" else "modulo by zero")
+    return _fold_binop(op, left, right)
+
+
+def _pointer_binop(rt: Runtime, op: str, left: Any, right: Any) -> Any:
+    rt.steps += 1
+    if rt.steps > rt.max_steps:
+        _over_steps(rt)
+    lp = type(left) is Pointer
+    rp = type(right) is Pointer
+    if op == "+" and lp:
+        return left.add(int(right))
+    if op == "+" and rp:
+        return right.add(int(left))
+    if op == "-" and lp and rp:
+        if left.block is not right.block:
+            raise MemoryFault("subtraction of pointers into different blocks")
+        return left.offset - right.offset
+    if op == "-" and lp:
+        return left.add(-int(right))
+    if op in ("==", "!="):
+        same = (
+            lp and rp
+            and left.block is right.block
+            and left.offset == right.offset
+        )
+        if lp and not rp:
+            same = left.block is None and right == 0
+        if rp and not lp:
+            same = right.block is None and left == 0
+        return int(same if op == "==" else not same)
+    if op in ("<", "<=", ">", ">="):
+        if not (lp and rp):
+            raise MemoryFault("ordered comparison of pointer and integer")
+        if left.block is not right.block:
+            raise MemoryFault("ordered comparison across blocks")
+        return _apply_binop(rt, op, left.offset, right.offset)
+    raise MemoryFault(f"invalid pointer operation {op!r}")
+
+
+# --------------------------------------------------------------------------
+# Coercion — generic runtime form (for lvalues whose type is only known at
+# run time) and a compile-time specializer for statically known types.
+# --------------------------------------------------------------------------
+
+
+def _coerce_value(rt: Runtime, value: Any, ctype: T.CType) -> Any:
+    """Mirror of Interpreter._coerce for runtime-typed stores."""
+    resolved = T.strip_typedefs(ctype)
+    if isinstance(value, RawAlloc) and isinstance(resolved, T.PointerType):
+        pointee = T.strip_typedefs(resolved.pointee)
+        elem_size = max(1, pointee.sizeof())
+        count = max(1, value.size // elem_size)
+        _charge_heap(rt, count)
+        block = MemBlock(
+            resolved.pointee,
+            _fresh_cells(resolved.pointee, rt.structs, count),
+            label="heap",
+        )
+        return Pointer(block, 0)
+    if isinstance(resolved, T.StructType) and isinstance(value, StructValue):
+        return value
+    return coerce(value, ctype)
+
+
+def _make_coercer(ctype: T.CType) -> Callable[[Runtime, Any], Any]:
+    """A coercion function specialized to *ctype*."""
+    resolved = T.strip_typedefs(ctype)
+    if isinstance(resolved, T.IntType):
+        bits, signed = resolved.bits, resolved.signed
+        mask = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        full = 1 << bits
+
+        def co_int(rt, value):
+            if isinstance(value, Pointer):
+                return value
+            v = int(value)
+            v &= mask
+            if signed and v >= half:
+                v -= full
+            return v
+
+        return co_int
+    if isinstance(resolved, T.FpgaIntType):
+        bits, signed = resolved.bits, resolved.signed
+        mask = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        full = 1 << bits
+
+        def co_fpga(rt, value):
+            v = int(value)
+            v &= mask
+            if signed and v >= half:
+                v -= full
+            return v
+
+        return co_fpga
+    if isinstance(resolved, T.FloatType):
+        if resolved.bits == 32:
+            pack, unpack = _struct.pack, _struct.unpack
+
+            def co_f32(rt, value):
+                return unpack("f", pack("f", float(value)))[0]
+
+            return co_f32
+
+        def co_float(rt, value):
+            return float(value)
+
+        return co_float
+    if isinstance(resolved, T.FpgaFloatType):
+        mant = resolved.mant_bits
+
+        def co_ffloat(rt, value):
+            return _quantize_float(float(value), mant)
+
+        return co_ffloat
+    if isinstance(resolved, (T.PointerType, T.ReferenceType)):
+        if isinstance(resolved, T.PointerType):
+            pointee = resolved.pointee
+            elem_size = max(1, T.strip_typedefs(pointee).sizeof())
+
+            def co_ptr(rt, value):
+                if isinstance(value, RawAlloc):
+                    count = max(1, value.size // elem_size)
+                    _charge_heap(rt, count)
+                    block = MemBlock(
+                        pointee,
+                        _fresh_cells(pointee, rt.structs, count),
+                        label="heap",
+                    )
+                    return Pointer(block, 0)
+                if isinstance(value, int) and value == 0:
+                    return NULL
+                return value
+
+            return co_ptr
+
+        def co_ref(rt, value):
+            if isinstance(value, int) and value == 0:
+                return NULL
+            return value
+
+        return co_ref
+    if isinstance(resolved, T.StructType):
+
+        def co_struct(rt, value):
+            # StructValue passthrough; everything else also passes through
+            # memory.coerce's aggregate branch unchanged.
+            return value
+
+        return co_struct
+
+    def co_other(rt, value):
+        return coerce(value, ctype)
+
+    return co_other
+
+
+# --------------------------------------------------------------------------
+# Compile-time constant folding of pure-literal subtrees.
+# --------------------------------------------------------------------------
+
+
+def _fold_binop(op: str, left: Any, right: Any) -> Any:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if isinstance(left, float) or isinstance(right, float):
+            return left / right
+        quotient = abs(left) // abs(right)
+        return quotient if (left < 0) == (right < 0) else -quotient
+    if op == "%":
+        if isinstance(left, float) or isinstance(right, float):
+            return math.fmod(left, right)
+        magnitude = abs(left) % abs(right)
+        return magnitude if left >= 0 else -magnitude
+    if op == "<":
+        return int(left < right)
+    if op == "<=":
+        return int(left <= right)
+    if op == ">":
+        return int(left > right)
+    if op == ">=":
+        return int(left >= right)
+    if op == "==":
+        return int(left == right)
+    if op == "!=":
+        return int(left != right)
+    if op in ("<<", ">>"):
+        return c_shift(op, int(left), int(right))
+    if op == "&":
+        return int(left) & int(right)
+    if op == "|":
+        return int(left) | int(right)
+    if op == "^":
+        return int(left) ^ int(right)
+    raise ValueError(op)
+
+
+#: What evaluating a literal subtree may raise; such a subtree is left to
+#: raise at run time instead.
+_FOLD_ERRORS = (ArithmeticError, TypeError, ValueError, InterpError)
+
+
+def _try_fold(expr: N.Expr) -> Optional[Tuple[Any, int]]:
+    """Return ``(value, step_cost)`` if *expr* is a pure literal subtree.
+
+    The cost accumulates exactly the charges the tree-walker would make,
+    so the folded site can charge it in one shot (the intermediate
+    budget-crossing point is unobservable: a run that blows the budget is
+    discarded with an identical error either way).  Division by a literal
+    zero is *not* folded — it must raise a fresh MemoryFault per execution.
+    """
+    if isinstance(expr, (N.IntLit, N.CharLit)):
+        return (expr.value, 0)
+    if isinstance(expr, N.FloatLit):
+        return (expr.value, 0)
+    if isinstance(expr, N.UnOp) and expr.op in ("-", "+", "!", "~"):
+        sub = _try_fold(expr.operand)
+        if sub is None:
+            return None
+        value, cost = sub
+        try:
+            if expr.op == "-":
+                value = -value
+            elif expr.op == "!":
+                value = int(not bool(value))
+            elif expr.op == "~":
+                value = ~int(value)
+        except _FOLD_ERRORS:
+            return None
+        return (value, cost + _COST_INT_OP)
+    if isinstance(expr, N.BinOp) and expr.op not in ("&&", "||", ","):
+        left = _try_fold(expr.left)
+        right = _try_fold(expr.right)
+        if left is None or right is None:
+            return None
+        lv, lc = left
+        rv, rc = right
+        if expr.op in ("/", "%") and rv == 0:
+            return None
+        is_float = isinstance(lv, float) or isinstance(rv, float)
+        op_cost = (
+            _COST_DIV if expr.op in ("/", "%")
+            else _COST_FLOAT_OP if is_float else _COST_INT_OP
+        )
+        try:
+            value = _fold_binop(expr.op, lv, rv)
+        except _FOLD_ERRORS:
+            return None
+        return (value, lc + rc + op_cost)
+    return None
+
+
+# --------------------------------------------------------------------------
+# Functions and the call protocol
+# --------------------------------------------------------------------------
+
+
+class _Binding:
+    """A name resolved at compile time."""
+
+    __slots__ = ("kind", "slot", "is_array", "observe_uid", "ctype",
+                 "maybe_unset")
+
+    def __init__(self, kind: str, slot: int, is_array: bool,
+                 observe_uid: Optional[int], ctype: Optional[T.CType],
+                 maybe_unset: bool) -> None:
+        self.kind = kind  # "local" (frame slot) or "global" (gframe slot)
+        self.slot = slot
+        self.is_array = is_array
+        self.observe_uid = observe_uid
+        self.ctype = ctype  # the block's elem_type when statically known
+        self.maybe_unset = maybe_unset
+
+
+class CompiledFunction:
+    """One lowered function; execution state lives in :class:`Runtime`."""
+
+    __slots__ = ("name", "params", "binders", "n_slots", "body",
+                 "ret_coercer", "this_slot")
+
+    def __init__(self, func: N.FunctionDef) -> None:
+        self.name = func.name
+        self.params = func.params
+        self.binders: List[Callable[[Runtime, Any], MemBlock]] = []
+        self.n_slots = 0
+        self.body: Callable[[Runtime, List[Any]], Any] = None  # type: ignore
+        self.ret_coercer = _make_coercer(func.return_type)
+        self.this_slot = -1
+
+
+def _call(rt: Runtime, cf: CompiledFunction, args: List[Any],
+          this: Optional[StructValue]) -> Any:
+    rt.depth += 1
+    if rt.depth > rt.max_depth:
+        rt.depth -= 1
+        raise InterpLimitExceeded(
+            f"recursion depth {rt.max_depth} exceeded in {cf.name!r}"
+        )
+    rt.steps += 5
+    if rt.steps > rt.max_steps:
+        _over_steps(rt)
+    active = rt.active.get(cf.name, 0) + 1
+    rt.active[cf.name] = active
+    rt.profile.observe_call(cf.name, active)
+    frame: List[Any] = [_UNSET] * cf.n_slots
+    nargs = len(args)
+    i = 0
+    for binder in cf.binders:
+        if i >= nargs:
+            break
+        frame[i] = binder(rt, args[i])
+        i += 1
+    if this is not None and cf.this_slot >= 0:
+        frame[cf.this_slot] = MemBlock(
+            T.PointerType(T.VOID), [this], label="this"
+        )
+    try:
+        sig = cf.body(rt, frame)
+    except (_Break, _Continue):
+        # A stray break/continue escaping a callee re-enters the caller's
+        # loop machinery, exactly like the tree-walker's exceptions do.
+        rt.depth -= 1
+        rt.active[cf.name] = active - 1
+        raise
+    rt.depth -= 1
+    rt.active[cf.name] = active - 1
+    if sig is _RET:
+        value = rt.retval
+        rt.retval = None
+        return cf.ret_coercer(rt, value) if value is not None else None
+    return None
+
+
+def _no_globals(rt: Runtime, frame: List[Any]) -> None:
+    """The global initializer of a unit that declares no globals."""
 
 
 class _ConstPool:
@@ -135,16 +555,16 @@ class _ConstPool:
             "_over_b": _over_b,
             "_over_steps": _over_steps,
             "_charge_heap": _charge_heap,
+            "_fresh_cells": _fresh_cells,
             "_apply_binop": _apply_binop,
             "_pointer_binop": _pointer_binop,
             "_coerce_value": _coerce_value,
-            "_snapshot_arg": _snapshot_arg,
+            "_snapshot_arg": Interpreter._snapshot_arg,
             "c_shift": c_shift,
             "coerce": coerce,
             "default_value": default_value,
             "Pointer": Pointer,
             "MemBlock": MemBlock,
-            "LValue": LValue,
             "StreamValue": StreamValue,
             "StructValue": StructValue,
             "MemoryFault": MemoryFault,
@@ -154,6 +574,7 @@ class _ConstPool:
             "_Continue": _Continue,
             "_RET": _RET,
             "_UNSET": _UNSET,
+            "_INT": T.INT,
         }
         self._n = 0
 
@@ -216,20 +637,162 @@ def _poolable_globals(unit: N.TranslationUnit) -> bool:
 # --------------------------------------------------------------------------
 
 
-class _BatchCompiler(_FunctionCompiler):
+class _Lvalue(NamedTuple):
+    """A generated lvalue: a ``(block, offset)`` cell or a struct field.
+
+    For a cell, *base* and *where* are the block and offset atoms.  For a
+    field (*field* is its name), *base* is the struct atom and *where*
+    the pooled ``tag -> field type`` table.
+    """
+
+    lines: List[str]
+    base: str
+    where: str
+    field: Optional[str] = None
+
+
+class _BatchCompiler:
     """Generates one flat Python function per C function.
 
-    Subclasses the closure compiler so scope/slot bookkeeping, accessors,
-    param binders, and block makers are the real ones; ``compile_expr``
-    and friends are *not* overridden, so any expression the generator
-    declines is closure-compiled with correct scope state and spliced in
-    as a pooled callable.
+    Local names resolve at compile time to slots of a flat per-call frame
+    list through a stack of lexical scopes; *program* is the
+    :class:`BatchProgram` whose functions, methods, structs and global
+    bindings the generated code refers to.  Every expression yields
+    statement lines plus a pure result atom, every lvalue an
+    :class:`_Lvalue`.
     """
 
     def __init__(self, program: "BatchProgram", pool: _ConstPool) -> None:
-        super().__init__(program)  # type: ignore[arg-type]
+        self.program = program
         self.pool = pool
+        self.scopes: List[Dict[str, _Binding]] = []
+        self.scope_resets: List[List[int]] = []
+        self.n_slots = 0
         self._ntmp = 0
+        self._field_tables: Dict[str, str] = {}
+
+    # -- scopes and slots --------------------------------------------------
+
+    def _new_slot(self) -> int:
+        slot = self.n_slots
+        self.n_slots += 1
+        return slot
+
+    def _push_scope(self) -> None:
+        self.scopes.append({})
+        self.scope_resets.append([])
+
+    def _pop_scope(self) -> List[int]:
+        self.scopes.pop()
+        return self.scope_resets.pop()
+
+    def _declare(self, decl: N.VarDecl, conditional: bool) -> _Binding:
+        ctype = T.strip_typedefs(decl.type)
+        is_array = isinstance(ctype, T.ArrayType)
+        binding = _Binding(
+            kind="local",
+            slot=self._new_slot(),
+            is_array=is_array,
+            observe_uid=None if is_array else decl.uid,
+            ctype=ctype.elem if is_array else decl.type,
+            maybe_unset=conditional,
+        )
+        self.scopes[-1][decl.name] = binding
+        if conditional:
+            # The declaration may not have executed when the name is next
+            # referenced (e.g. `if (c) int x = 1;`); the enclosing block
+            # resets the slot on entry so stale blocks from a previous
+            # entry never leak into the dynamic-scope lookup.
+            self.scope_resets[-1].append(binding.slot)
+        return binding
+
+    def _declare_param(self, param: N.ParamDecl) -> _Binding:
+        binding = _Binding(
+            kind="local",
+            slot=self._new_slot(),
+            is_array=False,
+            observe_uid=None,
+            ctype=param.type,
+            # zip-style binding: a call with too few arguments leaves the
+            # trailing parameter slots unset, and references then resolve
+            # outward like the tree-walker's missing scope entries.
+            maybe_unset=True,
+        )
+        self.scopes[-1][param.name] = binding
+        return binding
+
+    def _make_accessor(
+        self, name: str, line: int
+    ) -> Tuple[Callable[[Runtime, List[Any]], MemBlock], Optional[_Binding]]:
+        """Build a block accessor for *name*.
+
+        Returns ``(accessor, binding)`` where *binding* is non-None only
+        when the innermost resolution is statically certain, so callers
+        can specialize on is_array / observe_uid / ctype.
+        """
+        chain = [
+            scope[name] for scope in reversed(self.scopes) if name in scope
+        ]
+        gbind = self.program.global_bindings.get(name)
+        if gbind is not None:
+            gslot = gbind.slot
+
+            def acc(rt, frame):
+                return rt.gframe[gslot]
+
+        else:
+            message = f"undefined identifier {name!r} at line {line}"
+
+            def acc(rt, frame):
+                raise InterpError(message)
+
+        static: Optional[_Binding] = gbind if not chain else None
+        for binding in reversed(chain):
+            prev = acc
+            slot = binding.slot
+            if binding.maybe_unset:
+
+                def acc(rt, frame, _slot=slot, _prev=prev):
+                    block = frame[_slot]
+                    if block is _UNSET:
+                        return _prev(rt, frame)
+                    return block
+
+            else:
+
+                def acc(rt, frame, _slot=slot):
+                    return frame[_slot]
+
+        if chain and not chain[0].maybe_unset:
+            static = chain[0]
+        return acc, static
+
+    def _make_param_binder(
+        self, param: N.ParamDecl
+    ) -> Callable[[Runtime, Any], MemBlock]:
+        ptype = T.strip_typedefs(param.type)
+        orig_type = param.type
+        pname = param.name
+        if isinstance(ptype, T.ArrayType):
+
+            def bind_array(rt, arg):
+                if isinstance(arg, MemBlock):
+                    arg = Pointer(arg, 0)
+                return MemBlock(orig_type, [arg], label=pname)
+
+            return bind_array
+        if isinstance(ptype, T.ReferenceType):
+
+            def bind_ref(rt, arg):
+                return MemBlock(orig_type, [arg], label=pname)
+
+            return bind_ref
+        co = _make_coercer(param.type)
+
+        def bind(rt, arg):
+            return MemBlock(orig_type, [co(rt, arg)], label=pname)
+
+        return bind
 
     # -- small helpers -----------------------------------------------------
 
@@ -245,7 +808,7 @@ class _BatchCompiler(_FunctionCompiler):
         ]
 
     def _chg_numeric(self, left: str, right: str) -> List[str]:
-        """The float/int cost split every arithmetic applier uses."""
+        """The float/int cost split of every non-division operator."""
         return [
             f"steps += 4 if (type({left}) is float or type({right}) is float) else 1",
             "if steps > max_steps: _over_b(rt, steps)",
@@ -266,31 +829,24 @@ class _BatchCompiler(_FunctionCompiler):
             f"if type({atom}) is Pointer else bool({atom}))"
         )
 
+    def _seq(self, exprs: Sequence[N.Expr]) -> Tuple[List[str], List[str]]:
+        """Evaluate *exprs* left to right: their lines and result atoms."""
+        lines: List[str] = []
+        atoms: List[str] = []
+        for expr in exprs:
+            els, ea = self.gen_expr(expr)
+            lines += els
+            atoms.append(ea)
+        return lines, atoms
+
     # -- expressions -------------------------------------------------------
 
     def gen_expr(self, expr: N.Expr) -> Tuple[List[str], str]:
         """Lower *expr* to statement lines plus a pure result atom.
 
         The atom is a temp name or literal: reading it is side-effect
-        free and repeatable.  On any generation failure the whole
-        subtree is served by its closure, bracketed by a steps sync.
+        free and repeatable.
         """
-        try:
-            return self._gen_expr(expr)
-        except Exception:
-            return self._fallback_expr(expr)
-
-    def _fallback_expr(self, expr: N.Expr) -> Tuple[List[str], str]:
-        closure = _FunctionCompiler.compile_expr(self, expr)
-        name = self.pool.add(closure)
-        t = self._tmp()
-        return [
-            "rt.steps = steps",
-            f"{t} = {name}(rt, frame)",
-            "steps = rt.steps",
-        ], t
-
-    def _gen_expr(self, expr: N.Expr) -> Tuple[List[str], str]:
         if isinstance(expr, (N.IntLit, N.FloatLit, N.CharLit, N.StringLit)):
             return [], self._atom_const(expr.value)
         if isinstance(expr, N.Ident):
@@ -315,14 +871,17 @@ class _BatchCompiler(_FunctionCompiler):
             return self._gen_cast(expr)
         if isinstance(expr, N.SizeofType):
             return [], self._atom_const(expr.of_type.sizeof())
+        t = self._tmp()
         if isinstance(expr, N.SizeofExpr):
             lines, a = self.gen_expr(expr.expr)
-            t = self._tmp()
-            lines = lines + [
+            return lines + [
                 f"{t} = 8 if isinstance({a}, (Pointer, float)) else 4",
-            ]
-            return lines, t
-        raise _GiveUp()  # InitList, unknown nodes
+            ], t
+        if isinstance(expr, N.InitList):
+            lines, atoms = self._seq(expr.items)
+            return lines + [f"{t} = [{', '.join(atoms)}]"], t
+        message = f"cannot evaluate {type(expr).__name__}"
+        return [f"raise InterpError({message!r})"], "None"
 
     def _gen_ident(self, expr: N.Ident) -> Tuple[List[str], str]:
         acc, binding = self._make_accessor(expr.name, expr.line)
@@ -379,23 +938,26 @@ class _BatchCompiler(_FunctionCompiler):
         lls, la = self.gen_expr(expr.left)
         rls, ra = self.gen_expr(expr.right)
         t = self._tmp()
-        if op not in _ARITH_APPLY:
-            return lls + rls + [
+        return lls + rls + self._gen_apply(op, la, ra, t), t
+
+    def _gen_apply(self, op: str, la: str, ra: str, t: str) -> List[str]:
+        """``t = la op ra`` with the tree-walker's charges and faults."""
+        if op not in _ARITH_OPS:
+            return [
                 "rt.steps = steps",
                 f"{t} = _apply_binop(rt, {op!r}, {la}, {ra})",
                 "steps = rt.steps",
-            ], t
-        body = self._gen_arith(op, la, ra, t)
-        return lls + rls + [
+            ]
+        return [
             f"if type({la}) is Pointer or type({ra}) is Pointer:",
             "    rt.steps = steps",
             f"    {t} = _pointer_binop(rt, {op!r}, {la}, {ra})",
             "    steps = rt.steps",
             "else:",
-        ] + _blk(body), t
+        ] + _blk(self._gen_arith(op, la, ra, t))
 
     def _gen_arith(self, op: str, la: str, ra: str, t: str) -> List[str]:
-        """The non-pointer arm: inline mirror of the _ap_* appliers."""
+        """The non-pointer arm of an operator in :data:`_ARITH_OPS`."""
         if op in ("+", "-", "*"):
             return self._chg_numeric(la, ra) + [f"{t} = {la} {op} {ra}"]
         if op in ("/", "%"):
@@ -427,23 +989,22 @@ class _BatchCompiler(_FunctionCompiler):
             return self._chg_numeric(la, ra) + [
                 f"{t} = c_shift({op!r}, int({la}), int({ra}))",
             ]
-        if op in ("&", "|", "^"):
-            return self._chg_numeric(la, ra) + [
-                f"{t} = int({la}) {op} int({ra})",
-            ]
-        raise _GiveUp()
+        # "&", "|", "^"
+        return self._chg_numeric(la, ra) + [
+            f"{t} = int({la}) {op} int({ra})",
+        ]
 
     def _gen_unop(self, expr: N.UnOp) -> Tuple[List[str], str]:
         op = expr.op
         if op == "&":
             lv = self.gen_lvalue(expr.operand)
-            if lv is None:
-                raise _GiveUp()
-            lines, b, off = lv
+            if lv.field is not None:
+                return lv.lines + [
+                    "raise InterpError("
+                    "'address-of a struct field is unsupported')",
+                ], "None"
             t = self._tmp()
-            # Generated lvalues are always (block, offset) slots — the
-            # struct-field arm of c_addr is unreachable here.
-            return lines + [f"{t} = Pointer({b}, {off})"], t
+            return lv.lines + [f"{t} = Pointer({lv.base}, {lv.where})"], t
         if op == "*":
             lines, a = self.gen_expr(expr.operand)
             if not a.isidentifier():
@@ -481,26 +1042,22 @@ class _BatchCompiler(_FunctionCompiler):
 
     # -- lvalues -----------------------------------------------------------
 
-    def gen_lvalue(
-        self, expr: N.Expr
-    ) -> Optional[Tuple[List[str], str, str]]:
-        """Lower an lvalue to ``(lines, block_atom, offset_atom)``.
+    def gen_lvalue(self, expr: N.Expr) -> _Lvalue:
+        """Lower an lvalue, mirroring ``Interpreter._eval_lvalue``.
 
-        Mirrors ``compile_lvalue``'s checks (including the bounds check an
-        Index lvalue performs at *creation* time, before any store).
-        Member lvalues (struct fields) return None: the caller falls back
-        to the closure for the whole enclosing expression.
+        Includes the bounds check an Index lvalue performs at *creation*
+        time, before any store.
         """
         if isinstance(expr, N.Ident):
             acc, binding = self._make_accessor(expr.name, expr.line)
             b = self._tmp()
             if binding is not None and binding.kind == "local" \
                     and not binding.maybe_unset:
-                return [f"{b} = frame[{binding.slot}]"], b, "0"
+                return _Lvalue([f"{b} = frame[{binding.slot}]"], b, "0")
             if binding is not None and binding.kind == "global":
-                return [f"{b} = rt.gframe[{binding.slot}]"], b, "0"
+                return _Lvalue([f"{b} = rt.gframe[{binding.slot}]"], b, "0")
             name = self.pool.add(acc)
-            return [f"{b} = {name}(rt, frame)"], b, "0"
+            return _Lvalue([f"{b} = {name}(rt, frame)"], b, "0")
         if isinstance(expr, N.Index):
             bls, ba = self.gen_expr(expr.base)
             ils, ia = self.gen_expr(expr.index)
@@ -521,7 +1078,9 @@ class _BatchCompiler(_FunctionCompiler):
                 f"{off} = {base}.offset + {idx}",
                 f"{b}.check({off})",
             ]
-            return lines, b, off
+            return _Lvalue(lines, b, off)
+        if isinstance(expr, N.Member):
+            return self._gen_member_lvalue(expr)
         if isinstance(expr, N.UnOp) and expr.op == "*":
             ols, oa = self.gen_expr(expr.operand)
             if not oa.isidentifier():
@@ -536,58 +1095,121 @@ class _BatchCompiler(_FunctionCompiler):
                 "raise MemoryFault('dereference of a null pointer')",
                 f"{off} = {oa}.offset",
             ]
-            return lines, b, off
+            return _Lvalue(lines, b, off)
         if isinstance(expr, N.Cast):
             return self.gen_lvalue(expr.expr)
-        return None
+        message = f"{type(expr).__name__} is not an lvalue"
+        return _Lvalue([f"raise InterpError({message!r})"], "None", "0")
 
-    def _gen_observer(
-        self, target: N.Expr, b: str, off: str
-    ) -> List[str]:
-        """Inline mirror of ``_make_observer`` applied after a store."""
+    def _gen_member_lvalue(self, expr: N.Member) -> _Lvalue:
+        ols, oa = self.gen_expr(expr.obj)
+        s = self._tmp()
+        null = "raise MemoryFault('dereference of a null pointer')"
+        lines = ols + [
+            f"{s} = {oa}",
+            f"if type({s}) is Pointer:",
+            f"    if {s}.block is None: {null}",
+            f"    {s} = {s}.block.load({s}.offset)",
+        ]
+        if expr.arrow:
+            # `this->f` binds `this` to the struct itself; any other
+            # non-pointer operand of `->` faults before the struct check.
+            lines += [
+                f"elif type({s}) is not StructValue:",
+                "    raise MemoryFault('-> on a non-pointer value')",
+            ]
+        bad = f"member access {expr.name!r} on a non-struct value"
+        lines += [
+            f"if type({s}) is not StructValue:",
+            f"    if type({s}) is StreamValue: "
+            "raise InterpError('stream members have no lvalue')",
+            f"    raise MemoryFault({bad!r})",
+        ]
+        return _Lvalue(lines, s, self._field_table(expr.name), expr.name)
+
+    def _field_table(self, name: str) -> str:
+        """Pool ``{tag: type of field name}`` (``_INT`` when it has none)."""
+        table = self._field_tables.get(name)
+        if table is None:
+            table = self.pool.add({
+                tag: st.field_type(name) if st.has_field(name) else T.INT
+                for tag, st in self.program.structs.items()
+            })
+            self._field_tables[name] = table
+        return table
+
+    def _lv_load(self, lv: _Lvalue, t: str) -> List[str]:
+        """``t = lv.load()``."""
+        if lv.field is None:
+            return [f"{t} = {lv.base}.load({lv.where})"]
+        missing = f" has no field {lv.field!r}"
+        return [
+            f"if {lv.field!r} not in {lv.base}.fields: raise MemoryFault("
+            f"'struct ' + str({lv.base}.tag) + {missing!r})",
+            f"{t} = {lv.base}.fields[{lv.field!r}]",
+        ]
+
+    def _lv_ctype(self, lv: _Lvalue) -> Tuple[List[str], str]:
+        """Lines and atom for the lvalue's C type (``LValue.ctype``)."""
+        if lv.field is None:
+            return [], f"{lv.base}.elem_type"
+        ct = self._tmp()
+        return [f"{ct} = {lv.where}.get({lv.base}.tag, _INT)"], ct
+
+    def _lv_store(self, lv: _Lvalue, v: str, ct: str) -> List[str]:
+        """``lv.store(v)``: coerce to *ct*, then write the cell or field."""
+        if lv.field is None:
+            return [f"{lv.base}.store({lv.where}, coerce({v}, {ct}))"]
+        return [f"{lv.base}.fields[{lv.field!r}] = coerce({v}, {ct})"]
+
+    def _lv_stored(self, lv: _Lvalue) -> str:
+        """Read back what the last store wrote (no fault is possible)."""
+        if lv.field is None:
+            return f"{lv.base}.cells[{lv.where}]"
+        return f"{lv.base}.fields[{lv.field!r}]"
+
+    def _gen_observer(self, target: N.Expr, lv: _Lvalue) -> List[str]:
+        """Profile a store to a named variable (``_observe_lvalue``)."""
         if not isinstance(target, N.Ident):
             return []
         _acc, binding = self._make_accessor(target.name, target.line)
         name_const = self.pool.add(target.name)
+        value = self._lv_stored(lv)
         if binding is not None:
             uid = binding.observe_uid
             if uid is None:
                 return []
-            return [f"observe({uid}, {name_const}, {b}.cells[{off}])"]
-        observer = _FunctionCompiler._make_observer(self, target)
-        obs = self.pool.add(observer)
-        lv = self._tmp()
+            return [f"observe({uid}, {name_const}, {value})"]
+        # Resolved at run time: the lvalue's block is the one the name
+        # looks up to, and only declared scalars carry a _decl_uid.
+        du = self._tmp()
         return [
-            f"{lv} = LValue({b}.elem_type, block={b}, offset={off})",
-            f"{obs}(rt, frame, {lv})",
+            f"{du} = getattr({lv.base}, '_decl_uid', None)",
+            f"if {du} is not None: observe({du}, {name_const}, {value})",
         ]
 
     def _gen_incdec(
         self, expr: N.IncDec, want_result: bool
     ) -> Tuple[List[str], str]:
         lv = self.gen_lvalue(expr.operand)
-        if lv is None:
-            raise _GiveUp()
-        lines, b, off = lv
         delta = 1 if expr.op == "++" else -1
         old = self._tmp()
         new = self._tmp()
-        lines = lines + [
-            f"{old} = {b}.load({off})",
+        cls, ct = self._lv_ctype(lv)
+        lines = lv.lines + self._lv_load(lv, old) + [
             f"if type({old}) is Pointer:",
             f"    {new} = {old}.add({delta})",
             "else:",
             f"    {new} = {old} + {delta}",
-            f"{b}.store({off}, coerce({new}, {b}.elem_type))",
-        ]
-        lines += self._gen_observer(expr.operand, b, off)
+        ] + cls + self._lv_store(lv, new, ct)
+        lines += self._gen_observer(expr.operand, lv)
         lines += self._chg(1)
         if not want_result:
             return lines, "None"
         if expr.postfix:
             return lines, old
         t = self._tmp()
-        return lines + [f"{t} = {b}.cells[{off}]"], t
+        return lines + [f"{t} = {self._lv_stored(lv)}"], t
 
     def _gen_static_coerce(
         self, ctype: Optional[T.CType], v: str
@@ -610,60 +1232,46 @@ class _BatchCompiler(_FunctionCompiler):
             lines.append(f"    if {v} >= {half}: {v} -= {full}")
         return lines
 
+    def _gen_coerce(self, ctype: T.CType, v: str) -> List[str]:
+        """Coerce *v* in place to the statically known *ctype*."""
+        inline = self._gen_static_coerce(ctype, v)
+        if inline is not None:
+            return inline
+        co = self.pool.add(_make_coercer(ctype))
+        return [f"{v} = {co}(rt, {v})"]
+
     def _gen_assign(
         self, expr: N.Assign, want_result: bool
     ) -> Tuple[List[str], str]:
         lv = self.gen_lvalue(expr.target)
-        if lv is None:
-            raise _GiveUp()
-        lines, b, off = lv
         vls, va = self.gen_expr(expr.value)
-        lines = lines + vls
+        cls, ct = self._lv_ctype(lv)
         v = self._tmp()
-        lines.append(f"{v} = {va}")
+        lines = lv.lines + vls + cls + [f"{v} = {va}"]
         if expr.op != "=":
-            op = expr.op[:-1]
             old = self._tmp()
-            lines.append(f"{old} = {b}.load({off})")
-            if op in _ARITH_APPLY:
-                body = self._gen_arith(op, old, v, v)
-                lines += [
-                    f"if type({old}) is Pointer or type({v}) is Pointer:",
-                    "    rt.steps = steps",
-                    f"    {v} = _pointer_binop(rt, {op!r}, {old}, {v})",
-                    "    steps = rt.steps",
-                    "else:",
-                ] + _blk(body)
-            else:
-                lines += [
-                    "rt.steps = steps",
-                    f"{v} = _apply_binop(rt, {op!r}, {old}, {v})",
-                    "steps = rt.steps",
-                ]
+            res = self._tmp()
+            lines += self._lv_load(lv, old)
+            lines += self._gen_apply(expr.op[:-1], old, v, res)
+            lines.append(f"{v} = {res}")
         # Coercion: specialize for a statically typed Ident target,
         # otherwise go through the runtime-typed path.
-        static_done = False
+        binding = None
         if isinstance(expr.target, N.Ident):
             _acc, binding = self._make_accessor(
                 expr.target.name, expr.target.line
             )
-            if binding is not None and binding.ctype is not None:
-                inline = self._gen_static_coerce(binding.ctype, v)
-                if inline is not None:
-                    lines += inline
-                else:
-                    co = self.pool.add(_make_coercer(binding.ctype))
-                    lines.append(f"{v} = {co}(rt, {v})")
-                static_done = True
-        if not static_done:
-            lines.append(f"{v} = _coerce_value(rt, {v}, {b}.elem_type)")
+        if binding is not None and binding.ctype is not None:
+            lines += self._gen_coerce(binding.ctype, v)
+        else:
+            lines.append(f"{v} = _coerce_value(rt, {v}, {ct})")
         lines += self._chg(2)
-        lines.append(f"{b}.store({off}, coerce({v}, {b}.elem_type))")
-        lines += self._gen_observer(expr.target, b, off)
+        lines += self._lv_store(lv, v, ct)
+        lines += self._gen_observer(expr.target, lv)
         if not want_result:
             return lines, "None"
         t = self._tmp()
-        return lines + [f"{t} = {b}.cells[{off}]"], t
+        return lines + [f"{t} = {self._lv_stored(lv)}"], t
 
     def _gen_cond(self, expr: N.Cond) -> Tuple[List[str], str]:
         cls, ca = self.gen_expr(expr.cond)
@@ -684,39 +1292,24 @@ class _BatchCompiler(_FunctionCompiler):
 
     def _gen_index_rvalue(self, expr: N.Index) -> Tuple[List[str], str]:
         lv = self.gen_lvalue(expr)
-        assert lv is not None
-        lines, b, off = lv
         t = self._tmp()
-        # gen_lvalue already ran block.check(off); the closure's
-        # block.load() would re-check the same untouched block, so the
-        # direct cell read is observably identical.
-        return lines + self._chg(2) + [
-            f"{t} = {b}.cells[{off}]",
+        # gen_lvalue already ran block.check(off), and block.load() would
+        # re-check the same untouched block, so the direct cell read is
+        # observably identical.
+        return lv.lines + self._chg(2) + [
+            f"{t} = {lv.base}.cells[{lv.where}]",
             f"if type({t}) is MemBlock: {t} = Pointer({t}, 0)",
         ], t
 
     def _gen_member_rvalue(self, expr: N.Member) -> Tuple[List[str], str]:
-        closure = _FunctionCompiler._compile_member_lvalue(self, expr)
-        name = self.pool.add(closure)
-        lv = self._tmp()
+        lv = self._gen_member_lvalue(expr)
         t = self._tmp()
-        return [
-            "rt.steps = steps",
-            f"{lv} = {name}(rt, frame)",
-            "steps = rt.steps",
-        ] + self._chg(2) + [
-            f"{t} = {lv}.load()",
-        ], t
+        return lv.lines + self._chg(2) + self._lv_load(lv, t), t
 
     def _gen_cast(self, expr: N.Cast) -> Tuple[List[str], str]:
         lines, a = self.gen_expr(expr.expr)
         v = self._tmp()
-        lines = lines + [f"{v} = {a}"]
-        inline = self._gen_static_coerce(expr.to_type, v)
-        if inline is not None:
-            return lines + inline, v
-        co = self.pool.add(_make_coercer(expr.to_type))
-        return lines + [f"{v} = {co}(rt, {v})"], v
+        return lines + [f"{v} = {a}"] + self._gen_coerce(expr.to_type, v), v
 
     # -- calls -------------------------------------------------------------
 
@@ -728,12 +1321,7 @@ class _BatchCompiler(_FunctionCompiler):
             return [
                 "raise InterpError('indirect calls are not supported')",
             ], "None"
-        arg_parts = [self.gen_expr(a) for a in expr.args]
-        lines: List[str] = []
-        atoms: List[str] = []
-        for als, aa in arg_parts:
-            lines += als
-            atoms.append(aa)
+        lines, atoms = self._seq(expr.args)
         args_list = f"[{', '.join(atoms)}]"
         t = self._tmp()
         cf = self.program.functions.get(name)
@@ -762,8 +1350,6 @@ class _BatchCompiler(_FunctionCompiler):
         assert isinstance(expr.func, N.Member)
         member = expr.func
         mname = member.name
-        if mname == "write" and len(expr.args) != 1:
-            raise _GiveUp()  # closure raises IndexError on args[0]
         ols, oa = self.gen_expr(member.obj)
         r = self._tmp()
         lines = ols + [
@@ -773,14 +1359,14 @@ class _BatchCompiler(_FunctionCompiler):
             "raise MemoryFault('dereference of a null pointer')",
             f"    {r} = {r}.block.load({r}.offset)",
         ]
-        atoms: List[str] = []
-        for arg in expr.args:
-            als, aa = self.gen_expr(arg)
-            lines += als
-            atoms.append(aa)
+        als, atoms = self._seq(expr.args)
+        lines += als
         t = self._tmp()
         if mname == "read":
             op_lines = [f"{t} = {r}.read()"]
+        elif mname == "write" and not atoms:
+            # The tree-walker writes args[0] and ignores any others.
+            op_lines = ["raise IndexError('list index out of range')"]
         elif mname == "write":
             op_lines = [f"{r}.write({atoms[0]})", f"{t} = None"]
         elif mname == "empty":
@@ -796,9 +1382,9 @@ class _BatchCompiler(_FunctionCompiler):
         nonobj = f"method call on a non-object value: {mname!r}"
         args_list = f"[{', '.join(atoms)}]"
         lines += [
-            f"if isinstance({r}, StreamValue):",
+            f"if type({r}) is StreamValue:",
         ] + _blk(self._chg(2) + op_lines) + [
-            f"elif isinstance({r}, StructValue):",
+            f"elif type({r}) is StructValue:",
             f"    {cfv} = {methods}.get(({r}.tag, {mname!r}))",
             f"    if {cfv} is None:",
             f"        raise InterpError({missing} % ({r}.tag,))",
@@ -846,13 +1432,10 @@ class _BatchCompiler(_FunctionCompiler):
 
     def _gen_expr_effect(self, expr: N.Expr) -> List[str]:
         """An expression evaluated for effect: skip pure trailing loads."""
-        try:
-            if isinstance(expr, N.Assign):
-                return self._gen_assign(expr, want_result=False)[0]
-            if isinstance(expr, N.IncDec):
-                return self._gen_incdec(expr, want_result=False)[0]
-        except Exception:
-            pass  # fall through to the value path / closure fallback
+        if isinstance(expr, N.Assign):
+            return self._gen_assign(expr, want_result=False)[0]
+        if isinstance(expr, N.IncDec):
+            return self._gen_incdec(expr, want_result=False)[0]
         return self.gen_expr(expr)[0]
 
     def _gen_body_stmt(self, stmt: N.Stmt) -> List[str]:
@@ -945,75 +1528,54 @@ class _BatchCompiler(_FunctionCompiler):
         loop += step
         return lines + ["while True:"] + _blk(loop)
 
+    # -- declarations ------------------------------------------------------
+
     def _gen_decl(self, decl: N.VarDecl, conditional: bool) -> List[str]:
-        ctype = T.strip_typedefs(decl.type)
-        is_array = isinstance(ctype, T.ArrayType)
-        make_lines: Optional[List[str]] = None
         blk = self._tmp()
-        if not is_array and not decl.is_static:
-            make_lines = self._gen_scalar_make(decl, blk)
-        mk = None
-        if make_lines is None:
-            mk = self.pool.add(self._compile_var_block(decl))
-        # Declare *after* compiling the maker: `int x = x;` must resolve
-        # the initializer's x in the enclosing scope.
-        binding = self._declare(decl, conditional)
-        slot = binding.slot
+        # Generate the block *before* declaring the name: `int x = x;`
+        # must resolve the initializer's x in the enclosing scope.
+        make = self._gen_make(decl, blk, is_global=False)
+        slot = self._declare(decl, conditional).slot
         lines = self._chg(1)
         if decl.is_static:
             uid = decl.uid
             return lines + [
                 f"{blk} = rt.statics.get({uid})",
                 f"if {blk} is None:",
-                "    rt.steps = steps",
-                f"    {blk} = {mk}(rt, frame)",
-                "    steps = rt.steps",
-                f"    rt.statics[{uid}] = {blk}",
+            ] + _blk(make + [f"rt.statics[{uid}] = {blk}"]) + [
                 f"frame[{slot}] = {blk}",
             ]
-        if is_array:
-            return lines + [
-                "rt.steps = steps",
-                f"frame[{slot}] = {mk}(rt, frame)",
-                "steps = rt.steps",
-            ]
-        if make_lines is not None:
-            lines += make_lines
-        else:
-            lines += [
-                "rt.steps = steps",
-                f"{blk} = {mk}(rt, frame)",
-                "steps = rt.steps",
-            ]
+        lines += make + [f"frame[{slot}] = {blk}"]
+        if isinstance(T.strip_typedefs(decl.type), T.ArrayType):
+            return lines
         name_const = self.pool.add(decl.name)
         return lines + [
-            f"frame[{slot}] = {blk}",
             f"observe({decl.uid}, {name_const}, {blk}.cells[0])",
         ]
 
-    def _gen_scalar_make(
-        self, decl: N.VarDecl, blk: str
-    ) -> Optional[List[str]]:
-        """Inline the scalar-block maker (the hot declare-in-loop path)."""
+    def _gen_make(self, decl: N.VarDecl, blk: str, is_global: bool) -> List[str]:
+        """Build the MemBlock of one declaration into *blk*
+        (``Interpreter._make_var_block``)."""
+        ctype = T.strip_typedefs(decl.type)
+        if isinstance(ctype, T.ArrayType):
+            return self._gen_array_make(decl, ctype, blk, is_global)
+        return self._gen_scalar_make(decl, blk)
+
+    def _gen_scalar_make(self, decl: N.VarDecl, blk: str) -> List[str]:
+        # The tree-walker computes the default value before looking at the
+        # initializer, so an un-defaultable type raises TypeError even when
+        # an initializer would have replaced the value.
         try:
             default = default_value(decl.type, self.program.structs)
         except TypeError as exc:
             return [f"raise TypeError({str(exc)!r})"]
-        immutable = isinstance(default, (int, float)) \
-            or type(default) is Pointer
         ty = self.pool.add(decl.type)
         nm = self.pool.add(decl.name)
         v = self._tmp()
         if decl.init is not None:
             ils, ia = self.gen_expr(decl.init)
-            lines = ils + [f"{v} = {ia}"]
-            inline = self._gen_static_coerce(decl.type, v)
-            if inline is not None:
-                lines += inline
-            else:
-                co = self.pool.add(_make_coercer(decl.type))
-                lines.append(f"{v} = {co}(rt, {v})")
-        elif immutable:
+            lines = ils + [f"{v} = {ia}"] + self._gen_coerce(decl.type, v)
+        elif isinstance(default, (int, float)) or type(default) is Pointer:
             lines = [f"{v} = {self._atom_const(default)}"]
         else:
             lines = [f"{v} = default_value({ty}, rt.structs)"]
@@ -1022,7 +1584,99 @@ class _BatchCompiler(_FunctionCompiler):
             f"{blk}._decl_uid = {decl.uid}",
         ]
 
-    # -- function entry ----------------------------------------------------
+    def _gen_array_make(
+        self, decl: N.VarDecl, ctype: T.ArrayType, blk: str, is_global: bool
+    ) -> List[str]:
+        name = decl.name
+        size = ctype.size
+        if size is None and decl.vla_size is not None:
+            if is_global:
+                message = f"global VLA {name!r} is not executable"
+                return [f"raise InterpError({message!r})"]
+            lines, sa = self.gen_expr(decl.vla_size)
+            n = self._tmp()
+            lines.append(f"{n} = int({sa})")
+        elif size is None:
+            message = f"array {name!r} has unknown size"
+            return [f"raise InterpError({message!r})"]
+        else:
+            lines, n = [], repr(size)
+        elem = ctype.elem
+        el = self.pool.add(elem)
+        try:
+            proto = default_value(elem, self.program.structs)
+        except TypeError:
+            proto = None  # raised per cell, after the heap charge
+        if isinstance(proto, (int, float)) or type(proto) is Pointer:
+            cells = f"[{self._atom_const(proto)}] * {n}"
+        else:
+            cells = f"_fresh_cells({el}, rt.structs, {n})"
+        lines += [
+            f"_charge_heap(rt, {n})",
+            f"{blk} = MemBlock({el}, {cells}, "
+            f"label={self.pool.add(name)}, is_array=True)",
+        ]
+        # A global's initializer counts only when it is a brace list.
+        if decl.init is not None and (
+            not is_global or isinstance(decl.init, N.InitList)
+        ):
+            lines += self._gen_array_init(decl.init, blk, elem, size)
+        return lines
+
+    def _gen_array_init(
+        self, init: N.Expr, blk: str, elem: T.CType, size: Optional[int]
+    ) -> List[str]:
+        """Fill array *blk* from *init* (``Interpreter._init_array``).
+
+        *size* is the cell count when it is static (None for a VLA).
+        """
+        if not isinstance(init, N.InitList):
+            return ["raise InterpError('array initializer must be a brace list')"]
+        too_many = "raise MemoryFault('too many array initializer items')"
+        cells = self._tmp()
+        el = self.pool.add(elem)
+        lines = [f"{cells} = {blk}.cells"]
+        for i, item in enumerate(init.items):
+            if size is None:
+                lines.append(f"if {i} >= len({cells}): {too_many}")
+            elif i >= size:
+                return lines + [too_many]
+            if isinstance(item, N.InitList):
+                lines += self._gen_nested_init(item, f"{cells}[{i}]", elem)
+            else:
+                ils, ia = self.gen_expr(item)
+                lines += ils + [
+                    f"{cells}[{i}] = _coerce_value(rt, {ia}, {el})",
+                ]
+        return lines
+
+    def _gen_nested_init(
+        self, item: N.InitList, cell: str, elem: T.CType
+    ) -> List[str]:
+        """A brace list for one default-initialized cell of type *elem*."""
+        resolved = T.strip_typedefs(elem)
+        inner = self._tmp()
+        if isinstance(resolved, T.ArrayType):
+            return [f"{inner} = {cell}"] + self._gen_array_init(
+                item, inner, resolved.elem, resolved.size or 0
+            )
+        if not isinstance(resolved, T.StructType):
+            return ["raise InterpError('nested initializer for a scalar')"]
+        struct_type = self.program.structs.get(resolved.tag)
+        if struct_type is None:
+            # The tree-walker reads the fields of a missing definition.
+            return ["raise AttributeError("
+                    "\"'NoneType' object has no attribute 'fields'\")"]
+        lines = [f"{inner} = {cell}.fields"]
+        for fld, fexpr in zip(struct_type.fields, item.items):
+            fls, fa = self.gen_expr(fexpr)
+            ft = self.pool.add(fld.type)
+            lines += fls + [
+                f"{inner}[{fld.name!r}] = _coerce_value(rt, {fa}, {ft})",
+            ]
+        return lines
+
+    # -- entry points ------------------------------------------------------
 
     def gen_function(self, func: N.FunctionDef, cf: CompiledFunction) -> None:
         """Populate *cf* with binders, slot count, and a generated body."""
@@ -1045,6 +1699,41 @@ class _BatchCompiler(_FunctionCompiler):
         body = self.gen_compound(func.body, charge=False)
         self._pop_scope()
         cf.n_slots = self.n_slots
+        cf.body = self._emit(body, f"<batch:{cf.name}>")
+
+    def gen_globals(self, unit: N.TranslationUnit) -> Callable[..., Any]:
+        """Generate the unit's global initializer (``_init_globals``).
+
+        Each global is registered in ``program.global_bindings`` only
+        after its own initializer is generated, so an initializer sees
+        just the globals declared before it.
+        """
+        bindings = self.program.global_bindings
+        body = ["gframe = rt.gframe"]
+        slot = 0
+        for decl in unit.decls:
+            if not isinstance(decl, N.VarDecl):
+                continue
+            blk = self._tmp()
+            body += self._gen_make(decl, blk, is_global=True)
+            body.append(f"gframe.append({blk})")
+            ctype = T.strip_typedefs(decl.type)
+            is_array = isinstance(ctype, T.ArrayType)
+            bindings[decl.name] = _Binding(
+                kind="global",
+                slot=slot,
+                is_array=is_array,
+                observe_uid=None if is_array else decl.uid,
+                ctype=ctype.elem if is_array else decl.type,
+                maybe_unset=False,
+            )
+            slot += 1
+        if not slot:
+            return _no_globals
+        return self._emit(body, "<batch:globals>")
+
+    def _emit(self, body: List[str], filename: str) -> Callable[..., Any]:
+        """Compile *body* as ``(rt, frame)`` function into the pool."""
         src_lines = [
             "def _batch_body(rt, frame):",
             "    steps = rt.steps",
@@ -1064,14 +1753,13 @@ class _BatchCompiler(_FunctionCompiler):
             "    return None",
         ]
         src = "\n".join(src_lines) + "\n"
-        filename = f"<batch:{cf.name}>"
         digest = hashlib.blake2b(src.encode(), digest_size=16).digest()
         code = _CODE_MEMO.get_or_compute(
             (filename, digest), lambda: compile(src, filename, "exec")
         )
         ns = self.pool.ns
         exec(code, ns)
-        cf.body = ns.pop("_batch_body")
+        return ns.pop("_batch_body")
 
 
 # --------------------------------------------------------------------------
@@ -1080,19 +1768,13 @@ class _BatchCompiler(_FunctionCompiler):
 
 
 class BatchProgram:
-    """All functions of one unit lowered to flat generated Python.
-
-    Every function is generated; a node the generator declines is served
-    by its closure, so the code generator itself never gives up on a
-    whole function.  Global initializers are block-maker closures (they
-    run once per input, not per step).
-    """
+    """All functions of one unit, and its global initializer, lowered to
+    flat generated Python."""
 
     def __init__(self, unit: N.TranslationUnit) -> None:
         self.unit = unit
         self.structs: Dict[str, T.StructType] = {}
         self.global_bindings: Dict[str, _Binding] = {}
-        self.global_makers: List[Any] = []
         self.functions: Dict[str, CompiledFunction] = {}
         self.methods: Dict[Tuple[str, str], CompiledFunction] = {}
         # Create every shell first so generated call sites (including
@@ -1112,34 +1794,14 @@ class BatchProgram:
                         cf = CompiledFunction(method)
                         self.methods[(decl.tag, method.name)] = cf
                         shells.append((method, cf))
-        # Globals compile in declaration order; each initializer sees only
-        # the globals registered before it (matching _init_globals).
-        for decl in unit.decls:
-            if not isinstance(decl, N.VarDecl):
-                continue
-            maker = _FunctionCompiler(self)._compile_var_block(
-                decl, is_global=True
-            )
-            self.global_makers.append(maker)
-            ctype = T.strip_typedefs(decl.type)
-            is_array = isinstance(ctype, T.ArrayType)
-            self.global_bindings[decl.name] = _Binding(
-                kind="global",
-                slot=len(self.global_makers) - 1,
-                is_array=is_array,
-                observe_uid=None if is_array else decl.uid,
-                ctype=ctype.elem if is_array else decl.type,
-                maybe_unset=False,
-            )
         pool = _ConstPool()
+        self.global_init = _BatchCompiler(self, pool).gen_globals(unit)
         for func, cf in shells:
             _BatchCompiler(self, pool).gen_function(func, cf)
         self.poolable_globals = _poolable_globals(unit)
 
     def init_globals(self, rt: Runtime) -> None:
-        gframe = rt.gframe
-        for make in self.global_makers:
-            gframe.append(make(rt, _NO_FRAME))
+        self.global_init(rt, _NO_FRAME)
 
 
 #: Lowered programs of the units run most recently, by unit identity.
@@ -1489,6 +2151,15 @@ class BatchCrossCheckEngine:
                     f"{where}: fault mismatch — tree {tree_exc!r}, "
                     f"batch {batch_exc!r}"
                 )
+            # Calls captured before the fault are salvaged by callers
+            # (get_kernel_seed), so they must agree too.
+            tree_captured = getattr(self.tree, "captured", [])
+            if not _identical(tree_captured, self.batch.captured):
+                raise BackendMismatch(
+                    f"{where}: captured-args mismatch before the fault — "
+                    f"tree {tree_captured!r}, batch {self.batch.captured!r}"
+                )
+            self.captured = self.batch.captured
             raise tree_exc
         assert tree_result is not None and batch_result is not None
         checks = (

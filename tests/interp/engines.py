@@ -1,63 +1,41 @@
 """The engines the interpreter equivalence tests compare.
 
-``tree`` (the oracle) and ``batch`` (the default) are product backends.
-``compiled`` names the expression closures of :mod:`repro.interp.compile`,
-which batch splices in wherever its code generator declines an
-expression and which build every unit's global initializers.  The
-generator declines few expressions on its own, so these tests reach the
-closures by making it decline all of them: statements are still
-generated, and every expression inside them is served by
-:meth:`_BatchCompiler._fallback_expr`, inside an otherwise ordinary
-:class:`BatchEngine`.
+``tree`` is the oracle.  The other two run batch's generated code
+through its two entry points: ``compiled`` is the single-input
+:meth:`BatchEngine.run`, and ``batch`` the pooled
+:meth:`BatchEngine.run_many` pass, one input per call (a faulting
+input's error record is re-raised, so both agree with ``run`` on what
+a caller sees).
 """
 
 from __future__ import annotations
 
 from typing import Any, List
-from unittest import mock
 
 from repro.cfront import nodes as N
-from repro.interp import BatchEngine, make_engine
-from repro.interp.batch import BatchProgram, _BatchCompiler, _GiveUp
+from repro.interp import BatchEngine, ExecResult, make_engine
 
 #: Every engine an equivalence test should agree across.
 ENGINES = ("tree", "compiled", "batch")
 
 
-def _decline(self: _BatchCompiler, expr: N.Expr):
-    raise _GiveUp()
+class _RunManyEngine(BatchEngine):
+    """``run`` served by a one-input ``run_many`` batch."""
 
-
-def _effect_by_value(self: _BatchCompiler, expr: N.Expr) -> List[str]:
-    return self.gen_expr(expr)[0]
-
-
-def closure_lowering():
-    """While active, batch serves every expression by its closure
-    (units already lowered keep their program).
-
-    Expression statements that assign or increment generate their own
-    stores unless they go through ``gen_expr`` too, so both entry points
-    decline.
-    """
-    return mock.patch.multiple(
-        _BatchCompiler, _gen_expr=_decline, _gen_expr_effect=_effect_by_value
-    )
-
-
-def closure_program(unit: N.TranslationUnit) -> BatchProgram:
-    """*unit* lowered with every expression served by its closure."""
-    with closure_lowering():
-        return BatchProgram(unit)
+    def run(self, func_name: str, args: List[Any]) -> ExecResult:
+        (record,) = self.run_many(func_name, [args])
+        if record.error is not None:
+            raise record.error
+        return record.result
 
 
 def engine_for(unit: N.TranslationUnit, backend: str, **kwargs: Any):
-    """``make_engine``, plus ``"compiled"`` for the expression closures."""
-    if backend != "compiled":
-        return make_engine(unit, backend=backend, **kwargs)
-    engine = BatchEngine(unit, **kwargs)
-    engine.program = closure_program(unit)
-    return engine
+    """``make_engine``, with ``compiled`` and ``batch`` as described above."""
+    if backend == "compiled":
+        return BatchEngine(unit, **kwargs)
+    if backend == "batch":
+        return _RunManyEngine(unit, **kwargs)
+    return make_engine(unit, backend=backend, **kwargs)
 
 
 def run_on(

@@ -1,4 +1,4 @@
-"""Backend equivalence: the tree-walker, batch's expression closures and batch.
+"""Backend equivalence: the tree-walker and batch's generated code.
 
 Edge semantics that historically diverge between interpreter
 implementations — integer wrap at every width, pointer arithmetic across
@@ -260,30 +260,153 @@ int kernel(int a) {
 """
 
 
+STRUCT_BRACE_GLOBAL_SRC = """
+struct P { int a; int b; };
+struct P g = {3, 4};
+int kernel(int x) {
+    return g.a + x;
+}
+"""
+
+SCALAR_BRACE_GLOBAL_SRC = """
+int g = {3};
+int kernel(int x) {
+    return g + x;
+}
+"""
+
+
+def surface(engine, func, args):
+    """One run reduced to everything the engines must agree on."""
+    try:
+        result = engine.run(func, list(args))
+    except Exception as exc:  # TypeError/IndexError escape both engines
+        return ("fault", type(exc), str(exc))
+    return (
+        "ok", result.observable(), result.steps, result.coverage.hits,
+        _profile_key(result.profile),
+    )
+
+
 @pytest.mark.parametrize("src,args,value", [
     (GLOBAL_CALL_SRC, [5], 184),  # g = 12, h = 14
     (GLOBAL_CALL_SRC, [-3], 104),
     (STRUCT_GLOBAL_SRC, [300], 132),  # x wraps to 44 by its field type
-], ids=["global-calls-function", "global-calls-function-neg", "struct-global"])
+    (STRUCT_BRACE_GLOBAL_SRC, [1], None),
+    (SCALAR_BRACE_GLOBAL_SRC, [1], None),
+], ids=[
+    "global-calls-function", "global-calls-function-neg", "struct-global",
+    "struct-brace-global", "scalar-brace-global",
+])
 def test_global_initializers_match(src, args, value):
-    """Global initializers are built per unit by batch itself: one that
-    calls a defined function binds to batch's generated function, and
+    """Global initializers are generated per unit by batch itself: one
+    that calls a defined function binds to batch's generated function,
     stores to a struct-typed global's fields coerce to the field types
-    in batch's struct table."""
+    in batch's struct table, and a brace list for a struct or scalar
+    global is evaluated and faults exactly where the tree-walker's
+    does (``value`` None: the tree-walker faults)."""
     unit = parse(src)
-    tree = run_on(unit, "kernel", args, "tree")
-    assert tree.value == value
+    tree = surface(engine_for(unit, "tree"), "kernel", args)
+    if value is None:
+        assert tree[0] == "fault"
+    else:
+        assert tree[0] == "ok" and tree[1][0] == value
     for backend in ENGINES[1:]:
         engine = engine_for(unit, backend)
         for _ in range(2):  # every run re-initializes the globals
-            other = engine.run("kernel", list(args))
-            assert tree.observable() == other.observable()
-            assert tree.steps == other.steps
-            assert tree.coverage.hits == other.coverage.hits
-            assert _profile_key(tree.profile) == _profile_key(other.profile)
+            assert surface(engine, "kernel", args) == tree
     if src is GLOBAL_CALL_SRC:
         # scale's branch runs only inside the initializers.
-        assert len(tree.coverage.hits) == 2
+        assert len(tree[3]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Struct fields, brace lists and stream writes
+# ---------------------------------------------------------------------------
+
+STRUCT_P = "struct P { int a; unsigned char b; };\n"
+
+#: Source, then what the tree-walker does on ``k(9)``: the returned value,
+#: or the fault's type and text (None: any text).
+SHAPES = {
+    "addr-of-field": (STRUCT_P + """
+int k(int x) {
+    struct P s;
+    s.a = x;
+    int *q = &s.a;
+    return *q;
+}
+""", (InterpError, "address-of a struct field is unsupported")),
+    "field-postdec": (STRUCT_P + """
+int k(int x) {
+    struct P s;
+    s.a = x;
+    s.a--;
+    int y = s.a--;
+    --s.b;
+    return y * 1000 + s.a + s.b;
+}
+""", 8 * 1000 + 7 + 255),
+    "arrow-compound-sub": (STRUCT_P + """
+int k(int x) {
+    struct P s;
+    struct P *p = &s;
+    p->a = x;
+    p->a -= 7;
+    p->b = 250;
+    p->b -= x;
+    return p->a * 1000 + p->b;
+}
+""", 2 * 1000 + 241),
+    "scalar-brace-local": ("""
+int k(int x) {
+    int y = {x};
+    return y;
+}
+""", (TypeError, None)),
+    "struct-brace-local": (STRUCT_P + """
+int k(int x) {
+    struct P p = {x, 2};
+    if (x > 5) { return p.a; }
+    return x;
+}
+""", (MemoryFault, "member access 'a' on a non-struct value")),
+    "stream-write-no-args": ("""
+int k(int x) {
+    hls::stream<int> s;
+    s.write();
+    return x;
+}
+""", (IndexError, None)),
+    "stream-write-two-args": ("""
+int k(int x) {
+    hls::stream<int> s;
+    s.write(x, 1);
+    s.write(x + 1, 2);
+    return s.read() * 10 + s.size();
+}
+""", 91),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_generated_shapes_match(name):
+    """Every engine agrees on observables, steps, coverage, profile, and
+    fault type and text for the struct-field, brace-list and stream-write
+    shapes the generator lowers."""
+    src, expected = SHAPES[name]
+    unit = parse(src)
+    tree = surface(engine_for(unit, "tree"), "k", [9])
+    if isinstance(expected, tuple):
+        kind, text = expected
+        assert tree[:2] == ("fault", kind)
+        assert text is None or tree[2] == text
+    else:
+        assert tree[0] == "ok" and tree[1][0] == expected
+    for x in (3, 9):
+        tree = surface(engine_for(unit, "tree"), "k", [x])
+        for backend in ENGINES[1:]:
+            assert surface(engine_for(unit, backend), "k", [x]) == tree
 
 
 @BOTH

@@ -1,14 +1,14 @@
-"""Acceptance: batch's expression closures stay bit-identical across Table 3.
+"""Acceptance: batch's pooled ``run_many`` pass stays bit-identical across Table 3.
 
-Batch splices an expression's closure in wherever its generator declines
-the expression, and every unit's global initializers are closures, so
-the closures must match the tree-walker on their own too.  Under
-:func:`~.engines.closure_lowering` the generator declines every
-expression, so fuzzing each subject with ``backend="batch-cross"`` runs
-generated statements whose every expression is a closure against the
-tree-walker and asserts identical observables, step counts, coverage
-hits and value profiles.  A divergence raises ``BackendMismatch`` (an
-``AssertionError``), failing the campaign outright.
+:mod:`.test_cross_check_subjects` fuzzes every subject under
+``batch-cross``, which checks batch's single-input ``run`` against the
+tree-walker.  Consumers (difftest, co-simulation) mostly execute through
+``run_many`` instead, which pools one runtime, and possibly a snapshot of
+the globals, across the whole input set.  Here each subject's fuzz corpus
+is replayed through one ``run_many`` call, in CPU and in HLS mode, and
+every record is checked against a fresh tree-walker run of that input:
+observables, step counts, coverage hits, value profiles, and the fault
+type and message.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import pytest
 from repro.errors import InterpError
 from repro.fuzz import FuzzConfig, fuzz_kernel
 from repro.interp import ExecLimits, engine_run_many, make_engine
+from repro.interp.batch import _profile_key
 from repro.subjects import all_subjects
 
-from .engines import closure_lowering, engine_for
+from .engines import engine_for
 
 #: Modest CI budget; the benchmark harness replays full corpora with the
 #: same identity assertion on every run.
@@ -31,41 +32,60 @@ LIMITS = ExecLimits(max_steps=60_000, max_depth=128)
 SUBJECTS = all_subjects()
 
 
+def _tree_surface(tree, kernel, test):
+    try:
+        result = tree.run(kernel, list(test))
+    except InterpError as exc:
+        return ("fault", type(exc), str(exc))
+    return (
+        "ok", result.observable(), result.steps, result.coverage.hits,
+        _profile_key(result.profile),
+    )
+
+
+def _record_surface(record):
+    if record.error is not None:
+        return ("fault", type(record.error), str(record.error))
+    result = record.result
+    return (
+        "ok", result.observable(), result.steps, result.coverage.hits,
+        _profile_key(result.profile),
+    )
+
+
 @pytest.mark.parametrize("subject", SUBJECTS, ids=[s.id for s in SUBJECTS])
 def test_fuzz_corpus_batch_cross_checks(subject):
     unit = subject.parse()
-    with closure_lowering():
-        report = fuzz_kernel(
-            unit,
-            subject.kernel,
-            FuzzConfig(
-                max_execs=CROSS_EXECS, plateau_execs=CROSS_EXECS, seed=7
-            ),
-            seeds=subject.existing_test_list() or None,
-            limits=LIMITS,
-            backend="batch-cross",
-        )
+    report = fuzz_kernel(
+        unit,
+        subject.kernel,
+        FuzzConfig(max_execs=CROSS_EXECS, plateau_execs=CROSS_EXECS, seed=7),
+        seeds=subject.existing_test_list() or None,
+        limits=LIMITS,
+        backend="batch",
+    )
     assert report.execs > 0
-
-    # Replay part of the corpus in HLS mode: wrap/fault translation must
-    # agree between the tree-walker and the closures too.
-    with closure_lowering():
-        engine = make_engine(
-            subject.parse(), backend="batch-cross", limits=LIMITS,
-            hls_mode=True,
+    tests = report.suite(40)
+    for hls_mode in (False, True):
+        batch = make_engine(
+            unit, backend="batch", limits=LIMITS, hls_mode=hls_mode
         )
-    for test in report.suite(20):
-        try:
-            engine.run(subject.kernel, test)
-        except InterpError:
-            pass  # a fault is fine — only divergence is not
+        tree = make_engine(
+            unit, backend="tree", limits=LIMITS, hls_mode=hls_mode
+        )
+        records = engine_run_many(batch, subject.kernel, tests)
+        assert len(records) == len(tests)
+        for test, record in zip(tests, records):
+            assert _record_surface(record) == _tree_surface(
+                tree, subject.kernel, test
+            ), f"{subject.id} (hls_mode={hls_mode}) diverged on {test!r}"
 
 
 @pytest.mark.parametrize("subject", SUBJECTS, ids=[s.id for s in SUBJECTS])
 def test_run_many_matches_compiled_on_subject_suite(subject):
     """The pooled batched pass over each subject's existing tests must
-    produce the same record stream as the closures run one input at a
-    time."""
+    produce the same record stream as the generated code run one input
+    at a time."""
     tests = subject.existing_test_list()
     if not tests:
         pytest.skip(f"{subject.id} has no pre-existing test suite")

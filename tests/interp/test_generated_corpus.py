@@ -4,17 +4,18 @@ The ten Table 3 subjects each exercise one seeded incompatibility; the
 generated corpus (:mod:`repro.subjects.generated`) sweeps the rest of
 the parseable subset — wrap at every width, fixed-point, streams,
 structs, pointer faults, recursion, statics, globals.  Every program is
-run under the tree-walker, the closure compiler and batch (see
-:mod:`.engines`) and the full observable surface (value, out args, steps,
-coverage, fault type and message) must be identical; the batch backend
-is additionally required to run every test through one ``run_many`` call
-with per-record identity.
+run under the tree-walker and under batch's single-input and pooled
+entry points (see :mod:`.engines`) and the full observable surface
+(value, out args, steps, coverage, fault type and message) must be
+identical; the batch backend is additionally required to run every test
+through one ``run_many`` call with per-record identity.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cfront import nodes as N
 from repro.errors import InterpError
 from repro.interp import ExecLimits, engine_run_many, make_engine
 from repro.subjects import generated_subjects
@@ -83,10 +84,9 @@ def test_run_many_matches_per_input_runs(gs):
 
 
 def test_corpus_generates_without_fallbacks():
-    """The corpus exists to exercise the batch code generator: if a
-    program silently fell back to pooled closures, its coverage claim
-    would be hollow.  Every function of every program must be generated
-    code, not a closure."""
+    """The corpus exists to exercise the batch code generator, so every
+    function of every program, and its global initializer, must be
+    generated code."""
     for gs in CORPUS:
         program = make_engine(gs.parse(), backend="batch", limits=LIMITS).program
         bodies = list(program.functions.values()) + list(program.methods.values())
@@ -95,6 +95,10 @@ def test_corpus_generates_without_fallbacks():
             assert cf.body.__code__.co_filename == f"<batch:{cf.name}>", (
                 f"{gs.name}: {cf.name} is not generated code"
             )
+        if any(isinstance(d, N.VarDecl) for d in program.unit.decls):
+            assert program.global_init.__code__.co_filename == (
+                "<batch:globals>"
+            ), gs.name
 
 
 def test_corpus_shape():
