@@ -17,11 +17,9 @@ Two measurements, emitted into ``benchmarks/out/BENCH_obs.json``:
    tracing *on* costs (informational: buffering spans is allowed to show
    up; determinism, not speed, is the enabled-mode contract).
 3. **subscriber overhead** — the traced run again, with the live
-   streaming sinks attached (:class:`~repro.obs.stream.ProgressSink`
-   rendering to a non-TTY buffer plus a
-   :class:`~repro.obs.stream.JsonlTailSink`); the progress sink must
-   cost at most ``SUBSCRIBER_OVERHEAD_BUDGET`` over tracing-only, so
-   ``--progress`` is safe to leave on by default.
+   :class:`~repro.obs.stream.ProgressSink` rendering to a non-TTY
+   buffer; it must cost at most ``SUBSCRIBER_OVERHEAD_BUDGET`` over
+   tracing-only, so ``--progress`` is safe to leave on by default.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import time
 from repro.cfront import nodes as N
 from repro.hls.memo import clear_analysis_caches
 from repro.obs import NULL_RECORDER, TraceRecorder, get_recorder, scoped_recorder
-from repro.obs.stream import JsonlTailSink, ProgressSink
+from repro.obs.stream import ProgressSink
 from repro.subjects import get_subject
 
 from _shared import write_bench_json, write_table
@@ -53,8 +51,7 @@ MICRO_ITERS = 200_000
 DISABLED_OVERHEAD_BUDGET = 0.02
 
 #: The live progress sink may cost at most this fraction of the
-#: tracing-only wall time (the tail sink does per-record file I/O and is
-#: reported informationally, not gated).
+#: tracing-only wall time.
 SUBSCRIBER_OVERHEAD_BUDGET = 0.02
 
 
@@ -91,12 +88,12 @@ def _run_once(recorder):
     return elapsed, result
 
 
-def run_macro(tmp_path):
+def run_macro():
     """Median wall time per mode, interleaved (off, on, live, off, on,
     live, ...) so host drift biases no side."""
-    off_times, on_times, live_times, tail_times = [], [], [], []
+    off_times, on_times, live_times = [], [], []
     recorded = None
-    for round_no in range(ROUNDS):
+    for _round in range(ROUNDS):
         off, _result = _run_once(NULL_RECORDER)
         off_times.append(off)
         recorder = TraceRecorder()
@@ -111,18 +108,7 @@ def run_macro(tmp_path):
         live, _result = _run_once(recorder)
         progress.close()
         live_times.append(live)
-        # Both sinks (informational): adds the tail sink's per-record
-        # write+flush to a real file.
-        recorder = TraceRecorder()
-        progress = ProgressSink(recorder, stream=io.StringIO())
-        tail = JsonlTailSink(str(tmp_path / f"tail-{round_no}.jsonl"))
-        recorder.add_subscriber(progress)
-        recorder.add_subscriber(tail)
-        both, _result = _run_once(recorder)
-        progress.close()
-        tail.close()
-        tail_times.append(both)
-    return off_times, on_times, live_times, tail_times, recorded
+    return off_times, on_times, live_times, recorded
 
 
 def run_micro():
@@ -156,16 +142,15 @@ def run_micro():
     }
 
 
-def test_obs_overhead(benchmark, tmp_path):
-    off_times, on_times, live_times, tail_times, recorder = benchmark.pedantic(
-        run_macro, args=(tmp_path,), rounds=1, iterations=1
+def test_obs_overhead(benchmark):
+    off_times, on_times, live_times, recorder = benchmark.pedantic(
+        run_macro, rounds=1, iterations=1
     )
     micro = run_micro()
 
     off_median = statistics.median(off_times)
     on_median = statistics.median(on_times)
     live_median = statistics.median(live_times)
-    tail_median = statistics.median(tail_times)
     subscriber_overhead = (
         live_median / on_median - 1.0 if on_median else 0.0
     )
@@ -188,16 +173,11 @@ def test_obs_overhead(benchmark, tmp_path):
             "off_seconds": [round(t, 3) for t in off_times],
             "on_seconds": [round(t, 3) for t in on_times],
             "live_seconds": [round(t, 3) for t in live_times],
-            "tail_seconds": [round(t, 3) for t in tail_times],
             "off_median_s": round(off_median, 3),
             "on_median_s": round(on_median, 3),
             "live_median_s": round(live_median, 3),
-            "tail_median_s": round(tail_median, 3),
             "tracing_on_overhead": round(on_median / off_median - 1.0, 4),
             "progress_sink_overhead": round(subscriber_overhead, 4),
-            "tail_sink_overhead": round(
-                tail_median / on_median - 1.0 if on_median else 0.0, 4
-            ),
             "subscriber_budget": SUBSCRIBER_OVERHEAD_BUDGET,
         },
         "extrapolation": {
@@ -218,8 +198,6 @@ def test_obs_overhead(benchmark, tmp_path):
         f"({payload['macro']['tracing_on_overhead']:+.1%})",
         f"traced + progress : {live_median:.3f}s "
         f"({subscriber_overhead:+.1%} vs traced)",
-        f"traced + tail     : {tail_median:.3f}s "
-        f"({payload['macro']['tail_sink_overhead']:+.1%} vs traced)",
         f"null span hook    : {micro['span_guarded_ns']:.0f}ns guarded, "
         f"{micro['span_unguarded_ns']:.0f}ns unguarded",
         f"null metric hook  : {micro['metric_guarded_ns']:.0f}ns",

@@ -43,7 +43,7 @@ from .obs import (
     trace_env_value,
 )
 from .obs.logs import LEVELS
-from .obs.stream import attach_cli_sinks, progress_env_enabled, stream_env_path
+from .obs.stream import attach_cli_sinks
 from .subjects import all_subjects, get_subject
 
 
@@ -268,19 +268,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import analyze
     from .obs import baseline as baseline_mod
 
-    if args.verb in ("summary", "flame"):
-        try:
+    try:
+        if args.verb == "diff":
+            base = analyze.load_journal(args.base)
+            new = analyze.load_journal(args.new)
+        else:
             trace = analyze.load_journal(args.journal)
-        except OSError as exc:
-            print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
-            return 1
-        if not trace.spans and not trace.events:
-            print(
-                f"repro trace {args.verb}: {args.journal} holds no span or "
-                "event records (empty, or not a journal)",
-                file=sys.stderr,
-            )
-            return 1
+    except (OSError, ValueError) as exc:
+        print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
+        return 1
+    if args.verb in ("summary", "flame") and not trace.spans \
+            and not trace.events:
+        print(
+            f"repro trace {args.verb}: {args.journal} holds no span or "
+            "event records",
+            file=sys.stderr,
+        )
+        return 1
 
     if args.verb == "summary":
         if args.json:
@@ -300,8 +304,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     ],
                     "critical_path_wall": analyze.critical_path(trace, "wall"),
                     "critical_path_sim": analyze.critical_path(trace, "sim"),
-                    "truncated": trace.truncated,
-                    "skipped_lines": trace.skipped_lines,
                 },
                 indent=2,
             ))
@@ -331,8 +333,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "diff":
-        base = analyze.load_journal(args.base)
-        new = analyze.load_journal(args.new)
         diff = analyze.diff_traces(
             base, new,
             sim_tolerance=args.sim_tol,
@@ -369,7 +369,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0 if diff.clean else 1
 
     assert args.verb == "check"
-    trace = analyze.load_journal(args.journal)
     if args.update:
         from .obs.export import git_describe
 
@@ -433,18 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write the metrics snapshot (cache/store "
                        "tiers, edit families, HLS diagnostics, fuzzer "
-                       "coverage, worker utilization) as JSON")
+                       "coverage) as JSON")
         p.add_argument("--progress", action="store_true",
                        help="live progress on stderr (phase, iteration/"
                        "candidate counts, cache/store hit rates, simulated-"
-                       "budget ETA), rendered from the span stream.  Also "
-                       "$REPRO_PROGRESS=1.  Never changes results: pipeline "
-                       "stdout is byte-identical with it on or off")
-        p.add_argument("--stream-out", metavar="PATH", default=None,
-                       help="follow-able JSONL journal: every span/event is "
-                       "appended and flushed as it completes (tail -f "
-                       "friendly; the repair-service wire format).  Also "
-                       "$REPRO_STREAM")
+                       "budget ETA), rendered from the span stream.  Never "
+                       "changes results: pipeline stdout is byte-identical "
+                       "with it on or off")
         p.add_argument("--log-level", choices=list(LEVELS), default=None,
                        help="stderr diagnostic verbosity (default: "
                        "warning); diagnostics never mix with the product "
@@ -547,8 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ts = trsub.add_parser("summary", help="per-stage cost table, "
                           "per-edit evaluation split, critical paths")
-    ts.add_argument("journal", help="JSONL event journal (from "
-                    "--trace-out/--stream-out)")
+    ts.add_argument("journal", help="complete JSONL event journal (the "
+                    "<stem>.jsonl beside --trace-out); a truncated or "
+                    "corrupt journal is refused")
     ts.add_argument("--top", type=int, default=0,
                     help="show only the N hottest stages")
     ts.add_argument("--json", action="store_true", help="JSON output")
@@ -654,20 +649,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     metrics_out = getattr(args, "metrics_out", None)
-    progress = bool(getattr(args, "progress", False)) or progress_env_enabled()
-    stream_out = getattr(args, "stream_out", None) or stream_env_path()
-    if not (trace_out or metrics_out or progress or stream_out):
+    progress = bool(getattr(args, "progress", False))
+    if not (trace_out or metrics_out or progress):
         return args.func(args)
     recorder = TraceRecorder()
-    sinks = attach_cli_sinks(recorder, progress=progress,
-                             stream_out=stream_out)
+    sinks = attach_cli_sinks(recorder, progress=progress)
     previous = install_recorder(recorder)
     try:
         return args.func(args)
     finally:
         # Export even on failure: a trace of a crashed run is exactly
-        # when you want the journal.  Sinks close first, so the tail
-        # stream is complete before the batch journal lands.
+        # when you want the journal.
         for sink in sinks:
             try:
                 sink.close()

@@ -96,15 +96,6 @@ class CachedEvaluation:
     compile_report: Optional[CompileReport]
     diff_report: Optional[DiffReport]
     charges: Tuple[ChargeEvent, ...]
-    trace: Optional[Tuple[Any, ...]] = None
-    """Observability side-channel: the span subtrace of the real
-    toolchain run (see :meth:`repro.obs.TraceRecorder.subtrace`), riding
-    the payload back to the consuming ``evaluate`` call.  Ephemeral by
-    contract — it carries wall-clock values, so the consuming search
-    re-parents it into the live recorder and **strips it before the
-    payload reaches any cache tier** (:meth:`EvalCache.put` enforces
-    this): nothing cached or stored ever holds wall-clock data, which is
-    what keeps traced and untraced runs bit-identical."""
 
     @property
     def style_rejected(self) -> bool:
@@ -376,10 +367,6 @@ class EvalCache:
         return self.store is not None and self.store.contains(key)
 
     def put(self, key: str, value: CachedEvaluation) -> None:
-        if value.trace is not None:
-            # The trace side-channel carries wall-clock data; it must
-            # never survive into a cache tier (see CachedEvaluation).
-            value = replace(value, trace=None)
         self._insert(key, value)
         if self.store is not None:
             self.store.put(key, value)

@@ -18,7 +18,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
@@ -33,9 +33,7 @@ from ..obs import (
     SPAN_ITERATION,
     SPAN_SEARCH,
     SPAN_SYNTH,
-    TraceRecorder,
     get_recorder,
-    scoped_recorder,
 )
 from .classification import RepairLocalizer, classify
 from .dependence import ordered_applications, unordered_applications
@@ -388,12 +386,8 @@ class RepairSearch:
         A cache hit replays the recorded simulated charges (identical
         clock activity to a real run) without re-running the toolchain;
         a miss runs the pipeline on a recording clock and merges its
-        charges here.
-
-        Observability mirrors that contract: the run's subtrace riding
-        the payload is grafted under this call's ``search.evaluate``
-        span — then stripped, so wall-clock data never reaches a cache
-        tier."""
+        charges here.  A miss's stage spans record under this call's
+        ``search.evaluate`` span."""
         self.stats.attempts += 1
         rec = get_recorder()
         last = candidate.applied[-1] if candidate.applied else ""
@@ -465,13 +459,6 @@ class RepairSearch:
                             code=diag.code,
                             severity=diag.severity,
                         )
-            if raw.trace is not None:
-                # Graft the captured stage spans under the open
-                # ``search.evaluate`` span, then strip them: wall-clock
-                # data must not reach any cache tier.
-                if rec.enabled:
-                    rec.attach_subtrace(raw.trace)
-                raw = replace(raw, trace=None)
             if self.cache is not None and key is not None:
                 self.cache.put(key, raw)
         return raw
@@ -483,20 +470,7 @@ class RepairSearch:
         :mod:`repro.core.evalcache`), so every entry that reaches the
         cache or store is uniform.  Pure in everything but the recorder:
         reads only immutable search state (original unit, precomputed
-        CPU reference, test subset).
-
-        When tracing is enabled, stage spans are captured into a
-        run-local recorder and returned as a subtrace on the payload's
-        ``trace`` side-channel, which the consuming ``evaluate`` call
-        re-parents under its span."""
-        if not get_recorder().enabled:
-            return self._toolchain_pipeline(candidate)
-        tracer = TraceRecorder()
-        with scoped_recorder(tracer):
-            result = self._toolchain_pipeline(candidate)
-        return replace(result, trace=tracer.subtrace())
-
-    def _toolchain_pipeline(self, candidate: Candidate) -> CachedEvaluation:
+        CPU reference, test subset)."""
         recorder = SimulatedClock.recording()
         violations: Tuple = ()
         if self.config.use_style_checker:

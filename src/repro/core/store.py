@@ -66,15 +66,12 @@ _log = logging.getLogger(__name__)
 
 #: Bump when the CachedEvaluation payload layout (or the canonical uid
 #: encoding) changes shape: old payloads would unpickle into stale or
-#: unreadable objects.  2: ``CachedEvaluation`` grew the (never-stored,
-#: but layout-relevant) ``trace`` field — schema-1 pickles would
-#: rehydrate without the attribute.  3: ``DiffReport`` grew the
-#: ``counterexamples`` evidence payload — schema-2 pickles would
-#: rehydrate reports without it and starve the repair synthesizer.
-#: 4: ``CachedEvaluation`` grew the (never-stored, layout-relevant)
-#: ``wire`` side-channel — schema-3 pickles would rehydrate without
-#: the attribute.
-SCHEMA_VERSION = 4
+#: unreadable objects.  2: ``CachedEvaluation`` grew a ``trace`` field.
+#: 3: ``DiffReport`` grew the ``counterexamples`` evidence payload —
+#: schema-2 pickles would rehydrate reports without it and starve the
+#: repair synthesizer.  4: ``CachedEvaluation`` grew a ``wire`` field
+#: (since deleted).  5: ``CachedEvaluation`` lost the ``trace`` field.
+SCHEMA_VERSION = 5
 
 #: Environment variable naming the store file.  Empty / "0" disables.
 STORE_ENV = "REPRO_STORE"

@@ -3,11 +3,11 @@ pipeline.
 
 Spans + events (:mod:`.recorder`), metrics (:mod:`.metrics`), exporters
 (:mod:`.export`: JSONL journal, Chrome ``trace_event``, run manifest),
-live streaming sinks (:mod:`.stream`: stderr progress renderer,
-follow-able JSONL tail), journal analytics (:mod:`.analyze`: per-stage
-aggregation, critical path, flamegraphs, structural diff), per-stage
-perf baselines (:mod:`.baseline`: the ``repro trace check`` gate), the
-journal schema (:mod:`.schema`) and logging wiring (:mod:`.logs`).
+the live progress renderer (:mod:`.stream`), journal analytics
+(:mod:`.analyze`: per-stage aggregation, critical path, flamegraphs,
+structural diff), per-stage perf baselines (:mod:`.baseline`: the
+``repro trace check`` gate), the journal schema (:mod:`.schema`) and
+logging wiring (:mod:`.logs`).
 
 Default state is a no-op :class:`NullRecorder`; `REPRO_TRACE` or the CLI
 ``--trace-out`` flag activates a :class:`TraceRecorder`.  Tracing is

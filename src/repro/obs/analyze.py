@@ -3,11 +3,9 @@
 The JSONL event journal (:mod:`repro.obs.export`) is the machine-
 readable ground truth of one traced run.  This module is its reader:
 
-* :func:`load_journal` — parse a journal (batch-sorted *or* live-stream
-  order, see :class:`repro.obs.stream.JsonlTailSink`) into a
-  :class:`Trace`, tolerating a truncated final line and spans whose
-  parent never closed — both are normal when tailing a run that is
-  still going or died mid-write;
+* :func:`load_journal` — parse a complete journal into a
+  :class:`Trace`, refusing anything short of one (a cut, corrupt or
+  overflowed journal raises instead of loading half a run);
 * :func:`stage_stats` / :func:`edit_stats` — per-stage and per-edit
   aggregation of wall-clock *and* simulated seconds, with self-time
   attribution (a stage's own cost minus its children's);
@@ -41,27 +39,24 @@ class Trace:
     events: List[Dict[str, Any]]
     children: Dict[int, List[int]]
     path: str = ""
-    skipped_lines: int = 0
-    truncated: bool = False
 
     @property
     def roots(self) -> List[int]:
         return self.children.get(0, [])
 
 
-def load_journal(path: str, strict: bool = False) -> Trace:
-    """Load a journal file into a :class:`Trace`.
+def load_journal(path: str) -> Trace:
+    """Load a complete journal file into a :class:`Trace`.
 
-    Lenient by default: a final line cut mid-record (the producer died
-    or is still writing) is treated as absent; a span whose parent has
-    no record (the parent had not closed when the stream stopped) is
-    re-parented to the top level.  ``strict=True`` raises on both —
-    that is what CI runs against *finished* journals."""
+    Raises ``ValueError`` naming the file (and line, where there is one)
+    on anything short of a complete journal: a missing header, a line
+    that is not JSON, an unknown record type, a duplicate id, a span
+    whose parent has no record, a body whose record count differs from
+    the header's, or a header reporting dropped records."""
     header: Dict[str, Any] = {}
     spans: Dict[int, Dict[str, Any]] = {}
     events: List[Dict[str, Any]] = []
-    skipped = 0
-    truncated = False
+    line_of: Dict[Any, int] = {}
     with open(path) as handle:
         lines = handle.readlines()
     for lineno, line in enumerate(lines, 1):
@@ -71,46 +66,50 @@ def load_journal(path: str, strict: bool = False) -> Trace:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError:
-            if lineno == len(lines) and not line.endswith("\n"):
-                truncated = True
-                continue
-            if strict:
-                raise ValueError(f"{path}:{lineno}: not JSON")
-            skipped += 1
-            continue
-        kind = obj.get("type")
-        if kind == "header" and not header:
+            raise ValueError(f"{path}:{lineno}: not JSON") from None
+        kind = obj.get("type") if isinstance(obj, dict) else None
+        if not header:
+            if kind != "header":
+                raise ValueError(f"{path}:{lineno}: missing journal header")
             header = obj
-        elif kind == "span" and isinstance(obj.get("id"), int):
-            if obj["id"] in spans:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: duplicate span id {obj['id']}"
-                    )
-                skipped += 1
-                continue
-            spans[obj["id"]] = obj
-        elif kind == "event":
-            events.append(obj)
+            continue
+        if kind not in ("span", "event"):
+            raise ValueError(f"{path}:{lineno}: unknown record {kind!r}")
+        rid = obj.get("id")
+        if rid in line_of:
+            raise ValueError(f"{path}:{lineno}: duplicate id {rid}")
+        line_of[rid] = lineno
+        if kind == "span":
+            spans[rid] = obj
         else:
-            if strict:
-                raise ValueError(f"{path}:{lineno}: unknown record {kind!r}")
-            skipped += 1
-    if strict and truncated:
-        raise ValueError(f"{path}: truncated final record")
+            events.append(obj)
+    if not header:
+        raise ValueError(f"{path}: missing journal header (empty file)")
+    body = len(spans) + len(events)
+    if body != header.get("records"):
+        raise ValueError(
+            f"{path}:{len(lines)}: truncated journal: {body} records, "
+            f"header says {header.get('records')}"
+        )
+    if header.get("dropped"):
+        raise ValueError(
+            f"{path}:1: recorder dropped {header['dropped']} records"
+        )
+    for obj in events + list(spans.values()):
+        parent = obj.get("parent", 0)
+        if parent != 0 and parent not in spans:
+            raise ValueError(
+                f"{path}:{line_of[obj['id']]}: {obj['type']} {obj['id']} "
+                f"has unknown parent {parent}"
+            )
     children: Dict[int, List[int]] = {}
     for sid, obj in spans.items():
-        parent = obj.get("parent", 0)
-        if parent not in spans:
-            if strict and parent != 0:
-                raise ValueError(f"span {sid} has unknown parent {parent}")
-            parent = 0  # unclosed ancestor: promote to root
-        children.setdefault(parent, []).append(sid)
+        children.setdefault(obj.get("parent", 0), []).append(sid)
     for kids in children.values():
         kids.sort(key=lambda sid: (spans[sid]["ts_us"], sid))
     return Trace(
         header=header, spans=spans, events=events, children=children,
-        path=path, skipped_lines=skipped, truncated=truncated,
+        path=path,
     )
 
 
@@ -145,8 +144,7 @@ class StageStat:
 
 def _self_times(trace: Trace, sid: int) -> Tuple[float, float]:
     """(wall_self_us, sim_self_s) of one span: own minus children,
-    clamped at zero (grafted worker spans are re-based at consumption
-    time, so a child's wall time may legitimately exceed its parent's)."""
+    clamped at zero against float rounding of nested durations."""
     span = trace.spans[sid]
     child_wall = 0.0
     child_sim = 0.0
@@ -264,9 +262,8 @@ def speedscope_document(
 ) -> Dict[str, Any]:
     """A speedscope file with one evented profile per clock.
 
-    Built from the collapsed stacks rather than raw span timestamps so
-    the profile is always well-nested (worker-grafted spans may
-    overlap their consuming span in raw wall time).  Load at
+    Built from the collapsed stacks rather than raw span timestamps, so
+    one profile format serves both clocks.  Load at
     https://www.speedscope.app or with the local viewer."""
     frame_index: Dict[str, int] = {}
     frames: List[Dict[str, str]] = []
@@ -424,8 +421,8 @@ def diff_metrics(
     """Changed counter series between two metrics snapshots
     (``--metrics-out`` files).  Counters are pipeline-deterministic, so
     any delta here is a behavioural change, not noise — which is why
-    the snapshot export is normalized (sorted series, volatile labels
-    folded; see :func:`repro.obs.metrics.MetricsRegistry.snapshot`)."""
+    the snapshot export is sorted (see
+    :func:`repro.obs.metrics.MetricsRegistry.snapshot`)."""
     counters_a = base.get("counters", {})
     counters_b = new.get("counters", {})
     out: List[Dict[str, Any]] = []
@@ -483,12 +480,6 @@ def render_summary(trace: Trace, top: int = 0) -> str:
         lines.append("critical path (sim):  " + " > ".join(
             f"{hop['name']}[{hop['total']:.1f}s]" for hop in sim_path
         ))
-    if trace.truncated or trace.skipped_lines:
-        lines.append("")
-        lines.append(
-            f"note: journal {'truncated, ' if trace.truncated else ''}"
-            f"{trace.skipped_lines} unreadable line(s) skipped"
-        )
     return "\n".join(lines)
 
 

@@ -186,7 +186,7 @@ def chrome_trace(recorder: TraceRecorder) -> Dict[str, Any]:
                 "tid": record.tid,
                 "args": dict(record.args),
             })
-    # Thread-name metadata rows keep worker lanes readable in the viewer.
+    # Thread-name metadata rows keep thread lanes readable in the viewer.
     for tid in sorted(tids):
         events.append({
             "ph": "M",
@@ -212,23 +212,13 @@ def write_chrome_trace(recorder: TraceRecorder, path: str) -> str:
 # --------------------------------------------------------------------------
 
 
-#: Label dimensions folded out of the metrics snapshot on export:
-#: worker pids differ between otherwise identical runs (and the per-pid
-#: job split is wall-clock scheduling), so ``--metrics-out`` aggregates
-#: them away — the written snapshot byte-compares across identical runs
-#: (required by ``repro trace diff``).
-VOLATILE_METRIC_LABELS: Tuple[str, ...] = ("pid",)
-
-
 def write_metrics(
     recorder: TraceRecorder, path: str,
     extra: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Write the metrics snapshot (plus caller-supplied summary data)."""
     payload: Dict[str, Any] = {"version": JOURNAL_VERSION}
-    payload.update(recorder.metrics.snapshot(
-        fold_labels=VOLATILE_METRIC_LABELS
-    ))
+    payload.update(recorder.metrics.snapshot())
     if extra:
         payload["summary"] = extra
     _ensure_parent(path)

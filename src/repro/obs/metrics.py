@@ -8,18 +8,16 @@ pipeline increments these through the active recorder
 every operation a no-op, so untraced runs pay one attribute lookup per
 metric site.
 
-Determinism: metric *values* may depend on wall-clock ordering only
-where the underlying quantity does (e.g. worker utilization); everything
-derived from pipeline decisions (cache tiers, edit families, diagnostic
-codes) is bit-identical across traced/untraced and serial/parallel runs
-because the pipeline itself is.  Snapshots are sorted so two identical
-runs serialize identically.
+Determinism: every series is derived from pipeline decisions (cache
+tiers, edit families, diagnostic codes, simulated seconds), so it is
+bit-identical across identical runs because the pipeline itself is.
+Snapshots are sorted so two identical runs serialize identically.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds, in the unit of the observed
 #: value (seconds for durations, plain counts for sizes).  Spans five
@@ -92,7 +90,7 @@ class NullMetrics:
                 **labels: Any) -> None:
         return None
 
-    def snapshot(self, fold_labels: Sequence[str] = ()) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
 
@@ -142,61 +140,11 @@ class MetricsRegistry:
                 if n == name
             }
 
-    # -- merging (worker subtraces) ----------------------------------------
-
-    def dump(self) -> Tuple[Any, Any, Any]:
-        """Picklable raw series (the worker half of a subtrace merge)."""
-        with self._lock:
-            return (
-                dict(self._counters),
-                dict(self._gauges),
-                {
-                    key: (hist.bounds, list(hist.bucket_counts), hist.count,
-                          hist.total, hist.min, hist.max)
-                    for key, hist in self._hists.items()
-                },
-            )
-
-    def absorb(self, dump: Tuple[Any, Any, Any]) -> None:
-        """Merge a :meth:`dump` into this registry: counters and
-        histogram contents add; gauges take the incoming value (last
-        write wins, at consumption order)."""
-        counters, gauges, hists = dump
-        with self._lock:
-            for key, value in counters.items():
-                self._counters[key] = self._counters.get(key, 0.0) + value
-            self._gauges.update(gauges)
-            for key, (bounds, buckets, count, total, lo, hi) in hists.items():
-                hist = self._hists.get(key)
-                if hist is None or hist.bounds != tuple(bounds):
-                    hist = Histogram(bounds)
-                    self._hists[key] = hist
-                for i, n in enumerate(buckets):
-                    hist.bucket_counts[i] += n
-                hist.count += count
-                hist.total += total
-                if lo is not None:
-                    hist.min = lo if hist.min is None else min(hist.min, lo)
-                if hi is not None:
-                    hist.max = hi if hist.max is None else max(hist.max, hi)
-
-    def snapshot(self, fold_labels: Sequence[str] = ()) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """Deterministically-ordered plain-dict view for JSON export.
 
         Families and label sets are emitted sorted, so two registries
-        holding the same series serialize identically.  ``fold_labels``
-        names label *dimensions* to aggregate away before rendering —
-        the exporter folds ``pid`` (see
-        :func:`repro.obs.export.write_metrics`), because worker pids
-        (and the per-pid job split, which is wall-clock scheduling)
-        vary between otherwise identical runs: folded counters sum,
-        gauges keep the maximum, histograms merge — leaving a snapshot
-        that byte-compares across identical runs."""
-
-        def fold_key(name: str, labels: Tuple[Tuple[str, str], ...]) -> _SeriesKey:
-            return name, tuple(
-                (k, v) for k, v in labels if k not in fold_labels
-            )
+        holding the same series serialize identically."""
 
         def render(series: Dict[_SeriesKey, Any], value_of) -> Dict[str, Any]:
             out: Dict[str, Any] = {}
@@ -212,40 +160,6 @@ class MetricsRegistry:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             hists = dict(self._hists)
-        if fold_labels:
-            folded_counters: Dict[_SeriesKey, float] = {}
-            for (name, labels), value in counters.items():
-                key = fold_key(name, labels)
-                folded_counters[key] = folded_counters.get(key, 0.0) + value
-            counters = folded_counters
-            folded_gauges: Dict[_SeriesKey, float] = {}
-            for (name, labels), value in gauges.items():
-                key = fold_key(name, labels)
-                folded_gauges[key] = (
-                    value if key not in folded_gauges
-                    else max(folded_gauges[key], value)
-                )
-            gauges = folded_gauges
-            folded_hists: Dict[_SeriesKey, Histogram] = {}
-            for (name, labels), hist in hists.items():
-                key = fold_key(name, labels)
-                merged = folded_hists.get(key)
-                if merged is None:
-                    merged = Histogram(hist.bounds)
-                    folded_hists[key] = merged
-                elif merged.bounds != hist.bounds:
-                    continue  # incompatible buckets: keep the first
-                for i, n in enumerate(hist.bucket_counts):
-                    merged.bucket_counts[i] += n
-                merged.count += hist.count
-                merged.total += hist.total
-                if hist.min is not None:
-                    merged.min = hist.min if merged.min is None \
-                        else min(merged.min, hist.min)
-                if hist.max is not None:
-                    merged.max = hist.max if merged.max is None \
-                        else max(merged.max, hist.max)
-            hists = folded_hists
         return {
             "counters": render(counters, lambda v: v),
             "gauges": render(gauges, lambda v: v),

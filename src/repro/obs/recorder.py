@@ -18,22 +18,14 @@ enforce that:
    ``clock.seconds`` samples); it never feeds anything back;
 2. wall-clock values live exclusively inside the recorder and its
    exports — they never enter candidate keys, charge journals, cached
-   payloads or anything else the pipeline compares (the worker-side
-   trace that rides :class:`~repro.core.evalcache.CachedEvaluation` is
-   stripped before the payload reaches any cache tier);
+   payloads or anything else the pipeline compares;
 3. the default recorder is :class:`NullRecorder`, a stateless singleton
    whose hooks are constant-time no-ops, so an untraced run pays only a
    global lookup per hook (benchmarked in ``benchmarks/bench_obs.py``).
 
-Subtraces
----------
-
-A candidate's toolchain run records its spans into a *local* recorder
-scoped to that one run (:func:`scoped_recorder`), exported as a compact
-picklable subtrace, carried back on the ``CachedEvaluation`` payload,
-and re-parented under the consuming span by
-:meth:`TraceRecorder.attach_subtrace` — mirroring exactly how journalled
-clock charges are replayed into the search clock.
+A candidate's toolchain run records straight into the live recorder,
+under the open ``search.evaluate`` span, so every child span lies inside
+its parent's wall interval.
 
 Subscribers
 -----------
@@ -41,8 +33,7 @@ Subscribers
 Read-only sinks (:mod:`repro.obs.stream`) can attach to a recorder via
 :meth:`TraceRecorder.add_subscriber`; they are notified once per
 completed record — span close or event emit — in completion order,
-including records grafted from worker subtraces (at consumption order)
-and records the bounded buffer dropped.  Subscribers inherit the
+including records the bounded buffer dropped.  Subscribers inherit the
 determinism contract: they only *read* (the record, and at most the
 recorder's metrics registry); a subscriber that raises is counted
 (``subscriber_errors``) and never propagates into the pipeline.
@@ -65,11 +56,6 @@ from .metrics import MetricsRegistry, NullMetrics
 #: :class:`TraceRecorder`; a value that looks like a path additionally
 #: serves as the CLI's default ``--trace-out``.
 TRACE_ENV = "REPRO_TRACE"
-
-#: Subtrace wire-format tag (bump on layout change; decoders must treat
-#: an unknown tag as "no trace" rather than fail the evaluation).
-#: v2 added the metrics dump at index 2.
-SUBTRACE_TAG = "repro-subtrace/v2"
 
 #: Default cap on buffered records: a long-lived traced process (a full
 #: tier-1 run under ``REPRO_TRACE=1``) must stay bounded.  Overflow
@@ -136,12 +122,6 @@ class NullRecorder:
         return _NULL_SPAN
 
     def event(self, name: str, level: str = "info", **args: Any) -> None:
-        return None
-
-    def attach_subtrace(self, subtrace: Any, **root_args: Any) -> None:
-        return None
-
-    def subtrace(self) -> None:
         return None
 
     def add_subscriber(self, sink: Any) -> None:
@@ -312,70 +292,12 @@ class TraceRecorder:
             self._records.clear()
             self.dropped = 0
 
-    # -- subtrace wire format ---------------------------------------------
-
-    def subtrace(self) -> Tuple[Any, ...]:
-        """Export this recorder's records as a compact picklable
-        subtrace: ``(tag, pid, metrics_dump, records...)`` with span
-        times relative to the recorder epoch.  Used by worker-side
-        evaluation recorders whose contents ride the
-        ``CachedEvaluation`` wire format — the metrics incremented
-        during the toolchain run (compile invocations, style checks)
-        travel with the spans and merge into the consuming registry."""
-        return (SUBTRACE_TAG, os.getpid(), self.metrics.dump()) \
-            + tuple(self.records())
-
-    def attach_subtrace(self, subtrace: Any, **root_args: Any) -> None:
-        """Graft a worker subtrace under the currently-open span.
-
-        Local span ids are remapped to fresh ids; roots of the subtrace
-        become children of the current span.  Wall times are re-based so
-        the subtrace starts at the attach call — work is *accounted at
-        consumption order*, exactly like journalled clock charges.  The
-        shipped metrics merge into this recorder's registry the same
-        way."""
-        if not subtrace or len(subtrace) < 3 or subtrace[0] != SUBTRACE_TAG:
-            return
-        pid = subtrace[1]
-        self.metrics.absorb(subtrace[2])
-        records = subtrace[3:]
-        stack = self._stack()
-        graft_parent = stack[-1] if stack else 0
-        now_us = (time.perf_counter() - self.epoch) * 1e6
-        base_us = min(
-            (r.ts_us for r in records), default=0.0
-        )
-        idmap: Dict[int, int] = {}
-        for record in records:
-            idmap[record.sid] = next(self._ids)
-        for record in records:
-            parent = idmap.get(record.parent, graft_parent)
-            ts = now_us + (record.ts_us - base_us)
-            if isinstance(record, SpanRecord):
-                args = dict(record.args)
-                if root_args and record.parent not in idmap:
-                    args.update(root_args)
-                args.setdefault("worker_pid", pid)
-                self._append(SpanRecord(
-                    sid=idmap[record.sid], parent=parent, name=record.name,
-                    cat=record.cat, ts_us=ts, dur_us=record.dur_us,
-                    sim_ts=record.sim_ts, sim_dur=record.sim_dur,
-                    tid=pid, args=args,
-                ))
-            else:
-                self._append(EventRecord(
-                    sid=idmap[record.sid], parent=parent, name=record.name,
-                    ts_us=ts, tid=pid, level=record.level,
-                    args=dict(record.args),
-                ))
-
 
 # --------------------------------------------------------------------------
 # The current recorder
 # --------------------------------------------------------------------------
 
 _GLOBAL: Optional[Any] = None
-_OVERRIDES = threading.local()
 
 
 def trace_env_value() -> str:
@@ -390,15 +312,9 @@ def _from_env() -> Any:
 
 
 def get_recorder() -> Any:
-    """The recorder for the current context.
-
-    A thread-scoped override (see :func:`scoped_recorder`) wins;
-    otherwise the process-global recorder, lazily initialized from
+    """The process-global recorder, lazily initialized from
     ``REPRO_TRACE`` on first use.  Hot paths may cache the result of one
     call for the duration of one pipeline stage, never longer."""
-    override = getattr(_OVERRIDES, "recorder", None)
-    if override is not None:
-        return override
     global _GLOBAL
     if _GLOBAL is None:
         _GLOBAL = _from_env()
@@ -423,14 +339,10 @@ def reset_recorder() -> None:
 
 @contextmanager
 def scoped_recorder(recorder: Any) -> Iterator[Any]:
-    """Thread-scoped recorder override.
-
-    Candidate evaluation uses this to capture one toolchain run into a
-    local recorder without touching the global recorder other threads
-    may be writing to."""
-    previous = getattr(_OVERRIDES, "recorder", None)
-    _OVERRIDES.recorder = recorder
+    """Install *recorder* as the global recorder for the duration of
+    the block, then restore the previous one, even if the block raises."""
+    previous = install_recorder(recorder)
     try:
         yield recorder
     finally:
-        _OVERRIDES.recorder = previous
+        install_recorder(previous)

@@ -1,57 +1,35 @@
-"""Live consumption of a running trace — progress rendering and tailing.
+"""Live consumption of a running trace — the progress renderer.
 
-PR 5's :class:`~repro.obs.recorder.TraceRecorder` *records* a
-determinism-safe span tree; this module is the first consumer of that
-stream while the run is still going.  A **subscriber** is a read-only
-sink attached via :meth:`TraceRecorder.add_subscriber`, notified once
-per completed record (span close or event emit), in completion order —
-the exact order journalled clock charges are consumed.
+A **subscriber** is a read-only sink attached to a
+:class:`~repro.obs.recorder.TraceRecorder` via
+:meth:`~repro.obs.recorder.TraceRecorder.add_subscriber`, notified once
+per completed record (span close or event emit), in completion order.
 
-Two sinks ship:
-
-* :class:`ProgressSink` — a throttled stderr line renderer: current
-  pipeline phase, iteration/candidate counts, cache and store hit
-  rates, simulated-budget consumption and a wall-clock ETA.  Enabled by
-  the CLI ``--progress`` flag or ``REPRO_PROGRESS=1``.
-* :class:`JsonlTailSink` — appends each record to a JSONL file as it
-  completes and flushes per line, so ``tail -f`` (or the future
-  ``repro serve`` daemon) can follow a run live.  The line format is
-  exactly the event-journal record format
-  (:func:`repro.obs.export.record_to_json`); the header carries
-  ``"stream": true`` because a live tail cannot know final record
-  counts up front.  Enabled by ``--stream-out`` / ``REPRO_STREAM``.
+:class:`ProgressSink` is the one shipped sink: a throttled stderr line
+renderer showing the current pipeline phase, iteration/candidate
+counts, cache and store hit rates, simulated-budget consumption and a
+wall-clock ETA.  The CLI ``--progress`` flag enables it.
 
 Determinism contract
 --------------------
 
-Subscribers uphold the PR 5 invariant: they never feed anything back
-into the pipeline.  A sink only reads the completed record handed to it
-(plus, for the progress renderer, the recorder's metrics registry —
-reads that take the metrics lock but mutate nothing), writes exclusively
-to stderr or its own file, and swallows its own failures (the recorder
-counts them in ``subscriber_errors``).  Worker subtraces are still
-stripped before every cache tier; ``--json`` pipeline output is
-byte-identical with sinks attached or not (asserted per-subject in the
-CI ``trace`` job and ``tests/obs/test_trace_cli.py``).
+Subscribers never feed anything back into the pipeline.  A sink only
+reads the completed record handed to it (plus, for the progress
+renderer, the recorder's metrics registry — reads that take the metrics
+lock but mutate nothing), writes exclusively to stderr, and swallows
+its own failures (the recorder counts them in ``subscriber_errors``).
+``--json`` pipeline output is byte-identical with ``--progress`` on or
+off (asserted per subject in the CI ``trace`` job and
+``tests/obs/test_trace_cli.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
-from typing import Any, Dict, IO, Optional
+from typing import Any, IO, Optional
 
 from .recorder import EventRecord, SpanRecord
-
-#: Environment toggle for the live progress renderer (CLI ``--progress``
-#: wins; any non-empty value other than "0" enables it).
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-#: Environment default for the streamed-journal path (CLI
-#: ``--stream-out`` wins).
-STREAM_ENV = "REPRO_STREAM"
 
 #: Phase shown while records of this span name are completing.  Span
 #: records arrive at *close*, children before parents, so an inner span
@@ -77,16 +55,6 @@ _PHASE_OF = {
     "study.analyze": "study",
     "study": "done",
 }
-
-
-def progress_env_enabled() -> bool:
-    value = os.environ.get(PROGRESS_ENV, "").strip()
-    return bool(value) and value != "0"
-
-
-def stream_env_path() -> Optional[str]:
-    value = os.environ.get(STREAM_ENV, "").strip()
-    return value or None
 
 
 class TraceSubscriber:
@@ -246,68 +214,10 @@ def _fmt_eta(seconds: float) -> str:
     return f"{seconds / 3600:.1f}h"
 
 
-class JsonlTailSink(TraceSubscriber):
-    """Follow-able JSONL stream of the journal, one record per line.
-
-    This is the wire format the ROADMAP's ``repro serve`` daemon will
-    forward to clients: the same record objects the batch journal
-    exporter writes, but emitted incrementally at completion order and
-    flushed per line.  Unlike the final journal the body is *not*
-    sorted by start time (a live stream cannot be), and the trailing
-    record may be cut mid-line if the producer dies — which is exactly
-    why :func:`repro.obs.analyze.load_journal` tolerates both.
-    """
-
-    def __init__(self, path: str) -> None:
-        from .export import JOURNAL_VERSION, _ensure_parent
-
-        self.path = path
-        _ensure_parent(path)
-        self._handle: Optional[IO[str]] = open(path, "w")
-        self._write_obj({
-            "type": "header",
-            "version": JOURNAL_VERSION,
-            "records": 0,
-            "dropped": 0,
-            "stream": True,
-        })
-
-    def _write_obj(self, obj: Dict[str, Any]) -> None:
-        handle = self._handle
-        if handle is None:
-            return
-        handle.write(json.dumps(obj, sort_keys=True) + "\n")
-        handle.flush()
-
-    def on_span(self, record: SpanRecord) -> None:
-        self._emit(record)
-
-    def on_event(self, record: EventRecord) -> None:
-        self._emit(record)
-
-    def _emit(self, record: Any) -> None:
-        from .export import record_to_json
-
-        self._write_obj(record_to_json(record))
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def attach_cli_sinks(
-    recorder: Any,
-    progress: bool = False,
-    stream_out: Optional[str] = None,
-) -> list:
+def attach_cli_sinks(recorder: Any, progress: bool = False) -> list:
     """Build and attach the CLI's sinks; returns them for later
     :meth:`TraceSubscriber.close` calls."""
-    sinks: list = []
-    if progress:
-        sinks.append(ProgressSink(recorder))
-    if stream_out:
-        sinks.append(JsonlTailSink(stream_out))
+    sinks: list = [ProgressSink(recorder)] if progress else []
     for sink in sinks:
         recorder.add_subscriber(sink)
     return sinks

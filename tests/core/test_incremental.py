@@ -144,8 +144,10 @@ def _assert_tracing_identical(subject_id):
     names = {s.name for s in serial_rec.spans()}
     assert SPAN_TRANSPILE in names
     assert "search.evaluate" in names
-    grafted = [s for s in serial_rec.spans() if "worker_pid" in s.args]
-    assert grafted, "no toolchain subtrace was re-parented under its span"
+    by_id = {s.sid: s for s in serial_rec.spans()}
+    in_evaluate = [s for s in by_id.values() if s.name == "hls_compile"
+                   and by_id[s.parent].name == "search.evaluate"]
+    assert in_evaluate, "no toolchain span recorded under search.evaluate"
 
 
 @pytest.mark.parametrize("subject_id", QUICK_SUBJECTS)

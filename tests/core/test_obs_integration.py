@@ -190,3 +190,21 @@ def test_seed_capture_failure_without_calls_reports_zero_salvaged(caplog):
                 if e.name == "seed_capture_failed"]
     assert event.args["seeds_salvaged"] == 0
     assert recorder.metrics.counter_value("fuzz.seeds_salvaged") == 0.0
+
+
+def test_traced_spans_nest_in_wall_time():
+    """Every child span's wall interval lies within its parent's, with
+    1 µs of slack for the float microsecond arithmetic."""
+    recorder = TraceRecorder()
+    with scoped_recorder(recorder):
+        HeteroGen(_quick_config()).transpile(KERNEL_SRC, kernel_name="kernel")
+    spans = {s.sid: s for s in recorder.spans()}
+    children = [s for s in spans.values() if s.parent]
+    assert any(spans[s.parent].name == SPAN_EVALUATE for s in children)
+    misnested = [
+        (s.name, spans[s.parent].name) for s in children
+        if s.ts_us < spans[s.parent].ts_us - 1.0
+        or s.ts_us + s.dur_us
+        > spans[s.parent].ts_us + spans[s.parent].dur_us + 1.0
+    ]
+    assert not misnested, misnested

@@ -1,5 +1,5 @@
-"""Journal analytics: loader leniency, aggregation, critical path,
-flamegraph exports, structural diff."""
+"""Journal analytics: the complete-journal loader, aggregation, critical
+path, flamegraph exports, structural diff."""
 
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ class TestLoadJournal:
         path = _journal(tmp_path)
         trace = load_journal(path)
         assert trace.header["version"] >= 1
-        assert not trace.truncated and trace.skipped_lines == 0
         names = sorted(s["name"] for s in trace.spans.values())
         assert names.count("search.iteration") == 2
         assert names.count("hls_compile") == 2
@@ -69,44 +68,72 @@ class TestLoadJournal:
                 parent = trace.spans[span["parent"]]
                 assert parent["name"] == "search.iteration"
 
-    def test_truncated_final_line_is_tolerated(self, tmp_path):
+    def test_truncated_final_line_raises(self, tmp_path):
         path = _journal(tmp_path)
         text = open(path).read()
         cut = text[: text.rindex('"name"')]  # cut the last record mid-object
         assert not cut.endswith("\n")
         trunc = tmp_path / "trunc.jsonl"
         trunc.write_text(cut)
+        last = cut.count("\n") + 1
+        with pytest.raises(ValueError, match=f"trunc.jsonl:{last}: not JSON"):
+            load_journal(str(trunc))
 
-        trace = load_journal(str(trunc))
-        assert trace.truncated
-        with pytest.raises(ValueError, match="truncated"):
-            load_journal(str(trunc), strict=True)
-
-    def test_orphan_spans_promote_to_root_in_lenient_mode(self, tmp_path):
+    def test_cut_at_a_line_boundary_raises(self, tmp_path):
         path = _journal(tmp_path)
-        # Drop the root span record: every direct child becomes orphaned.
+        lines = open(path).read().splitlines(keepends=True)
+        half = tmp_path / "half.jsonl"
+        half.write_text("".join(lines[: len(lines) // 2]))
+        with pytest.raises(ValueError, match="half.jsonl:.*truncated"):
+            load_journal(str(half))
+
+    def test_orphan_span_raises(self, tmp_path):
+        path = _journal(tmp_path)
+        # Drop the root span record, and fix up the header count so the
+        # orphaned children are what the loader trips on.
         lines = open(path).read().splitlines()
-        kept = [l for l in lines if '"name": "transpile"' not in l]
+        header = json.loads(lines[0])
+        header["records"] -= 1
+        kept = [json.dumps(header)] + [
+            l for l in lines[1:] if '"name": "transpile"' not in l
+        ]
         partial = tmp_path / "partial.jsonl"
         partial.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match="partial.jsonl:.*unknown parent"):
+            load_journal(str(partial))
 
-        trace = load_journal(str(partial))
-        root_names = sorted(trace.spans[s]["name"] for s in trace.roots)
-        assert root_names == ["fuzz", "search"]
-        with pytest.raises(ValueError, match="unknown parent"):
-            load_journal(str(partial), strict=True)
-
-    def test_garbage_line_skipped_lenient_raises_strict(self, tmp_path):
+    def test_garbage_line_raises(self, tmp_path):
         path = _journal(tmp_path)
         lines = open(path).read().splitlines()
         lines.insert(2, "not json at all")
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl:3: not JSON"):
+            load_journal(str(bad))
 
-        trace = load_journal(str(bad))
-        assert trace.skipped_lines == 1
-        with pytest.raises(ValueError, match="not JSON"):
-            load_journal(str(bad), strict=True)
+    def test_dropped_records_raise(self, tmp_path):
+        rec = _recorded_run()
+        rec.max_records = len(rec.records())
+        rec.event("overflow")
+        assert rec.dropped == 1
+        path = write_journal(rec, str(tmp_path / "dropped.jsonl"))
+        with pytest.raises(ValueError, match="dropped.jsonl:1: .*dropped 1"):
+            load_journal(path)
+
+    @pytest.mark.parametrize("body,message", [
+        ("", "missing journal header"),
+        ('{"type": "span", "id": 1}\n', ":1: missing journal header"),
+        ('{"type": "header", "records": 1, "dropped": 0}\n'
+         '{"type": "mystery", "id": 1}\n', ":2: unknown record 'mystery'"),
+        ('{"type": "header", "records": 2, "dropped": 0}\n'
+         '{"type": "event", "id": 1, "parent": 0}\n'
+         '{"type": "event", "id": 1, "parent": 0}\n', ":3: duplicate id 1"),
+    ], ids=["empty", "no-header", "unknown-type", "duplicate-id"])
+    def test_malformed_journal_raises(self, tmp_path, body, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            load_journal(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +288,3 @@ class TestRenderSummary:
         assert "type_trans" in text
         assert "critical path (wall)" in text
         assert "critical path (sim)" in text
-
-    def test_summary_notes_truncation(self, tmp_path):
-        path = _journal(tmp_path)
-        text = open(path).read()
-        trunc = tmp_path / "trunc.jsonl"
-        trunc.write_text(text[: text.rindex('"name"')])
-        rendered = render_summary(load_journal(str(trunc)))
-        assert "truncated" in rendered

@@ -1,8 +1,7 @@
-"""Recorder behaviour: span parenting, clocks, subtraces, scoping."""
+"""Recorder behaviour: span parenting, clocks, scoping."""
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 from repro.hls.clock import ACT_HLS_COMPILE, SimulatedClock
@@ -15,7 +14,6 @@ from repro.obs import (
     reset_recorder,
     scoped_recorder,
 )
-from repro.obs.recorder import SUBTRACE_TAG, EventRecord, SpanRecord
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +30,6 @@ def test_null_recorder_is_inert():
         rec.metrics.observe("whatever", 1.0)
         rec.metrics.set_gauge("whatever", 1.0)
     assert span is rec.span("other")  # one shared no-op span instance
-    assert rec.subtrace() is None
     assert rec.metrics.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {}
     }
@@ -140,84 +137,6 @@ def test_threads_parent_independently():
 
 
 # ---------------------------------------------------------------------------
-# Subtraces (the worker wire format)
-# ---------------------------------------------------------------------------
-
-
-def _make_subtrace():
-    tracer = TraceRecorder()
-    clock = SimulatedClock.recording()
-    with tracer.span("hls_compile", clock=clock):
-        clock.charge(ACT_HLS_COMPILE, 12.0)
-        tracer.event("diag", code="SYNCHK 200-11")
-    with tracer.span("difftest"):
-        pass
-    return tracer.subtrace()
-
-
-def test_subtrace_is_picklable_and_tagged():
-    sub = _make_subtrace()
-    assert sub[0] == SUBTRACE_TAG
-    assert isinstance(sub[1], int)  # producing pid
-    restored = pickle.loads(pickle.dumps(sub))
-    assert restored[0] == SUBTRACE_TAG
-    assert len(restored) == len(sub)
-
-
-def test_attach_subtrace_grafts_under_current_span():
-    sub = _make_subtrace()
-    rec = TraceRecorder()
-    with rec.span("search.evaluate"):
-        rec.attach_subtrace(sub)
-    spans = {s.name: s for s in rec.spans()}
-    evaluate = spans["search.evaluate"]
-    for name in ("hls_compile", "difftest"):
-        assert spans[name].parent == evaluate.sid
-        assert spans[name].args["worker_pid"] == sub[1]
-        assert spans[name].tid == sub[1]
-    # Simulated measurements survive the graft untouched.
-    assert spans["hls_compile"].sim_dur == 12.0
-    (event,) = rec.events()
-    assert event.name == "diag"
-    assert event.parent == spans["hls_compile"].sid
-
-
-def test_attach_subtrace_remaps_ids_fresh():
-    sub = _make_subtrace()
-    rec = TraceRecorder()
-    with rec.span("consume-twice"):
-        rec.attach_subtrace(sub)
-        rec.attach_subtrace(sub)  # cache hit replays the same subtrace
-    sids = [s.sid for s in rec.spans()]
-    assert len(sids) == len(set(sids)), "grafted ids must never collide"
-
-
-def test_attach_subtrace_merges_worker_metrics():
-    tracer = TraceRecorder()
-    tracer.metrics.inc("hls.compile.invocations")
-    tracer.metrics.observe("hls.compile.sim_seconds", 42.0)
-    tracer.metrics.set_gauge("g", 0.5)
-    sub = tracer.subtrace()
-    rec = TraceRecorder()
-    rec.metrics.inc("hls.compile.invocations")
-    rec.attach_subtrace(sub)
-    rec.attach_subtrace(sub)
-    assert rec.metrics.counter_value("hls.compile.invocations") == 3.0
-    snap = rec.metrics.snapshot()
-    assert snap["histograms"]["hls.compile.sim_seconds"]["count"] == 2
-    assert snap["histograms"]["hls.compile.sim_seconds"]["sum"] == 84.0
-    assert snap["gauges"] == {"g": 0.5}
-
-
-def test_attach_subtrace_ignores_unknown_tag():
-    rec = TraceRecorder()
-    rec.attach_subtrace(("some-other-format/v9", 1234))
-    rec.attach_subtrace(None)
-    rec.attach_subtrace(())
-    assert rec.records() == []
-
-
-# ---------------------------------------------------------------------------
 # Recorder scoping
 # ---------------------------------------------------------------------------
 
@@ -230,28 +149,13 @@ def test_scoped_recorder_overrides_and_restores():
         assert get_recorder() is outer
         with scoped_recorder(inner):
             assert get_recorder() is inner
-            with scoped_recorder(None):
-                # A nested None override un-hides the global again.
-                assert get_recorder() is outer
-            assert get_recorder() is inner
+        assert get_recorder() is outer
+        # The previous recorder comes back even when the block raises.
+        try:
+            with scoped_recorder(inner):
+                raise RuntimeError("boom")
+        except RuntimeError:
+            pass
         assert get_recorder() is outer
     finally:
         install_recorder(previous)
-
-
-def test_scoped_recorder_is_thread_local():
-    outer = TraceRecorder()
-    inner = TraceRecorder()
-    previous = install_recorder(outer)
-    seen = {}
-    try:
-        with scoped_recorder(inner):
-            def probe():
-                seen["recorder"] = get_recorder()
-
-            t = threading.Thread(target=probe)
-            t.start()
-            t.join()
-    finally:
-        install_recorder(previous)
-    assert seen["recorder"] is outer, "override must not leak across threads"

@@ -1,25 +1,13 @@
-"""Streaming sinks: the subscriber API, the progress renderer, and the
-follow-able JSONL tail."""
+"""Streaming sinks: the subscriber API and the progress renderer."""
 
 from __future__ import annotations
 
 import io
-import json
 
 from repro.hls.clock import ACT_HLS_COMPILE, SimulatedClock
 from repro.obs import NULL_RECORDER, TraceRecorder
-from repro.obs.analyze import load_journal
 from repro.obs.recorder import EventRecord, SpanRecord
-from repro.obs.stream import (
-    JsonlTailSink,
-    PROGRESS_ENV,
-    ProgressSink,
-    STREAM_ENV,
-    TraceSubscriber,
-    attach_cli_sinks,
-    progress_env_enabled,
-    stream_env_path,
-)
+from repro.obs.stream import ProgressSink, TraceSubscriber, attach_cli_sinks
 
 
 class _CollectingSink(TraceSubscriber):
@@ -120,40 +108,6 @@ class TestSubscriberApi:
         NULL_RECORDER.remove_subscriber(sink)
         assert sink.spans == []
 
-    def test_subscribers_see_grafted_worker_subtraces(self):
-        worker = TraceRecorder()
-        with worker.span("hls_compile"):
-            pass
-        subtrace = worker.subtrace()
-
-        rec = TraceRecorder()
-        sink = _CollectingSink()
-        rec.add_subscriber(sink)
-        with rec.span("search.evaluate"):
-            rec.attach_subtrace(subtrace)
-        assert [s.name for s in sink.spans] == ["hls_compile", "search.evaluate"]
-
-
-# ---------------------------------------------------------------------------
-# Environment knobs
-# ---------------------------------------------------------------------------
-
-
-class TestEnvKnobs:
-    def test_progress_env(self, monkeypatch):
-        monkeypatch.delenv(PROGRESS_ENV, raising=False)
-        assert not progress_env_enabled()
-        monkeypatch.setenv(PROGRESS_ENV, "1")
-        assert progress_env_enabled()
-        monkeypatch.setenv(PROGRESS_ENV, "0")
-        assert not progress_env_enabled()
-
-    def test_stream_env(self, monkeypatch):
-        monkeypatch.delenv(STREAM_ENV, raising=False)
-        assert stream_env_path() is None
-        monkeypatch.setenv(STREAM_ENV, "/tmp/x.jsonl")
-        assert stream_env_path() == "/tmp/x.jsonl"
-
 
 # ---------------------------------------------------------------------------
 # Progress renderer
@@ -237,81 +191,15 @@ class TestProgressSink:
         assert rec.subscriber_errors == 0
 
 
-# ---------------------------------------------------------------------------
-# JSONL tail sink
-# ---------------------------------------------------------------------------
-
-
-class TestJsonlTailSink:
-    def test_tail_is_a_loadable_stream_journal(self, tmp_path):
-        path = str(tmp_path / "tail.jsonl")
-        rec = TraceRecorder()
-        sink = JsonlTailSink(path)
-        rec.add_subscriber(sink)
-        clock = SimulatedClock.recording()
-        with rec.span("transpile"):
-            with rec.span("fuzz", clock=clock):
-                clock.charge(ACT_HLS_COMPILE, 12.0)
-            rec.event("warn", code="W1")
-        sink.close()
-
-        lines = [json.loads(l) for l in open(path)]
-        assert lines[0]["type"] == "header"
-        assert lines[0]["stream"] is True
-        # Completion order: fuzz closes before the event fires, the
-        # root closes last.
-        assert [l["name"] for l in lines[1:]] == ["fuzz", "warn", "transpile"]
-
-        trace = load_journal(path)
-        assert {s["name"] for s in trace.spans.values()} == \
-            {"transpile", "fuzz"}
-        names = {trace.spans[s]["name"]: s for s in trace.spans}
-        assert trace.spans[names["fuzz"]]["parent"] == names["transpile"]
-        assert trace.spans[names["fuzz"]]["sim_dur_s"] == 12.0
-
-    def test_tail_of_a_dead_producer_still_loads(self, tmp_path):
-        # A producer that never closed its root span: the tail has the
-        # children but no parent record.
-        path = str(tmp_path / "tail.jsonl")
-        rec = TraceRecorder()
-        sink = JsonlTailSink(path)
-        rec.add_subscriber(sink)
-        span = rec.span("transpile")
-        span.__enter__()
-        with rec.span("fuzz"):
-            pass
-        sink.close()  # producer dies; "transpile" never closed
-
-        trace = load_journal(path)
-        assert [trace.spans[s]["name"] for s in trace.roots] == ["fuzz"]
-
-    def test_writes_flush_per_record(self, tmp_path):
-        path = str(tmp_path / "tail.jsonl")
-        rec = TraceRecorder()
-        sink = JsonlTailSink(path)
-        rec.add_subscriber(sink)
-        with rec.span("fuzz"):
-            pass
-        # Readable mid-run, before close().
-        lines = open(path).read().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[1])["name"] == "fuzz"
-        sink.close()
-
-
 class TestAttachCliSinks:
-    def test_attaches_requested_sinks(self, tmp_path):
+    def test_attaches_requested_sinks(self):
         rec = TraceRecorder()
-        path = str(tmp_path / "s.jsonl")
-        sinks = attach_cli_sinks(rec, progress=True, stream_out=path)
-        assert len(sinks) == 2
+        sinks = attach_cli_sinks(rec, progress=True)
+        assert len(sinks) == 1
         assert isinstance(sinks[0], ProgressSink)
-        assert isinstance(sinks[1], JsonlTailSink)
         with rec.span("fuzz"):
             pass
-        for sink in sinks:
-            sink.close()
-        assert len(open(path).read().splitlines()) == 2
+        assert sinks[0].records_seen == 1
 
     def test_nothing_requested_attaches_nothing(self):
         rec = TraceRecorder()

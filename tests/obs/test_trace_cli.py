@@ -1,6 +1,7 @@
 """End-to-end trace plumbing through the CLI: every subcommand's
-journal round-trips into the analyzer, live sinks never change the
-product output, and the ``repro trace`` verbs work on real journals."""
+journal round-trips into the analyzer, the progress sink never changes
+the product output, and the ``repro trace`` verbs work on complete
+journals and refuse incomplete ones."""
 
 from __future__ import annotations
 
@@ -88,28 +89,25 @@ class TestJournalRoundTrips:
     )
     def test_subcommand_journal_loads_strict(self, journals, stem, argv,
                                              names):
-        trace = load_journal(journals[stem], strict=True)
-        assert not trace.truncated and trace.skipped_lines == 0
+        trace = load_journal(journals[stem])
         stats = stage_stats(trace)
         assert names <= set(stats), (
             f"{stem} journal is missing spans: {names - set(stats)}"
         )
         assert trace.roots, f"{stem} journal has no root span"
 
-    def test_truncated_cli_journal_still_loads(self, journals, tmp_path):
+    def test_truncated_cli_journal_is_refused(self, journals, tmp_path):
         text = open(journals["transpile"]).read()
         cut = tmp_path / "cut.jsonl"
         cut.write_text(text[: int(len(text) * 0.9)])
-        trace = load_journal(str(cut))
-        assert trace.spans
-        assert stage_stats(trace)
+        with pytest.raises(ValueError, match="cut.jsonl"):
+            load_journal(str(cut))
 
 
 class TestSinkDeterminism:
     def test_json_output_byte_identical_with_sinks_on(self, tmp_path,
                                                       monkeypatch, capsys):
-        for var in ("REPRO_TRACE", "REPRO_PROGRESS", "REPRO_STREAM"):
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         kernel = tmp_path / "kernel.c"
         kernel.write_text(KERNEL)
         argv = ["transpile", str(kernel), "--kernel", "smooth",
@@ -121,10 +119,8 @@ class TestSinkDeterminism:
         assert code == 0
 
         _reset_process_state()
-        stream = tmp_path / "tail.jsonl"
         code = main(argv + [
             "--progress",
-            "--stream-out", str(stream),
             "--trace-out", str(tmp_path / "run.trace.json"),
             "--metrics-out", str(tmp_path / "run.metrics.json"),
         ])
@@ -134,21 +130,7 @@ class TestSinkDeterminism:
         assert sunk.out == plain.out  # byte-identical product output
         assert "[repro" in sunk.err   # progress went to stderr only
         json.loads(plain.out)
-
-        # The live tail holds the same span multiset as the batch
-        # journal — only the ordering discipline differs.
-        batch = load_journal(str(tmp_path / "run.trace.jsonl"), strict=True)
-        tail = load_journal(str(stream))
-        assert sorted(s["name"] for s in tail.spans.values()) == \
-            sorted(s["name"] for s in batch.spans.values())
-
-    def test_progress_env_knob_enables_the_sink(self, tmp_path,
-                                                monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
-        kernel = tmp_path / "kernel.c"
-        kernel.write_text(KERNEL)
-        main(["check", str(kernel), "--top", "smooth"])
-        assert "[repro" in capsys.readouterr().err
+        assert load_journal(str(tmp_path / "run.trace.jsonl")).spans
 
 
 class TestTraceVerbs:
@@ -209,17 +191,61 @@ class TestTraceVerbs:
                      "--baseline", str(base)]) == 1
 
     @pytest.mark.parametrize("verb", ["summary", "flame"])
-    @pytest.mark.parametrize("content", ["", "not json\n{also not}\n"],
-                             ids=["empty", "garbage"])
-    def test_unreadable_journal_fails(self, verb, content, tmp_path,
-                                      capsys):
+    @pytest.mark.parametrize("content,message", [
+        ("", "bad.jsonl: missing journal header"),
+        ("not json\n{also not}\n", "bad.jsonl:1: not JSON"),
+    ], ids=["empty", "garbage"])
+    def test_unreadable_journal_fails(self, verb, content, message,
+                                      tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text(content)
         assert main(["trace", verb, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "no span or event records" in captured.err
+        assert message in captured.err
+
+    @pytest.fixture(params=["mid-line", "line-boundary"])
+    def truncated(self, request, journals, tmp_path):
+        """The transpile journal cut at half its size, mid-record or
+        at the last line boundary before that."""
+        text = open(journals["transpile"]).read()
+        cut = text[: len(text) // 2]
+        if request.param == "line-boundary":
+            cut = cut[: cut.rindex("\n") + 1]
+        path = tmp_path / "half.jsonl"
+        path.write_text(cut)
+        return str(path)
+
+    @pytest.mark.parametrize("verb", ["summary", "flame"])
+    def test_truncated_journal_is_refused(self, verb, truncated, capsys):
+        assert main(["trace", verb, truncated]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "half.jsonl:" in captured.err
+
+    def test_diff_refuses_a_truncated_journal(self, journals, truncated,
+                                              capsys):
+        for pair in ([journals["transpile"], truncated],
+                     [truncated, journals["transpile"]]):
+            assert main(["trace", "diff", *pair]) == 1
+            captured = capsys.readouterr()
+            assert "improved" not in captured.out
+            assert "half.jsonl:" in captured.err
+
+    def test_check_update_refuses_a_truncated_journal(self, journals,
+                                                      truncated, tmp_path,
+                                                      capsys):
+        base = tmp_path / "baseline.json"
+        assert main(["trace", "check", truncated,
+                     "--baseline", str(base), "--update"]) == 1
+        assert not base.exists()
+        assert "half.jsonl:" in capsys.readouterr().err
+        # Nor does a truncated journal pass the gate.
+        assert main(["trace", "check", journals["transpile"],
+                     "--baseline", str(base), "--update"]) == 0
+        assert main(["trace", "check", truncated,
+                     "--baseline", str(base)]) == 1
 
 
 class TestTraceOut:
