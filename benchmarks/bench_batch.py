@@ -1,46 +1,47 @@
-"""Batch engine — the pooled ``run_many`` pass and the cost of lowering.
+"""Interpreter engines — the batch engine against the tree-walking oracle.
 
-A layer microbenchmark, emitted into ``benchmarks/out/BENCH_batch.json``
-(uploaded as a CI artifact, mirrored to the repo root).  The end-to-end
-numbers live in ``bench_e2e``.
+The interpreter-layer microbenchmark, emitted into
+``benchmarks/out/BENCH_batch.json`` (uploaded as a CI artifact, mirrored
+to the repo root).  The end-to-end numbers live in ``bench_e2e``; the
+cost of lowering with and without the code memo is the
+``interp_compile`` stage of ``bench_incremental``.
 
-1. **execution loop** — replay each Table 3 subject's fuzz corpus through
-   one ``run_many`` call on the batch engine against a per-input ``run``
-   loop on the tree-walker.  Per-input (steps, fault-kind) traces are
-   asserted identical along the way, so the speedup is never bought with
-   semantic drift.  Target: >= 1.5x median.
-2. **lowering** — per subject, the seconds to lower an edited clone (one
-   literal in the kernel changed, as a repair edit changes one function)
-   with an empty code memo against a memo that the parent's lowering
-   filled, so every function but the edited one is a memo hit.  Target:
-   the memo makes lowering the clones >= 1.2x cheaper in total.
+Each Table 3 subject's fuzz corpus is built once and replayed three ways:
+
+1. **per-input loop** — one ``run`` call per input on the batch engine
+   against the same loop on the tree-walker.  Target: >= 2x median.
+2. **pooled pass** — one ``run_many`` call on the batch engine against
+   the tree-walker's per-input loop (the loop ``engine_run_many`` falls
+   back to for an engine without ``run_many``).  Target: >= 1.5x median.
+3. **limit enforcement** — the per-input loop under a tight step budget
+   (exercising the hoisted ``ExecLimits`` fast path), untimed.
+
+Per-input (steps, fault-kind) traces are asserted identical across the
+engines in every replay, so no speedup is bought with semantic drift.
 """
 
 from __future__ import annotations
 
-import copy
 import statistics
 import time
 
-from repro.cfront import nodes as N
+from repro.errors import InterpError
 from repro.fuzz import FuzzConfig, fuzz_kernel
 from repro.interp import ExecLimits, engine_run_many, make_engine
-from repro.interp.batch import _CODE_MEMO, BatchProgram
-from repro.memo import clear_analysis_caches
 from repro.subjects import all_subjects
 
 from _shared import SEED, write_bench_json, write_table
 
-#: Corpus replays per engine when timing the execution loop, and
-#: lowerings per subject when timing the lowering.
+#: Corpus replays per timed loop.
 REPEATS = 3
 
 LOOSE = ExecLimits(max_steps=120_000, max_depth=128)
+TIGHT = ExecLimits(max_steps=500, max_depth=16)
 
 
 def build_corpora():
     """One deterministic fuzz corpus per subject (built once, replayed
-    under both engines)."""
+    under every engine, entry point and limit)."""
     corpora = []
     for subject in all_subjects():
         unit = subject.parse()
@@ -55,13 +56,24 @@ def build_corpora():
     return corpora
 
 
-def replay(engine, kernel, suite):
-    """One pass over the suite; per-test (steps, fault-kind) trace.
+def replay_run(engine, kernel, suite):
+    """One ``run`` call per test; per-test (steps, fault-kind) pairs.
 
-    Both engines go through :func:`engine_run_many`, so the batch side
-    exercises the pooled ``run_many`` fast path while the tree side runs
-    the per-input loop — exactly the code paths the consumers use.
-    """
+    ``engine.steps`` is populated even when a run raises, so the trace is
+    comparable between engines on faulting inputs too."""
+    trace = []
+    for test in suite:
+        try:
+            engine.run(kernel, test)
+            trace.append((engine.steps, ""))
+        except InterpError as exc:
+            trace.append((engine.steps, type(exc).__name__))
+    return trace
+
+
+def replay_run_many(engine, kernel, suite):
+    """One pooled pass; per-test (steps, fault-kind) pairs, with steps
+    -1 for a fault (a faulting record carries no step count)."""
     trace = []
     for record in engine_run_many(engine, kernel, suite):
         if record.result is not None:
@@ -71,125 +83,112 @@ def replay(engine, kernel, suite):
     return trace
 
 
-def time_backend(unit, kernel, suite, backend):
-    engine = make_engine(unit, backend=backend, limits=LOOSE,
-                         want_out_args=False)
-    trace = replay(engine, kernel, suite)  # warm-up (and the lowering)
+def time_replay(replay, engine, kernel, suite):
+    """Seconds for REPEATS replays after one untimed warm-up (which also
+    pays the lowering); returns them with the warm-up's trace."""
+    trace = replay(engine, kernel, suite)
     start = time.perf_counter()
     for _ in range(REPEATS):
         replay(engine, kernel, suite)
     return time.perf_counter() - start, trace
 
 
-def run_batch_loop(corpora):
+def engine_for(unit, backend, limits):
+    return make_engine(unit, backend=backend, limits=limits,
+                       want_out_args=False)
+
+
+def run_execution_loops(corpora):
     rows = []
     for subject, unit, suite in corpora:
-        tree_s, tree_trace = time_backend(unit, subject.kernel, suite, "tree")
-        batch_s, batch_trace = time_backend(unit, subject.kernel, suite,
-                                            "batch")
-        assert tree_trace == batch_trace, (
-            f"{subject.id}: batch diverged from the tree-walker on the "
+        kernel = subject.kernel
+        tree = engine_for(unit, "tree", LOOSE)
+        batch = engine_for(unit, "batch", LOOSE)
+        tree_s, tree_trace = time_replay(replay_run, tree, kernel, suite)
+        run_s, run_trace = time_replay(replay_run, batch, kernel, suite)
+        many_s, many_trace = time_replay(replay_run_many, batch, kernel,
+                                         suite)
+        assert run_trace == tree_trace, (
+            f"{subject.id}: batch run diverged from the tree-walker on the "
             "fuzz corpus"
+        )
+        assert many_trace == [
+            (-1 if kind else steps, kind) for steps, kind in tree_trace
+        ], (
+            f"{subject.id}: batch run_many diverged from the tree-walker on "
+            "the fuzz corpus"
         )
         rows.append({
             "subject": subject.id,
             "tests": len(suite),
             "tree_seconds": round(tree_s, 4),
-            "batch_seconds": round(batch_s, 4),
-            "speedup": round(tree_s / batch_s, 2) if batch_s else 0.0,
+            "batch_run_seconds": round(run_s, 4),
+            "batch_run_many_seconds": round(many_s, 4),
+            "run_speedup": round(tree_s / run_s, 2) if run_s else 0.0,
+            "run_many_speedup": round(tree_s / many_s, 2) if many_s else 0.0,
         })
     return rows
 
 
-def edited_clone(unit, kernel):
-    """A clone of *unit* with the kernel's first integer literal bumped."""
-    child = copy.deepcopy(unit)
-    lit = next(
-        n for n in child.function(kernel).walk() if isinstance(n, N.IntLit)
-    )
-    lit.value += 1
-    return child
-
-
-def time_lowering(parent, child, memo_warm):
-    """Seconds for REPEATS lowerings of *child*, each after emptying the
-    code memo and, if *memo_warm*, lowering *parent* (untimed).  Also
-    returns how many of the child's functions hit the memo."""
-    total = 0.0
-    for _ in range(REPEATS):
-        clear_analysis_caches()
-        if memo_warm:
-            BatchProgram(parent)
-        hits = _CODE_MEMO.hits
-        start = time.perf_counter()
-        BatchProgram(child)
-        total += time.perf_counter() - start
-    return total, _CODE_MEMO.hits - hits
-
-
-def run_lowering(corpora):
+def run_limit_enforcement(corpora):
+    """Tight-budget replay: the hoisted-limits fast path must preserve
+    every observable (steps at abort, fault kind) across engines."""
     rows = []
-    for subject, unit, _suite in corpora:
-        child = edited_clone(unit, subject.kernel)
-        cold_s, _ = time_lowering(unit, child, memo_warm=False)
-        warm_s, hits = time_lowering(unit, child, memo_warm=True)
+    for subject, unit, suite in corpora:
+        tree_trace = replay_run(engine_for(unit, "tree", TIGHT),
+                                subject.kernel, suite)
+        batch_trace = replay_run(engine_for(unit, "batch", TIGHT),
+                                 subject.kernel, suite)
+        assert batch_trace == tree_trace, (
+            f"{subject.id}: engines diverged under the tight step budget"
+        )
         rows.append({
             "subject": subject.id,
-            "memo_hits": hits,
-            "cold_seconds": round(cold_s, 4),
-            "memo_seconds": round(warm_s, 4),
+            "aborted_tests": sum(1 for _steps, kind in tree_trace if kind),
         })
-    clear_analysis_caches()
     return rows
 
 
 def test_batch_backend(benchmark):
     corpora = build_corpora()
     loop_rows = benchmark.pedantic(
-        run_batch_loop, args=(corpora,), rounds=1, iterations=1
+        run_execution_loops, args=(corpora,), rounds=1, iterations=1
     )
-    lowering_rows = run_lowering(corpora)
+    limit_rows = run_limit_enforcement(corpora)
 
-    median_speedup = statistics.median(r["speedup"] for r in loop_rows)
-    cold_total = sum(r["cold_seconds"] for r in lowering_rows)
-    memo_total = sum(r["memo_seconds"] for r in lowering_rows)
+    run_speedup = statistics.median(r["run_speedup"] for r in loop_rows)
+    many_speedup = statistics.median(r["run_many_speedup"] for r in loop_rows)
     payload = {
         "repeats": REPEATS,
         "execution_loop": loop_rows,
-        "median_speedup": median_speedup,
-        "lowering": lowering_rows,
-        "lowering_memo_speedup": round(cold_total / memo_total, 2),
+        "median_run_speedup": run_speedup,
+        "median_run_many_speedup": many_speedup,
+        "limit_enforcement": limit_rows,
     }
     write_bench_json("BENCH_batch.json", payload)
 
     lines = [
-        "Batch engine — pooled run_many vs per-input tree-walking loop",
-        f"{'ID':4} {'Tests':>5} {'Tree(s)':>8} {'Batch(s)':>9} {'Speedup':>8}",
+        "Batch engine vs the tree-walker's per-input loop",
+        f"{'ID':4} {'Tests':>5} {'Tree(s)':>8} {'Run(s)':>8} "
+        f"{'RunMany(s)':>10} {'Run':>7} {'RunMany':>8} {'Aborts':>6}",
     ]
-    for row in loop_rows:
+    for row, limits in zip(loop_rows, limit_rows):
         lines.append(
             f"{row['subject']:4} {row['tests']:5} "
-            f"{row['tree_seconds']:8.3f} {row['batch_seconds']:9.3f} "
-            f"{row['speedup']:7.2f}x"
+            f"{row['tree_seconds']:8.3f} {row['batch_run_seconds']:8.3f} "
+            f"{row['batch_run_many_seconds']:10.3f} "
+            f"{row['run_speedup']:6.2f}x {row['run_many_speedup']:7.2f}x "
+            f"{limits['aborted_tests']:6}"
         )
-    lines.append("")
-    lines.append(f"median execution-loop speedup: {median_speedup:.2f}x "
-                 f"(target: >= 1.5x)")
     lines += [
         "",
-        "Lowering an edited clone — empty code memo vs the parent's memo",
-        f"{'ID':4} {'Hits':>5} {'Cold(s)':>8} {'Memo(s)':>8}",
+        f"median per-input run speedup: {run_speedup:.2f}x (target: >= 2x)",
+        f"median pooled run_many speedup: {many_speedup:.2f}x "
+        f"(target: >= 1.5x)",
+        "Aborts: tests cut short by the tight step budget; steps and "
+        "fault kinds equal across engines",
     ]
-    for row in lowering_rows:
-        lines.append(
-            f"{row['subject']:4} {row['memo_hits']:5} "
-            f"{row['cold_seconds']:8.4f} {row['memo_seconds']:8.4f}"
-        )
-    lines.append(
-        f"lowering {cold_total / memo_total:.2f}x cheaper with the memo "
-        f"(target: >= 1.2x)"
-    )
     write_table("bench_batch.txt", "\n".join(lines))
 
-    assert median_speedup >= 1.5
-    assert cold_total >= 1.2 * memo_total
+    assert run_speedup >= 2.0
+    assert many_speedup >= 1.5

@@ -54,7 +54,6 @@ import pickle
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, TYPE_CHECKING
 
 from ..obs import get_recorder
@@ -77,13 +76,6 @@ SCHEMA_VERSION = 5
 STORE_ENV = "REPRO_STORE"
 
 _SQLITE_BUSY_TIMEOUT_MS = 30_000
-
-#: Decoded-payload memo capacity.  Searches sharing one open store (a
-#: sweep, or a rerun in the same process) re-read the same keys;
-#: memoizing the decoded object skips the SELECT *and* the unpickle on
-#: the second touch, which is what keeps a fully-warm run strictly
-#: cheaper than the cold run that wrote the entries.
-_MAX_DECODED = 1024
 
 
 def toolchain_salt() -> str:
@@ -156,10 +148,6 @@ class EvalStore:
         self.invalidations = 0
         """Entries purged because their toolchain salt or payload schema
         no longer matches the running toolchain."""
-        self.decode_memo_hits = 0
-        """Gets answered from the decoded-payload memo (no SELECT, no
-        unpickle)."""
-        self._decoded: "OrderedDict[str, CachedEvaluation]" = OrderedDict()
         self._lock = threading.Lock()
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -250,7 +238,6 @@ class EvalStore:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "decode_memo_hits": self.decode_memo_hits,
         }
 
     # -- data path ---------------------------------------------------------
@@ -266,14 +253,6 @@ class EvalStore:
         """
         recorder = get_recorder()
         with self._lock:
-            memo = self._decoded.get(key)
-            if memo is not None:
-                self._decoded.move_to_end(key)
-                self.decode_memo_hits += 1
-                self.hits += 1
-                if recorder.enabled:
-                    recorder.metrics.inc("store.gets", outcome="hit")
-                return memo
             row = self._conn.execute(
                 "SELECT payload FROM evaluations WHERE key = ?", (key,)
             ).fetchone()
@@ -302,25 +281,13 @@ class EvalStore:
                     )
                 return None
             self.hits += 1
-            self._memo_decoded(key, evaluation)
         if recorder.enabled:
             recorder.metrics.inc("store.gets", outcome="hit")
         return evaluation
 
-    def _memo_decoded(self, key: str, evaluation: "CachedEvaluation") -> None:
-        """Remember a decoded payload (caller holds the lock).  Payloads
-        are immutable once stored, so sharing the object is safe — the
-        same contract the in-memory cache tier already relies on."""
-        self._decoded[key] = evaluation
-        self._decoded.move_to_end(key)
-        while len(self._decoded) > _MAX_DECODED:
-            self._decoded.popitem(last=False)
-
     def contains(self, key: str) -> bool:
         """Presence probe without hit/miss accounting."""
         with self._lock:
-            if key in self._decoded:
-                return True
             row = self._conn.execute(
                 "SELECT 1 FROM evaluations WHERE key = ?", (key,)
             ).fetchone()
@@ -334,9 +301,6 @@ class EvalStore:
                 " VALUES (?, ?)",
                 (key, blob),
             )
-            # Deliberately not memoized here: the memo only caches what
-            # was actually decoded from disk, so external writes (or
-            # corruption) to a row are always observed by the next get.
         recorder = get_recorder()
         if recorder.enabled:
             recorder.metrics.inc("store.puts")
@@ -344,11 +308,9 @@ class EvalStore:
     def clear(self) -> None:
         with self._lock, self._conn:
             self._conn.execute("DELETE FROM evaluations")
-            self._decoded.clear()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.decode_memo_hits = 0
 
     def close(self) -> None:
         with self._lock:

@@ -34,7 +34,6 @@ from ..cfront import typesys as T
 from ..cfront.fingerprint import (
     exact_fp,
     structural_fp,
-    unit_fingerprint,
     unit_incremental_enabled,
 )
 from ..cfront.printer import count_loc
@@ -57,13 +56,12 @@ COMPILE_SECONDS_PER_LOC = 1.5
 #: *exact* fingerprint — equal exact digests mean value-identical
 #: subtrees, so the cached diagnostics (which embed node uids) are
 #: bit-identical to a recomputation.  Name- and bool-valued results
-#: (callee sequences, parameter-write analysis, LOC counts) depend only
-#: on semantic content and use the coarser *structural* fingerprint,
-#: which also hits across re-parsed copies.
+#: (callee sequences, parameter-write analysis) depend only on semantic
+#: content and use the coarser *structural* fingerprint, which also hits
+#: across re-parsed copies.
 _DIAG_MEMO = AnalysisCache("compile.check_diags")
 _CALLEE_SEQ_MEMO = AnalysisCache("compile.callee_seq")
 _PARAM_WRITTEN_MEMO = AnalysisCache("compile.param_written")
-_LOC_MEMO = AnalysisCache("compile.count_loc")
 
 #: Real (not simulated) invocations of :func:`compile_unit` since process
 #: start.  The evaluation cache asserts against this: a cache hit must
@@ -79,18 +77,8 @@ def compile_invocations() -> int:
 
 
 def compile_seconds_for(unit: N.TranslationUnit) -> float:
-    """The simulated cost one full compilation of *unit* will charge.
-
-    The LOC count is memoized by unit fingerprint; the charge itself is
-    always issued live by :func:`compile_unit`, and an identical count
-    yields an identical charge — the clock journal cannot diverge."""
-    if unit_incremental_enabled(unit):
-        loc = _LOC_MEMO.get_or_compute(
-            ("loc", unit_fingerprint(unit)), lambda: count_loc(unit)
-        )
-    else:
-        loc = count_loc(unit)
-    return COMPILE_BASE_SECONDS + COMPILE_SECONDS_PER_LOC * loc
+    """The simulated cost one full compilation of *unit* will charge."""
+    return COMPILE_BASE_SECONDS + COMPILE_SECONDS_PER_LOC * count_loc(unit)
 
 
 def compile_unit(

@@ -130,22 +130,10 @@ class TestEvalStore:
         assert store.hits == 0 and store.misses == 0
 
 
-class TestDecodeMemo:
-    def test_repeat_gets_decode_once(self, tmp_path):
-        """A 100%-hit warm run must not re-unpickle every payload: the
-        second get of a key is served from the decode memo."""
-        store = EvalStore(str(tmp_path / "s.sqlite"))
-        store.put("k", entry(2.5))
-        first = store.get("k")
-        second = store.get("k")
-        assert first == second
-        assert store.decode_memo_hits == 1
-        assert store.hits == 2
-        assert store.stats()["decode_memo_hits"] == 1
-
-    def test_put_does_not_populate_memo(self, tmp_path):
-        """Only payloads actually decoded from disk are memoized —
-        external corruption after a put must still be observed."""
+class TestRowRewrites:
+    def test_corrupted_after_put_is_dropped(self, tmp_path):
+        """A row corrupted after its put is dropped as a miss on the
+        next get."""
         store = EvalStore(str(tmp_path / "s.sqlite"))
         store.put("k", entry())
         with store._lock, store._conn:
@@ -156,23 +144,20 @@ class TestDecodeMemo:
         assert store.get("k") is None
         assert store.invalidations == 1
 
-    def test_memo_is_bounded(self, tmp_path, monkeypatch):
-        from repro.core import store as store_mod
-
-        monkeypatch.setattr(store_mod, "_MAX_DECODED", 2)
-        store = EvalStore(str(tmp_path / "s.sqlite"))
-        for index in range(4):
-            store.put(f"k{index}", entry())
-            assert store.get(f"k{index}") is not None
-        assert len(store._decoded) <= 2
-
-    def test_clear_drops_memo(self, tmp_path):
+    def test_rewritten_after_get_is_seen(self, tmp_path):
+        """Every get reads the file: a row rewritten after a get is what
+        the next get sees, not the payload the first get decoded."""
         store = EvalStore(str(tmp_path / "s.sqlite"))
         store.put("k", entry())
-        store.get("k")
-        store.clear()
+        assert store.get("k") == entry()
+        with store._lock, store._conn:
+            store._conn.execute(
+                "UPDATE evaluations SET payload = ? WHERE key = ?",
+                (b"garbage", "k"),
+            )
         assert store.get("k") is None
-        assert store.decode_memo_hits == 0
+        assert (store.hits, store.misses, store.invalidations) == (1, 1, 1)
+        assert not store.contains("k")
 
 
 class TestRegistry:
