@@ -14,13 +14,19 @@ Two claims, both emitted into ``benchmarks/out/BENCH_synth.json``:
    the pre-synthesis implementation: the full ten-subject sweep
    (applied chains, attempt counts, history lines, simulated clock,
    rendered final source) matches the committed golden snapshot
-   ``benchmarks/golden_synth_off.json`` field for field.
+   ``benchmarks/golden_synth_off.json`` field for field.  AST uids in
+   edit labels (``loop@1392``) are renumbered by first appearance within
+   each subject's snapshot: their raw values come from a process-global
+   counter, so they shift with every node any earlier parse or edit
+   allocated in the sweep, including edits applied to children the
+   search never evaluates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from repro.baselines import default_config, run_variant
@@ -41,17 +47,30 @@ PARAMETER_SHAPED = ("P2", "P3", "P5", "P6", "P7", "P8")
 MIN_RATIO = 3.0
 
 
+#: An AST uid inside an edit label.
+_UID = re.compile(r"@(\d+)")
+
+
 def _snapshot(result) -> dict:
     sr = result.search_result
+    uids: dict = {}
+
+    def renumber(label: str) -> str:
+        return _UID.sub(
+            lambda m: "@%d" % uids.setdefault(m.group(1), len(uids) + 1),
+            label,
+        )
+
+    applied = list(sr.best.candidate.applied) if sr.best else []
     return {
-        "applied": list(sr.best.candidate.applied) if sr.best else [],
+        "applied": [renumber(label) for label in applied],
         "attempts": sr.stats.attempts,
         "clock_seconds": round(sr.clock.seconds, 2),
         "final_render_sha": hashlib.sha256(
             result.final_source().encode()
         ).hexdigest(),
         "fitness": repr(sr.best.fitness) if sr.best else None,
-        "history": list(sr.history),
+        "history": [renumber(line) for line in sr.history],
         "iterations": sr.stats.iterations,
         "success_seconds": sr.success_seconds,
     }

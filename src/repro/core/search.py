@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
 from ..difftest import DiffReport, differential_test, run_cpu_reference
@@ -37,7 +37,13 @@ from ..obs import (
 )
 from .classification import RepairLocalizer, classify
 from .dependence import ordered_applications, unordered_applications
-from .edits import Candidate, EditRegistry, RepairContext, build_registry
+from .edits import (
+    Candidate,
+    EditApplication,
+    EditRegistry,
+    RepairContext,
+    build_registry,
+)
 from .evalcache import (
     CachedEvaluation,
     EvalCache,
@@ -64,6 +70,10 @@ class SearchConfig:
     max_iterations: int = 300
     """Real-time guard: candidate evaluations per run."""
     max_children_per_round: int = 14
+    """Proposals each evaluated candidate may queue: the first this many
+    applicable edits in proposal order.  It shapes the search (which
+    children exist to be popped), not its cost — a queued child is only
+    cloned and rewritten if the search pops it."""
     diff_test_cap: int = 24
     """Tests used per fitness evaluation during the search (the full
     suite is replayed on the final answer)."""
@@ -184,6 +194,122 @@ class SearchResult:
         return self.clock.minutes
 
 
+@dataclass
+class _Brood:
+    """The children one evaluated candidate proposed, built on demand."""
+
+    parent: Candidate
+    priority: Tuple
+    round: int
+    """Evaluation order of the parent: ties on priority pop the older
+    round's children first, then each round's in proposal order."""
+    applications: List[EditApplication]
+    slots: int
+    """Children this brood may still queue: each queued child holds a
+    slot, an inapplicable one gives it back, a duplicate keeps it."""
+    cursor: int = 0
+    """Index of the next application not yet queued."""
+
+
+class _Frontier:
+    """The search frontier: a priority queue of *pending* children.
+
+    An entry is a parent plus the index of one of its edit applications;
+    the child's clone and rewrite run when the entry is popped, so the
+    many proposals the search never reaches are never built.  Queueing
+    needs nothing from the child's program: its priority comes from the
+    parent (:meth:`RepairSearch._child_priority`).  Enumerated mode's
+    dedup key, the applied chain ``parent.applied + (label,)``, can only
+    collide between siblings, which pop in proposal order, so deduping
+    at pop time rejects exactly what deduping at queue time would.
+    Synthesis mode dedups by content, where chains from different
+    parents collide, so it builds each child as it is queued
+    (``build_on_push``) — the same queue, entries merely arrive built.
+
+    Either way the search is the one an eager loop gives, which builds
+    the first ``max_children`` applicable children of every parent and
+    queues those not seen before: an application that turns out
+    inapplicable (``apply`` returns None) is dropped without spending an
+    iteration, and the parent's next unqueued application takes its slot
+    at the ``(round, index)`` tie-break the eager loop would have given
+    it.
+    """
+
+    def __init__(
+        self,
+        initial: Candidate,
+        dedup_key: Callable[[Candidate], Any],
+        build_on_push: bool,
+        max_children: int,
+    ) -> None:
+        self._heap: List[Tuple] = [((math.inf, 0, 0.0), 0, 0, None, initial)]
+        self._seen: Set[Any] = {dedup_key(initial)}
+        self._dedup_key = dedup_key
+        self._build_on_push = build_on_push
+        self._max_children = max_children
+        self._rounds = itertools.count(1)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def push_children(
+        self,
+        parent: Candidate,
+        priority: Tuple,
+        applications: List[EditApplication],
+    ) -> None:
+        brood = _Brood(
+            parent=parent,
+            priority=priority,
+            round=next(self._rounds),
+            applications=applications,
+            slots=self._max_children,
+        )
+        self._fill(brood)
+
+    def pop(self) -> Optional[Candidate]:
+        """The next child to evaluate, built now if still pending; None
+        when every remaining entry was inapplicable or a duplicate."""
+        while self._heap:
+            _prio, _round, index, brood, child = heapq.heappop(self._heap)
+            if child is None:
+                child = self._build(brood, index)
+                if child is None:
+                    self._fill(brood)
+                    continue
+            return child
+        return None
+
+    def _fill(self, brood: _Brood) -> None:
+        """Queue *brood*'s next applications while it has free slots."""
+        while brood.slots > 0 and brood.cursor < len(brood.applications):
+            index = brood.cursor
+            brood.cursor += 1
+            brood.slots -= 1
+            child = None
+            if self._build_on_push:
+                child = self._build(brood, index)
+                if child is None:
+                    continue
+            heapq.heappush(
+                self._heap, (brood.priority, brood.round, index, brood, child)
+            )
+
+    def _build(self, brood: _Brood, index: int) -> Optional[Candidate]:
+        """Apply one application to the parent.  None when it is
+        inapplicable (its slot is freed) or its child was already seen
+        (the slot stays used, as in the eager loop)."""
+        child = brood.applications[index].apply(brood.parent)
+        if child is None:
+            brood.slots += 1
+            return None
+        key = self._dedup_key(child)
+        if key in self._seen:
+            return None
+        self._seen.add(key)
+        return child
+
+
 class RepairSearch:
     """Evolutionary search over repair candidates."""
 
@@ -263,9 +389,6 @@ class RepairSearch:
     # -- public ------------------------------------------------------------------
 
     def run(self, initial: Candidate) -> SearchResult:
-        counter = itertools.count()
-        frontier: List[Tuple[Tuple, int, Candidate]] = []
-        heapq.heappush(frontier, ((math.inf, 0, 0.0), next(counter), initial))
         # Synthesis mode dedupes frontier entries by candidate *content*
         # (the evaluation cache's structural digest): derived
         # applications are parameter-exact, so two chains applying the
@@ -280,7 +403,12 @@ class RepairSearch:
             )
         else:
             dedup_key = lambda cand: cand.applied
-        seen: Set[Any] = {dedup_key(initial)}
+        frontier = _Frontier(
+            initial,
+            dedup_key,
+            build_on_push=self.config.use_synthesis,
+            max_children=self.config.max_children_per_round,
+        )
         best: Optional[Evaluation] = None
         success_seconds: Optional[float] = None
         rec = get_recorder()
@@ -300,13 +428,15 @@ class RepairSearch:
                 and self.stats.iterations < self.config.max_iterations
                 and self.clock.seconds < self.config.budget_seconds
             ):
-                _prio, _tick, candidate = heapq.heappop(frontier)
-                self.stats.iterations += 1
                 with rec.span(
                     SPAN_ITERATION,
                     clock=self.clock,
-                    iteration=self.stats.iterations,
+                    iteration=self.stats.iterations + 1,
                 ):
+                    candidate = frontier.pop()
+                    if candidate is None:
+                        break  # only inapplicable or seen children were left
+                    self.stats.iterations += 1
                     evaluation = self.evaluate(candidate)
                     if evaluation.style_rejected:
                         self.history.append(
@@ -359,16 +489,11 @@ class RepairSearch:
                                     kernel=self.kernel_name,
                                     synthesis=self.config.use_synthesis,
                                 )
-                    children = self._propose_children(evaluation)
-                    for child in children:
-                        key = dedup_key(child)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        priority = self._child_priority(evaluation, child)
-                        heapq.heappush(
-                            frontier, (priority, next(counter), child)
-                        )
+                    frontier.push_children(
+                        candidate,
+                        self._child_priority(evaluation),
+                        self._propose_children(evaluation),
+                    )
         return SearchResult(
             best=best,
             stats=self.stats,
@@ -513,8 +638,14 @@ class RepairSearch:
 
     # -- proposal ---------------------------------------------------------------
 
-    def _propose_children(self, evaluation: Evaluation) -> List[Candidate]:
-        candidate = evaluation.candidate
+    def _propose_children(
+        self, evaluation: Evaluation
+    ) -> List[EditApplication]:
+        """The ranked edit applications for *evaluation*'s children.
+
+        Nothing is applied here: the frontier queues each application
+        as a pending child and clones and rewrites the parent only when
+        the search pops it (see :class:`_Frontier`)."""
         report = evaluation.compile_report
         assert report is not None
         evidence = self._evidence_for(evaluation)
@@ -527,19 +658,8 @@ class RepairSearch:
                 clock=self.clock,
                 counterexamples=len(evidence.counterexamples),
             ):
-                applications = self._applications_for(evaluation, evidence)
-        else:
-            applications = self._applications_for(evaluation, None)
-        # Applying an edit deep-copies the program; only materialize as
-        # many children as the round may actually enqueue.
-        children: List[Candidate] = []
-        for application in applications:
-            if len(children) >= self.config.max_children_per_round:
-                break
-            child = application.apply(candidate)
-            if child is not None:
-                children.append(child)
-        return children
+                return self._applications_for(evaluation, evidence)
+        return self._applications_for(evaluation, None)
 
     def _applications_for(
         self, evaluation: Evaluation, evidence: Optional[Evidence]
@@ -630,11 +750,13 @@ class RepairSearch:
 
     # -- ordering ------------------------------------------------------------------
 
-    def _child_priority(self, parent: Evaluation, child: Candidate) -> Tuple:
-        """Optimistic priority: children of fitter parents first."""
+    def _child_priority(self, parent: Evaluation) -> Tuple:
+        """Optimistic priority: children of fitter parents first.  Known
+        before any child is built: a child's chain is its parent's plus
+        one label."""
         parent_fit = parent.fitness
         return (
             parent_fit.compile_errors,
             parent_fit.fail_ratio,
-            len(child.applied),
+            len(parent.candidate.applied) + 1,
         )

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from repro.baselines import default_config, run_variant
 from repro.cfront.parser import parse
 from repro.core import Fitness, RepairSearch, SearchConfig, fitness_from_reports
-from repro.core.edits import Candidate
+from repro.core.edits import Candidate, Edit, EditApplication, EditRegistry
 from repro.difftest import DiffReport
 from repro.hls import SimulatedClock, SolutionConfig
 from repro.hls.diagnostics import CompileReport, Diagnostic, ErrorType
+from repro.subjects import get_subject
 
 
 def diag(n=1):
@@ -160,3 +162,165 @@ class TestRepairSearch:
     def test_history_records_improvements(self):
         _search, result = self.run_search()
         assert any("new best" in line for line in result.history)
+
+
+CLEAN_SRC = """
+int kernel(int a[8]) {
+    int s = 0;
+    for (int i = 0; i < 8; i++) { s = s + a[i]; }
+    return s;
+}
+"""
+
+CLEAN_TESTS = [[[1, 2, 3, 4, 5, 6, 7, 8]], [[0] * 8]]
+
+
+class _ToyEdit(Edit):
+    """A performance edit with a fixed ladder of applications.
+
+    Application ``i`` is inapplicable (``apply`` returns None) when ``i``
+    is in *inapplicable*; otherwise it sets the clock period to
+    ``periods[i]``, or leaves the program as it is when *periods* is
+    None.  Applications are labelled so the proposal order is ``i``."""
+
+    name = "toy"
+
+    def __init__(self, count, inapplicable=(), periods=None):
+        self.count = count
+        self.inapplicable = set(inapplicable)
+        self.periods = periods
+        self.applied = 0
+
+    def propose(self, candidate, diagnostics, context):
+        return [self._application(i) for i in range(self.count)]
+
+    def _application(self, i):
+        label = f"toy({i:02d})"
+
+        def transform(cand):
+            self.applied += 1
+            if i in self.inapplicable:
+                return None
+            if self.periods is None:
+                return cand.with_unit(cand.unit, label)
+            config = cand.config.with_clock(self.periods[i])
+            return cand.with_config(config, label)
+
+        return EditApplication(label=label, transform=transform)
+
+
+class _RecordingSearch(RepairSearch):
+    """Records the applied chain of every evaluated candidate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evaluated = []
+
+    def evaluate(self, candidate):
+        self.evaluated.append(candidate.applied)
+        return super().evaluate(candidate)
+
+
+def run_toy_search(edit, **overrides):
+    unit = parse(CLEAN_SRC, top_name="kernel")
+    search = _RecordingSearch(
+        original=unit,
+        kernel_name="kernel",
+        tests=CLEAN_TESTS,
+        config=SearchConfig(store_path=None, **overrides),
+        registry=EditRegistry(edits=[], perf_edits=[edit]),
+    )
+    result = search.run(
+        Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
+    )
+    return search, result
+
+
+class TestPendingChildren:
+    """The frontier builds a child only when it is popped, yet the search
+    is the one an eager loop gives: each parent queues its first
+    ``max_children_per_round`` applicable children, in proposal order."""
+
+    def eager_order(self, count, inapplicable, cap, limit):
+        # Every candidate has the same program, hence the same fitness:
+        # the eager loop pops breadth-first, each round's children in
+        # proposal order.
+        labels = [f"toy({i:02d})" for i in range(count) if i not in inapplicable]
+        labels = labels[:cap]
+        order, level = [()], [()]
+        while len(order) < limit:
+            level = [chain + (label,) for chain in level for label in labels]
+            order.extend(level)
+        return order[:limit]
+
+    def test_inapplicable_child_is_replaced_in_eager_order(self):
+        edit = _ToyEdit(count=20, inapplicable={3, 9})
+        search, result = run_toy_search(
+            edit, max_iterations=40, use_synthesis=False
+        )
+        expected = self.eager_order(20, {3, 9}, cap=14, limit=40)
+        assert search.evaluated == expected
+        # The round-1 replacements for toy(03) and toy(09) are the
+        # parent's 15th and 16th applications.
+        assert ("toy(15)",) in expected and ("toy(16)",) not in expected
+
+    def test_inapplicable_child_spends_no_iteration(self):
+        edit = _ToyEdit(count=20, inapplicable={3, 9})
+        search, result = run_toy_search(
+            edit, max_iterations=40, use_synthesis=False
+        )
+        assert result.stats.iterations == 40
+        assert result.stats.attempts == 40
+        assert len(search.evaluated) == 40
+        assert not any(
+            label in ("toy(03)", "toy(09)")
+            for chain in search.evaluated for label in chain
+        )
+        # Only popped children are built: the 39 evaluated ones plus
+        # toy(03) and toy(09) of each of the three parents whose brood
+        # was popped past index 9 (the initial candidate, toy(00) and
+        # toy(01)).  An eager loop builds 16 for every evaluated parent.
+        assert edit.applied == 39 + 3 * 2
+
+    def test_search_drains_when_only_inapplicable_children_remain(self):
+        edit = _ToyEdit(count=3, inapplicable={0, 1, 2})
+        search, result = run_toy_search(edit, use_synthesis=False)
+        assert search.evaluated == [()]
+        assert result.stats.iterations == 1
+        assert edit.applied == 3
+
+    def test_synthesis_evaluates_content_duplicates_once(self):
+        # Four distinct programs: the initial 3.33 ns clock plus 5, 7
+        # and 8 ns.  Applications 0 and 2 build the same program, 3
+        # rebuilds the initial one, 1 is inapplicable, and every
+        # grandchild rebuilds a program some child already is.
+        periods = [5.0, 7.0, 5.0, 3.33, 8.0, 7.0]
+        edit = _ToyEdit(count=6, inapplicable={1}, periods=periods)
+        search, result = run_toy_search(
+            edit, max_iterations=100, use_synthesis=True
+        )
+        built = [
+            periods[int(chain[-1][4:6])] for chain in search.evaluated[1:]
+        ]
+        assert sorted(built) == [5.0, 7.0, 8.0]
+        assert result.stats.iterations == len(search.evaluated)
+
+
+def test_children_are_built_only_when_popped(monkeypatch):
+    """On P7 every ``EditApplication.apply`` call builds a child the
+    search goes on to evaluate: no proposal is cloned up front."""
+    calls = []
+    original_apply = EditApplication.apply
+
+    def counting_apply(self, candidate):
+        calls.append(self.label)
+        return original_apply(self, candidate)
+
+    monkeypatch.setattr(EditApplication, "apply", counting_apply)
+    config = default_config(fuzz_execs=200, max_iterations=60)
+    config.search.use_synthesis = False
+    config.search.store_path = None
+    result = run_variant(get_subject("P7"), "HeteroGen", config)
+    evaluated_children = result.search_result.stats.iterations - 1
+    assert evaluated_children > 0
+    assert len(calls) <= evaluated_children
