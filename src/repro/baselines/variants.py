@@ -29,7 +29,6 @@ def default_config(
     fuzz_execs: int = 1200,
     seed: int = 2022,
     use_cache: bool = True,
-    interp_backend: Optional[str] = None,
 ) -> HeteroGenConfig:
     """A configuration sized for the benchmark runs."""
     return HeteroGenConfig(
@@ -39,7 +38,6 @@ def default_config(
             max_iterations=max_iterations,
             seed=seed,
             use_cache=use_cache,
-            interp_backend=interp_backend,
         ),
     )
 

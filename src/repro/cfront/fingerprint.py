@@ -53,14 +53,21 @@ The invalidation rule is *dirty-aware cloning*:
 Modes
 -----
 
-``REPRO_INCREMENTAL`` selects the mode at process start:
+``REPRO_INCREMENTAL`` selects the mode at process start; any other value
+than the ones below is an error:
 
-* ``1`` (default) — incremental caches on;
-* ``0`` — every incremental path disabled; the pipeline behaves exactly
-  as the pre-incremental code (the escape hatch);
+* ``1``/``on`` (default) — incremental caches on;
+* ``0``/``off`` — the analysis memos compute every value afresh and
+  repair edits deep-copy the whole unit: the reference the other modes
+  are compared against;
 * ``cross`` — caches on, but every analysis-cache hit *recomputes* the
   result and asserts it equals the cached one
   (:class:`IncrementalMismatch` on divergence).
+
+Two places act on the mode: :meth:`repro.memo.AnalysisCache.get_or_compute`
+for every memo, and ``edits/base.cloned_unit`` for copy-on-write clones
+and digest inheritance.  Fingerprints themselves are computed in every
+mode — the evaluation cache keys candidates by them.
 
 All memoized sub-results hold pure computation only — never simulated
 clock charges.  Charges are always issued by the live pipeline so
@@ -90,13 +97,23 @@ class IncrementalMismatch(AssertionError):
     fresh recomputation — an invalidation bug."""
 
 
+#: Accepted ``REPRO_INCREMENTAL`` spellings; unset or empty means ``on``.
+_ENV_MODES = {
+    "": "on", "1": "on", "on": "on", "true": "on", "yes": "on",
+    "0": "off", "off": "off", "false": "off", "no": "off",
+    "cross": "cross",
+}
+
+
 def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_INCREMENTAL", "1").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return "off"
-    if raw == "cross":
-        return "cross"
-    return "on"
+    raw = os.environ.get("REPRO_INCREMENTAL", "").strip().lower()
+    mode = _ENV_MODES.get(raw)
+    if mode is None:
+        raise ValueError(
+            f"unknown REPRO_INCREMENTAL value {raw!r}; choose from "
+            f"{tuple(name for name in _ENV_MODES if name)}"
+        )
+    return mode
 
 
 _MODE = _mode_from_env()
@@ -131,44 +148,6 @@ def forced_mode(mode: str) -> Iterator[None]:
         yield
     finally:
         set_incremental_mode(previous)
-
-
-#: Units with at most this many function definitions (free functions
-#: plus struct methods) bypass the fingerprint-memo machinery: hashing,
-#: table upkeep and memo locking cost more than simply re-analysing one
-#: or two small functions, which is exactly the regression the P1/P2
-#: benchmark rows showed.
-SMALL_UNIT_FUNCTIONS = 2
-
-
-def memo_worthwhile(unit: N.TranslationUnit) -> bool:
-    """Is *unit* big enough for fingerprint memos to pay for themselves?
-
-    Memoized on the unit (``clone()`` drops the flag with the other
-    fingerprint state).  The verdict is structural — a function count —
-    so structurally-equal units always agree, which keeps cache-key
-    schemes consistent between any two candidates that could share an
-    entry.
-    """
-    cached = unit.__dict__.get("_memo_worthwhile")
-    if cached is None:
-        count = 0
-        for decl in unit.decls:
-            if isinstance(decl, N.FunctionDef):
-                count += 1
-            elif isinstance(decl, N.StructDef):
-                count += len(decl.methods)
-        cached = count > SMALL_UNIT_FUNCTIONS
-        unit.__dict__["_memo_worthwhile"] = cached
-    return cached
-
-
-def unit_incremental_enabled(unit: N.TranslationUnit) -> bool:
-    """The per-unit memo gate: incremental mode is on AND the unit is
-    large enough that memo bookkeeping beats recomputation.  Pure-result
-    memos consult this instead of :func:`incremental_enabled`; the
-    bypass only changes *where* a value is computed, never the value."""
-    return _MODE != "off" and memo_worthwhile(unit)
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +349,7 @@ def inherit_fingerprints(
     "unknown extent" and inherits nothing.  The whole-unit digest is
     never inherited — it is cheap to recombine from the table.
     """
-    if dirty is None or not incremental_enabled():
+    if dirty is None:
         return
     parent_table = parent.__dict__.get(FP_TABLE_ATTR)
     if not parent_table:

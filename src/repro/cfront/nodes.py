@@ -156,8 +156,8 @@ def clone_unit_with(
 
     Only the dataclass fields are copied; the scalar ones are immutable
     and shared.  Every other ``__dict__`` entry is a memo of the source
-    unit's content (fingerprints, walk indices, profile keys, the
-    small-unit verdict), and a clone is made to be mutated, so it starts
+    unit's content (fingerprints, walk indices, profile keys), and a
+    clone is made to be mutated, so it starts
     without them.  Edits that can bound their rewrite re-inherit the
     surviving fingerprints through ``edits/base.cloned_unit``.
     """

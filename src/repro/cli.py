@@ -109,7 +109,6 @@ def cmd_transpile(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             seed=args.seed,
             use_cache=not args.no_cache,
-            interp_backend=args.interp_backend,
         ),
     )
     _apply_search_flags(config.search, args)
@@ -175,14 +174,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.host:
         with rec.span(SPAN_SEED_CAPTURE, host=args.host):
             seeds = get_kernel_seed(
-                unit, args.host, args.kernel, _parse_host_args(args.host_args),
-                backend=args.interp_backend,
+                unit, args.host, args.kernel, _parse_host_args(args.host_args)
             )
     report = fuzz_kernel(
         unit, args.kernel,
         FuzzConfig(max_execs=args.fuzz_execs, seed=args.seed),
         seeds=seeds,
-        backend=args.interp_backend,
     )
     payload = {
         "tests_generated": report.tests_generated,
@@ -207,7 +204,6 @@ def cmd_subjects(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             seed=args.seed,
             use_cache=not args.no_cache,
-            interp_backend=args.interp_backend,
         )
         _apply_search_flags(config.search, args)
         result = run_variant(subject, args.variant, config)
@@ -636,9 +632,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(getattr(args, "log_level", None),
                       getattr(args, "quiet", False))
     if getattr(args, "interp_backend", None):
-        # Also switch the process default so helper paths that don't
-        # thread a backend (e.g. pre-existing-test replay) agree with
-        # the explicitly-threaded ones.
+        # The engine is a process setting: every interpreted run reads
+        # the default.
         set_default_backend(args.interp_backend)
     trace_out = _resolve_trace_out(args)
     if trace_out:

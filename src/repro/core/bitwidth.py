@@ -44,12 +44,10 @@ def profile_kernel(
     kernel_name: str,
     tests: Sequence[List[Any]],
     limits: Optional[ExecLimits] = None,
-    backend: Optional[str] = None,
 ) -> ValueProfile:
     """Run the kernel over all tests and merge the value profiles."""
     interp = make_engine(
-        unit, backend=backend, limits=limits or ExecLimits(),
-        want_out_args=False,
+        unit, limits=limits or ExecLimits(), want_out_args=False
     )
     merged = ValueProfile()
     # One batched call over the whole suite; faulting inputs contribute
@@ -101,11 +99,8 @@ def generate_initial_version(
     kernel_name: str,
     tests: Sequence[List[Any]],
     limits: Optional[ExecLimits] = None,
-    backend: Optional[str] = None,
 ) -> tuple:
     """Profile, plan and rewrite: returns ``(P_broken, plan, profile)``."""
-    profile = profile_kernel(
-        unit, kernel_name, tests, limits=limits, backend=backend
-    )
+    profile = profile_kernel(unit, kernel_name, tests, limits=limits)
     plan = plan_bitwidths(unit, profile)
     return apply_bitwidths(unit, plan), plan, profile

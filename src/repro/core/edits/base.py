@@ -166,28 +166,27 @@ def cloned_unit(
 
     *dirty* names the top-level declarations (function names, global or
     typedef names, struct tags) the caller is about to mutate in the
-    clone.  Cached content fingerprints of every *other* declaration are
-    inherited from the parent so downstream incremental caches keep
-    hitting (see :mod:`repro.cfront.fingerprint`).  ``dirty=None`` means
-    the rewrite's extent is unknown: nothing is inherited and every
-    digest is recomputed lazily — always safe, never wrong.
+    clone.  ``dirty=None`` means the rewrite's extent is unknown: the
+    whole unit is deep-copied and every digest is recomputed lazily —
+    always safe, never wrong.
 
     With a declared dirty set (and incremental mode on), the clone is
     **copy-on-write** at the declaration grain
     (:func:`~repro.cfront.nodes.cow_clone_unit`): dirty declarations are
-    deep-copied, clean ones shared by reference.  The sharing rests on
-    the same dirty contract fingerprint inheritance already does — an
-    edit mutating outside its declared set was a bug before any sharing
-    existed — and ``REPRO_INCREMENTAL=cross`` / ``REPRO_INCREMENTAL=0``
-    respectively check and disable it.
+    deep-copied, clean ones shared by reference, and the cached content
+    fingerprints of every clean declaration are inherited from the
+    parent so downstream incremental caches keep hitting (see
+    :mod:`repro.cfront.fingerprint`).  Both rest on the dirty contract:
+    an edit mutating outside its declared set is a bug.
+    ``REPRO_INCREMENTAL=0`` deep-copies every clone, which makes it the
+    reference a copy-on-write run is compared against.
     """
-    if dirty is not None and fingerprint.incremental_enabled():
-        unit = N.cow_clone_unit(candidate.unit, set(dirty))
-    else:
+    if dirty is None or not fingerprint.incremental_enabled():
         unit = clone(candidate.unit)
-    assert isinstance(unit, N.TranslationUnit)
-    if dirty is not None:
-        fingerprint.inherit_fingerprints(unit, candidate.unit, dirty)
+        assert isinstance(unit, N.TranslationUnit)
+        return unit
+    unit = N.cow_clone_unit(candidate.unit, set(dirty))
+    fingerprint.inherit_fingerprints(unit, candidate.unit, dirty)
     return unit
 
 

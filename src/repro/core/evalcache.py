@@ -15,7 +15,9 @@ Key and value
 
 An entry is keyed by a SHA-256 over
 
-* the canonical pretty-printed candidate source (``cfront.printer``),
+* the candidate unit's structural fingerprint
+  (:func:`~repro.cfront.fingerprint.unit_fingerprint`, at least as fine as
+  the pretty-printed source),
 * the :class:`~repro.hls.platform.SolutionConfig` knobs, and
 * a *context token* binding the entry to one evaluation context (the
   original program, kernel name, differential-test suite, execution
@@ -71,7 +73,7 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..cfront import nodes as N
-from ..cfront.fingerprint import unit_fingerprint, unit_incremental_enabled
+from ..cfront.fingerprint import unit_fingerprint
 from ..cfront.printer import render
 from ..difftest import DiffReport
 from ..hls.clock import ChargeEvent
@@ -110,26 +112,17 @@ def candidate_key(
     """Canonical cache key: hash of the candidate source, the solution
     knobs and the evaluation-context token.
 
-    Incrementally (the default), the source component is the unit's
-    structural fingerprint — combined from cached per-declaration
-    digests, so an edited candidate re-hashes only the declarations its
-    edit touched instead of pretty-printing the whole unit.  The
-    fingerprint distinguishes at least everything the pretty-printer
-    distinguishes (every semantic AST field), so the incremental key is
-    finer-or-equal: it can only turn would-be hits into misses, and a
-    miss re-runs the deterministic toolchain — results stay bit-identical
-    either way.  ``REPRO_INCREMENTAL=0`` restores the render-based key,
-    as do units too small for fingerprint bookkeeping to pay off
-    (:func:`~repro.cfront.fingerprint.memo_worthwhile`) — the scheme is
-    a pure function of the unit's structure, so any two candidates that
-    could share an entry agree on it.
+    The source component is the unit's structural fingerprint, in every
+    incremental mode — combined from cached per-declaration digests, so
+    an edited candidate re-hashes only the declarations its edit touched
+    instead of pretty-printing the whole unit.  The fingerprint
+    distinguishes at least everything the pretty-printer distinguishes
+    (every semantic AST field), so two candidates share an entry only if
+    they render identically.
     """
     digest = hashlib.sha256()
-    if unit_incremental_enabled(unit):
-        digest.update(b"fp:")
-        digest.update(unit_fingerprint(unit).encode())
-    else:
-        digest.update(render(unit).encode())
+    digest.update(b"fp:")
+    digest.update(unit_fingerprint(unit).encode())
     digest.update(
         f"|top={config.top_name}|dev={config.device}"
         f"|clk={config.clock_period_ns!r}|".encode()

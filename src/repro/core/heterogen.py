@@ -57,12 +57,6 @@ class HeteroGenConfig:
     finitized loop counter wraps into an infinite loop must be cut off
     quickly — hitting the budget is itself an observable divergence."""
 
-    @property
-    def interp_backend(self) -> Optional[str]:
-        """The execution backend every pipeline stage uses (the search
-        config is the single source of truth)."""
-        return self.search.interp_backend
-
 
 class HeteroGen:
     """The transpiler: C/C++ in, repaired HLS-C out."""
@@ -144,13 +138,12 @@ class HeteroGen:
         rec = get_recorder()
 
         # 1. Test generation.
-        backend = self.config.interp_backend
         seeds: List[List[Any]] = list(tests or [])
         if host_name and host_args is not None:
             with rec.span(SPAN_SEED_CAPTURE, clock=clock, host=host_name):
                 try:
                     seeds = get_kernel_seed(
-                        unit, host_name, kernel_name, host_args, backend=backend
+                        unit, host_name, kernel_name, host_args
                     ) + seeds
                 except Exception as exc:
                     # Seed capture is best-effort: the fuzzer falls back
@@ -192,7 +185,6 @@ class HeteroGen:
                 seeds=seeds or None,
                 clock=clock,
                 limits=self.config.limits,
-                backend=backend,
             )
             suite = fuzz_report.suite(self.config.suite_cap)
         else:
@@ -211,7 +203,6 @@ class HeteroGen:
         with rec.span(SPAN_BITWIDTH, clock=clock, tests=len(profile_tests)):
             initial_unit, _plan, profile = generate_initial_version(
                 unit, kernel_name, profile_tests, limits=self.config.limits,
-                backend=backend,
             )
 
         # 3-5. Iterative repair.
@@ -247,7 +238,6 @@ class HeteroGen:
                     suite[: self.config.final_diff_cap],
                     limits=self.config.limits,
                     clock=clock,
-                    backend=backend,
                 )
         return TranspileResult(
             subject=subject_name or kernel_name,

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..cfront import nodes as N
 from ..cfront.fingerprint import forced_mode, incremental_mode
+from ..interp import default_backend, set_default_backend
 
 
 def _worker_init() -> None:
@@ -49,11 +50,14 @@ def _run_subject_summary(
     config: Any,
     store_path: Optional[str],
     incremental: str,
+    backend: str,
 ) -> Dict[str, Any]:
     """Worker entry point for whole-subject runs (Table 3 sweeps).
 
-    Returns a plain summary dict; the full ``TranspileResult`` holds
-    ASTs and stays in the worker.
+    *incremental* and *backend* are the parent's process settings, so a
+    spawn-started worker runs in the same modes as the parent.  Returns
+    a plain summary dict; the full ``TranspileResult`` holds ASTs and
+    stays in the worker.
     """
     # Deferred imports: core → baselines is a cycle at module scope.
     from ..baselines.variants import run_variant
@@ -66,6 +70,7 @@ def _run_subject_summary(
     # node uids, so without this a subject's history would depend on
     # which worker (or how warm a parent process) ran it.
     N._uid_counter = itertools.count(1)
+    set_default_backend(backend)
     with forced_mode(incremental):
         result = run_variant(get_subject(subject_id), variant, config)
     search = result.search_result
@@ -98,10 +103,10 @@ def run_subjects(
     subjects share no mutable state; the persistent store, when given,
     is multi-process safe by construction).
     """
-    mode = incremental_mode()
+    settings = (incremental_mode(), default_backend())
     if workers <= 1:
         return [
-            _run_subject_summary(sid, variant, config, store_path, mode)
+            _run_subject_summary(sid, variant, config, store_path, *settings)
             for sid in subject_ids
         ]
     if store_path:
@@ -118,7 +123,10 @@ def run_subjects(
         max_workers=workers, mp_context=context, initializer=_worker_init
     ) as pool:
         futures = [
-            pool.submit(_run_subject_summary, sid, variant, config, store_path, mode)
+            pool.submit(
+                _run_subject_summary,
+                sid, variant, config, store_path, *settings,
+            )
             for sid in subject_ids
         ]
         summaries: List[Dict[str, Any]] = []

@@ -89,12 +89,6 @@ class SearchConfig:
     """Path of the persistent evaluation store (env ``REPRO_STORE`` sets
     the default; None/empty disables).  Ignored when ``use_cache`` is
     False — the store is a durable tier *under* the in-memory cache."""
-    interp_backend: Optional[str] = None
-    """Execution backend for every interpreted run ("tree", "batch",
-    "batch-cross"; None = process default).  Deliberately NOT part of the
-    evaluation-cache context token: backends are bit-identical in every
-    simulated measurement, so entries written under one backend are valid
-    under any other."""
     use_synthesis: bool = field(default_factory=synthesis_default)
     """Evidence-driven parameter synthesis (env ``REPRO_SYNTH`` sets the
     default, off otherwise): parameterized edit families derive stack
@@ -341,7 +335,6 @@ class RepairSearch:
         self._diff_tests = subset
         self._reference, self._cpu_ns = run_cpu_reference(
             original, kernel_name, subset, limits=limits, clock=self.clock,
-            backend=self.config.interp_backend,
         )
         # Memoization: an explicitly shared cache wins; otherwise one is
         # created per search when enabled, read-through-backed by the
@@ -624,7 +617,6 @@ class RepairSearch:
                 reference=self._reference,
                 cpu_latency_ns=self._cpu_ns,
                 max_faults=EVAL_MAX_FAULTS,
-                backend=self.config.interp_backend,
             )
         return canonicalize_evaluation(
             CachedEvaluation(

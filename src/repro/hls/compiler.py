@@ -31,11 +31,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tupl
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import (
-    exact_fp,
-    structural_fp,
-    unit_incremental_enabled,
-)
+from ..cfront.fingerprint import exact_fp, structural_fp
 from ..cfront.printer import count_loc
 from ..cfront.visitor import find_all
 from ..obs import SPAN_HLS_COMPILE, get_recorder
@@ -55,13 +51,11 @@ COMPILE_SECONDS_PER_LOC = 1.5
 #: :mod:`repro.cfront.fingerprint`).  Diagnostic tuples are keyed by the
 #: *exact* fingerprint — equal exact digests mean value-identical
 #: subtrees, so the cached diagnostics (which embed node uids) are
-#: bit-identical to a recomputation.  Name- and bool-valued results
-#: (callee sequences, parameter-write analysis) depend only on semantic
-#: content and use the coarser *structural* fingerprint, which also hits
-#: across re-parsed copies.
+#: bit-identical to a recomputation.  Callee sequences depend only on
+#: semantic content and use the coarser *structural* fingerprint, which
+#: also hits across re-parsed copies.
 _DIAG_MEMO = AnalysisCache("compile.check_diags")
 _CALLEE_SEQ_MEMO = AnalysisCache("compile.callee_seq")
-_PARAM_WRITTEN_MEMO = AnalysisCache("compile.param_written")
 
 #: Real (not simulated) invocations of :func:`compile_unit` since process
 #: start.  The evaluation cache asserts against this: a cache hit must
@@ -131,12 +125,11 @@ class _Checker:
         the check reads.  Each check keeps its own outer loop over the
         reachable functions, so the report's diagnostic order is exactly
         the legacy order whether entries hit or miss."""
-        if not unit_incremental_enabled(self.unit):
-            self.diags.extend(compute())
-            return
-        key = (check, exact_fp(self.unit, func), context)
         self.diags.extend(
-            _DIAG_MEMO.get_or_compute(key, lambda: tuple(compute()))
+            _DIAG_MEMO.get_or_compute(
+                lambda: (check, exact_fp(self.unit, func), context),
+                lambda: tuple(compute()),
+            )
         )
 
     def _callee_seq(self, func: N.FunctionDef) -> Tuple[str, ...]:
@@ -152,10 +145,8 @@ class _Checker:
                 if call.callee_name
             )
 
-        if not unit_incremental_enabled(self.unit):
-            return compute()
         return _CALLEE_SEQ_MEMO.get_or_compute(
-            ("callees", structural_fp(self.unit, func)), compute
+            lambda: ("callees", structural_fp(self.unit, func)), compute
         )
 
     def run(self) -> D.CompileReport:
@@ -555,7 +546,7 @@ class _Checker:
                     if not self._is_array_name(func, name):
                         continue
                     first_use_uid.setdefault(name, stmt.uid)
-                    if callee is not None and self._param_written(
+                    if callee is not None and self._param_is_written(
                         callee, position
                     ):
                         writers[name] = writers.get(name, 0) + 1
@@ -566,16 +557,6 @@ class _Checker:
                     self.diags.append(
                         D.dataflow_check_error(name, first_use_uid[name])
                     )
-
-    def _param_written(self, callee: N.FunctionDef, position: int) -> bool:
-        """Memoized :meth:`_param_is_written` — a pure bool of the callee's
-        content, so the structural fingerprint suffices as key."""
-        if not unit_incremental_enabled(self.unit):
-            return self._param_is_written(callee, position)
-        key = (structural_fp(self.unit, callee), position)
-        return _PARAM_WRITTEN_MEMO.get_or_compute(
-            key, lambda: self._param_is_written(callee, position)
-        )
 
     @staticmethod
     def _param_is_written(callee: N.FunctionDef, position: int) -> bool:

@@ -31,11 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import (
-    structural_fp,
-    unit_fingerprint,
-    unit_incremental_enabled,
-)
+from ..cfront.fingerprint import structural_fp, unit_fingerprint
 from ..cfront.visitor import find_all
 from ..obs import SPAN_SCHEDULE, get_recorder
 from ..memo import AnalysisCache
@@ -162,13 +158,9 @@ class Scheduler:
             # Recursion: synthesizability checking rejects it before
             # scheduling, but stay safe if called out of order.
             return _FuncCost(cycles=math.inf, resources=ResourceUsage())
-        key = self._cost_key(name) if unit_incremental_enabled(self.unit) else None
-        if key is not None:
-            value = _COST_MEMO.get_or_compute(
-                key, lambda: self._measure_cost(name)
-            )
-        else:
-            value = self._measure_cost(name)
+        value = _COST_MEMO.get_or_compute(
+            lambda: self._cost_key(name), lambda: self._measure_cost(name)
+        )
         return self._apply_cost(name, value)
 
     def _measure_cost(
@@ -259,8 +251,9 @@ class Scheduler:
     # -- cost fingerprints ---------------------------------------------------------
 
     def _cost_key(self, name: str) -> Optional[Tuple[str, str, str]]:
-        """Global memo key for one function's cost, or None when the
-        function sits on (or calls into) a recursive cycle."""
+        """Global memo key for one function's cost, or None (computed
+        uncached) when the function sits on (or calls into) a recursive
+        cycle."""
         fp = self._cost_fp(name)
         if fp is None:
             return None
@@ -678,15 +671,13 @@ def estimate(unit: N.TranslationUnit, config: SolutionConfig) -> ScheduleReport:
     model).  Hits return a freshly materialized report: callers mutate
     report.resources, so the memo stores only immutable snapshots."""
     with get_recorder().span(SPAN_SCHEDULE, top=config.top_name):
-        if not unit_incremental_enabled(unit):
-            return Scheduler(unit, config).schedule()
-        key = (
-            "estimate",
-            unit_fingerprint(unit),
-            config.top_name,
-            repr(config.clock_period_ns),
-        )
         snap = _ESTIMATE_MEMO.get_or_compute(
-            key, lambda: _report_snapshot(Scheduler(unit, config).schedule())
+            lambda: (
+                "estimate",
+                unit_fingerprint(unit),
+                config.top_name,
+                repr(config.clock_period_ns),
+            ),
+            lambda: _report_snapshot(Scheduler(unit, config).schedule()),
         )
         return _report_from_snapshot(snap)

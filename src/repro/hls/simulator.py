@@ -95,13 +95,12 @@ def simulate(
     limits = limits or ExecLimits()
     kernel = config.top_name
     backend = backend or default_backend()
-    key = (
-        pragma_free_fingerprint(unit), kernel, canonical_value(tests),
-        astuple(limits), max_faults, backend,
-    )
     outcomes = _OUTCOMES.get_or_compute(
-        key, lambda: _run_tests(unit, kernel, tests, limits, max_faults,
-                                backend),
+        lambda: (
+            pragma_free_fingerprint(unit), kernel, canonical_value(tests),
+            astuple(limits), max_faults, backend,
+        ),
+        lambda: _run_tests(unit, kernel, tests, limits, max_faults, backend),
     )
     report.outcomes = [TestOutcome(*outcome) for outcome in outcomes]
     report.schedule = estimate(unit, config)

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import exact_fp, unit_incremental_enabled
+from ..cfront.fingerprint import exact_fp
 from ..cfront.visitor import find_all
 from ..obs import SPAN_STYLE_CHECK, get_recorder
 from .clock import ACT_STYLE_CHECK, SimulatedClock
@@ -77,20 +77,17 @@ def check_style(
         if clock is not None:
             clock.charge(ACT_STYLE_CHECK, STYLE_CHECK_SECONDS)
         violations: List[StyleViolation] = []
-        memo = unit_incremental_enabled(unit)
-        globals_key = _global_array_names(unit) if memo else ()
         for func in unit.functions():
             if func.body is None:
                 continue
-            if memo:
-                key = (exact_fp(unit, func), globals_key)
-                violations.extend(
-                    _FUNCTION_STYLE_MEMO.get_or_compute(
-                        key, lambda f=func: tuple(_check_function(unit, f))
-                    )
+            violations.extend(
+                _FUNCTION_STYLE_MEMO.get_or_compute(
+                    lambda f=func: (
+                        exact_fp(unit, f), _global_array_names(unit)
+                    ),
+                    lambda f=func: tuple(_check_function(unit, f)),
                 )
-            else:
-                violations.extend(_check_function(unit, func))
+            )
         # Top-level pragmas outside any function are always misplaced.
         for decl in unit.decls:
             if isinstance(decl, N.Pragma):

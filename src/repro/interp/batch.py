@@ -1753,9 +1753,12 @@ class _BatchCompiler:
             "    return None",
         ]
         src = "\n".join(src_lines) + "\n"
-        digest = hashlib.blake2b(src.encode(), digest_size=16).digest()
         code = _CODE_MEMO.get_or_compute(
-            (filename, digest), lambda: compile(src, filename, "exec")
+            lambda: (
+                filename,
+                hashlib.blake2b(src.encode(), digest_size=16).digest(),
+            ),
+            lambda: compile(src, filename, "exec"),
         )
         ns = self.pool.ns
         exec(code, ns)

@@ -12,7 +12,11 @@ outcomes of each pragma-free candidate program in another (see
 :mod:`repro.hls.simulator`).
 
 The module depends on nothing but the fingerprint mode switches, so the
-interpreter and the HLS model can both import it without a cycle.
+interpreter and the HLS model can both import it without a cycle.  It is
+also the only place that reads the incremental mode on behalf of a memo:
+every memo site is one :meth:`AnalysisCache.get_or_compute` call, and
+with ``REPRO_INCREMENTAL=0`` that call runs the computation and nothing
+else — no key is built, no table is touched.
 
 Rules for what may live in a cache:
 
@@ -81,25 +85,33 @@ class AnalysisCache:
         with self._lock:
             return len(self._entries)
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the memoized value for *key*, computing (and storing)
-        it on a miss.  Incremental mode off → straight pass-through, no
-        cache traffic.  Cross-check mode → hits recompute and verify."""
+    def get_or_compute(
+        self, key: Callable[[], Hashable], compute: Callable[[], Any]
+    ) -> Any:
+        """Return the memoized value for ``key()``, computing (and
+        storing) it on a miss.  The key is taken as a zero-argument
+        callable so that with incremental mode off the call is a straight
+        pass-through: neither the key nor the table is touched.  A key of
+        None marks a point that must not be memoized; it is computed
+        uncached.  Cross-check mode → hits recompute and verify."""
         if not incremental_enabled():
             return compute()
+        entry = key()
+        if entry is None:
+            return compute()
         with self._lock:
-            sentinel_miss = key not in self._entries
-            if not sentinel_miss:
-                self._entries.move_to_end(key)
-                value = self._entries[key]
+            hit = entry in self._entries
+            if hit:
+                self._entries.move_to_end(entry)
+                value = self._entries[entry]
                 self.hits += 1
             else:
                 self.misses += 1
-        if sentinel_miss:
+        if not hit:
             value = compute()
             with self._lock:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
+                self._entries[entry] = value
+                self._entries.move_to_end(entry)
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
             return value
@@ -110,7 +122,7 @@ class AnalysisCache:
             if canonical_value(fresh) != canonical_value(value):
                 raise IncrementalMismatch(
                     f"analysis cache {self.name!r}: memoized value diverges "
-                    f"from recomputation for key {key!r}\n"
+                    f"from recomputation for key {entry!r}\n"
                     f"  cached: {value!r}\n  fresh:  {fresh!r}"
                 )
         return value

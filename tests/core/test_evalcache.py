@@ -17,6 +17,7 @@ from repro.core.evalcache import (
 )
 from repro.hls import SimulatedClock, SolutionConfig
 from repro.hls.compiler import compile_invocations
+from repro.interp import default_backend, set_default_backend
 from repro.subjects import get_subject
 
 
@@ -271,17 +272,25 @@ class TestBackendIndependentKeys:
     (and vice versa)."""
 
     def evaluate_once(self, cache, backend):
-        unit = parse(BROKEN_SRC, top_name="kernel")
-        search = RepairSearch(
-            original=unit,
-            kernel_name="kernel",
-            tests=TESTS,
-            config=SearchConfig(max_iterations=10, interp_backend=backend),
-            clock=SimulatedClock(),
-            cache=cache,
-        )
-        candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
-        return search.evaluate(candidate), search
+        """One evaluation with *backend* as the process default engine."""
+        previous = default_backend()
+        set_default_backend(backend)
+        try:
+            unit = parse(BROKEN_SRC, top_name="kernel")
+            search = RepairSearch(
+                original=unit,
+                kernel_name="kernel",
+                tests=TESTS,
+                config=SearchConfig(max_iterations=10),
+                clock=SimulatedClock(),
+                cache=cache,
+            )
+            candidate = Candidate(
+                unit=unit, config=SolutionConfig(top_name="kernel")
+            )
+            return search.evaluate(candidate), search
+        finally:
+            set_default_backend(previous)
 
     def test_tree_populated_cache_hits_under_batch(self):
         cache = EvalCache()

@@ -7,8 +7,8 @@ to a run with ``REPRO_INCREMENTAL=0``.  Caches may only change wall-clock
 time, never results.
 
 The full ten-subject sweep is expensive; tier-1 runs two subjects and the
-rest are gated behind ``REPRO_CROSSCHECK_FULL=1`` (the CI `incremental`
-job sets it).
+rest carry the ``crosscheck_full`` marker, deselected by default (the CI
+`incremental` job selects it with ``-m``).
 """
 
 from __future__ import annotations
@@ -16,13 +16,17 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.baselines.variants import default_config, make_heterogen
 from repro.cfront import nodes as N
 from repro.cfront import parse
-from repro.cfront.fingerprint import forced_mode, incremental_mode
+from repro.cfront import fingerprint
+from repro.cfront.fingerprint import FP_TABLE_ATTR, forced_mode, incremental_mode
 from repro.cfront.printer import render
 from repro.core.edits.base import Candidate
 from repro.core.evalcache import cached_candidate_key, candidate_key
@@ -35,10 +39,8 @@ from repro.hls.stylecheck import check_style
 from repro.obs import SPAN_TRANSPILE, TraceRecorder, scoped_recorder
 from repro.subjects import all_subjects, get_subject
 
-FULL_SWEEP = os.environ.get("REPRO_CROSSCHECK_FULL", "") == "1"
-
 #: Two structurally different subjects keep the tier-1 cross-check cheap;
-#: the env-gated sweep covers all ten.
+#: the ``crosscheck_full`` sweep covers all ten.
 QUICK_SUBJECTS = ("P1", "P3")
 
 
@@ -114,7 +116,7 @@ def test_incremental_pipeline_bit_identical_quick(subject_id):
     _assert_identical(subject_id)
 
 
-@pytest.mark.skipif(not FULL_SWEEP, reason="set REPRO_CROSSCHECK_FULL=1")
+@pytest.mark.crosscheck_full
 @pytest.mark.parametrize(
     "subject_id",
     [s.id for s in all_subjects() if s.id not in QUICK_SUBJECTS],
@@ -155,7 +157,7 @@ def test_tracing_bit_identical_quick(subject_id):
     _assert_tracing_identical(subject_id)
 
 
-@pytest.mark.skipif(not FULL_SWEEP, reason="set REPRO_CROSSCHECK_FULL=1")
+@pytest.mark.crosscheck_full
 @pytest.mark.parametrize(
     "subject_id",
     [s.id for s in all_subjects() if s.id not in QUICK_SUBJECTS],
@@ -291,9 +293,11 @@ def test_cached_candidate_key_memoizes_per_context():
 
 
 def test_candidate_key_modes_agree_on_distinctions():
-    """The fingerprint key must distinguish whatever the render key did."""
+    """The key is one scheme in every mode: equal under ``on`` and
+    ``off``, and it distinguishes edits and solution knobs."""
     config = SolutionConfig(top_name="kernel")
     variant = KERNEL_SRC.replace("x * scale", "x + scale")
+    keys = {}
     for mode in ("on", "off"):
         with forced_mode(mode):
             base = candidate_key(parse(KERNEL_SRC, top_name="kernel"), config)
@@ -306,6 +310,56 @@ def test_candidate_key_modes_agree_on_distinctions():
         assert same == base, mode
         assert edited != base, mode
         assert retuned != base, mode
+        keys[mode] = (base, edited, retuned)
+    assert keys["on"] == keys["off"]
+
+
+# ---------------------------------------------------------------------------
+# One memo gate: every unit is memoized when the mode is on, none when off
+# ---------------------------------------------------------------------------
+
+
+def _run_stages(unit):
+    config = SolutionConfig(top_name="kernel")
+    return (
+        check_style(unit),
+        compile_unit(unit, config).diagnostics,
+        estimate(unit, config),
+    )
+
+
+def _fresh_parse(source):
+    """Parse into the same uids every time, so exact digests match."""
+    N._uid_counter = itertools.count(1)
+    return parse(source, top_name="kernel")
+
+
+def test_two_function_unit_reparsed_hits_the_memos():
+    assert len(list(parse(KERNEL_SRC).functions())) == 2
+    with forced_mode("on"):
+        clear_analysis_caches()
+        first = _run_stages(_fresh_parse(KERNEL_SRC))
+        second = _run_stages(_fresh_parse(KERNEL_SRC))
+        stats = analysis_cache_stats()
+    assert second == first
+    for name in ("compile.check_diags", "style.function", "schedule.estimate"):
+        assert stats[name]["hits"] > 0, name
+
+
+def test_off_mode_builds_no_memo_key_and_touches_no_cache():
+    with forced_mode("on"):
+        clear_analysis_caches()
+        on = _run_stages(_fresh_parse(KERNEL_SRC))
+    clear_analysis_caches()
+    unit = _fresh_parse(KERNEL_SRC)
+    with forced_mode("off"):
+        off = _run_stages(unit)
+        off_again = _run_stages(unit)
+    assert off == on == off_again
+    # Every memo key embeds a fingerprint; none was computed.
+    assert FP_TABLE_ATTR not in unit.__dict__
+    for name, counts in analysis_cache_stats().items():
+        assert counts == {"hits": 0, "misses": 0, "entries": 0}, name
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +375,34 @@ def test_forced_mode_restores_previous_mode():
             assert incremental_mode() == "cross"
         assert incremental_mode() == "off"
     assert incremental_mode() == before
+
+
+@pytest.mark.parametrize("raw, mode", [
+    (None, "on"), ("", "on"), ("1", "on"), ("On", "on"), ("yes", "on"),
+    ("0", "off"), (" off ", "off"), ("false", "off"), ("cross", "cross"),
+])
+def test_incremental_env_values(monkeypatch, raw, mode):
+    if raw is None:
+        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_INCREMENTAL", raw)
+    assert fingerprint._mode_from_env() == mode
+
+
+@pytest.mark.parametrize("raw", ["crosss", "2", "incremental"])
+def test_unrecognised_incremental_env_value_raises(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_INCREMENTAL", raw)
+    with pytest.raises(ValueError, match="REPRO_INCREMENTAL") as info:
+        fingerprint._mode_from_env()
+    assert "'cross'" in str(info.value)
+
+
+def test_unrecognised_incremental_env_value_fails_at_import():
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, REPRO_INCREMENTAL="crosss", PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro.cfront.fingerprint"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert "unknown REPRO_INCREMENTAL value 'crosss'" in proc.stderr

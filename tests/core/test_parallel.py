@@ -5,10 +5,13 @@ import os
 
 import pytest
 
+from repro.baselines import variants
 from repro.baselines.variants import default_config
+from repro.cfront.fingerprint import forced_mode, incremental_mode
 from repro.core import parallel
 from repro.core.parallel import run_subjects
 from repro.core.store import close_stores
+from repro.interp import default_backend, set_default_backend
 
 #: Two quick subjects: P1 has no loops, P3 repairs in a few dozen
 #: evaluations.
@@ -68,6 +71,48 @@ class TestSubjectFanout:
             assert c["history"] == w["history"], c["subject"]
             assert c["clock_seconds"] == w["clock_seconds"], c["subject"]
             assert c["final_source"] == w["final_source"], c["subject"]
+
+
+class TestProcessSettings:
+    """A spawn-started worker re-imports the package, so the parent's
+    incremental mode and interpreter engine travel with every job."""
+
+    def test_run_subjects_hands_over_the_parent_settings(self, monkeypatch):
+        handed = []
+        monkeypatch.setattr(
+            parallel,
+            "_run_subject_summary",
+            lambda sid, *args: handed.append(args[-2:]) or {"subject": sid},
+        )
+        previous = default_backend()
+        try:
+            set_default_backend("tree")
+            with forced_mode("off"):
+                run_subjects(QUICK, "HeteroGen", None, workers=1)
+        finally:
+            set_default_backend(previous)
+        assert handed == [("off", "tree")] * len(QUICK)
+
+    def test_worker_runs_under_the_settings_it_is_handed(self, monkeypatch):
+        seen = []
+
+        class Stop(Exception):
+            """Ends the job before any real work."""
+
+        def probe(*args):
+            seen.append((incremental_mode(), default_backend()))
+            raise Stop
+
+        monkeypatch.setattr(variants, "run_variant", probe)
+        previous = default_backend()
+        try:
+            with forced_mode("on"), pytest.raises(Stop):
+                parallel._run_subject_summary(
+                    "P1", "HeteroGen", None, None, "off", "tree"
+                )
+        finally:
+            set_default_backend(previous)
+        assert seen == [("off", "tree")]
 
 
 class TestDeadWorker:

@@ -44,8 +44,35 @@ class TestCrossCheckComparison:
     def test_recomputed_nan_is_not_a_mismatch(self):
         cache = AnalysisCache("test.cross_nan")
         with forced_mode("cross"):
-            first = cache.get_or_compute("k", lambda: (float("nan"),))
-            again = cache.get_or_compute("k", lambda: (float("nan"),))
+            first = cache.get_or_compute(lambda: "k", lambda: (float("nan"),))
+            again = cache.get_or_compute(lambda: "k", lambda: (float("nan"),))
             assert again is first
             with pytest.raises(IncrementalMismatch):
-                cache.get_or_compute("k", lambda: (-0.0,))
+                cache.get_or_compute(lambda: "k", lambda: (-0.0,))
+
+
+class TestModeGate:
+    def test_off_mode_builds_no_key_and_touches_no_table(self):
+        cache = AnalysisCache("test.off_gate")
+
+        def no_key():
+            raise AssertionError("off mode built a memo key")
+
+        with forced_mode("off"):
+            assert cache.get_or_compute(no_key, lambda: 7) == 7
+            assert cache.get_or_compute(no_key, lambda: 8) == 8
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    def test_none_key_computes_uncached(self):
+        cache = AnalysisCache("test.none_key")
+        with forced_mode("on"):
+            assert cache.get_or_compute(lambda: None, lambda: 1) == 1
+            assert cache.get_or_compute(lambda: None, lambda: 2) == 2
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+    def test_on_mode_memoizes_by_key(self):
+        cache = AnalysisCache("test.on_gate")
+        with forced_mode("on"):
+            assert cache.get_or_compute(lambda: "k", lambda: 1) == 1
+            assert cache.get_or_compute(lambda: "k", lambda: 2) == 1
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
