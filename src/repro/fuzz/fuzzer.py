@@ -14,6 +14,14 @@ The loop keeps an input iff it produced new branch coverage, and stops
 when the time budget runs out or coverage has plateaued (the paper stops
 30 minutes after the last new path; we count executions instead and
 charge the simulated clock so Table 4 can report minutes).
+
+Once the campaign has covered every branch outcome the kernel can reach
+(its *branch universe*, :func:`~repro.interp.coverage.branch_universe`),
+no input can add coverage, so the rest of the plateau is counted rather
+than run: each further input is an exec with delta 0.  Mutation, the
+corpus, the exec and plateau counters and the simulated clock go on
+exactly as if the inputs had run.  A kernel whose call graph is not
+known (a member call) has no universe and runs every input.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from ..cfront import nodes as N
 from ..interp import (
     CoverageRecorder,
     ExecLimits,
+    branch_universe,
     engine_run_many,
     make_engine,
 )
@@ -129,6 +138,10 @@ def fuzz_kernel(
     since_new = 0
     seen: Set[Hashable] = set()
     rec = get_recorder()
+    universe = branch_universe(unit, kernel_name)
+    # The exec index after which no input can add coverage; 0 when the
+    # kernel has no branch to cover.
+    saturated_at: Optional[int] = 0 if universe == frozenset() else None
 
     def execute_batch(arg_sets: List[List[Any]]) -> List[int]:
         """Run a batch of inputs; per-input newly uncovered branch counts.
@@ -146,8 +159,19 @@ def fuzz_kernel(
         time are those of running it.  Inputs are told apart by
         :func:`~repro.memo.canonical_value`, which separates ``0.0`` from
         ``-0.0`` and ``1`` from ``1.0`` and ``True``.
+
+        Once coverage equals the kernel's branch universe, no input is
+        run at all: every input counts as an exec with delta 0, which is
+        what running it would give.  A run that records a branch outside
+        the universe raises :class:`FuzzError`, since skipping on a wrong
+        universe would change the campaign.  Without a universe (see
+        :func:`~repro.interp.coverage.branch_universe`) every distinct
+        input runs.
         """
-        nonlocal execs
+        nonlocal execs, saturated_at
+        if saturated_at is not None:
+            execs += len(arg_sets)
+            return [0] * len(arg_sets)
         first_run: List[bool] = []
         unseen: List[List[Any]] = []
         for args in arg_sets:
@@ -171,8 +195,18 @@ def fuzz_kernel(
             if record.result is None:
                 deltas.append(0)  # crashing inputs exercise nothing repeatable
                 continue
+            hits = record.result.coverage.hits
+            if universe is not None and not hits <= universe:
+                uid, _outcome = min(hits - universe)
+                raise FuzzError(
+                    f"kernel {kernel_name!r} recorded branch {uid}, which "
+                    "is outside its branch universe"
+                )
             coverage.merge(record.result.coverage)
             deltas.append(len(coverage.hits) - before)
+            if (saturated_at is None and universe is not None
+                    and len(coverage.hits) == len(universe)):
+                saturated_at = execs
         return deltas
 
     with rec.span(SPAN_FUZZ, clock=clock, kernel=kernel_name,
@@ -225,6 +259,10 @@ def fuzz_kernel(
             rec.metrics.set_gauge(
                 "fuzz.coverage_ratio", ratio, kernel=kernel_name
             )
+            if saturated_at is not None:
+                rec.metrics.set_gauge(
+                    "fuzz.saturated_at", saturated_at, kernel=kernel_name
+                )
     return FuzzReport(
         tests_generated=tests_generated,
         corpus=corpus,

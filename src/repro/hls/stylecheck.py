@@ -20,15 +20,13 @@ Style rules checked (all are placement/shape rules, not semantic ones):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import exact_fp
 from ..cfront.visitor import find_all
 from ..obs import SPAN_STYLE_CHECK, get_recorder
 from .clock import ACT_STYLE_CHECK, SimulatedClock
-from ..memo import AnalysisCache
 from .pragmas import FUNCTION_SCOPE, KNOWN_DIRECTIVES, LOOP_SCOPE, parse_pragma
 
 #: Simulated cost of one style check, in seconds.  Negligible next to a
@@ -43,26 +41,6 @@ class StyleViolation:
 
     def __str__(self) -> str:
         return f"style: {self.message}"
-
-
-#: Per-function style verdicts, content-addressed: the checks read only
-#: the function itself plus the names of global arrays, so the memo key
-#: is (exact function fingerprint, global-array names).  Values are
-#: immutable violation tuples whose uids come from the fingerprinted
-#: function — exact-digest equality makes them bit-identical for every
-#: hit.  The clock charge below is NOT memoized: every check_style call
-#: charges exactly as before.
-_FUNCTION_STYLE_MEMO = AnalysisCache("style.function")
-
-
-def _global_array_names(unit: N.TranslationUnit) -> Tuple[str, ...]:
-    return tuple(
-        sorted(
-            decl.name
-            for decl in unit.globals()
-            if isinstance(T.strip_typedefs(decl.type), T.ArrayType)
-        )
-    )
 
 
 def check_style(
@@ -80,14 +58,7 @@ def check_style(
         for func in unit.functions():
             if func.body is None:
                 continue
-            violations.extend(
-                _FUNCTION_STYLE_MEMO.get_or_compute(
-                    lambda f=func: (
-                        exact_fp(unit, f), _global_array_names(unit)
-                    ),
-                    lambda f=func: tuple(_check_function(unit, f)),
-                )
-            )
+            violations.extend(_check_function(unit, func))
         # Top-level pragmas outside any function are always misplaced.
         for decl in unit.decls:
             if isinstance(decl, N.Pragma):

@@ -10,7 +10,12 @@ and a unit's global initializers, to flat generated Python and adds
 engines on every input and asserts they stay bit-identical.
 """
 
-from .coverage import CoverageRecorder, ValueProfile, branch_points
+from .coverage import (
+    CoverageRecorder,
+    ValueProfile,
+    branch_points,
+    branch_universe,
+)
 from .interpreter import ExecLimits, ExecResult, Interpreter, run_program
 from .batch import (
     BACKENDS,
@@ -50,6 +55,7 @@ __all__ = [
     "ValueProfile",
     "batch_program",
     "branch_points",
+    "branch_universe",
     "c_to_python",
     "engine_run_many",
     "default_backend",

@@ -19,7 +19,7 @@ the initial HLS version can finitize integer widths (the ``ret`` max=83 →
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront.fingerprint import node_digests
@@ -38,6 +38,51 @@ def branch_points(root: N.Node) -> Set[int]:
         elif isinstance(node, N.BinOp) and node.op in ("&&", "||"):
             points.add(node.uid)
     return points
+
+
+def branch_universe(
+    unit: N.TranslationUnit, kernel_name: str
+) -> Optional[FrozenSet[BranchKey]]:
+    """Every branch outcome a run of *kernel_name* can record, or ``None``.
+
+    A run executes the unit's global initializers and then the kernel, so
+    the roots are every top-level declaration that is not a function plus
+    each top-level definition named *kernel_name*.  Calls are followed
+    through a conservative call graph: a plain-identifier callee reaches
+    every top-level function of that name (a builtin reaches none).  A
+    callee that is not a plain identifier, such as a member call
+    ``s.write()`` that may dispatch to a struct method, makes the
+    reachable set unknown, and the answer is ``None``.
+
+    The result may hold outcomes no input can reach (a dead branch), but
+    never misses one a run records; the fuzzer checks the latter on every
+    run.
+    """
+    defs: Dict[str, List[N.FunctionDef]] = {}
+    pending: List[N.Node] = []
+    for decl in unit.decls:
+        if isinstance(decl, N.FunctionDef):
+            defs.setdefault(decl.name, []).append(decl)
+        else:
+            pending.append(decl)
+    pending.extend(defs.get(kernel_name, ()))
+    visited: Set[int] = set()
+    points: Set[int] = set()
+    while pending:
+        root = pending.pop()
+        if id(root) in visited:
+            continue
+        visited.add(id(root))
+        for node in root.walk():
+            if isinstance(node, N.Call):
+                name = node.callee_name
+                if name is None:
+                    return None
+                pending.extend(defs.get(name, ()))
+        points |= branch_points(root)
+    return frozenset(
+        (uid, outcome) for uid in points for outcome in (True, False)
+    )
 
 
 class CoverageRecorder:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import FuzzError
+from repro.cfront import nodes as N
 from repro.cfront import parse
+from repro.cfront.visitor import find_all
 from repro.fuzz import (
     Corpus,
     FuzzConfig,
@@ -15,9 +17,10 @@ from repro.baselines.variants import default_config
 from repro.fuzz import fuzzer
 from repro.hls import SimulatedClock
 from repro.hls.clock import ACT_FUZZING
-from repro.interp import engine_run_many
+from repro.interp import branch_universe, engine_run_many
 from repro.memo import canonical_value
-from repro.subjects import get_subject
+from repro.obs import TraceRecorder, scoped_recorder
+from repro.subjects import all_subjects, generated_subjects, get_subject
 
 BRANCHY = """
 int classify(int a[8], int n) {
@@ -183,21 +186,45 @@ def _report_fields(report):
     }
 
 
+def _no_universe(monkeypatch):
+    """Defeat saturation: the campaign runs every distinct input."""
+    monkeypatch.setattr(fuzzer, "branch_universe", lambda unit, kernel: None)
+
+
+def _subject_seeds(subject, unit):
+    """The seeds the pipeline fuzzes from: captured, then shipped tests."""
+    try:
+        captured = get_kernel_seed(
+            unit, subject.host, subject.kernel, list(subject.host_args)
+        )
+    except FuzzError as exc:
+        captured = exc.partial_seeds
+    return captured + list(subject.existing_test_list() or [])
+
+
+def _p1_campaign():
+    subject = get_subject("P1")
+    unit = parse(subject.source, top_name=subject.kernel)
+    config = default_config()
+    return fuzz_kernel(
+        unit, subject.kernel, config.fuzz,
+        seeds=_subject_seeds(subject, unit), limits=config.limits,
+    )
+
+
 class TestDistinctInputsRunOnce:
     def test_p1_campaign_runs_each_distinct_input_once(self, monkeypatch):
-        subject = get_subject("P1")
-        unit = parse(subject.source, top_name=subject.kernel)
-        config = default_config()
-        seeds = get_kernel_seed(
-            unit, subject.host, subject.kernel, list(subject.host_args)
-        ) + list(subject.existing_test_list() or [])
+        # P1's kernel has no branch, so its universe is empty: the
+        # campaign is saturated before the first input and runs none.
         ran = _counting_runs(monkeypatch)
-        report = fuzz_kernel(
-            unit, subject.kernel, config.fuzz, seeds=seeds,
-            limits=config.limits,
-        )
+        saturated = _p1_campaign()
+        assert ran == []
+        # With saturation defeated it runs each distinct input once.
+        _no_universe(monkeypatch)
+        report = _p1_campaign()
         assert len(ran) == len({canonical_value(args) for args in ran})
         assert len(ran) == 96
+        assert _report_fields(saturated) == _report_fields(report)
         # The campaign itself is the one that ran every input.
         assert report.execs == 401
         assert report.tests_generated == 401
@@ -213,11 +240,182 @@ class TestDistinctInputsRunOnce:
         distinct = len(ran)
         ran.clear()
 
-        # A fresh key per input turns deduplication off.
+        # A fresh key per input turns deduplication off, and no universe
+        # turns saturation off.
         monkeypatch.setattr(fuzzer, "canonical_value", lambda _: object())
+        _no_universe(monkeypatch)
         every = _report_fields(fuzz_kernel(unit, "classify", config))
         assert deduplicated == every
         assert len(ran) == every["execs"] > distinct
+
+
+def _saturation_on_and_off(monkeypatch, run):
+    """Report fields and interpreter inputs of *run* with saturation on,
+    then off."""
+    ran = _counting_runs(monkeypatch)
+    on = _report_fields(run())
+    ran_on = list(ran)
+    ran.clear()
+    with monkeypatch.context() as patch:
+        _no_universe(patch)
+        off = _report_fields(run())
+    return on, off, ran_on, list(ran)
+
+
+SUBJECT_IDS = [s.id for s in all_subjects()]
+GENERATED = {g.name: g for g in generated_subjects()}
+
+
+class TestSaturation:
+    """Once coverage equals the kernel's branch universe the campaign
+    stops running inputs, and its report is unchanged."""
+
+    @staticmethod
+    def _assert_default_campaign_unchanged(monkeypatch, unit, kernel, seeds):
+        config = default_config()
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch,
+            lambda: fuzz_kernel(
+                unit, kernel, config.fuzz, seeds=seeds or None,
+                limits=config.limits,
+            ),
+        )
+        assert on == off
+        # Saturation only cuts the tail of the inputs run.
+        assert ran_on == ran_off[:len(ran_on)]
+
+    @pytest.mark.parametrize("subject_id", SUBJECT_IDS)
+    def test_subject_reports_equal_with_saturation_off(
+        self, monkeypatch, subject_id
+    ):
+        subject = get_subject(subject_id)
+        unit = subject.parse()
+        self._assert_default_campaign_unchanged(
+            monkeypatch, unit, subject.kernel, _subject_seeds(subject, unit)
+        )
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_reports_equal_with_saturation_off(
+        self, monkeypatch, name
+    ):
+        program = GENERATED[name]
+        self._assert_default_campaign_unchanged(
+            monkeypatch, parse(program.source, top_name=program.kernel),
+            program.kernel, [list(t) for t in program.tests],
+        )
+
+    def test_saturated_campaign_stops_running_inputs(self, monkeypatch):
+        unit = parse(BRANCHY)
+        config = FuzzConfig(max_execs=600, plateau_execs=200, seed=5)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "classify", config)
+        )
+        assert on == off
+        assert on["coverage"] == sorted(branch_universe(unit, "classify"))
+        assert 0 < len(ran_on) < len(ran_off)
+
+    def test_global_initializer_ternary_is_in_the_universe(self, monkeypatch):
+        # A global initializer runs on every input, so its `?:` records
+        # a hit each run.  The same outcome every time: the campaign
+        # can never cover the other one, and runs as without a universe.
+        unit = parse(
+            "int bias = 2 > 1 ? 1 : -1;\n"
+            "int k(int x) { if (x > bias) { return 1; } return 0; }\n"
+        )
+        cond = find_all(unit.decls[0], N.Cond)[0]
+        universe = branch_universe(unit, "k")
+        assert {(cond.uid, True), (cond.uid, False)} <= universe
+        config = FuzzConfig(max_execs=300, plateau_execs=100)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "k", config)
+        )
+        assert on == off
+        assert (cond.uid, True) in set(on["coverage"])
+        assert ran_on == ran_off
+
+    def test_initializer_callee_ternary_saturates(self, monkeypatch):
+        # `sign` is reached only from a global initializer, which takes
+        # both arms of its `?:` on every run.
+        unit = parse(
+            "int sign(int v) { return v < 0 ? -1 : 1; }\n"
+            "int bias = sign(-3) + sign(3);\n"
+            "int k(int x) { if (x > bias) { return 1; } return 0; }\n"
+        )
+        cond = find_all(unit.function("sign"), N.Cond)[0]
+        universe = branch_universe(unit, "k")
+        assert len(universe) == 4
+        assert (cond.uid, False) in universe
+        config = FuzzConfig(max_execs=300, plateau_execs=100)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "k", config)
+        )
+        assert on == off
+        assert on["coverage"] == sorted(universe)
+        assert len(ran_on) < len(ran_off)
+
+    def test_member_call_kernel_never_short_circuits(self, monkeypatch):
+        unit = parse(
+            "struct Acc {\n"
+            "    int total;\n"
+            "    int add(int v) {\n"
+            "        if (v > 0) { this->total += v; }\n"
+            "        return this->total;\n"
+            "    }\n"
+            "};\n"
+            "int k(int x) { struct Acc a; a.total = 0; return a.add(x); }\n"
+        )
+        assert branch_universe(unit, "k") is None
+        config = FuzzConfig(max_execs=300, plateau_execs=100)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "k", config)
+        )
+        assert on == off
+        assert len(on["coverage"]) == 2
+        assert ran_on == ran_off
+
+    def test_unreachable_branch_never_saturates(self, monkeypatch):
+        unit = parse(
+            "int k(int x) {\n"
+            "    if (x > 0) { if (x < 0) { return 2; } return 1; }\n"
+            "    return 0;\n"
+            "}\n"
+        )
+        config = FuzzConfig(max_execs=300, plateau_execs=100)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "k", config)
+        )
+        assert on == off
+        assert len(on["coverage"]) == 3 < len(branch_universe(unit, "k"))
+        assert ran_on == ran_off
+
+    def test_shrunk_universe_raises(self, monkeypatch):
+        unit = parse(BRANCHY)
+        dropped = max(branch_universe(unit, "classify"))
+        monkeypatch.setattr(
+            fuzzer, "branch_universe",
+            lambda u, kernel: branch_universe(u, kernel) - {dropped},
+        )
+        with pytest.raises(FuzzError, match=rf"'classify'.* {dropped[0]},"):
+            fuzz_kernel(unit, "classify", FuzzConfig(max_execs=300))
+
+    def test_saturation_index_is_a_traced_gauge(self):
+        unit = parse(BRANCHY)
+        config = FuzzConfig(max_execs=600, plateau_execs=200, seed=5)
+        with scoped_recorder(TraceRecorder()) as rec:
+            report = fuzz_kernel(unit, "classify", config)
+        gauges = rec.metrics.snapshot()["gauges"]
+        saturated_at = gauges["fuzz.saturated_at{kernel=classify}"]
+        assert 0 < saturated_at < report.execs
+        # A kernel that never saturates records no index.  Here the
+        # false arm divides by zero, and a faulting run's coverage is
+        # never merged.
+        with scoped_recorder(TraceRecorder()) as rec:
+            fuzz_kernel(parse("int k(int x) { return x ? 1 : 1 / 0; }"), "k",
+                        FuzzConfig(max_execs=50))
+        assert not any(
+            name.startswith("fuzz.saturated_at")
+            for name in rec.metrics.snapshot()["gauges"]
+        )
 
 
 class TestCoverageOfSuite:
