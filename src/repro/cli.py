@@ -270,6 +270,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
             new = analyze.load_journal(args.new)
         else:
             trace = analyze.load_journal(args.journal)
+        if args.verb == "check" and not args.update:
+            baseline = baseline_mod.load_baseline(args.baseline)
+        if args.verb == "diff" and args.metrics:
+            snapshots = []
+            for path in args.metrics:
+                with open(path) as handle:
+                    snapshots.append(json.load(handle))
     except (OSError, ValueError) as exc:
         print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
         return 1
@@ -330,18 +337,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     if args.verb == "diff":
         diff = analyze.diff_traces(
-            base, new,
+            analyze.stage_table(base), analyze.stage_table(new),
             sim_tolerance=args.sim_tol,
             count_tolerance=args.count_tol,
             wall_tolerance=args.wall_tol,
         )
         metric_deltas = None
         if args.metrics:
-            with open(args.metrics[0]) as handle:
-                snap_a = json.load(handle)
-            with open(args.metrics[1]) as handle:
-                snap_b = json.load(handle)
-            metric_deltas = analyze.diff_metrics(snap_a, snap_b)
+            metric_deltas = analyze.diff_metrics(*snapshots)
         if args.json:
             payload = {
                 "stages": [d.as_dict() for d in diff.stages],
@@ -366,22 +369,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     assert args.verb == "check"
     if args.update:
+        import os
+
         from .obs.export import git_describe
 
         baseline = baseline_mod.baseline_from_trace(trace, meta={
-            "journal": args.journal,
+            "journal": os.path.basename(args.journal),
             "git_describe": git_describe(),
         })
         path = baseline_mod.write_baseline(args.baseline, baseline)
         print(f"wrote baseline ({len(baseline['stages'])} stages) to {path}")
         return 0
-    baseline = baseline_mod.load_baseline(args.baseline)
-    violations = baseline_mod.check_trace(
-        trace, baseline,
+    violations = analyze.diff_traces(
+        baseline["stages"], analyze.stage_table(trace),
         sim_tolerance=args.sim_tol,
         count_tolerance=args.count_tol,
         wall_tolerance=args.wall_tol,
-    )
+        tolerances=baseline.get("tolerances"),
+    ).regressions
     if args.json:
         print(json.dumps(
             {"baseline": args.baseline, "violations": violations,

@@ -5,9 +5,9 @@ Spans + events (:mod:`.recorder`), metrics (:mod:`.metrics`), exporters
 (:mod:`.export`: JSONL journal, Chrome ``trace_event``, run manifest),
 the live progress renderer (:mod:`.stream`), journal analytics
 (:mod:`.analyze`: per-stage aggregation, critical path, flamegraphs,
-structural diff), per-stage perf baselines (:mod:`.baseline`: the
-``repro trace check`` gate), the journal schema (:mod:`.schema`) and
-logging wiring (:mod:`.logs`).
+structural diff; its ``load_journal`` is the journal's only reader),
+per-stage perf baselines (:mod:`.baseline`: the ``repro trace check``
+gate) and logging wiring (:mod:`.logs`).
 
 Default state is a no-op :class:`NullRecorder`; `REPRO_TRACE` or the CLI
 ``--trace-out`` flag activates a :class:`TraceRecorder`.  Tracing is

@@ -3,9 +3,10 @@
 The JSONL event journal (:mod:`repro.obs.export`) is the machine-
 readable ground truth of one traced run.  This module is its reader:
 
-* :func:`load_journal` — parse a complete journal into a
-  :class:`Trace`, refusing anything short of one (a cut, corrupt or
-  overflowed journal raises instead of loading half a run);
+* :func:`load_journal` — the journal's only reader: parse a complete,
+  well-formed journal into a :class:`Trace`, refusing anything short
+  of one (a cut, corrupt, malformed or overflowed journal raises
+  instead of loading half a run);
 * :func:`stage_stats` / :func:`edit_stats` — per-stage and per-edit
   aggregation of wall-clock *and* simulated seconds, with self-time
   attribution (a stage's own cost minus its children's);
@@ -15,13 +16,14 @@ readable ground truth of one traced run.  This module is its reader:
   :func:`speedscope_document` — flamegraph exports in the two lingua
   franca formats (``flamegraph.pl`` collapsed stacks and the
   speedscope JSON file format), over either clock;
-* :func:`diff_traces` — a structural diff of two runs that attributes
-  regressions to specific stages.  Regressions are judged on the
-  *deterministic* dimensions by default — span counts and simulated
-  seconds, which are bit-identical across reruns of an identical
-  configuration — so two journals from byte-identical runs always diff
-  clean; wall-clock is compared only when an explicit tolerance is
-  given (shared CI runners are noisy).
+* :func:`stage_table` / :func:`diff_traces` — the one stage comparator,
+  behind both ``repro trace diff`` (two journals) and ``repro trace
+  check`` (a committed baseline against a journal).  Regressions are
+  judged on the *deterministic* dimensions by default — span counts
+  and simulated seconds, which are bit-identical across reruns of an
+  identical configuration — so two journals from byte-identical runs
+  always diff clean; wall-clock is compared only when an explicit
+  tolerance is given (shared CI runners are noisy).
 """
 
 from __future__ import annotations
@@ -45,18 +47,65 @@ class Trace:
         return self.children.get(0, [])
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_COUNT = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_DURATION = ("a non-negative number", lambda v: _is_number(v) and v >= 0)
+_SIM = ("null or a non-negative number",
+        lambda v: v is None or (_is_number(v) and v >= 0))
+_TID = ("an integer", _is_int)
+_ARGS = ("an object", lambda v: isinstance(v, dict))
+_LEVEL = ("one of debug/info/warning/error",
+          lambda v: v in ("debug", "info", "warning", "error"))
+
+#: The journal format: per record type, each field and the rule its
+#: value must meet.  An absent field reads as null, which only the
+#: simulated-clock fields (null on spans without a clock) accept.
+_RECORD_RULES: Dict[str, Tuple[Tuple[str, Tuple[str, Any]], ...]] = {
+    "header": (("version", _POSITIVE_INT), ("records", _COUNT),
+               ("dropped", _COUNT)),
+    "span": (("id", _POSITIVE_INT), ("parent", _COUNT), ("name", _TEXT),
+             ("cat", _TEXT), ("ts_us", _DURATION), ("dur_us", _DURATION),
+             ("sim_ts_s", _SIM), ("sim_dur_s", _SIM), ("tid", _TID),
+             ("args", _ARGS)),
+    "event": (("id", _POSITIVE_INT), ("parent", _COUNT), ("name", _TEXT),
+              ("ts_us", _DURATION), ("tid", _TID), ("level", _LEVEL),
+              ("args", _ARGS)),
+}
+
+
+def _check_record(obj: Dict[str, Any], where: str) -> None:
+    for key, (expected, ok) in _RECORD_RULES[obj["type"]]:
+        if not ok(obj.get(key)):
+            raise ValueError(
+                f"{where}: {obj['type']}.{key} must be {expected}, "
+                f"got {obj.get(key)!r}"
+            )
+
+
 def load_journal(path: str) -> Trace:
     """Load a complete journal file into a :class:`Trace`.
 
-    Raises ``ValueError`` naming the file (and line, where there is one)
-    on anything short of a complete journal: a missing header, a line
-    that is not JSON, an unknown record type, a duplicate id, a span
-    whose parent has no record, a body whose record count differs from
-    the header's, or a header reporting dropped records."""
+    This is the journal's only reader.  It raises ``ValueError`` naming
+    the file (and line, where there is one) on anything short of a
+    complete, well-formed journal: a missing header, a line that is not
+    JSON, an unknown record type, a field breaking ``_RECORD_RULES`` (a
+    missing or mistyped field, a negative wall or simulated duration, a
+    bad event level), a duplicate id, a parent that has no span record,
+    a parent cycle, a body whose record count differs from the
+    header's, or a header reporting dropped records."""
     header: Dict[str, Any] = {}
     spans: Dict[int, Dict[str, Any]] = {}
     events: List[Dict[str, Any]] = []
-    line_of: Dict[Any, int] = {}
+    line_of: Dict[int, int] = {}
     with open(path) as handle:
         lines = handle.readlines()
     for lineno, line in enumerate(lines, 1):
@@ -71,11 +120,13 @@ def load_journal(path: str) -> Trace:
         if not header:
             if kind != "header":
                 raise ValueError(f"{path}:{lineno}: missing journal header")
+            _check_record(obj, f"{path}:{lineno}")
             header = obj
             continue
         if kind not in ("span", "event"):
             raise ValueError(f"{path}:{lineno}: unknown record {kind!r}")
-        rid = obj.get("id")
+        _check_record(obj, f"{path}:{lineno}")
+        rid = obj["id"]
         if rid in line_of:
             raise ValueError(f"{path}:{lineno}: duplicate id {rid}")
         line_of[rid] = lineno
@@ -86,25 +137,40 @@ def load_journal(path: str) -> Trace:
     if not header:
         raise ValueError(f"{path}: missing journal header (empty file)")
     body = len(spans) + len(events)
-    if body != header.get("records"):
+    if body != header["records"]:
         raise ValueError(
             f"{path}:{len(lines)}: truncated journal: {body} records, "
-            f"header says {header.get('records')}"
+            f"header says {header['records']}"
         )
-    if header.get("dropped"):
+    if header["dropped"]:
         raise ValueError(
             f"{path}:1: recorder dropped {header['dropped']} records"
         )
     for obj in events + list(spans.values()):
-        parent = obj.get("parent", 0)
+        parent = obj["parent"]
         if parent != 0 and parent not in spans:
             raise ValueError(
                 f"{path}:{line_of[obj['id']]}: {obj['type']} {obj['id']} "
                 f"has unknown parent {parent}"
             )
+    # Every span must reach the top level; a chain that revisits a span
+    # never does, and would drop the whole cycle out of every report.
+    rooted = {0}
+    for sid in spans:
+        chain: List[int] = []
+        node = sid
+        while node not in rooted:
+            if node in chain:
+                raise ValueError(
+                    f"{path}:{line_of[node]}: parent cycle through span "
+                    f"{node}"
+                )
+            chain.append(node)
+            node = spans[node]["parent"]
+        rooted.update(chain)
     children: Dict[int, List[int]] = {}
     for sid, obj in spans.items():
-        children.setdefault(obj.get("parent", 0), []).append(sid)
+        children.setdefault(obj["parent"], []).append(sid)
     for kids in children.values():
         kids.sort(key=lambda sid: (spans[sid]["ts_us"], sid))
     return Trace(
@@ -337,7 +403,8 @@ class StageDelta:
 
 @dataclass
 class TraceDiff:
-    """Stage-attributed comparison of two journals (A = base, B = new)."""
+    """Stage-attributed comparison of two stage tables (A = base,
+    B = new)."""
 
     stages: List[StageDelta] = field(default_factory=list)
     regressions: List[Dict[str, Any]] = field(default_factory=list)
@@ -353,63 +420,104 @@ class TraceDiff:
 _SIM_EPS = 1e-9
 
 
+def stage_table(trace: Trace) -> Dict[str, Dict[str, Any]]:
+    """The comparable part of :func:`stage_stats`: per stage (span
+    name), its span ``count``, simulated seconds ``sim_s`` and wall
+    microseconds ``wall_us``.  A baseline file's ``stages`` is this
+    table, rounded."""
+    return {
+        name: {"count": stat.count, "sim_s": stat.sim_s,
+               "wall_us": stat.wall_us}
+        for name, stat in sorted(stage_stats(trace).items())
+    }
+
+
+_NO_STAGE = {"count": 0, "sim_s": 0.0, "wall_us": 0.0}
+
+
 def diff_traces(
-    base: Trace,
-    new: Trace,
+    base: Dict[str, Dict[str, Any]],
+    new: Dict[str, Dict[str, Any]],
     sim_tolerance: float = 0.0,
     count_tolerance: int = 0,
     wall_tolerance: Optional[float] = None,
+    tolerances: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> TraceDiff:
-    """Attribute differences between two runs to specific stages.
+    """Attribute the differences between two stage tables (see
+    :func:`stage_table`) to stages.
 
-    A **regression** is: a stage executing more times than the base
-    (beyond ``count_tolerance``), charging more simulated seconds
-    (beyond relative ``sim_tolerance`` — zero by default, because the
-    simulated clock is deterministic), or — only when
-    ``wall_tolerance`` is given — taking proportionally more wall
-    time.  Byte-identical runs therefore always diff clean at the
-    defaults, whatever the host was doing."""
-    stats_a = stage_stats(base)
-    stats_b = stage_stats(new)
+    This is the one comparator: ``repro trace diff`` passes two
+    journals' tables, ``repro trace check`` a baseline's ``stages`` (and
+    its per-stage ``tolerances`` pins, ``{"count", "sim", "wall"}``,
+    which win over the global tolerances) as *base*.  Regressions are:
+
+    * ``missing`` — a stage of *base* absent from *new*;
+    * ``unbaselined`` — a stage absent from *base*, whatever it costs;
+    * ``count`` — more spans than *base* beyond ``count_tolerance``;
+    * ``sim_seconds`` — more simulated seconds than *base* beyond the
+      relative ``sim_tolerance`` (zero by default: the simulated clock
+      is deterministic);
+    * ``wall`` — proportionally more wall time, checked only under a
+      wall tolerance.
+
+    A lower count or simulated time on a stage still present is an
+    improvement.  Byte-identical runs therefore always diff clean at
+    the defaults, whatever the host was doing."""
+    pins = tolerances or {}
     diff = TraceDiff()
-    for name in sorted(set(stats_a) | set(stats_b)):
-        a = stats_a.get(name, StageStat(name))
-        b = stats_b.get(name, StageStat(name))
-        delta = StageDelta(
-            name=name, count_a=a.count, count_b=b.count,
-            wall_a=a.wall_us, wall_b=b.wall_us,
-            sim_a=a.sim_s, sim_b=b.sim_s,
-        )
-        diff.stages.append(delta)
-        if b.count > a.count + count_tolerance:
+    for name in sorted(set(base) | set(new)):
+        a = base.get(name, _NO_STAGE)
+        b = new.get(name, _NO_STAGE)
+        diff.stages.append(StageDelta(
+            name=name, count_a=a["count"], count_b=b["count"],
+            wall_a=a["wall_us"], wall_b=b["wall_us"],
+            sim_a=a["sim_s"], sim_b=b["sim_s"],
+        ))
+        if name not in new:
+            diff.regressions.append({
+                "stage": name, "kind": "missing",
+                "base": a["count"], "new": 0, "limit": 0,
+            })
+            continue
+        if name not in base:
+            diff.regressions.append({
+                "stage": name, "kind": "unbaselined",
+                "base": 0, "new": b["count"], "limit": 0,
+            })
+            continue
+        pin = pins.get(name, {})
+        count_limit = a["count"] + int(pin.get("count", count_tolerance))
+        if b["count"] > count_limit:
             diff.regressions.append({
                 "stage": name, "kind": "count",
-                "base": a.count, "new": b.count,
-                "limit": a.count + count_tolerance,
+                "base": a["count"], "new": b["count"], "limit": count_limit,
             })
-        elif b.count < a.count:
+        elif b["count"] < a["count"]:
             diff.improvements.append({
                 "stage": name, "kind": "count",
-                "base": a.count, "new": b.count,
+                "base": a["count"], "new": b["count"],
             })
-        sim_limit = a.sim_s * (1.0 + sim_tolerance) + _SIM_EPS
-        if b.sim_s > sim_limit:
+        sim_limit = (a["sim_s"] * (1.0 + float(pin.get("sim", sim_tolerance)))
+                     + _SIM_EPS)
+        if b["sim_s"] > sim_limit:
             diff.regressions.append({
                 "stage": name, "kind": "sim_seconds",
-                "base": round(a.sim_s, 6), "new": round(b.sim_s, 6),
+                "base": round(a["sim_s"], 6), "new": round(b["sim_s"], 6),
                 "limit": round(sim_limit, 6),
             })
-        elif b.sim_s < a.sim_s - _SIM_EPS:
+        elif b["sim_s"] < a["sim_s"] - _SIM_EPS:
             diff.improvements.append({
                 "stage": name, "kind": "sim_seconds",
-                "base": round(a.sim_s, 6), "new": round(b.sim_s, 6),
+                "base": round(a["sim_s"], 6), "new": round(b["sim_s"], 6),
             })
-        if wall_tolerance is not None and a.wall_us > 0:
-            wall_limit = a.wall_us * (1.0 + wall_tolerance)
-            if b.wall_us > wall_limit:
+        wall_tol = pin.get("wall", wall_tolerance)
+        if wall_tol is not None and a["wall_us"] > 0:
+            wall_limit = a["wall_us"] * (1.0 + float(wall_tol))
+            if b["wall_us"] > wall_limit:
                 diff.regressions.append({
                     "stage": name, "kind": "wall",
-                    "base": round(a.wall_us, 1), "new": round(b.wall_us, 1),
+                    "base": round(a["wall_us"], 1),
+                    "new": round(b["wall_us"], 1),
                     "limit": round(wall_limit, 1),
                 })
     return diff

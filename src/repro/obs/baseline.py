@@ -1,10 +1,13 @@
 """Per-stage perf baselines — the ``repro trace check`` regression gate.
 
 A *baseline* is a small committed JSON file distilled from one trusted
-journal: for every stage (span name), the span count, the simulated
-seconds charged, and the wall-clock microseconds observed when the
-baseline was recorded.  ``repro trace check`` gates a fresh journal
-against it:
+journal: its :func:`~repro.obs.analyze.stage_table` — for every stage
+(span name), the span count, the simulated seconds charged, and the
+wall-clock microseconds observed when the baseline was recorded.
+``repro trace check`` gates a fresh journal against it with the same
+comparator as ``repro trace diff``
+(:func:`~repro.obs.analyze.diff_traces`, the baseline's ``stages`` as
+the base), so the two verbs report the same regressions:
 
 * **span counts** and **simulated seconds** are deterministic given an
   identical configuration (the PR 5 contract), so they default to
@@ -26,26 +29,20 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from .analyze import Trace, stage_stats
+from .analyze import Trace, stage_table
 
 BASELINE_VERSION = 1
-
-#: Absolute slack when comparing simulated seconds that round-tripped
-#: through JSON (mirrors analyze._SIM_EPS).
-_SIM_EPS = 1e-9
 
 
 def baseline_from_trace(
     trace: Trace, meta: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
     """Distill a journal into a committable per-stage baseline."""
-    stages: Dict[str, Any] = {}
-    for name, stat in sorted(stage_stats(trace).items()):
-        stages[name] = {
-            "count": stat.count,
-            "sim_s": round(stat.sim_s, 6),
-            "wall_us": round(stat.wall_us, 1),
-        }
+    stages = {
+        name: {"count": row["count"], "sim_s": round(row["sim_s"], 6),
+               "wall_us": round(row["wall_us"], 1)}
+        for name, row in stage_table(trace).items()
+    }
     return {
         "version": BASELINE_VERSION,
         "meta": meta or {},
@@ -66,7 +63,7 @@ def write_baseline(path: str, baseline: Dict[str, Any]) -> str:
 def load_baseline(path: str) -> Dict[str, Any]:
     with open(path) as handle:
         baseline = json.load(handle)
-    version = baseline.get("version")
+    version = baseline.get("version") if isinstance(baseline, dict) else None
     if not isinstance(version, int) or version < 1:
         raise ValueError(f"{path}: not a trace baseline (missing version)")
     if version > BASELINE_VERSION:
@@ -76,67 +73,23 @@ def load_baseline(path: str) -> Dict[str, Any]:
         )
     if not isinstance(baseline.get("stages"), dict):
         raise ValueError(f"{path}: baseline carries no stages")
+    for name, row in baseline["stages"].items():
+        if not (isinstance(row, dict) and all(
+                isinstance(row.get(key), (int, float))
+                for key in ("count", "sim_s", "wall_us"))):
+            raise ValueError(
+                f"{path}: stage {name!r} needs numeric count, sim_s and "
+                "wall_us"
+            )
+    pins = baseline.get("tolerances", {})
+    if not (isinstance(pins, dict) and all(
+            isinstance(pin, dict) and all(
+                isinstance(value, (int, float)) for value in pin.values())
+            for pin in pins.values())):
+        raise ValueError(
+            f"{path}: tolerances must map stages to numeric pins"
+        )
     return baseline
-
-
-def check_trace(
-    trace: Trace,
-    baseline: Dict[str, Any],
-    sim_tolerance: float = 0.0,
-    count_tolerance: int = 0,
-    wall_tolerance: Optional[float] = None,
-) -> List[Dict[str, Any]]:
-    """Violations of *baseline* by *trace* (empty list = gate passes).
-
-    Each violation identifies the stage, the dimension that regressed,
-    the baseline and observed values, and the enforced limit."""
-    stats = stage_stats(trace)
-    tolerances = baseline.get("tolerances", {})
-    violations: List[Dict[str, Any]] = []
-    for name, expected in sorted(baseline.get("stages", {}).items()):
-        per_stage = tolerances.get(name, {})
-        stat = stats.get(name)
-        if stat is None:
-            violations.append({
-                "stage": name, "kind": "missing",
-                "base": expected.get("count", 0), "new": 0, "limit": 0,
-            })
-            continue
-        count_tol = int(per_stage.get("count", count_tolerance))
-        count_limit = expected.get("count", 0) + count_tol
-        if stat.count > count_limit:
-            violations.append({
-                "stage": name, "kind": "count",
-                "base": expected.get("count", 0), "new": stat.count,
-                "limit": count_limit,
-            })
-        sim_tol = float(per_stage.get("sim", sim_tolerance))
-        sim_limit = expected.get("sim_s", 0.0) * (1.0 + sim_tol) + _SIM_EPS
-        if stat.sim_s > sim_limit:
-            violations.append({
-                "stage": name, "kind": "sim_seconds",
-                "base": expected.get("sim_s", 0.0),
-                "new": round(stat.sim_s, 6), "limit": round(sim_limit, 6),
-            })
-        wall_tol = per_stage.get("wall", wall_tolerance)
-        if wall_tol is not None and expected.get("wall_us", 0.0) > 0:
-            wall_limit = expected["wall_us"] * (1.0 + float(wall_tol))
-            if stat.wall_us > wall_limit:
-                violations.append({
-                    "stage": name, "kind": "wall",
-                    "base": expected["wall_us"],
-                    "new": round(stat.wall_us, 1),
-                    "limit": round(wall_limit, 1),
-                })
-    # Work the baseline never saw: simulated cost appearing under a new
-    # stage name would otherwise dodge the gate entirely.
-    for name, stat in sorted(stats.items()):
-        if name not in baseline.get("stages", {}) and stat.sim_s > _SIM_EPS:
-            violations.append({
-                "stage": name, "kind": "unbaselined",
-                "base": 0.0, "new": round(stat.sim_s, 6), "limit": 0.0,
-            })
-    return violations
 
 
 def render_check(

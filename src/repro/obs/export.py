@@ -5,7 +5,8 @@ Three artifacts per traced run, all derived from one
 
 * the **event journal** (``*.jsonl``): one JSON object per completed
   span or event — the machine-readable ground truth everything else is
-  derived from (and what the CI ``obs`` job schema-validates);
+  derived from, read back only through
+  :func:`repro.obs.analyze.load_journal`;
 * the **Chrome trace** (``*.json``): the same spans in the
   ``trace_event`` format, loadable in ``chrome://tracing`` / Perfetto
   (``ph: "X"`` complete events; simulated durations ride in ``args``);
@@ -24,7 +25,7 @@ import json
 import os
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .recorder import EventRecord, SpanRecord, TraceRecorder
 
@@ -87,65 +88,6 @@ def write_journal(recorder: TraceRecorder, path: str) -> str:
         for obj in journal_lines(recorder):
             handle.write(json.dumps(obj, sort_keys=True) + "\n")
     return path
-
-
-def read_journal(path: str) -> List[Dict[str, Any]]:
-    """Parse a journal back into its JSON objects (header included)."""
-    out: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
-# --------------------------------------------------------------------------
-# Span-tree reconstruction (round-trip validation and reporting)
-# --------------------------------------------------------------------------
-
-
-def build_span_tree(
-    records: List[Dict[str, Any]],
-) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, List[int]]]:
-    """Index journal spans by id and link children to parents.
-
-    Raises ``ValueError`` if the forest is malformed: duplicate ids, a
-    span naming a missing parent, a parent cycle, or a negative
-    duration.  Events may parent to any span (or 0 = top level)."""
-    spans: Dict[int, Dict[str, Any]] = {}
-    for obj in records:
-        if obj.get("type") != "span":
-            continue
-        sid = obj["id"]
-        if sid in spans:
-            raise ValueError(f"duplicate span id {sid}")
-        if obj["dur_us"] < 0:
-            raise ValueError(f"span {sid} has negative duration")
-        if obj.get("sim_dur_s") is not None and obj["sim_dur_s"] < 0:
-            raise ValueError(f"span {sid} has negative simulated duration")
-        spans[sid] = obj
-    children: Dict[int, List[int]] = {}
-    for sid, obj in spans.items():
-        parent = obj["parent"]
-        if parent != 0 and parent not in spans:
-            raise ValueError(f"span {sid} has unknown parent {parent}")
-        children.setdefault(parent, []).append(sid)
-    for obj in records:
-        if obj.get("type") == "event" and obj["parent"] != 0 \
-                and obj["parent"] not in spans:
-            raise ValueError(
-                f"event {obj['id']} has unknown parent {obj['parent']}"
-            )
-    # Cycle check: every span must reach the root in ≤ |spans| steps.
-    for sid in spans:
-        node, steps = sid, 0
-        while node != 0:
-            node = spans[node]["parent"]
-            steps += 1
-            if steps > len(spans):
-                raise ValueError(f"parent cycle through span {sid}")
-    return spans, children
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.obs.analyze import (
     render_summary,
     speedscope_document,
     stage_stats,
+    stage_table,
 )
 from repro.obs.export import write_journal
 
@@ -47,12 +48,107 @@ def _journal(tmp_path, name="run.jsonl", **kwargs):
     return write_journal(rec, str(tmp_path / name))
 
 
+SPAN = {"type": "span", "id": 1, "parent": 0, "name": "a", "cat": "c",
+        "ts_us": 0.0, "dur_us": 1.0, "tid": 1, "args": {}}
+EVENT = {"type": "event", "id": 5, "parent": 0, "name": "e", "ts_us": 0.0,
+         "tid": 1, "level": "info", "args": {}}
+
+
+def write_records(path, records):
+    """A journal holding *records* under a header that counts them."""
+    header = {"type": "header", "version": 1, "records": len(records),
+              "dropped": 0}
+    path.write_text("".join(json.dumps(obj) + "\n"
+                            for obj in [header] + records))
+    return str(path)
+
+
+#: Complete journals whose records break one rule of the format, with
+#: the ``line: message`` the loader must raise (line 1 is the header).
+MALFORMED = {
+    "parent-cycle": (
+        [dict(SPAN, id=1, parent=3), dict(SPAN, id=2, parent=1),
+         dict(SPAN, id=3, parent=2)],
+        ":2: parent cycle through span 1",
+    ),
+    "negative-dur": (
+        [dict(SPAN, dur_us=-5.0)],
+        ":2: span.dur_us must be a non-negative number",
+    ),
+    "negative-sim": (
+        [dict(SPAN, sim_ts_s=0.0, sim_dur_s=-1.0)],
+        ":2: span.sim_dur_s must be null or a non-negative number",
+    ),
+    "missing-dur": (
+        [{k: v for k, v in SPAN.items() if k != "dur_us"}],
+        ":2: span.dur_us must be a non-negative number, got None",
+    ),
+    "string-id": (
+        [dict(SPAN, id="1")],
+        ":2: span.id must be a positive integer, got '1'",
+    ),
+    "bad-level": (
+        [SPAN, dict(EVENT, parent=1, level="fatal")],
+        ":3: event.level must be one of debug/info/warning/error",
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # Loader
 # ---------------------------------------------------------------------------
 
 
 class TestLoadJournal:
+    def test_journal_round_trip_preserves_the_span_tree(self, tmp_path):
+        rec = TraceRecorder()
+        clock = SimulatedClock.recording()
+        with rec.span("transpile", kernel="k"):
+            with rec.span("fuzz", clock=clock):
+                clock.charge(ACT_STYLE_CHECK, 20.0)
+            with rec.span("search", clock=clock):
+                with rec.span("search.evaluate", edit="type_trans"):
+                    rec.event("cache_hit", tier="memory")
+        trace = load_journal(write_journal(rec, str(tmp_path / "run.jsonl")))
+
+        assert trace.header["records"] == len(trace.spans) + len(trace.events)
+        assert trace.header["dropped"] == 0
+        by_name = {obj["name"]: obj for obj in trace.spans.values()}
+        root = by_name["transpile"]
+        assert root["parent"] == 0
+        assert trace.roots == [root["id"]]
+        assert by_name["fuzz"]["parent"] == root["id"]
+        assert by_name["search"]["parent"] == root["id"]
+        assert by_name["search.evaluate"]["parent"] == by_name["search"]["id"]
+        assert trace.children[root["id"]] == [
+            by_name["fuzz"]["id"], by_name["search"]["id"]
+        ]
+        for obj in trace.spans.values():
+            assert obj["dur_us"] >= 0.0
+        assert by_name["fuzz"]["sim_dur_s"] == 20.0
+        assert [event["name"] for event in trace.events] == ["cache_hit"]
+        assert trace.events[0]["parent"] == by_name["search.evaluate"]["id"]
+
+    def test_rejects_malformed_forests(self, tmp_path):
+        path = tmp_path / "forest.jsonl"
+        for records, message in [
+            ([SPAN, dict(SPAN)], "duplicate"),
+            ([dict(SPAN, parent=99)], "unknown parent"),
+            ([dict(SPAN, dur_us=-1.0)], "dur_us must be a non-negative"),
+            ([dict(SPAN, id=1, parent=2), dict(SPAN, id=2, parent=1)],
+             "cycle"),
+            ([SPAN, dict(EVENT, parent=77)], "unknown parent"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                load_journal(write_records(path, records))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_record_raises(self, tmp_path, case):
+        records, message = MALFORMED[case]
+        path = write_records(tmp_path / "bad.jsonl", records)
+        with pytest.raises(ValueError, match="bad.jsonl" + message):
+            load_journal(path)
+
     def test_round_trip_of_a_batch_journal(self, tmp_path):
         path = _journal(tmp_path)
         trace = load_journal(path)
@@ -123,11 +219,11 @@ class TestLoadJournal:
     @pytest.mark.parametrize("body,message", [
         ("", "missing journal header"),
         ('{"type": "span", "id": 1}\n', ":1: missing journal header"),
-        ('{"type": "header", "records": 1, "dropped": 0}\n'
+        ('{"type": "header", "version": 1, "records": 1, "dropped": 0}\n'
          '{"type": "mystery", "id": 1}\n', ":2: unknown record 'mystery'"),
-        ('{"type": "header", "records": 2, "dropped": 0}\n'
-         '{"type": "event", "id": 1, "parent": 0}\n'
-         '{"type": "event", "id": 1, "parent": 0}\n', ":3: duplicate id 1"),
+        ('{"type": "header", "version": 1, "records": 2, "dropped": 0}\n'
+         + json.dumps(dict(EVENT, id=1)) + "\n"
+         + json.dumps(dict(EVENT, id=1)) + "\n", ":3: duplicate id 1"),
     ], ids=["empty", "no-header", "unknown-type", "duplicate-id"])
     def test_malformed_journal_raises(self, tmp_path, body, message):
         path = tmp_path / "bad.jsonl"
@@ -228,18 +324,22 @@ class TestFlamegraphs:
 # ---------------------------------------------------------------------------
 
 
+def _table(tmp_path, name, **kwargs):
+    return stage_table(load_journal(_journal(tmp_path, name, **kwargs)))
+
+
 class TestDiff:
     def test_identical_runs_diff_clean_at_zero_tolerance(self, tmp_path):
-        a = load_journal(_journal(tmp_path, "a.jsonl"))
-        b = load_journal(_journal(tmp_path, "b.jsonl"))
+        a = _table(tmp_path, "a.jsonl")
+        b = _table(tmp_path, "b.jsonl")
         diff = diff_traces(a, b, sim_tolerance=0.0, count_tolerance=0)
         assert diff.clean
         assert diff.regressions == []
         assert "no regressions" in render_diff(diff)
 
     def test_extra_work_is_a_count_and_sim_regression(self, tmp_path):
-        a = load_journal(_journal(tmp_path, "a.jsonl", iterations=2))
-        b = load_journal(_journal(tmp_path, "b.jsonl", iterations=3))
+        a = _table(tmp_path, "a.jsonl", iterations=2)
+        b = _table(tmp_path, "b.jsonl", iterations=3)
         diff = diff_traces(a, b)
         kinds = {(r["stage"], r["kind"]) for r in diff.regressions}
         assert ("search.iteration", "count") in kinds
@@ -248,26 +348,39 @@ class TestDiff:
         assert "REGRESSION" in render_diff(diff)
 
     def test_less_work_is_an_improvement_not_a_regression(self, tmp_path):
-        a = load_journal(_journal(tmp_path, "a.jsonl", iterations=3))
-        b = load_journal(_journal(tmp_path, "b.jsonl", iterations=2))
+        a = _table(tmp_path, "a.jsonl", iterations=3)
+        b = _table(tmp_path, "b.jsonl", iterations=2)
         diff = diff_traces(a, b)
         assert diff.clean
         kinds = {(i["stage"], i["kind"]) for i in diff.improvements}
         assert ("search.iteration", "count") in kinds
 
     def test_sim_tolerance_absorbs_bounded_growth(self, tmp_path):
-        a = load_journal(_journal(tmp_path, "a.jsonl", compile_seconds=500.0))
-        b = load_journal(_journal(tmp_path, "b.jsonl", compile_seconds=510.0))
+        a = _table(tmp_path, "a.jsonl", compile_seconds=500.0)
+        b = _table(tmp_path, "b.jsonl", compile_seconds=510.0)
         assert not diff_traces(a, b).clean
         assert diff_traces(a, b, sim_tolerance=0.05).clean
 
     def test_wall_only_gated_when_tolerance_given(self, tmp_path):
-        a = load_journal(_journal(tmp_path, "a.jsonl"))
-        b = load_journal(_journal(tmp_path, "b.jsonl"))
+        a = _table(tmp_path, "a.jsonl")
+        b = _table(tmp_path, "b.jsonl")
         # Absurdly tight wall tolerance: wall noise now counts.
         diff = diff_traces(a, b, wall_tolerance=-0.999999)
         assert any(r["kind"] == "wall" for r in diff.regressions)
         assert diff_traces(a, b).clean
+
+    def test_vanished_stage_is_missing_not_an_improvement(self):
+        base = {"a": {"count": 2, "sim_s": 3.0, "wall_us": 10.0}}
+        diff = diff_traces(base, {})
+        assert diff.regressions == [{"stage": "a", "kind": "missing",
+                                     "base": 2, "new": 0, "limit": 0}]
+        assert diff.improvements == []
+
+    def test_new_stage_is_unbaselined_whatever_its_cost(self):
+        new = {"a": {"count": 1, "sim_s": 0.0, "wall_us": 10.0}}
+        diff = diff_traces({}, new, count_tolerance=5)
+        assert diff.regressions == [{"stage": "a", "kind": "unbaselined",
+                                     "base": 0, "new": 1, "limit": 0}]
 
     def test_diff_metrics_reports_counter_deltas_only(self):
         base = {"counters": {"a": 1, "b": 2}, "gauges": {"g": 5}}

@@ -1,4 +1,5 @@
-"""Per-stage baselines and the ``repro trace check`` gate."""
+"""Per-stage baselines and the ``repro trace check`` gate: a baseline's
+``stages`` as the base of the shared stage comparator."""
 
 from __future__ import annotations
 
@@ -8,11 +9,10 @@ import pytest
 
 from repro.hls.clock import ACT_HLS_COMPILE, SimulatedClock
 from repro.obs import TraceRecorder
-from repro.obs.analyze import load_journal
+from repro.obs.analyze import diff_traces, load_journal, stage_table
 from repro.obs.baseline import (
     BASELINE_VERSION,
     baseline_from_trace,
-    check_trace,
     load_baseline,
     render_check,
     write_baseline,
@@ -34,6 +34,14 @@ def _trace(tmp_path, name="run.jsonl", compiles=2, compile_seconds=540.0,
                 clock.charge(ACT_HLS_COMPILE, 1.0)
     path = write_journal(rec, str(tmp_path / name))
     return load_journal(path)
+
+
+def _violations(trace, baseline, **tolerances):
+    """The violations ``repro trace check`` reports for *trace*."""
+    return diff_traces(
+        baseline["stages"], stage_table(trace),
+        tolerances=baseline.get("tolerances"), **tolerances,
+    ).regressions
 
 
 class TestBaselineFile:
@@ -70,13 +78,24 @@ class TestBaselineFile:
         path.write_text(json.dumps({"version": 1}))
         with pytest.raises(ValueError, match="no stages"):
             load_baseline(str(path))
+        path.write_text(json.dumps({"version": 1, "stages": {"a": 5}}))
+        with pytest.raises(ValueError, match="stage 'a' needs numeric"):
+            load_baseline(str(path))
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="missing version"):
+            load_baseline(str(path))
+        path.write_text(json.dumps(
+            {"version": 1, "stages": {}, "tolerances": {"a": 5}}
+        ))
+        with pytest.raises(ValueError, match="tolerances must map"):
+            load_baseline(str(path))
 
 
 class TestCheckTrace:
     def test_identical_run_passes_at_zero_tolerance(self, tmp_path):
         baseline = baseline_from_trace(_trace(tmp_path, "a.jsonl"))
         trace = _trace(tmp_path, "b.jsonl")
-        violations = check_trace(trace, baseline)
+        violations = _violations(trace, baseline)
         assert violations == []
         assert "passed" in render_check(violations, "base.json")
 
@@ -84,7 +103,7 @@ class TestCheckTrace:
         baseline = baseline_from_trace(_trace(tmp_path, "a.jsonl", compiles=2))
         trace = _trace(tmp_path, "b.jsonl", compiles=3)
         kinds = {(v["stage"], v["kind"])
-                 for v in check_trace(trace, baseline)}
+                 for v in _violations(trace, baseline)}
         assert ("hls_compile", "count") in kinds
         assert ("hls_compile", "sim_seconds") in kinds
 
@@ -93,7 +112,7 @@ class TestCheckTrace:
             _trace(tmp_path, "a.jsonl", extra_stage="final_difftest")
         )
         trace = _trace(tmp_path, "b.jsonl")
-        violations = check_trace(trace, baseline)
+        violations = _violations(trace, baseline)
         assert {"stage": "final_difftest", "kind": "missing",
                 "base": 1, "new": 0, "limit": 0} in violations
 
@@ -101,18 +120,29 @@ class TestCheckTrace:
         baseline = baseline_from_trace(_trace(tmp_path, "a.jsonl"))
         trace = _trace(tmp_path, "b.jsonl", extra_stage="final_difftest")
         kinds = {(v["stage"], v["kind"])
-                 for v in check_trace(trace, baseline)}
+                 for v in _violations(trace, baseline)}
         assert ("final_difftest", "unbaselined") in kinds
         # The extra simulated second also shows up in the root total.
         assert ("transpile", "sim_seconds") in kinds
+
+    def test_new_sim_free_stage_is_unbaselined(self, tmp_path):
+        baseline = baseline_from_trace(
+            _trace(tmp_path, "a.jsonl", compile_seconds=0.0)
+        )
+        baseline["stages"].pop("hls_compile")
+        trace = _trace(tmp_path, "b.jsonl", compile_seconds=0.0)
+        assert stage_table(trace)["hls_compile"]["sim_s"] == 0.0
+        kinds = {(v["stage"], v["kind"])
+                 for v in _violations(trace, baseline)}
+        assert kinds == {("hls_compile", "unbaselined")}
 
     def test_global_tolerances_absorb_bounded_growth(self, tmp_path):
         baseline = baseline_from_trace(
             _trace(tmp_path, "a.jsonl", compiles=2, compile_seconds=500.0)
         )
         trace = _trace(tmp_path, "b.jsonl", compiles=3, compile_seconds=510.0)
-        assert check_trace(trace, baseline) != []
-        assert check_trace(
+        assert _violations(trace, baseline) != []
+        assert _violations(
             trace, baseline, sim_tolerance=0.6, count_tolerance=1
         ) == []
 
@@ -127,25 +157,25 @@ class TestCheckTrace:
         }
         trace = _trace(tmp_path, "b.jsonl", compiles=3)
         # The pinned per-stage slack wins over the strict defaults...
-        assert check_trace(trace, baseline) == []
+        assert _violations(trace, baseline) == []
         # ...and applies only to its own stage: dropping one pin
         # reinstates the zero-tolerance default there.
         del baseline["tolerances"]["hls_compile"]
         kinds = {(v["stage"], v["kind"])
-                 for v in check_trace(trace, baseline)}
+                 for v in _violations(trace, baseline)}
         assert ("hls_compile", "count") in kinds
         assert ("search", "sim_seconds") not in kinds
 
     def test_wall_gated_only_with_a_tolerance(self, tmp_path):
         baseline = baseline_from_trace(_trace(tmp_path, "a.jsonl"))
         trace = _trace(tmp_path, "b.jsonl")
-        assert check_trace(trace, baseline) == []
-        violations = check_trace(trace, baseline, wall_tolerance=-0.999999)
+        assert _violations(trace, baseline) == []
+        violations = _violations(trace, baseline, wall_tolerance=-0.999999)
         assert violations and all(v["kind"] == "wall" for v in violations)
 
     def test_render_check_names_the_regeneration_command(self, tmp_path):
         baseline = baseline_from_trace(_trace(tmp_path, "a.jsonl"))
         trace = _trace(tmp_path, "b.jsonl", compiles=3)
-        text = render_check(check_trace(trace, baseline), "base.json")
+        text = render_check(_violations(trace, baseline), "base.json")
         assert "FAILED" in text
         assert "--update" in text

@@ -1,5 +1,6 @@
-"""Exporters: journal round-trip, span-tree validation, Chrome trace,
-metrics snapshot, manifest, path conventions."""
+"""Exporters: journal order, Chrome trace, metrics snapshot, manifest,
+path conventions.  Reading a journal back is the analyzer's job
+(``test_analyze.py::TestLoadJournal``)."""
 
 from __future__ import annotations
 
@@ -10,10 +11,8 @@ import pytest
 from repro.hls.clock import ACT_STYLE_CHECK, SimulatedClock
 from repro.obs import TraceRecorder
 from repro.obs.export import (
-    build_span_tree,
     chrome_trace,
     journal_lines,
-    read_journal,
     run_manifest,
     trace_paths,
     write_chrome_trace,
@@ -21,7 +20,6 @@ from repro.obs.export import (
     write_manifest,
     write_metrics,
 )
-from repro.obs.schema import validate_journal, validate_record
 
 
 def _traced_run():
@@ -42,39 +40,8 @@ def _traced_run():
 
 
 # ---------------------------------------------------------------------------
-# Journal round-trip
+# Journal
 # ---------------------------------------------------------------------------
-
-
-def test_journal_round_trip_preserves_the_span_tree(tmp_path):
-    rec = _traced_run()
-    path = write_journal(rec, str(tmp_path / "run.jsonl"))
-
-    assert validate_journal(path) == []
-    records = read_journal(path)
-    header, body = records[0], records[1:]
-    assert header["type"] == "header"
-    assert header["records"] == len(body)
-    assert header["dropped"] == 0
-    for obj in records:
-        assert validate_record(obj) == []
-
-    spans, children = build_span_tree(body)
-    by_name = {obj["name"]: obj for obj in spans.values()}
-    root = by_name["transpile"]
-    assert root["parent"] == 0
-    assert by_name["fuzz"]["parent"] == root["id"]
-    assert by_name["search"]["parent"] == root["id"]
-    assert by_name["search.evaluate"]["parent"] == by_name["search"]["id"]
-    assert sorted(children[root["id"]]) == sorted(
-        [by_name["fuzz"]["id"], by_name["search"]["id"]]
-    )
-    for obj in spans.values():
-        assert obj["dur_us"] >= 0.0
-    assert by_name["fuzz"]["sim_dur_s"] == 20.0
-    event = next(obj for obj in body if obj["type"] == "event")
-    assert event["name"] == "cache_hit"
-    assert event["parent"] == by_name["search.evaluate"]["id"]
 
 
 def test_journal_body_is_sorted_by_start_time():
@@ -82,30 +49,6 @@ def test_journal_body_is_sorted_by_start_time():
     body = journal_lines(rec)[1:]
     keys = [(obj["ts_us"], obj["id"]) for obj in body]
     assert keys == sorted(keys)
-
-
-def test_build_span_tree_rejects_malformed_forests():
-    import pytest
-
-    ok = {"type": "span", "id": 1, "parent": 0, "name": "a", "cat": "c",
-          "ts_us": 0.0, "dur_us": 1.0, "tid": 1, "args": {}}
-    with pytest.raises(ValueError, match="duplicate"):
-        build_span_tree([ok, dict(ok)])
-    with pytest.raises(ValueError, match="unknown parent"):
-        build_span_tree([dict(ok, parent=99)])
-    with pytest.raises(ValueError, match="negative duration"):
-        build_span_tree([dict(ok, dur_us=-1.0)])
-    with pytest.raises(ValueError, match="cycle"):
-        build_span_tree([
-            dict(ok, id=1, parent=2),
-            dict(ok, id=2, parent=1),
-        ])
-    with pytest.raises(ValueError, match="unknown parent"):
-        build_span_tree([
-            ok,
-            {"type": "event", "id": 5, "parent": 77, "name": "e",
-             "ts_us": 0.0, "tid": 1, "level": "info", "args": {}},
-        ])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.cli import main
 from repro.obs.analyze import load_journal, stage_stats
 from repro.obs.baseline import load_baseline
 
+from .test_analyze import MALFORMED, SPAN, write_records
+
 KERNEL = """
 float smooth(float samples[8], float out[8]) {
     long double acc = 0.0;
@@ -205,6 +207,62 @@ class TestTraceVerbs:
         assert captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("verb", ["summary", "flame", "diff", "check"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_journal_fails(self, verb, case, tmp_path, capsys):
+        records, message = MALFORMED[case]
+        path = write_records(tmp_path / "bad.jsonl", records)
+        good = write_records(tmp_path / "good.jsonl", [SPAN])
+        base = tmp_path / "baseline.json"
+        assert main(["trace", "check", good, "--baseline", str(base),
+                     "--update"]) == 0
+        capsys.readouterr()
+        argv = {"diff": ["diff", good, path],
+                "check": ["check", path, "--baseline", str(base)]}
+        assert main(["trace", *argv.get(verb, [verb, path])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"repro trace {verb}: " in captured.err
+        assert "bad.jsonl" + message in captured.err
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"),
+        ('{"version": 1}', "baseline carries no stages"),
+    ], ids=["nonexistent", "no-stages"])
+    def test_unreadable_baseline_fails(self, journals, content, message,
+                                       tmp_path, capsys):
+        path = tmp_path / "base.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["trace", "check", journals["transpile"],
+                     "--baseline", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro trace check: ")
+        assert message in captured.err
+
+    def test_unreadable_metrics_snapshot_fails(self, journals, tmp_path,
+                                               capsys):
+        journal = journals["transpile"]
+        missing = str(tmp_path / "nope.json")
+        assert main(["trace", "diff", journal, journal,
+                     "--metrics", missing, missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro trace diff: ")
+        assert captured.err.count("\n") == 1
+
+    def test_update_stores_the_journal_file_name(self, journals, tmp_path,
+                                                 capsys):
+        journal = os.path.abspath(journals["transpile"])
+        base = tmp_path / "baseline.json"
+        assert main(["trace", "check", journal, "--baseline", str(base),
+                     "--update"]) == 0
+        assert load_baseline(str(base))["meta"]["journal"] == \
+            "transpile.trace.jsonl"
+
     @pytest.fixture(params=["mid-line", "line-boundary"])
     def truncated(self, request, journals, tmp_path):
         """The transpile journal cut at half its size, mid-record or
@@ -246,6 +304,56 @@ class TestTraceVerbs:
                      "--baseline", str(base), "--update"]) == 0
         assert main(["trace", "check", truncated,
                      "--baseline", str(base)]) == 1
+
+
+def _span(sid, name, dur_us=1000.0, sim=1.0):
+    """Span *sid*: the root when it is 1, else a child of the root."""
+    return dict(SPAN, id=sid, parent=0 if sid == 1 else 1, name=name,
+                ts_us=float(sid), dur_us=dur_us, sim_ts_s=0.0,
+                sim_dur_s=sim)
+
+
+#: Journal A's stages, and per case journal B's stages, the extra flags
+#: and the (stage, kind) regressions both verbs must report.
+_BASE = [_span(1, "root", 5000.0, 4.0), _span(2, "x"), _span(3, "z")]
+AGREEMENT = {
+    "vanished-stage": ([_BASE[0], _BASE[1]], [], {("z", "missing")}),
+    "new-sim-free-stage": (_BASE + [_span(4, "y", sim=None)], [],
+                           {("y", "unbaselined")}),
+    "count-growth": (_BASE + [_span(4, "x", sim=0.0)], [],
+                     {("x", "count")}),
+    "sim-growth": ([_BASE[0], _span(2, "x", sim=2.0), _BASE[2]], [],
+                   {("x", "sim_seconds")}),
+    "wall-growth": ([_BASE[0], _span(2, "x", 3000.0), _BASE[2]],
+                    ["--wall-tol", "1.0"], {("x", "wall")}),
+}
+
+
+class TestDiffAndCheckAgree:
+    """``trace diff A B`` and ``trace check B`` against a baseline built
+    from A run one comparator, so they report the same regressions."""
+
+    @pytest.mark.parametrize("case", sorted(AGREEMENT))
+    def test_same_regressions(self, case, tmp_path, capsys):
+        records, flags, expected = AGREEMENT[case]
+        a = write_records(tmp_path / "a.jsonl", _BASE)
+        b = write_records(tmp_path / "b.jsonl", records)
+        base = str(tmp_path / "a.baseline.json")
+        assert main(["trace", "check", a, "--baseline", base,
+                     "--update"]) == 0
+        capsys.readouterr()
+
+        assert main(["trace", "diff", a, b, "--json", *flags]) == 1
+        diff = json.loads(capsys.readouterr().out)
+        assert main(["trace", "check", b, "--baseline", base, "--json",
+                     *flags]) == 1
+        check = json.loads(capsys.readouterr().out)
+
+        kinds = {(r["stage"], r["kind"]) for r in diff["regressions"]}
+        assert kinds == expected
+        assert {(v["stage"], v["kind"])
+                for v in check["violations"]} == expected
+        assert diff["clean"] is False and check["passed"] is False
 
 
 class TestTraceOut:
