@@ -264,6 +264,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import analyze
     from .obs import baseline as baseline_mod
 
+    def refuse(exc: Exception) -> int:
+        print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
+        return 1
+
     try:
         if args.verb == "diff":
             base = analyze.load_journal(args.base)
@@ -278,8 +282,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 with open(path) as handle:
                     snapshots.append(json.load(handle))
     except (OSError, ValueError) as exc:
-        print(f"repro trace {args.verb}: {exc}", file=sys.stderr)
-        return 1
+        return refuse(exc)
     if args.verb in ("summary", "flame") and not trace.spans \
             and not trace.events:
         print(
@@ -326,10 +329,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
             import os
 
             parent = os.path.dirname(os.path.abspath(args.out))
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(args.out, "w") as handle:
-                handle.write(text)
+            try:
+                if parent:
+                    os.makedirs(parent, exist_ok=True)
+                with open(args.out, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                return refuse(exc)
             print(f"wrote {args.format} flamegraph to {args.out}")
         else:
             sys.stdout.write(text)
@@ -377,7 +383,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "journal": os.path.basename(args.journal),
             "git_describe": git_describe(),
         })
-        path = baseline_mod.write_baseline(args.baseline, baseline)
+        try:
+            path = baseline_mod.write_baseline(args.baseline, baseline)
+        except OSError as exc:
+            return refuse(exc)
         print(f"wrote baseline ({len(baseline['stages'])} stages) to {path}")
         return 0
     violations = analyze.diff_traces(

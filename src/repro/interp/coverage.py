@@ -26,18 +26,27 @@ from ..cfront.fingerprint import node_digests
 
 BranchKey = Tuple[int, bool]
 
+#: Deciding expressions whose truth is fixed.
+_LITERALS = (N.IntLit, N.CharLit, N.FloatLit)
+
+
+def _decider(node: N.Node) -> Optional[N.Expr]:
+    """The expression whose truth branch point *node* records, or ``None``
+    when *node* is not a branch point.
+
+    A loop or conditional records its ``cond``; ``&&`` and ``||`` record
+    their left operand, which decides whether the right one runs.
+    """
+    if isinstance(node, (N.If, N.While, N.DoWhile, N.For, N.Cond)):
+        return node.cond
+    if isinstance(node, N.BinOp) and node.op in ("&&", "||"):
+        return node.left
+    return None
+
 
 def branch_points(root: N.Node) -> Set[int]:
     """uids of every branch-point node under *root*."""
-    points: Set[int] = set()
-    for node in root.walk():
-        if isinstance(node, (N.If, N.While, N.DoWhile, N.Cond)):
-            points.add(node.uid)
-        elif isinstance(node, N.For) and node.cond is not None:
-            points.add(node.uid)
-        elif isinstance(node, N.BinOp) and node.op in ("&&", "||"):
-            points.add(node.uid)
-    return points
+    return {node.uid for node in root.walk() if _decider(node) is not None}
 
 
 def branch_universe(
@@ -54,6 +63,10 @@ def branch_universe(
     ``s.write()`` that may dispatch to a struct method, makes the
     reachable set unknown, and the answer is ``None``.
 
+    A branch point decided by a literal (``while (1)``, ``if (0)``,
+    ``0 && x``) can record only that literal's truth, so it contributes
+    one outcome; every other branch point contributes both.
+
     The result may hold outcomes no input can reach (a dead branch), but
     never misses one a run records; the fuzzer checks the latter on every
     run.
@@ -67,7 +80,7 @@ def branch_universe(
             pending.append(decl)
     pending.extend(defs.get(kernel_name, ()))
     visited: Set[int] = set()
-    points: Set[int] = set()
+    outcomes: Set[BranchKey] = set()
     while pending:
         root = pending.pop()
         if id(root) in visited:
@@ -79,10 +92,16 @@ def branch_universe(
                 if name is None:
                     return None
                 pending.extend(defs.get(name, ()))
-        points |= branch_points(root)
-    return frozenset(
-        (uid, outcome) for uid in points for outcome in (True, False)
-    )
+                continue
+            decider = _decider(node)
+            if decider is None:
+                continue
+            if isinstance(decider, _LITERALS):
+                outcomes.add((node.uid, bool(decider.value)))
+            else:
+                outcomes.add((node.uid, True))
+                outcomes.add((node.uid, False))
+    return frozenset(outcomes)
 
 
 class CoverageRecorder:

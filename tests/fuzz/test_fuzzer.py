@@ -353,6 +353,47 @@ class TestSaturation:
         assert on["coverage"] == sorted(universe)
         assert len(ran_on) < len(ran_off)
 
+    def test_literal_condition_kernel_saturates(self, monkeypatch):
+        # `while (1)` can never record its false outcome, so a universe
+        # holding it would keep the campaign running to the plateau.
+        unit = parse(
+            "int k(int x) {\n"
+            "    int n = 0;\n"
+            "    while (1) {\n"
+            "        if (n >= x) { break; }\n"
+            "        n++;\n"
+            "        if (n > 20) { break; }\n"
+            "    }\n"
+            "    return n;\n"
+            "}\n"
+        )
+        loop = find_all(unit, N.While)[0]
+        universe = branch_universe(unit, "k")
+        assert (loop.uid, False) not in universe
+        assert len(universe) == 5
+        config = FuzzConfig(max_execs=300, plateau_execs=100)
+        on, off, ran_on, ran_off = _saturation_on_and_off(
+            monkeypatch, lambda: fuzz_kernel(unit, "k", config)
+        )
+        assert on == off
+        assert on["coverage"] == sorted(universe)
+        assert len(ran_on) < len(ran_off)
+
+    def test_p5_campaign_saturates(self):
+        # P5's `tree_insert` loops on `while (1)`.
+        subject = get_subject("P5")
+        unit = subject.parse()
+        config = default_config()
+        with scoped_recorder(TraceRecorder()) as rec:
+            report = fuzz_kernel(
+                unit, subject.kernel, config.fuzz,
+                seeds=_subject_seeds(subject, unit), limits=config.limits,
+            )
+        gauges = rec.metrics.snapshot()["gauges"]
+        saturated_at = gauges["fuzz.saturated_at{kernel=graph_kernel}"]
+        assert 0 < saturated_at < report.execs
+        assert report.coverage.hits == branch_universe(unit, subject.kernel)
+
     def test_member_call_kernel_never_short_circuits(self, monkeypatch):
         unit = parse(
             "struct Acc {\n"

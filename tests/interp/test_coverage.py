@@ -1,13 +1,16 @@
 """Coverage recorder and value-profile tests."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.cfront import nodes as N
 from repro.cfront.parser import parse
-from repro.interp import branch_points, run_program
+from repro.cfront.visitor import find_all
+from repro.interp import branch_points, branch_universe, run_program
 from repro.interp.coverage import CoverageRecorder, ValueProfile, VarRange
 
 from ..conftest import run_c
+from .engines import ENGINES, run_on
 
 BRANCHY = """
 int classify(int x) {
@@ -40,6 +43,86 @@ class TestBranchPoints:
     def test_for_without_cond_is_not_a_branch(self):
         unit = parse("void f() { for (;;) { break; } }")
         assert len(branch_points(unit)) == 0
+
+
+def _universe_of(body, kind):
+    """The branch-universe outcomes of the first *kind* branch point (a
+    node class, or ``"&&"``/``"||"``) in kernel ``k`` with *body*."""
+    unit = parse("int f(int x) { return x; }\n"
+                 "int k(int x) {\n" + body + "\n}\n")
+    kernel = unit.function("k")
+    if isinstance(kind, str):
+        node = [b for b in find_all(kernel, N.BinOp) if b.op == kind][0]
+    else:
+        node = find_all(kernel, kind)[0]
+    return {
+        outcome for uid, outcome in branch_universe(unit, "k")
+        if uid == node.uid
+    }
+
+
+#: A kernel whose loops and conditionals are decided by literals, and
+#: whose every branch outcome some input takes.
+LITERAL_CONDITIONS = """
+int k(int x) {
+    int n = 0;
+    while (1) {
+        if (n >= x || n > 20) { break; }
+        n++;
+    }
+    for (; 1; ) { n++; break; }
+    do { n += 2; } while (0);
+    if (0) { n = -1; }
+    return 1 ? n : 0;
+}
+"""
+
+
+class TestBranchUniverse:
+    """A branch point decided by a literal has one outcome in the
+    universe; every other branch point has both."""
+
+    @pytest.mark.parametrize("body,kind,outcomes", [
+        ("while (1) { if (x > 3) { break; } x++; } return x;",
+         N.While, {True}),
+        ("for (; 1; ) { break; } return x;", N.For, {True}),
+        ("do { x++; } while (0); return x;", N.DoWhile, {False}),
+        ("if (0) { x = 1; } return x;", N.If, {False}),
+        ("if ('a') { x = 1; } return x;", N.If, {True}),
+        ("while (0.0) { x++; } return x;", N.While, {False}),
+        ("return 1 ? x : -x;", N.Cond, {True}),
+        ("return 0 && f(x);", "&&", {False}),
+        ("return 1 || f(x);", "||", {True}),
+    ], ids=["while-1", "for-1", "do-while-0", "if-0", "char-literal",
+            "float-literal", "ternary-1", "and-0", "or-1"])
+    def test_literal_decides_one_outcome(self, body, kind, outcomes):
+        assert _universe_of(body, kind) == outcomes
+
+    @pytest.mark.parametrize("body,kind", [
+        ("while (x) { x--; } return x;", N.While),
+        ("while (1 - 1) { x++; } return x;", N.While),
+        ("return x && 1;", "&&"),
+    ], ids=["while-x", "while-binop", "literal-right-operand"])
+    def test_other_conditions_keep_both_outcomes(self, body, kind):
+        assert _universe_of(body, kind) == {True, False}
+
+    def test_branch_counts_keep_both_outcomes(self):
+        # Table 4's denominator is a gcov-style two per branch point.
+        unit = parse(LITERAL_CONDITIONS)
+        body = unit.function("k").body
+        assert len(branch_points(body)) == 7
+        assert CoverageRecorder().total_branches(body) == 14
+        # Two outcomes each for `||` and the `if` it decides, one for
+        # each of the five literal-decided points.
+        assert len(branch_universe(unit, "k")) == 9
+
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_recorded_hits_lie_in_the_universe(self, backend):
+        unit = parse(LITERAL_CONDITIONS)
+        hits = set()
+        for x in (-3, 0, 5, 50):
+            hits |= run_on(unit, "k", [x], backend).coverage.hits
+        assert hits == branch_universe(unit, "k")
 
 
 class TestCoverageRecorder:

@@ -254,6 +254,23 @@ class TestTraceVerbs:
         assert captured.err.startswith("repro trace diff: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["flame", "check"])
+    def test_unwritable_output_path_fails(self, verb, journals, tmp_path,
+                                          capsys):
+        # The output's parent directory is a plain file.
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        argv = {"flame": ["flame", journals["transpile"], "-o", out],
+                "check": ["check", journals["transpile"],
+                          "--baseline", out, "--update"]}[verb]
+        assert main(["trace", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"repro trace {verb}: ")
+        assert "afile" in captured.err
+
     def test_update_stores_the_journal_file_name(self, journals, tmp_path,
                                                  capsys):
         journal = os.path.abspath(journals["transpile"])
