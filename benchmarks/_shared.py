@@ -23,7 +23,6 @@ from repro.obs.export import git_describe
 from repro.subjects import all_subjects, get_subject
 
 OUT_DIR = Path(__file__).parent / "out"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: One deterministic seed for every run in the harness.
 SEED = 2022
@@ -43,13 +42,9 @@ def write_table(name: str, text: str) -> Path:
 
 
 def write_bench_json(name: str, payload: dict) -> Path:
-    """Emit a ``BENCH_*.json`` artifact (the single mirroring helper).
-
-    Convention (see benchmarks/README.md): the artifact is written under
-    ``benchmarks/out/`` like every other harness output, and mirrored
-    verbatim to the repo root so the headline numbers are one click away
-    in the tree.  All bench scripts emit through here; nothing else
-    writes to the root.
+    """Emit a ``BENCH_*.json`` artifact under ``benchmarks/out/``, like
+    every other harness output (see benchmarks/README.md).  All bench
+    scripts emit through here.
 
     Every payload is stamped with ``schema_version`` and the source
     tree's ``git describe`` so an artifact is attributable to the code
@@ -61,10 +56,8 @@ def write_bench_json(name: str, payload: dict) -> Path:
         "git_describe": git_describe(),
     }
     stamped.update(payload)
-    text = json.dumps(stamped, indent=2)
     path = OUT_DIR / name
-    path.write_text(text)
-    (REPO_ROOT / name).write_text(text)
+    path.write_text(json.dumps(stamped, indent=2))
     return path
 
 

@@ -1,10 +1,10 @@
 """Interpreter engines — the batch engine against the tree-walking oracle.
 
 The interpreter-layer microbenchmark, emitted into
-``benchmarks/out/BENCH_batch.json`` (uploaded as a CI artifact, mirrored
-to the repo root).  The end-to-end numbers live in ``bench_e2e``; the
-cost of lowering with and without the code memo is the
-``interp_compile`` stage of ``bench_incremental``.
+``benchmarks/out/BENCH_batch.json`` (uploaded as a CI artifact).  The
+end-to-end numbers live in ``bench_e2e``; the cost of lowering with and
+without the code memo is the ``interp_compile`` stage of
+``bench_incremental``.
 
 Each Table 3 subject's fuzz corpus is built once and replayed three ways:
 

@@ -1,7 +1,7 @@
 """Incremental evaluation — content-addressed caches across the pipeline.
 
 A layer microbenchmark, emitted into ``benchmarks/out/BENCH_incremental.json``
-(uploaded as a CI artifact and mirrored to the repo root).  The
+(uploaded as a CI artifact).  The
 end-to-end numbers live in ``bench_e2e``.
 
 Per subject, a simulated repair chain: clone the unit with a dirty-set

@@ -1,8 +1,7 @@
 """Subject-level fan-out × the persistent result store.
 
 The workers × store matrix, emitted into
-``benchmarks/out/BENCH_parallel.json`` (mirrored to the repo root and
-uploaded as a CI artifact): for each worker count in
+``benchmarks/out/BENCH_parallel.json`` (uploaded as a CI artifact): for each worker count in
 :data:`WORKER_COUNTS`, one **cold** ten-subject HeteroGen sweep through
 :func:`repro.core.parallel.run_subjects` against a fresh store file and
 one **warm** rerun against the store the cold sweep just filled.  Four

@@ -328,13 +328,6 @@ def _strip_copy(decl: N.Decl) -> N.Decl:
     return copy
 
 
-def strip_fingerprints(unit: N.TranslationUnit) -> None:
-    """Drop every cached digest from *unit* (used by ``clone`` so a copy
-    made for in-place mutation never carries stale entries)."""
-    unit.__dict__.pop(FP_TABLE_ATTR, None)
-    unit.__dict__.pop(UNIT_FP_ATTR, None)
-
-
 def inherit_fingerprints(
     child: N.TranslationUnit,
     parent: N.TranslationUnit,

@@ -271,19 +271,6 @@ class NamedType(CType):
         return self.name
 
 
-@dataclass(frozen=True)
-class FunctionType(CType):
-    return_type: CType
-    param_types: Tuple[CType, ...]
-
-    def sizeof(self) -> int:
-        return 8
-
-    def __str__(self) -> str:
-        params = ", ".join(str(p) for p in self.param_types)
-        return f"{self.return_type}({params})"
-
-
 # Canonical singletons for the native types the subjects use.
 VOID = VoidType()
 CHAR = IntType(8, True, "char")

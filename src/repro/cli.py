@@ -365,9 +365,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(analyze.render_diff(diff))
             if metric_deltas is not None:
                 if metric_deltas:
-                    print(f"\n{len(metric_deltas)} counter delta(s):")
+                    print(f"\n{len(metric_deltas)} metric delta(s):")
                     for delta in metric_deltas:
-                        print(f"  {delta['counter']}: "
+                        print(f"  {delta['family']} {delta['series']}: "
                               f"{delta['base']} -> {delta['new']}")
                 else:
                     print("\nmetrics snapshots identical")
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     td.add_argument("--metrics", nargs=2, metavar=("BASE", "NEW"),
                     default=None,
                     help="also diff two --metrics-out snapshots "
-                    "(deterministic counters)")
+                    "(counters, gauges and histograms)")
     td.add_argument("--json", action="store_true", help="JSON output")
     tolerance_flags(td)
     td.set_defaults(func=cmd_trace)

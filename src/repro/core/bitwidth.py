@@ -55,7 +55,6 @@ def profile_kernel(
     for record in engine_run_many(interp, kernel_name, tests):
         if record.result is not None:
             merged.merge(record.result.profile)
-    merged.bind(unit)
     return merged
 
 
@@ -70,7 +69,7 @@ def plan_bitwidths(
         resolved = T.strip_typedefs(decl.type)
         if not isinstance(resolved, T.IntType):
             continue
-        rng = profile.range_for_node(unit, decl)
+        rng = profile.range_for(decl.uid)
         if rng is None or rng.samples == 0 or not rng.is_integer:
             continue
         signed = rng.needs_sign

@@ -475,7 +475,7 @@ class WidenEdit(Edit):
             if decl.name in seen:
                 continue
             seen.add(decl.name)
-            rng = evidence.profile.range_for_node(candidate.unit, decl)
+            rng = evidence.profile.range_for(decl.uid)
             bits = derive_bitwidth(rng, resolved.bits)
             if bits is None:
                 continue

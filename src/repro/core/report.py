@@ -135,11 +135,6 @@ class TranspileResult:
             ):
                 share = used / available if available else 0.0
                 lines.append(f"{label:8} : {used:>10}  ({share:6.2%})")
-        lines.append(
-            f"pipeline : {schedule.pipelined_loops} pipelined, "
-            f"{schedule.unrolled_loops} unrolled loops, "
-            f"{schedule.dataflow_functions} dataflow regions"
-        )
         return "\n".join(lines)
 
     def source_diff(self) -> str:

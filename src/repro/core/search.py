@@ -182,11 +182,6 @@ class SearchResult:
     def repair_minutes(self) -> float:
         return self.repair_seconds / 60.0
 
-    @property
-    def total_minutes(self) -> float:
-        """Everything, including post-success performance exploration."""
-        return self.clock.minutes
-
 
 @dataclass
 class _Brood:

@@ -63,8 +63,8 @@ class Evidence:
 
     kernel_name: str = ""
     profile: Optional[ValueProfile] = None
-    """Merged value/call-depth profile gathered on the *original* unit
-    (uids survive into clones; structural keys survive re-parse)."""
+    """Merged value/call-depth profile gathered on the *original* unit,
+    looked up by declaration uid (uids survive into clones)."""
     counterexamples: Tuple[Counterexample, ...] = ()
     """Concrete diverging inputs from the candidate's last differential
     test, with expected/actual observables."""

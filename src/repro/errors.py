@@ -52,10 +52,6 @@ class HlsSimulationFault(InterpError):
     """
 
 
-class HlsToolError(ReproError):
-    """The HLS toolchain simulator was driven with invalid inputs."""
-
-
 class FuzzError(ReproError):
     """Test generation failed (e.g. the kernel seed could not be captured).
 
@@ -69,10 +65,6 @@ class FuzzError(ReproError):
     def __init__(self, message: str, partial_seeds=()):
         super().__init__(message)
         self.partial_seeds = [list(args) for args in partial_seeds]
-
-
-class RepairError(ReproError):
-    """The repair engine hit an unrecoverable condition."""
 
 
 class SubjectError(ReproError):

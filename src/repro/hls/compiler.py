@@ -53,7 +53,8 @@ COMPILE_SECONDS_PER_LOC = 1.5
 #: subtrees, so the cached diagnostics (which embed node uids) are
 #: bit-identical to a recomputation.  Callee sequences depend only on
 #: semantic content and use the coarser *structural* fingerprint, which
-#: also hits across re-parsed copies.
+#: ignores positions and uids, so it also hits across separately parsed
+#: copies of one source and functions an edit rebuilt to equal content.
 _DIAG_MEMO = AnalysisCache("compile.check_diags")
 _CALLEE_SEQ_MEMO = AnalysisCache("compile.callee_seq")
 

@@ -41,21 +41,12 @@ from .pragmas import function_pragmas, loop_pragmas
 #: Default tripcount guess for loops whose bound the model cannot see.
 DEFAULT_TRIPCOUNT = 16
 
-#: Report counters a function-cost walk may bump.  Bumps are buffered in
-#: a per-function frame so they can be stored in the cost memo and
-#: replayed on hits — hit and miss leave identical counters behind.
-_COST_COUNTERS = ("pipelined_loops", "unrolled_loops", "dataflow_functions")
-
 #: Per-function cost memo.  The value is a pure snapshot
-#: ``(cycles, resource 4-tuple, counter deltas, costed callee names)``;
-#: the key (see :meth:`Scheduler._cost_key`) covers the function's
-#: structural fingerprint, the fingerprints of every transitive callee,
-#: and the unit-level typing context.  ``verify=False``: replaying a hit
-#: mutates the live scheduler (counters, ``_cost_cache``), so cross-check
-#: recomputation on a hit would double-apply those effects — this memo is
-#: exercised by the report-level cross-check of the ``estimate`` memo and
-#: the end-to-end pipeline cross-check instead.
-_COST_MEMO = AnalysisCache("schedule.function_cost", verify=False)
+#: ``(cycles, resource 4-tuple)``; the key (see
+#: :meth:`Scheduler._cost_key`) covers the function's structural
+#: fingerprint, the fingerprints of every transitive callee, and the
+#: unit-level typing context.
+_COST_MEMO = AnalysisCache("schedule.function_cost")
 
 #: Whole-design memo: ``(unit fingerprint, top, clock) -> report
 #: snapshot``.  Values are immutable tuples; every hit materializes a
@@ -70,9 +61,6 @@ class ScheduleReport:
     cycles: float
     resources: ResourceUsage
     clock_period_ns: float
-    pipelined_loops: int = 0
-    unrolled_loops: int = 0
-    dataflow_functions: int = 0
 
     @property
     def kernel_latency_ns(self) -> float:
@@ -82,10 +70,6 @@ class ScheduleReport:
     def total_latency_ns(self) -> float:
         """Kernel latency plus the CPU↔FPGA offload overhead."""
         return self.kernel_latency_ns + OFFLOAD_OVERHEAD_NS
-
-    @property
-    def total_latency_ms(self) -> float:
-        return self.total_latency_ns / 1e6
 
 
 @dataclass
@@ -114,8 +98,6 @@ class Scheduler:
         self._partitions: Dict[str, int] = {}
         #: typing environment of the current function (set per function).
         self._env = None
-        #: counter/callee frames, one per in-flight function-cost walk.
-        self._frames: List[Dict[str, object]] = []
         #: per-scheduler memo of cost fingerprints; None marks functions
         #: on a recursive cycle (never memoized globally).
         self._fp_cache: Dict[str, Optional[str]] = {}
@@ -158,66 +140,10 @@ class Scheduler:
             # Recursion: synthesizability checking rejects it before
             # scheduling, but stay safe if called out of order.
             return _FuncCost(cycles=math.inf, resources=ResourceUsage())
-        value = _COST_MEMO.get_or_compute(
+        # A hit installs a fresh resource object: callers mutate it.
+        cycles, res = _COST_MEMO.get_or_compute(
             lambda: self._cost_key(name), lambda: self._measure_cost(name)
         )
-        return self._apply_cost(name, value)
-
-    def _measure_cost(
-        self, name: str
-    ) -> Tuple[float, Tuple[int, int, int, int], Tuple[int, ...], Tuple[str, ...]]:
-        """Walk one function and return its cost as a pure snapshot.
-
-        The walk buffers its own counter bumps in a frame (applied later
-        by :meth:`_apply_cost`) and records which callees it actually
-        costed, so a memo hit can replay both.  Caller-scoped state
-        (``_partitions``, ``_env``) is saved and restored, keeping the
-        walk a pure function of (function content, callees, unit
-        context) — the property the memo key relies on.
-        """
-        func = self.functions[name]
-        assert func.body is not None
-        saved_partitions = self._partitions
-        saved_env = self._env
-        self._in_progress.add(name)
-        frame: Dict[str, object] = {c: 0 for c in _COST_COUNTERS}
-        frame["callees"] = []
-        self._frames.append(frame)
-        try:
-            self._partitions = self._collect_partitions(func)
-            from ..core.typing import TypeEnv
-
-            self._env = TypeEnv(self.unit, func)
-            if any(p.directive == "dataflow" for p in function_pragmas(func)):
-                cost = self._dataflow_cost(func)
-                self._bump("dataflow_functions")
-            else:
-                cycles, resources = self._stmts_cost(func.body.items)
-                cost = _FuncCost(cycles, resources)
-        finally:
-            self._frames.pop()
-            self._in_progress.discard(name)
-            self._partitions = saved_partitions
-            self._env = saved_env
-        res = cost.resources
-        return (
-            cost.cycles,
-            (res.luts, res.ffs, res.bram_36k, res.dsps),
-            tuple(int(frame[c]) for c in _COST_COUNTERS),  # type: ignore[arg-type]
-            tuple(frame["callees"]),  # type: ignore[arg-type]
-        )
-
-    def _apply_cost(
-        self,
-        name: str,
-        value: Tuple[float, Tuple[int, int, int, int], Tuple[int, ...], Tuple[str, ...]],
-    ) -> _FuncCost:
-        """Install a cost snapshot: fresh resource object, counter deltas
-        onto the report, and (on memo hits) replay of callee costs so
-        their counters and cache entries materialize exactly as a fresh
-        walk would have left them.  Counter totals are order-independent
-        sums, so replay order does not matter."""
-        cycles, res, deltas, callees = value
         cost = _FuncCost(
             cycles=cycles,
             resources=ResourceUsage(
@@ -225,28 +151,36 @@ class Scheduler:
             ),
         )
         self._cost_cache[name] = cost
-        for counter, delta in zip(_COST_COUNTERS, deltas):
-            setattr(self.report, counter, getattr(self.report, counter) + delta)
-        for callee in callees:
-            if (
-                callee not in self._cost_cache
-                and callee in self.functions
-                and callee not in self._in_progress
-            ):
-                self._function_cost(callee)
         return cost
 
-    def _bump(self, counter: str) -> None:
-        if self._frames:
-            self._frames[-1][counter] += 1  # type: ignore[operator]
-        else:
-            setattr(self.report, counter, getattr(self.report, counter) + 1)
+    def _measure_cost(self, name: str) -> Tuple[float, Tuple[int, int, int, int]]:
+        """Walk one function and return its cost as a pure snapshot.
 
-    def _record_callee(self, name: str) -> None:
-        if self._frames:
-            callees = self._frames[-1]["callees"]
-            if name not in callees:  # type: ignore[operator]
-                callees.append(name)  # type: ignore[union-attr]
+        Caller-scoped state (``_partitions``, ``_env``) is saved and
+        restored, keeping the walk a pure function of (function content,
+        callees, unit context) — the property the memo key relies on.
+        """
+        func = self.functions[name]
+        assert func.body is not None
+        saved_partitions = self._partitions
+        saved_env = self._env
+        self._in_progress.add(name)
+        try:
+            self._partitions = self._collect_partitions(func)
+            from ..core.typing import TypeEnv
+
+            self._env = TypeEnv(self.unit, func)
+            if any(p.directive == "dataflow" for p in function_pragmas(func)):
+                cost = self._dataflow_cost(func)
+            else:
+                cycles, resources = self._stmts_cost(func.body.items)
+                cost = _FuncCost(cycles, resources)
+        finally:
+            self._in_progress.discard(name)
+            self._partitions = saved_partitions
+            self._env = saved_env
+        res = cost.resources
+        return cost.cycles, (res.luts, res.ffs, res.bram_36k, res.dsps)
 
     # -- cost fingerprints ---------------------------------------------------------
 
@@ -428,11 +362,9 @@ class Scheduler:
             iterations = math.ceil(tripcount / factor)
             cycles = iterations * body_cycles * (factor / max(parallel, 1))
             resources = body_res.scaled(factor)
-            self._bump("unrolled_loops")
         elif pipeline is not None and not has_nested_loop:
             ii = max(1, pipeline.int_option("ii", 1))
             cycles = body_cycles + max(0, tripcount - 1) * ii
-            self._bump("pipelined_loops")
         else:
             cycles = tripcount * (body_cycles + 1.0)  # +1: loop control
         return cycles, resources
@@ -522,7 +454,6 @@ class Scheduler:
         if isinstance(node, N.Call):
             name = node.callee_name
             if name and name in self.functions:
-                self._record_callee(name)
                 cost = self._function_cost(name)
                 return cost.cycles + 2.0, cost.resources
             if isinstance(node.func, N.Member):
@@ -634,31 +565,25 @@ def _total_bits(array_type: T.ArrayType) -> int:
 
 def _report_snapshot(
     report: ScheduleReport,
-) -> Tuple[float, Tuple[int, int, int, int], float, int, int, int]:
+) -> Tuple[float, Tuple[int, int, int, int], float]:
     res = report.resources
     return (
         report.cycles,
         (res.luts, res.ffs, res.bram_36k, res.dsps),
         report.clock_period_ns,
-        report.pipelined_loops,
-        report.unrolled_loops,
-        report.dataflow_functions,
     )
 
 
 def _report_from_snapshot(
-    snap: Tuple[float, Tuple[int, int, int, int], float, int, int, int],
+    snap: Tuple[float, Tuple[int, int, int, int], float],
 ) -> ScheduleReport:
-    cycles, res, clock, pipelined, unrolled, dataflow = snap
+    cycles, res, clock = snap
     return ScheduleReport(
         cycles=cycles,
         resources=ResourceUsage(
             luts=res[0], ffs=res[1], bram_36k=res[2], dsps=res[3]
         ),
         clock_period_ns=clock,
-        pipelined_loops=pipelined,
-        unrolled_loops=unrolled,
-        dataflow_functions=dataflow,
     )
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
-from ..cfront.fingerprint import node_digests
 
 BranchKey = Tuple[int, bool]
 
@@ -171,48 +170,18 @@ class VarRange:
         return self.min_value < 0
 
 
-def _structural_key_table(unit: N.Node) -> Dict[int, str]:
-    """uid → parse-stable structural key for every declaring node.
-
-    The key is the declaration's structural digest (PR 3's fingerprint,
-    which excludes uids and source positions) plus its occurrence index
-    among same-digest declarations in pre-order walk — so two ``int i``
-    locals in different functions stay distinct, and the key survives
-    both ``clone()`` (which keeps uids anyway) and a render→re-parse
-    round trip (which does not).  Memoized on the unit: profiled units
-    and repair candidates are immutable once published.
-    """
-    memo = unit.__dict__.get("_profile_keys")
-    if memo is None:
-        memo = {}
-        seen: Dict[str, int] = {}
-        for node in unit.walk():
-            if isinstance(node, (N.VarDecl, N.ParamDecl)):
-                digest = node_digests(node)[0]
-                index = seen.get(digest, 0)
-                seen[digest] = index + 1
-                memo[node.uid] = f"{digest}#{index}"
-        unit.__dict__["_profile_keys"] = memo
-    return memo
-
-
 class ValueProfile:
-    """Tracks value ranges keyed by the uid of the declaring node, with a
-    parse-stable structural-fingerprint index alongside, plus the maximum
-    simultaneous activation depth per function (the repair synthesizer's
-    stack-capacity evidence).
+    """Tracks value ranges keyed by the uid of the declaring node, plus
+    the maximum simultaneous activation depth per function (the repair
+    synthesizer's stack-capacity evidence).
 
-    uids are process-local: ``clone()`` preserves them but a render →
-    re-parse round trip (a rendered candidate parsed again) does not.
-    :meth:`bind` therefore snapshots a uid → structural-key mapping from
-    the profiled unit, and :meth:`range_for_node` resolves lookups
-    against *any* structurally matching unit — uid fast path first,
-    fingerprint key as the fallback.
+    uids are process-local: ``clone()`` preserves them, so a lookup
+    answers for the profiled unit and every clone of it, but a render →
+    re-parse round trip yields fresh uids that miss.
     """
 
     def __init__(self) -> None:
         self.ranges: Dict[int, VarRange] = {}
-        self.by_key: Dict[str, VarRange] = {}
         self.call_depths: Dict[str, int] = {}
 
     def observe(self, decl_uid: int, name: str, value: object) -> None:
@@ -235,28 +204,6 @@ class ValueProfile:
 
     def range_for(self, decl_uid: int) -> Optional[VarRange]:
         return self.ranges.get(decl_uid)
-
-    def bind(self, unit: N.Node) -> None:
-        """Index the profiled ranges by structural key of *unit* — the
-        unit the profile was gathered on — so :meth:`range_for_node` can
-        answer for clones and re-parses of it."""
-        keys = _structural_key_table(unit)
-        for uid, rng in self.ranges.items():
-            key = keys.get(uid)
-            if key is not None:
-                self.by_key[key] = rng
-
-    def range_for_node(self, unit: N.Node, decl: N.Node) -> Optional[VarRange]:
-        """Range for a declaring node of *unit*: uid fast path (clones
-        preserve uids), then the structural-fingerprint key (stable
-        across re-parse).  Requires :meth:`bind` for the slow path."""
-        rng = self.ranges.get(decl.uid)
-        if rng is not None:
-            return rng
-        if not self.by_key:
-            return None
-        key = _structural_key_table(unit).get(decl.uid)
-        return self.by_key.get(key) if key is not None else None
 
     def merge(self, other: "ValueProfile") -> None:
         for uid, rng in other.ranges.items():

@@ -61,19 +61,9 @@ _REGISTRY_LOCK = threading.Lock()
 class AnalysisCache:
     """One LRU memo table for a named sub-analysis."""
 
-    def __init__(
-        self,
-        name: str,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, name: str, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self.name = name
         self.max_entries = max_entries
-        self.verify = verify
-        """Whether cross-check mode recomputes on hits.  Disabled for
-        caches whose compute callback has side effects on the caller
-        (e.g. the scheduler's counter frames) — those are covered by the
-        report-level cross-check instead."""
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -115,7 +105,7 @@ class AnalysisCache:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
             return value
-        if cross_check_enabled() and self.verify:
+        if cross_check_enabled():
             fresh = compute()
             # Compared by canonical key: a recomputed NaN is not ``==``
             # to the memoized one, yet it is the same value.

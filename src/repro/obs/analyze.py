@@ -526,19 +526,23 @@ def diff_traces(
 def diff_metrics(
     base: Dict[str, Any], new: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
-    """Changed counter series between two metrics snapshots
-    (``--metrics-out`` files).  Counters are pipeline-deterministic, so
-    any delta here is a behavioural change, not noise — which is why
-    the snapshot export is sorted (see
+    """Changed series between two metrics snapshots (``--metrics-out``
+    files), family by family: counters, gauges, then histograms.  Every
+    series is pipeline-deterministic (gauges and histograms record
+    fuzz indices and simulated seconds, never wall time), so any delta
+    here is a behavioural change, not noise — which is why the snapshot
+    export is sorted (see
     :func:`repro.obs.metrics.MetricsRegistry.snapshot`)."""
-    counters_a = base.get("counters", {})
-    counters_b = new.get("counters", {})
     out: List[Dict[str, Any]] = []
-    for key in sorted(set(counters_a) | set(counters_b)):
-        a = counters_a.get(key)
-        b = counters_b.get(key)
-        if a != b:
-            out.append({"counter": key, "base": a, "new": b})
+    for family in ("counters", "gauges", "histograms"):
+        series_a = base.get(family, {})
+        series_b = new.get(family, {})
+        for key in sorted(set(series_a) | set(series_b)):
+            a = series_a.get(key)
+            b = series_b.get(key)
+            if a != b:
+                out.append({"family": family, "series": key,
+                            "base": a, "new": b})
     return out
 
 

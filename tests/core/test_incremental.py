@@ -34,7 +34,7 @@ from repro.hls.clock import SimulatedClock
 from repro.hls.compiler import compile_unit
 from repro.hls.memo import analysis_cache_stats, clear_analysis_caches
 from repro.hls.platform import SolutionConfig
-from repro.hls.schedule import estimate
+from repro.hls.schedule import _COST_MEMO, Scheduler, estimate
 from repro.hls.stylecheck import check_style
 from repro.obs import SPAN_TRANSPILE, TraceRecorder, scoped_recorder
 from repro.subjects import all_subjects, get_subject
@@ -272,6 +272,26 @@ def test_estimate_distinguishes_clock_period():
             SolutionConfig(top_name="kernel", clock_period_ns=10.0),
         )
     assert fast.clock_period_ns != slow.clock_period_ns
+
+
+def test_cross_mode_rechecks_function_cost_hits():
+    """A wrong ``schedule.function_cost`` entry is caught by the memo's
+    own cross-check, not only by the report-level ``estimate`` memo:
+    the scheduler is driven directly, so no report memo sits in front."""
+    subject = get_subject("P3")
+    unit = subject.parse()
+    with forced_mode("cross"):
+        clear_analysis_caches()
+        Scheduler(unit, subject.solution).schedule()
+        assert len(_COST_MEMO) > 0
+        key = next(iter(_COST_MEMO._entries))
+        cycles, resources = _COST_MEMO._entries[key]
+        _COST_MEMO._entries[key] = (cycles + 1.0, resources)
+        try:
+            with pytest.raises(fingerprint.IncrementalMismatch):
+                Scheduler(unit, subject.solution).schedule()
+        finally:
+            clear_analysis_caches()  # later tests must not meet the bad entry
 
 
 # ---------------------------------------------------------------------------

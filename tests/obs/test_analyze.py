@@ -382,13 +382,18 @@ class TestDiff:
         assert diff.regressions == [{"stage": "a", "kind": "unbaselined",
                                      "base": 0, "new": 1, "limit": 0}]
 
-    def test_diff_metrics_reports_counter_deltas_only(self):
-        base = {"counters": {"a": 1, "b": 2}, "gauges": {"g": 5}}
-        new = {"counters": {"a": 1, "b": 3, "c": 1}, "gauges": {"g": 9}}
+    def test_diff_metrics_reports_every_family(self):
+        base = {"counters": {"a": 1, "b": 2}, "gauges": {"g": 5},
+                "histograms": {"h": {"count": 1}, "k": {"count": 3}}}
+        new = {"counters": {"a": 1, "b": 3, "c": 1}, "gauges": {"g": 9},
+               "histograms": {"h": {"count": 2}, "k": {"count": 3}}}
         deltas = diff_metrics(base, new)
         assert deltas == [
-            {"counter": "b", "base": 2, "new": 3},
-            {"counter": "c", "base": None, "new": 1},
+            {"family": "counters", "series": "b", "base": 2, "new": 3},
+            {"family": "counters", "series": "c", "base": None, "new": 1},
+            {"family": "gauges", "series": "g", "base": 5, "new": 9},
+            {"family": "histograms", "series": "h",
+             "base": {"count": 1}, "new": {"count": 2}},
         ]
 
 

@@ -171,6 +171,31 @@ class TestTraceVerbs:
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
+    def test_diff_metrics_reports_a_gauge_only_in_new(self, journals,
+                                                      tmp_path, capsys):
+        journal = journals["transpile"]
+        base = {"counters": {"c": 1.0}, "gauges": {}, "histograms": {}}
+        new = {"counters": {"c": 1.0},
+               "gauges": {"fuzz.saturated_at{kernel=k}": 10},
+               "histograms": {}}
+        paths = []
+        for stem, snapshot in (("base", base), ("new", new)):
+            path = tmp_path / f"{stem}.metrics.json"
+            path.write_text(json.dumps(snapshot))
+            paths.append(str(path))
+        assert main(["trace", "diff", journal, journal,
+                     "--metrics", *paths]) == 0
+        out = capsys.readouterr().out
+        assert "1 metric delta(s):" in out
+        assert "gauges fuzz.saturated_at{kernel=k}: None -> 10" in out
+        assert "metrics snapshots identical" not in out
+        assert main(["trace", "diff", journal, journal, "--json",
+                     "--metrics", *paths]) == 0
+        assert json.loads(capsys.readouterr().out)["metric_deltas"] == [
+            {"family": "gauges", "series": "fuzz.saturated_at{kernel=k}",
+             "base": None, "new": 10},
+        ]
+
     def test_diff_flags_extra_work_as_regressions(self, journals, capsys):
         # The full transpile does strictly more than fuzz-only.
         code = main(["trace", "diff", journals["fuzz"],
