@@ -19,7 +19,6 @@ from pathlib import Path
 
 from repro.baselines import TWELVE_HOURS, default_config, run_variant
 from repro.core.report import TranspileResult
-from repro.obs.export import git_describe
 from repro.subjects import all_subjects, get_subject
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -46,15 +45,13 @@ def write_bench_json(name: str, payload: dict) -> Path:
     every other harness output (see benchmarks/README.md).  All bench
     scripts emit through here.
 
-    Every payload is stamped with ``schema_version`` and the source
-    tree's ``git describe`` so an artifact is attributable to the code
-    that produced it.
+    Every payload is stamped with ``schema_version`` and nothing else
+    about the run, so rerunning a bench whose numbers did not move
+    rewrites its committed artifact byte for byte; the commit holding
+    the file is what it is attributable to.
     """
     OUT_DIR.mkdir(exist_ok=True)
-    stamped = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "git_describe": git_describe(),
-    }
+    stamped = {"schema_version": BENCH_SCHEMA_VERSION}
     stamped.update(payload)
     path = OUT_DIR / name
     path.write_text(json.dumps(stamped, indent=2))

@@ -5,9 +5,9 @@ A layer microbenchmark, emitted into ``benchmarks/out/BENCH_incremental.json``
 end-to-end numbers live in ``bench_e2e``.
 
 Per subject, a simulated repair chain: clone the unit with a dirty-set
-naming only the kernel, mutate one literal, then run the four toolchain
-stages (style check, HLS compile, schedule estimate, interpreter
-lowering).  Timed once with the incremental caches on and once with
+naming only the kernel, mutate one literal, then run the five stages a
+search runs on each candidate (keying, style check, HLS compile,
+schedule estimate, interpreter lowering).  Timed once with the incremental caches on and once with
 ``REPRO_INCREMENTAL=0``; stage outputs are asserted identical along the
 way, so the speedup is never bought with semantic drift.  Per-cache
 hit/miss counters from :func:`analysis_cache_stats` show *where* the
@@ -23,7 +23,7 @@ import itertools
 import time
 
 from repro.cfront import nodes as N
-from repro.cfront.fingerprint import forced_mode
+from repro.cfront.fingerprint import forced_mode, unit_fingerprint
 from repro.core.edits.base import Candidate, cloned_unit
 from repro.hls.compiler import compile_unit
 from repro.hls.memo import analysis_cache_stats, clear_analysis_caches
@@ -41,8 +41,10 @@ CHAIN_LENGTH = 25
 #: the repetition minimum.  Single-shot stage timings on a shared host
 #: swing by milliseconds (scheduler preemption, GC pauses) — more than
 #: the few-millisecond per-stage costs being compared — and the minimum
-#: is the standard estimator that filters that additive noise out.
-CHAIN_REPS = 5
+#: is the standard estimator that filters that additive noise out.  At
+#: 5 repetitions the minima of 0.1–0.3 s chain totals still moved by
+#: more than 2 % between runs; at 15 they hold to about ±1 %.
+CHAIN_REPS = 15
 
 #: Relative slowdown below which a subject counts as *parity*, not a
 #: regression.  Min-of-reps chain totals still wobble by ±1 % on a
@@ -54,7 +56,7 @@ REGRESSION_TOLERANCE = 0.02
 #: Minimum speedup the code memo must give the lowering stage.
 LOWERING_TARGET_SPEEDUP = 1.2
 
-STAGES = ("style", "compile", "schedule", "interp_compile")
+STAGES = ("key", "style", "compile", "schedule", "interp_compile")
 
 
 def _mutate_kernel(unit, kernel_name):
@@ -102,19 +104,23 @@ def _run_chain_timed(subject, mode):
             child = cloned_unit(candidate, dirty=[subject.kernel])
             _mutate_kernel(child, subject.kernel)
             t0 = time.perf_counter()
-            violations = check_style(child)
+            key = unit_fingerprint(child)
             t1 = time.perf_counter()
-            report = compile_unit(child, config)
+            violations = check_style(child)
             t2 = time.perf_counter()
-            schedule = estimate(child, config)
+            report = compile_unit(child, config)
             t3 = time.perf_counter()
-            BatchProgram(child)
+            schedule = estimate(child, config)
             t4 = time.perf_counter()
-            timings["style"] += t1 - t0
-            timings["compile"] += t2 - t1
-            timings["schedule"] += t3 - t2
-            timings["interp_compile"] += t4 - t3
+            BatchProgram(child)
+            t5 = time.perf_counter()
+            timings["key"] += t1 - t0
+            timings["style"] += t2 - t1
+            timings["compile"] += t3 - t2
+            timings["schedule"] += t4 - t3
+            timings["interp_compile"] += t5 - t4
             observations.append((
+                key,
                 len(violations),
                 [(d.error_type, d.message, d.node_uid) for d in report.diagnostics],
                 report.compile_seconds,
@@ -128,24 +134,30 @@ def _run_chain_timed(subject, mode):
 def _best_chains(subject):
     """Min-of-:data:`CHAIN_REPS` per-stage timings for both modes.
 
-    Repetitions interleave the modes (on, off, on, off, ...) so slow
-    drift on a shared host — frequency scaling, a neighbour waking up —
-    biases neither side; the minimum then filters the additive spikes.
+    Every repetition runs one chain per mode, and the mode that goes
+    first alternates (on/off, off/on, ...) from the first pair on, so
+    neither slow drift on a shared host (frequency scaling, a neighbour
+    waking up) nor going first biases a side; the minimum then filters
+    the additive spikes.  The cache statistics are those of the first
+    ``on`` chain.
     """
-    inc_best, inc_obs = run_chain(subject, "on")
-    stats = analysis_cache_stats()
-    off_best, off_obs = run_chain(subject, "off")
-    for _ in range(CHAIN_REPS - 1):
-        for mode, best, reference in (
-            ("on", inc_best, inc_obs), ("off", off_best, off_obs)
-        ):
+    best = {}
+    observed = {}
+    stats = None
+    for rep in range(CHAIN_REPS):
+        for mode in (("on", "off") if rep % 2 == 0 else ("off", "on")):
             timings, obs = run_chain(subject, mode)
-            assert obs == reference, (
+            if mode not in best:
+                best[mode], observed[mode] = timings, obs
+                if mode == "on":
+                    stats = analysis_cache_stats()
+                continue
+            assert obs == observed[mode], (
                 f"{subject.id}: chain repetition diverged under mode {mode!r}"
             )
             for stage in STAGES:
-                best[stage] = min(best[stage], timings[stage])
-    return inc_best, off_best, inc_obs, off_obs, stats
+                best[mode][stage] = min(best[mode][stage], timings[stage])
+    return best["on"], best["off"], observed["on"], observed["off"], stats
 
 
 def run_microbench():

@@ -31,24 +31,36 @@ Two digests per node
 Caching and invalidation
 ------------------------
 
-Digests for top-level declarations (and struct methods) are cached in a
-side table stored on the :class:`~repro.cfront.nodes.TranslationUnit`
-itself (``unit.__dict__['_fp_table']``), keyed by the declaration's
-``uid``.  AST nodes are mutable dataclasses and therefore unhashable, so
-identity-keyed maps are not an option; uids are unique within one tree
-and preserved by :func:`~repro.cfront.nodes.clone`, which makes them the
-natural key.
+One pre-order walk of a top-level declaration (or struct method) builds
+its :class:`DeclRecord`: the structural and exact digests (fed byte for
+byte as before, so evaluation-store keys do not move), a pragma-free
+digest, the walk's uid list, the ``for``/``while`` loops, the local
+array declarations, and, on first use, the printed line count.  Records
+live in a side table on the :class:`~repro.cfront.nodes.TranslationUnit`
+(``unit.__dict__['_fp_table']``) keyed by the declaration's ``uid``:
+nodes are mutable dataclasses and therefore unhashable, while uids are
+unique within one tree and preserved by
+:func:`~repro.cfront.nodes.clone`.
+
+Every consumer that used to walk the whole unit reads the records
+instead: the candidate key (:func:`unit_fingerprint`), the co-simulation
+key (:func:`pragma_free_fingerprint`), the compile cost
+(:func:`unit_loc`), the canonical uid space of the evaluation cache
+(the records' ``uids``), the loop edits' loop list (:func:`unit_loops`),
+dirty sets (``edits/base.owning_decl_names``) and the style checker's
+visible arrays.
 
 The invalidation rule is *dirty-aware cloning*:
 
 * ``clone()`` (a raw deep copy) drops the table entirely — a clone is
-  made to be mutated, and a mutated declaration with an inherited digest
+  made to be mutated, and a mutated declaration with an inherited record
   would be silently wrong;
 * ``edits/base.cloned_unit(candidate, dirty=names)`` re-inherits the
-  parent's table minus the declarations the edit declares it will touch,
-  so unedited declarations keep their digests across the clone.  Edits
-  that cannot bound their rewrite pass ``dirty=None`` and inherit
-  nothing (safe default: everything is recomputed lazily).
+  published parent's records minus the declarations the edit declares
+  it will touch, so only those are walked again.  Edits that cannot
+  bound their rewrite pass ``dirty=None`` and inherit nothing (safe
+  default: everything is recomputed lazily).  No record is read from
+  a clone an edit is still rewriting.
 
 Modes
 -----
@@ -61,13 +73,15 @@ than the ones below is an error:
   repair edits deep-copy the whole unit: the reference the other modes
   are compared against;
 * ``cross`` — caches on, but every analysis-cache hit *recomputes* the
-  result and asserts it equals the cached one
-  (:class:`IncrementalMismatch` on divergence).
+  result and asserts it equals the cached one, and so does the first
+  read of every inherited record (:class:`IncrementalMismatch` on
+  divergence).
 
-Two places act on the mode: :meth:`repro.memo.AnalysisCache.get_or_compute`
-for every memo, and ``edits/base.cloned_unit`` for copy-on-write clones
-and digest inheritance.  Fingerprints themselves are computed in every
-mode — the evaluation cache keys candidates by them.
+Three places act on the mode: :meth:`repro.memo.AnalysisCache.get_or_compute`
+for every memo, ``edits/base.cloned_unit`` for copy-on-write clones
+and record inheritance, and :func:`decl_record`.  Records are computed
+in every mode — the evaluation cache keys candidates by them — but in
+``off`` mode only keying keeps them on the unit.
 
 All memoized sub-results hold pure computation only — never simulated
 clock charges.  Charges are always issued by the live pipeline so
@@ -79,13 +93,18 @@ from __future__ import annotations
 import hashlib
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import nodes as N
+from . import typesys as T
+from .printer import decl_loc
 
-#: ``unit.__dict__`` key of the per-unit digest table: ``uid -> (structural,
-#: exact)`` for top-level declarations and struct methods.
+#: ``unit.__dict__`` key of the per-unit record table: ``uid ->``
+#: :class:`DeclRecord` for top-level declarations and struct methods.
 FP_TABLE_ATTR = "_fp_table"
+#: ``unit.__dict__`` key of the uids whose records were inherited and not
+#: yet re-checked (``cross`` mode only).
+UNVERIFIED_ATTR = "_fp_unverified"
 #: ``unit.__dict__`` key of the memoized whole-unit structural digest.
 UNIT_FP_ATTR = "_unit_fp"
 
@@ -151,141 +170,339 @@ def forced_mode(mode: str) -> Iterator[None]:
 
 
 # --------------------------------------------------------------------------
-# Digest computation
+# Per-declaration records
 # --------------------------------------------------------------------------
 
 _META_FIELDS = ("line", "col", "uid")
 
+#: Node kinds a record walk collects, besides digests and uids.
+_PLAIN, _FUNCTION, _FOR, _WHILE, _DECL_STMT = range(5)
 
-def _feed_value(value: object, sh, mh) -> None:
-    if isinstance(value, N.Node):
-        sh.update(b"(")
-        _feed_node(value, sh, mh)
-        sh.update(b")")
-    elif isinstance(value, (list, tuple)):
-        sh.update(b"[")
-        for item in value:
-            _feed_value(item, sh, mh)
-        sh.update(b"]")
-    else:
-        # Primitives and CTypes.  CTypes are frozen dataclasses whose
-        # default repr covers every field recursively, so repr() is a
-        # canonical, deterministic serialization for them too.
-        sh.update(repr(value).encode())
-        sh.update(b"|")
+#: ``type -> ("Name{", (("field", "field="), ...), kind)``, filled once
+#: per node class.
+_ClassInfo = Tuple[str, Tuple[Tuple[str, str], ...], int]
+_CLASS_INFO: Dict[type, _ClassInfo] = {}
 
 
-def _feed_node(node: N.Node, sh, mh) -> None:
-    sh.update(type(node).__name__.encode())
-    sh.update(b"{")
-    mh.update(b"%d,%d,%d;" % (node.line, node.col, node.uid))
-    for name in type(node).__dataclass_fields__:
-        if name in _META_FIELDS:
-            continue
-        value = getattr(node, name)
-        sh.update(name.encode())
-        sh.update(b"=")
-        _feed_value(value, sh, mh)
-    sh.update(b"}")
+def _class_info(cls: type) -> _ClassInfo:
+    info = _CLASS_INFO.get(cls)
+    if info is None:
+        fields = tuple(
+            (name, name + "=")
+            for name in cls.__dataclass_fields__
+            if name not in _META_FIELDS
+        )
+        if issubclass(cls, N.FunctionDef):
+            kind = _FUNCTION
+        elif issubclass(cls, N.For):
+            kind = _FOR
+        elif issubclass(cls, N.While):
+            kind = _WHILE
+        elif issubclass(cls, N.DeclStmt):
+            kind = _DECL_STMT
+        else:
+            kind = _PLAIN
+        info = _CLASS_INFO[cls] = (cls.__name__ + "{", fields, kind)
+    return info
+
+
+class DeclRecord:
+    """What one pre-order walk of a declaration yields.
+
+    ``structural``/``exact``
+        The two hex digests described above.
+    ``pragma_free``
+        Raw digest of the declaration as :func:`pragma_free_fingerprint`
+        sees it (None for a top-level ``Pragma``, which it skips).
+    ``uids``
+        Every node's uid in :meth:`~repro.cfront.nodes.Node.walk` order.
+    ``loops``
+        ``(function, loop)`` for every ``for``/``while`` loop, function
+        by function: a function's ``for`` loops in pre-order, then its
+        ``while`` loops.
+    ``arrays``
+        Names of the array-typed local declarations (``DeclStmt``s).
+    ``loc``
+        Non-blank lines the printer gives the declaration; filled on
+        first use by :func:`unit_loc`, since only a compile needs it.
+    """
+
+    __slots__ = (
+        "structural", "exact", "pragma_free", "uids", "loops", "arrays", "loc"
+    )
+
+    def __init__(self, structural, exact, pragma_free, uids, loops, arrays):
+        self.structural: str = structural
+        self.exact: str = exact
+        self.pragma_free: Optional[bytes] = pragma_free
+        self.uids: List[int] = uids
+        self.loops: List[Tuple[N.FunctionDef, N.Stmt]] = loops
+        self.arrays: Tuple[str, ...] = arrays
+        self.loc: Optional[int] = None
+
+    def same_as(self, other: "DeclRecord") -> bool:
+        """Equal in every field; loops compare by node identity and an
+        unfilled ``loc`` matches anything."""
+        return (
+            self.structural == other.structural
+            and self.exact == other.exact
+            and self.pragma_free == other.pragma_free
+            and self.uids == other.uids
+            and len(self.loops) == len(other.loops)
+            and all(
+                a[0] is b[0] and a[1] is b[1]
+                for a, b in zip(self.loops, other.loops)
+            )
+            and self.arrays == other.arrays
+            and (self.loc is None or other.loc is None or self.loc == other.loc)
+        )
+
+
+def build_record(node: N.Node) -> DeclRecord:
+    """Walk *node* once and build its :class:`DeclRecord`.
+
+    The structural stream is fed byte-for-byte as ever: a node is its
+    class name and ``{`` … ``}`` around ``field=value`` for every field
+    but ``line``/``col``/``uid``; a child node is wrapped in ``(`` … ``)``,
+    a list in ``[`` … ``]``, and any other value is its ``repr`` plus
+    ``|``.  The exact stream adds ``line,col,uid;`` per node.  The
+    pragma-free stream is the structural one with every node's line,
+    without pragmas in lists, and with a pragma that fills a
+    single-statement slot read as ``(Empty{line})``.
+    """
+    # Pieces are kept as text and encoded once: UTF-8 of a concatenation
+    # is the concatenation of the pieces' UTF-8.
+    structural: List[str] = []
+    meta: List[str] = []
+    free: List[str] = []
+    uids: List[int] = []
+    loops: List[Tuple[N.FunctionDef, N.Stmt]] = []
+    arrays: List[str] = []
+    s_add, m_add, p_add, uid_add = (
+        structural.append, meta.append, free.append, uids.append
+    )
+    Node, Pragma, class_info = N.Node, N.Pragma, _CLASS_INFO.get
+    # The function being walked and its ``while`` loops, which follow
+    # its ``for`` loops.
+    func: Optional[N.FunctionDef] = None
+    whiles: List[Tuple[N.FunctionDef, N.Stmt]] = []
+
+    def feed_node(node: N.Node, pf: bool) -> None:
+        nonlocal func, whiles
+        cls = type(node)
+        opening, fields, kind = class_info(cls) or _class_info(cls)
+        values = node.__dict__
+        uid = values["uid"]
+        line = values["line"]
+        uid_add(uid)
+        m_add(f"{line},{values['col']},{uid};")
+        s_add(opening)
+        if pf:
+            p_add(f"({opening}{line}")
+        if kind == _FUNCTION:
+            outer = func, whiles
+            func, whiles = node, []
+        elif func is not None:
+            if kind == _FOR:
+                loops.append((func, node))
+            elif kind == _WHILE:
+                whiles.append((func, node))
+            elif kind == _DECL_STMT and isinstance(
+                T.strip_typedefs(node.decl.type), T.ArrayType
+            ):
+                arrays.append(node.decl.name)
+        for field_name, label in fields:
+            value = values[field_name]
+            s_add(label)
+            if pf:
+                p_add(label)
+            if isinstance(value, Node):
+                s_add("(")
+                if pf and type(value) is Pragma:
+                    # A pragma in a single-statement slot executes as ``;``.
+                    p_add("(Empty{%d})" % value.line)
+                    feed_node(value, False)
+                else:
+                    feed_node(value, pf)
+                s_add(")")
+            elif isinstance(value, (list, tuple)):
+                feed_items(value, pf)
+            else:
+                # Primitives and CTypes.  CTypes are frozen dataclasses
+                # whose default repr covers every field recursively, so
+                # repr() is a canonical serialization for them too.
+                text = repr(value) + "|"
+                s_add(text)
+                if pf:
+                    p_add(text)
+        s_add("}")
+        if pf:
+            p_add("})")
+        if kind == _FUNCTION:
+            loops.extend(whiles)
+            func, whiles = outer
+
+    def feed_items(items, pf: bool) -> None:
+        s_add("[")
+        if pf:
+            p_add("[")
+        for item in items:
+            if isinstance(item, Node):
+                s_add("(")
+                feed_node(item, pf and type(item) is not Pragma)
+                s_add(")")
+            elif isinstance(item, (list, tuple)):
+                feed_items(item, pf)
+            else:
+                text = repr(item) + "|"
+                s_add(text)
+                if pf:
+                    p_add(text)
+        s_add("]")
+        if pf:
+            p_add("]")
+
+    pf = type(node) is not Pragma
+    feed_node(node, pf)
+    # The walkers reach each other through closure cells; unlinking them
+    # frees the piece lists now instead of at the next cyclic collection.
+    feed_node = feed_items = None
+    digest = hashlib.sha256("".join(structural).encode()).hexdigest()
+    exact = hashlib.sha256(
+        digest.encode() + b":"
+        + hashlib.sha256("".join(meta).encode()).hexdigest().encode()
+    ).hexdigest()
+    return DeclRecord(
+        digest,
+        exact,
+        hashlib.sha256("".join(free).encode()).digest() if pf else None,
+        uids,
+        loops,
+        tuple(arrays),
+    )
 
 
 def node_digests(node: N.Node) -> Tuple[str, str]:
     """Compute ``(structural, exact)`` digests of *node* in one walk."""
-    sh = hashlib.sha256()
-    mh = hashlib.sha256()
-    _feed_node(node, sh, mh)
-    structural = sh.hexdigest()
-    exact = hashlib.sha256(
-        structural.encode() + b":" + mh.hexdigest().encode()
-    ).hexdigest()
-    return structural, exact
+    record = build_record(node)
+    return record.structural, record.exact
 
 
 # --------------------------------------------------------------------------
-# Per-unit digest table
+# Per-unit record table
 # --------------------------------------------------------------------------
 
 
-def _table(unit: N.TranslationUnit) -> Dict[int, Tuple[str, str]]:
-    table = unit.__dict__.get(FP_TABLE_ATTR)
+def decl_record(unit: N.TranslationUnit, node: N.Node) -> DeclRecord:
+    """The record of a top-level declaration or struct method of *unit*,
+    memoized in the unit's table.
+
+    ``off`` mode creates no table of its own (only
+    :func:`unit_fingerprint`, which keys candidates in every mode, does),
+    so the analysis stages of an unkeyed unit compute afresh.  ``cross``
+    mode recomputes an inherited record on its first read and raises
+    :class:`IncrementalMismatch` if it differs.
+    """
+    values = unit.__dict__
+    table = values.get(FP_TABLE_ATTR)
+    if table is not None:
+        record = table.get(node.uid)
+        if record is not None:
+            unverified = values.get(UNVERIFIED_ATTR)
+            if unverified and node.uid in unverified:
+                unverified.discard(node.uid)
+                _verify(record, node)
+            return record
+    record = build_record(node)
     if table is None:
-        table = {}
-        unit.__dict__[FP_TABLE_ATTR] = table
-    return table
+        if _MODE == "off":
+            return record
+        table = values[FP_TABLE_ATTR] = {}
+    table[node.uid] = record
+    return record
+
+
+def _verify(record: DeclRecord, node: N.Node) -> None:
+    fresh = build_record(node)
+    if record.loc is not None:
+        fresh.loc = decl_loc(node)
+    if not record.same_as(fresh):
+        raise IncrementalMismatch(
+            f"inherited record of {type(node).__name__} "
+            f"{N.decl_name(node)!r} (uid {node.uid}) diverges from a "
+            "fresh walk: an edit mutated outside its dirty set"
+        )
 
 
 def decl_digests(unit: N.TranslationUnit, node: N.Node) -> Tuple[str, str]:
     """Memoized ``(structural, exact)`` digests of a top-level declaration
     or struct method of *unit*."""
-    table = _table(unit)
-    entry = table.get(node.uid)
-    if entry is None:
-        entry = node_digests(node)
-        table[node.uid] = entry
-    return entry
+    record = decl_record(unit, node)
+    return record.structural, record.exact
 
 
 def structural_fp(unit: N.TranslationUnit, node: N.Node) -> str:
-    return decl_digests(unit, node)[0]
+    return decl_record(unit, node).structural
 
 
 def exact_fp(unit: N.TranslationUnit, node: N.Node) -> str:
-    return decl_digests(unit, node)[1]
+    return decl_record(unit, node).exact
 
 
 def unit_fingerprint(unit: N.TranslationUnit) -> str:
     """Structural digest of the whole unit, combined from the cached
     per-declaration digests (memoized on the unit)."""
-    cached = unit.__dict__.get(UNIT_FP_ATTR)
+    values = unit.__dict__
+    cached = values.get(UNIT_FP_ATTR)
     if cached is not None:
         return cached
+    # Keying starts the record table in every mode (see decl_record).
+    values.setdefault(FP_TABLE_ATTR, {})
     digest = hashlib.sha256()
     digest.update(b"unit|top=")
     digest.update(unit.top_name.encode())
     digest.update(b"|")
     for decl in unit.decls:
-        digest.update(decl_digests(unit, decl)[0].encode())
+        digest.update(decl_record(unit, decl).structural.encode())
         digest.update(b",")
     combined = digest.hexdigest()
-    unit.__dict__[UNIT_FP_ATTR] = combined
+    values[UNIT_FP_ATTR] = combined
     return combined
-
-
-def _feed_pragma_free(value: object, h) -> None:
-    if isinstance(value, N.Node):
-        if type(value) is N.Pragma:
-            # A pragma in a single-statement slot executes as ``;``.
-            h.update(b"(Empty{%d})" % value.line)
-            return
-        h.update(b"(")
-        h.update(type(value).__name__.encode())
-        h.update(b"{%d" % value.line)
-        for name in type(value).__dataclass_fields__:
-            if name in _META_FIELDS:
-                continue
-            h.update(name.encode())
-            h.update(b"=")
-            _feed_pragma_free(getattr(value, name), h)
-        h.update(b"})")
-    elif isinstance(value, (list, tuple)):
-        h.update(b"[")
-        for item in value:
-            if type(item) is not N.Pragma:
-                _feed_pragma_free(item, h)
-        h.update(b"]")
-    else:
-        h.update(repr(value).encode())
-        h.update(b"|")
 
 
 def pragma_free_fingerprint(unit: N.TranslationUnit) -> str:
     """Digest of what executing *unit* can observe: its pragma-free
     program (see :func:`strip_pragmas`) with every node's line, since
-    fault texts quote lines.  Pragmas, ``col`` and ``uid`` are left out.
+    fault texts quote lines.  Pragmas, ``col`` and ``uid`` are left out;
+    it combines the records' pragma-free digests, skipping top-level
+    pragmas.
     """
-    h = hashlib.sha256()
-    _feed_pragma_free(unit, h)
+    h = hashlib.sha256(b"unit{%d|%s}" % (unit.line, unit.top_name.encode()))
+    for decl in unit.decls:
+        if type(decl) is not N.Pragma:
+            h.update(decl_record(unit, decl).pragma_free)
     return h.hexdigest()
+
+
+def unit_loops(unit: N.TranslationUnit) -> List[Tuple[N.FunctionDef, N.Stmt]]:
+    """Every ``for`` and ``while`` loop of *unit*, function by function:
+    a function's ``for`` loops in pre-order, then its ``while`` loops."""
+    loops: List[Tuple[N.FunctionDef, N.Stmt]] = []
+    for decl in unit.decls:
+        loops.extend(decl_record(unit, decl).loops)
+    return loops
+
+
+def unit_loc(unit: N.TranslationUnit) -> int:
+    """:func:`~repro.cfront.printer.count_loc` of *unit*, from the
+    records' per-declaration counts."""
+    total = 0
+    for decl in unit.decls:
+        record = decl_record(unit, decl)
+        if record.loc is None:
+            record.loc = decl_loc(decl)
+        total += record.loc
+    return total
 
 
 def strip_pragmas(unit: N.TranslationUnit) -> N.TranslationUnit:
@@ -333,14 +550,16 @@ def inherit_fingerprints(
     parent: N.TranslationUnit,
     dirty: Optional[Iterable[str]] = None,
 ) -> None:
-    """Copy *parent*'s cached declaration digests onto *child* (a fresh
-    clone), except for declarations named in *dirty*.
+    """Copy *parent*'s declaration records onto *child* (a fresh clone
+    of a published unit), except for declarations named in *dirty*.
 
     ``dirty`` names top-level declarations the edit is about to mutate:
     function names, global/typedef names, struct tags.  A dirtied struct
     tag also invalidates that struct's methods.  ``dirty=None`` means
     "unknown extent" and inherits nothing.  The whole-unit digest is
-    never inherited — it is cheap to recombine from the table.
+    never inherited — it is cheap to recombine from the table.  In
+    ``cross`` mode every inherited record is re-checked on its first
+    read (see :func:`decl_record`).
     """
     if dirty is None:
         return
@@ -348,16 +567,18 @@ def inherit_fingerprints(
     if not parent_table:
         return
     dirty_names = set(dirty)
-    table = _table(child)
+    table: Dict[int, DeclRecord] = {}
     for decl in parent.decls:
-        name = N.decl_name(decl)
-        if name in dirty_names:
+        if N.decl_name(decl) in dirty_names:
             continue
-        entry = parent_table.get(decl.uid)
-        if entry is not None:
-            table[decl.uid] = entry
+        record = parent_table.get(decl.uid)
+        if record is not None:
+            table[decl.uid] = record
         if isinstance(decl, N.StructDef):
             for method in decl.methods:
-                mentry = parent_table.get(method.uid)
-                if mentry is not None:
-                    table[method.uid] = mentry
+                record = parent_table.get(method.uid)
+                if record is not None:
+                    table[method.uid] = record
+    child.__dict__[FP_TABLE_ATTR] = table
+    if _MODE == "cross":
+        child.__dict__[UNVERIFIED_ATTR] = set(table)

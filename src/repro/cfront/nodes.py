@@ -156,9 +156,10 @@ def clone_unit_with(
 
     Only the dataclass fields are copied; the scalar ones are immutable
     and shared.  Every other ``__dict__`` entry is a memo of the source
-    unit's content (fingerprints, walk indices), and a clone is made to
-    be mutated, so it starts without them.  Edits that can bound their rewrite re-inherit the
-    surviving fingerprints through ``edits/base.cloned_unit``.
+    unit's content (declaration records, the unit digest), and a clone
+    is made to be mutated, so it starts without them.  Edits that can
+    bound their rewrite re-inherit the surviving records through
+    ``edits/base.cloned_unit``.
     """
     new = object.__new__(TranslationUnit)
     values = new.__dict__

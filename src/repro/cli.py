@@ -23,7 +23,7 @@ from typing import Any, List, Optional
 
 from . import __version__
 from .baselines import default_config, run_variant
-from .cfront import parse, render
+from .cfront import parse
 from .core import HeteroGen, HeteroGenConfig, SearchConfig
 from .core.report import TranspileResult
 from .fuzz import FuzzConfig, fuzz_kernel, get_kernel_seed

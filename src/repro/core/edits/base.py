@@ -167,15 +167,15 @@ def cloned_unit(
     *dirty* names the top-level declarations (function names, global or
     typedef names, struct tags) the caller is about to mutate in the
     clone.  ``dirty=None`` means the rewrite's extent is unknown: the
-    whole unit is deep-copied and every digest is recomputed lazily —
-    always safe, never wrong.
+    whole unit is deep-copied and every declaration record is recomputed
+    lazily — always safe, never wrong.
 
     With a declared dirty set (and incremental mode on), the clone is
     **copy-on-write** at the declaration grain
     (:func:`~repro.cfront.nodes.cow_clone_unit`): dirty declarations are
-    deep-copied, clean ones shared by reference, and the cached content
-    fingerprints of every clean declaration are inherited from the
-    parent so downstream incremental caches keep hitting (see
+    deep-copied, clean ones shared by reference, and the records of every
+    clean declaration (digests, uids, loops …) are inherited from the
+    parent, so only the dirty ones are walked again (see
     :mod:`repro.cfront.fingerprint`).  Both rest on the dirty contract:
     an edit mutating outside its declared set is a bug.
     ``REPRO_INCREMENTAL=0`` deep-copies every clone, which makes it the
@@ -194,15 +194,14 @@ def owning_decl_names(
     unit: N.TranslationUnit, node_uid: int
 ) -> Optional[List[str]]:
     """Dirty-set for an edit anchored at *node_uid*: the name (or struct
-    tag) of the top-level declaration whose subtree contains the node.
-    Returns None when the node cannot be located — callers pass that
+    tag) of the first top-level declaration whose record lists the node's
+    uid.  Returns None when the node cannot be located — callers pass that
     straight to :func:`cloned_unit`, where None means "invalidate
     everything"."""
     for decl in unit.decls:
-        for node in decl.walk():
-            if node.uid == node_uid:
-                if isinstance(decl, N.StructDef):
-                    return [decl.tag]
-                name = getattr(decl, "name", "")
-                return [name] if name else None
+        if node_uid in fingerprint.decl_record(unit, decl).uids:
+            if isinstance(decl, N.StructDef):
+                return [decl.tag]
+            name = getattr(decl, "name", "")
+            return [name] if name else None
     return None

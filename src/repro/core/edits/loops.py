@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...cfront import nodes as N
 from ...cfront import typesys as T
+from ...cfront.fingerprint import unit_loops
 from ...cfront.visitor import find_all, find_parent
 from ...hls.diagnostics import ErrorType
 from ...hls.pragmas import loop_pragmas, parse_pragma
@@ -43,42 +44,42 @@ def _loop_body_compound(loop: N.Stmt) -> Optional[N.Compound]:
     return None
 
 
-def _loops_in(unit: N.TranslationUnit) -> List[Tuple[N.FunctionDef, N.Stmt]]:
-    """Every ``for`` and ``while`` loop, function by function: a
-    function's ``for`` loops in pre-order, then its ``while`` loops."""
-    out: List[Tuple[N.FunctionDef, N.Stmt]] = []
-    for func in unit.functions():
-        if func.body is None:
-            continue
-        whiles: List[Tuple[N.FunctionDef, N.Stmt]] = []
-        for node in func.body.walk():
-            if isinstance(node, N.For):
-                out.append((func, node))
-            elif isinstance(node, N.While):
-                whiles.append((func, node))
-        out.extend(whiles)
-    return out
-
-
 def _find_loop(
     unit: N.TranslationUnit, loop_uid: int
 ) -> Optional[Tuple[N.FunctionDef, N.Stmt]]:
-    """The first entry of :func:`_loops_in` whose loop has *loop_uid*,
-    found without listing every loop."""
-    for func in unit.functions():
-        if func.body is None:
-            continue
-        first_while = None
-        for node in func.body.walk():
-            if node.uid != loop_uid:
-                continue
-            if isinstance(node, N.For):
-                return func, node
-            if first_while is None and isinstance(node, N.While):
-                first_while = node
-        if first_while is not None:
-            return func, first_while
+    """The first entry of :func:`unit_loops` whose loop has *loop_uid*."""
+    for entry in unit_loops(unit):
+        if entry[1].uid == loop_uid:
+            return entry
     return None
+
+
+def _clone_at_loop(
+    candidate: Candidate, loop_uid: int
+) -> Tuple[N.TranslationUnit, Optional[Tuple[N.FunctionDef, N.Stmt]]]:
+    """Clone the candidate's unit to rewrite the declaration holding
+    *loop_uid*, and find in the clone what :func:`_find_loop` finds in
+    the parent.  The parent's records name the function; only that
+    function of the clone, which an edit is about to rewrite and so
+    must not be read through records, is walked."""
+    parent = candidate.unit
+    unit = cloned_unit(candidate, dirty=owning_decl_names(parent, loop_uid))
+    found = _find_loop(parent, loop_uid)
+    if found is None:
+        return unit, None
+    position = next(
+        i for i, func in enumerate(parent.functions()) if func is found[0]
+    )
+    func = unit.functions()[position]
+    first_while = None
+    for node in func.body.walk():
+        if node.uid != loop_uid:
+            continue
+        if isinstance(node, N.For):
+            return unit, (func, node)
+        if first_while is None and isinstance(node, N.While):
+            first_while = node
+    return unit, (func, first_while)
 
 
 class IndexStaticEdit(Edit):
@@ -155,10 +156,7 @@ class IndexStaticEdit(Edit):
         label: str,
         bound: Optional[int] = None,
     ):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        found = _find_loop(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
         if found is None:
             return None
         loop = found[1]
@@ -276,20 +274,16 @@ class ExploreUnrollEdit(Edit):
         return out if any_derived else None
 
     def _set_factor(self, candidate: Candidate, loop_uid: int, factor: int, label: str):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        pragma_node = self._unroll_pragma_of(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
+        pragma_node = self._unroll_pragma_of(found)
         if pragma_node is None:
             return None
         pragma_node.text = f"HLS unroll factor={factor}"
         return candidate.with_unit(unit, label)
 
     def _delete_unroll(self, candidate: Candidate, loop_uid: int, label: str):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        pragma_node = self._unroll_pragma_of(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
+        pragma_node = self._unroll_pragma_of(found)
         if pragma_node is None:
             return None
         for compound in find_all(unit, N.Compound):
@@ -299,8 +293,9 @@ class ExploreUnrollEdit(Edit):
         return None
 
     @staticmethod
-    def _unroll_pragma_of(unit: N.TranslationUnit, loop_uid: int) -> Optional[N.Pragma]:
-        found = _find_loop(unit, loop_uid)
+    def _unroll_pragma_of(
+        found: Optional[Tuple[N.FunctionDef, N.Stmt]]
+    ) -> Optional[N.Pragma]:
         body = _loop_body_compound(found[1]) if found else None
         if body is None:
             return None
@@ -326,7 +321,7 @@ class MemResetEdit(Edit):
 
     def propose(self, candidate, diagnostics, context):
         out: List[EditApplication] = []
-        for func, loop in _loops_in(candidate.unit):
+        for func, loop in unit_loops(candidate.unit):
             target = self._accumulated_array(loop)
             if target is None:
                 continue
@@ -354,17 +349,14 @@ class MemResetEdit(Edit):
     def _apply(self, candidate: Candidate, loop_uid: int, array_name: str, label: str):
         from ...cfront.parser import parse_fragment_stmts
 
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
+        unit, found = _clone_at_loop(candidate, loop_uid)
         size = None
         for decl in find_all(unit, N.VarDecl):
             if decl.name == array_name:
                 resolved = T.strip_typedefs(decl.type)
                 if isinstance(resolved, T.ArrayType) and resolved.size:
                     size = resolved.size
-        found = _find_loop(unit, loop_uid) if size is not None else None
-        if found is None:
+        if size is None or found is None:
             return None
         func, loop = found
         items = getattr(find_parent(func.body, loop), "items", None)
@@ -394,7 +386,7 @@ class PerfPragmaEdit(Edit):
     def propose(self, candidate, diagnostics, context):
         out: List[EditApplication] = []
         unit = candidate.unit
-        for func, loop in _loops_in(unit):
+        for func, loop in unit_loops(unit):
             body = _loop_body_compound(loop)
             if body is None:
                 continue
@@ -484,7 +476,7 @@ class PerfPragmaEdit(Edit):
             ):
                 partitions[pragma.variable] = pragma.factor
         ranked: List[Tuple[int, N.Stmt, N.Compound]] = []
-        for func, loop in _loops_in(unit):
+        for func, loop in unit_loops(unit):
             if reachable is not None and func.name not in reachable:
                 continue
             body = _loop_body_compound(loop)
@@ -546,7 +538,7 @@ class PerfPragmaEdit(Edit):
         priori, it cannot know which placement the toolchain accepts —
         that ignorance is why the checker pays off."""
         out: List[EditApplication] = []
-        for func, loop in _loops_in(candidate.unit):
+        for func, loop in unit_loops(candidate.unit):
             body = _loop_body_compound(loop)
             if body is None:
                 continue
@@ -579,10 +571,7 @@ class PerfPragmaEdit(Edit):
 
     @staticmethod
     def _insert_at_loop_tail(candidate: Candidate, loop_uid: int, text: str, label: str):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        found = _find_loop(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
         body = _loop_body_compound(found[1]) if found else None
         if body is None:
             return None
@@ -591,10 +580,7 @@ class PerfPragmaEdit(Edit):
 
     @staticmethod
     def _insert_before_loop(candidate: Candidate, loop_uid: int, text: str, label: str):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        found = _find_loop(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
         if found is None:
             return None
         func, loop = found
@@ -665,10 +651,7 @@ class PerfPragmaEdit(Edit):
 
     @staticmethod
     def _insert_loop_pragma(candidate: Candidate, loop_uid: int, text: str, label: str):
-        unit = cloned_unit(
-            candidate, dirty=owning_decl_names(candidate.unit, loop_uid)
-        )
-        found = _find_loop(unit, loop_uid)
+        unit, found = _clone_at_loop(candidate, loop_uid)
         body = _loop_body_compound(found[1]) if found else None
         if body is None:
             return None

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ...cfront import nodes as N
 from ...hls.diagnostics import ErrorType
 from ...hls.platform import DEVICES, DEFAULT_DEVICE
-from .base import Candidate, Edit, EditApplication
+from .base import Edit, EditApplication
 
 
 class SetTopEdit(Edit):

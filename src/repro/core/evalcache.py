@@ -60,7 +60,9 @@ canonical payload against the consuming candidate's tree
 (:func:`rebind_evaluation`) yields exactly the diagnostics a fresh
 toolchain run on that candidate would have produced — which is also why
 rebound cache hits are *more* faithful to an uncached run than raw
-first-writer uids ever were.
+first-writer uids ever were.  Positions are read off the declaration
+records' uid lists (:func:`~repro.cfront.fingerprint.decl_record`), so
+no candidate builds a whole-unit index for its handful of diagnostics.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from ..cfront import nodes as N
-from ..cfront.fingerprint import unit_fingerprint
+from ..cfront.fingerprint import decl_record, unit_fingerprint
 from ..cfront.printer import render
 from ..difftest import DiffReport
 from ..hls.clock import ChargeEvent
@@ -173,43 +175,45 @@ def context_token(
 # --------------------------------------------------------------------------
 
 
-def _walk_uids(unit: N.TranslationUnit) -> List[int]:
-    """Pre-order walk uids of ``unit``, memoized on the unit.
-
-    ``clone()`` drops the memo alongside the fingerprint table, and edit
-    transforms mutate only cloned units, so a published candidate's walk
-    list is stable for its lifetime.
-    """
-    memo = unit.__dict__.get("_walk_uids")
-    if memo is None:
-        memo = [node.uid for node in unit.walk()]
-        unit.__dict__["_walk_uids"] = memo
-    return memo
+def _walk_index(unit: N.TranslationUnit, uid: int) -> Optional[int]:
+    """Walk index of the *last* node of ``unit`` carrying ``uid`` (uids
+    an edit copied may repeat), or None."""
+    lists = [decl_record(unit, decl).uids for decl in unit.decls]
+    end = 1 + sum(map(len, lists))
+    for uids in reversed(lists):
+        end -= len(uids)
+        if uid in uids:
+            return end + len(uids) - 1 - uids[::-1].index(uid)
+    return 0 if uid == unit.uid else None
 
 
-def _canonical_map(unit: N.TranslationUnit) -> dict:
-    memo = unit.__dict__.get("_walk_index")
-    if memo is None:
-        memo = {uid: index for index, uid in enumerate(_walk_uids(unit))}
-        unit.__dict__["_walk_index"] = memo
-    return memo
+def _uid_at(unit: N.TranslationUnit, index: int) -> int:
+    """The uid at walk position ``index`` of ``unit``; 0 past the end."""
+    if index == 0:
+        return unit.uid
+    index -= 1
+    for decl in unit.decls:
+        uids = decl_record(unit, decl).uids
+        if index < len(uids):
+            return uids[index]
+        index -= len(uids)
+    return 0
 
 
-def _map_uid_out(uid: int, index_of: dict) -> int:
+def _map_uid_out(uid: int, unit: N.TranslationUnit) -> int:
     if uid == 0:
         return 0
-    index = index_of.get(uid)
+    index = _walk_index(unit, uid)
     # A uid outside the unit's walk has no canonical name; 0 ("no node")
     # is the only deterministic anchor left for it.
     return -(index + 1) if index is not None else 0
 
 
-def _map_uid_in(uid: int, uids: List[int]) -> int:
+def _map_uid_in(uid: int, unit: N.TranslationUnit) -> int:
     if uid >= 0:
         # Already a live uid (or 0): payload did not cross a boundary.
         return uid
-    index = -uid - 1
-    return uids[index] if index < len(uids) else 0
+    return _uid_at(unit, -uid - 1)
 
 
 def canonicalize_evaluation(
@@ -221,8 +225,7 @@ def canonicalize_evaluation(
     is position-addressed, so it survives pickling to another process and
     persisting across runs, where live uids are meaningless.
     """
-    index_of = _canonical_map(unit)
-    return _remap_evaluation(evaluation, lambda uid: _map_uid_out(uid, index_of))
+    return _remap_evaluation(evaluation, lambda uid: _map_uid_out(uid, unit))
 
 
 def rebind_evaluation(
@@ -235,8 +238,7 @@ def rebind_evaluation(
     walks isomorphic and the rebind exact: diagnostics land on the same
     structural positions a fresh toolchain run on ``unit`` would report.
     """
-    uids = _walk_uids(unit)
-    return _remap_evaluation(evaluation, lambda uid: _map_uid_in(uid, uids))
+    return _remap_evaluation(evaluation, lambda uid: _map_uid_in(uid, unit))
 
 
 def _remap_evaluation(

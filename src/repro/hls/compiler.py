@@ -26,13 +26,11 @@ asymmetry is the subject of the Figure 9 ablation.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import exact_fp, structural_fp
-from ..cfront.printer import count_loc
+from ..cfront.fingerprint import exact_fp, structural_fp, unit_loc
 from ..cfront.visitor import find_all
 from ..obs import SPAN_HLS_COMPILE, get_recorder
 from . import diagnostics as D
@@ -73,7 +71,7 @@ def compile_invocations() -> int:
 
 def compile_seconds_for(unit: N.TranslationUnit) -> float:
     """The simulated cost one full compilation of *unit* will charge."""
-    return COMPILE_BASE_SECONDS + COMPILE_SECONDS_PER_LOC * count_loc(unit)
+    return COMPILE_BASE_SECONDS + COMPILE_SECONDS_PER_LOC * unit_loc(unit)
 
 
 def compile_unit(

@@ -24,7 +24,7 @@ from typing import List, Optional, Set
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.visitor import find_all
+from ..cfront.fingerprint import decl_record
 from ..obs import SPAN_STYLE_CHECK, get_recorder
 from .clock import ACT_STYLE_CHECK, SimulatedClock
 from .pragmas import FUNCTION_SCOPE, KNOWN_DIRECTIVES, LOOP_SCOPE, parse_pragma
@@ -97,10 +97,7 @@ def _visible_arrays(unit: N.TranslationUnit, func: N.FunctionDef) -> Set[str]:
         resolved = T.strip_typedefs(param.type)
         if isinstance(resolved, (T.ArrayType, T.PointerType)):
             names.add(param.name)
-    assert func.body is not None
-    for decl_stmt in find_all(func.body, N.DeclStmt):
-        if isinstance(T.strip_typedefs(decl_stmt.decl.type), T.ArrayType):
-            names.add(decl_stmt.decl.name)
+    names.update(decl_record(unit, func).arrays)
     return names
 
 

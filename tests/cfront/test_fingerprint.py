@@ -5,6 +5,8 @@ sensitive to every semantic token; exact digests must additionally pin
 the bookkeeping, so exact-equality means value-identity.
 """
 
+import itertools
+
 import pytest
 
 from repro.cfront import nodes as N
@@ -124,7 +126,10 @@ def test_dirty_aware_clone_inherits_clean_entries_only():
         assert helper_uid in table  # clean decl: digest inherited
         assert kernel_uid not in table  # dirty decl: recomputed lazily
         # And the inherited entry matches a from-scratch recomputation.
-        assert table[helper_uid] == fp.node_digests(_func(child, "helper"))
+        entry = table[helper_uid]
+        assert (entry.structural, entry.exact) == fp.node_digests(
+            _func(child, "helper")
+        )
 
 
 def test_dirty_none_inherits_nothing():
@@ -160,6 +165,98 @@ def test_mutation_after_dirty_clone_changes_only_dirty_digest():
         unit, _func(unit, "helper")
     )
     assert fp.unit_fingerprint(child) != fp.unit_fingerprint(unit)
+
+
+#: Digests of :data:`SOURCE` parsed with uids counted from 1.  A change
+#: to the digest byte stream moves every persistent store key; it must
+#: show up here first.
+PINNED_UNIT = "12df12d100b13588a236c93a92eae97b76112e51f154e50198db8ff813fa7b4f"
+PINNED_KERNEL = (
+    "9dce7db66683f96331d3eef6355fb8d866d37a7e345a02606661a89767bdc56b",
+    "08dfa6c4bf8c9e8c58129c078124b0c0d2902248dbbaa2d0a44ad0b0445ff289",
+)
+PINNED_HELPER = (
+    "d85a28a3f4fd24434fe98dc88ef0ef7969f10b28128f31c0bb24d52fe1d8a4a0",
+    "15fcda2417b17fcc1a360577a52e7759b0464e7e350e7b90ff19e8189a9bef1d",
+)
+
+
+def test_digest_byte_stream_is_pinned():
+    counter = N._uid_counter
+    N._uid_counter = itertools.count(1)
+    try:
+        unit = parse(SOURCE, top_name="kernel")
+    finally:
+        N._uid_counter = counter
+    assert fp.unit_fingerprint(unit) == PINNED_UNIT
+    assert fp.node_digests(_func(unit, "kernel")) == PINNED_KERNEL
+    assert fp.node_digests(_func(unit, "helper")) == PINNED_HELPER
+    assert fp.decl_digests(unit, _func(unit, "kernel")) == PINNED_KERNEL
+
+
+def _child_with_planted_helper(mode, plant):
+    """A ``dirty=["kernel"]`` child of a unit whose helper record was
+    replaced by ``plant(record)`` before the clone inherited it."""
+    with fp.forced_mode(mode):
+        unit = parse(SOURCE, top_name="kernel")
+        fp.unit_fingerprint(unit)
+        helper = _func(unit, "helper")
+        table = unit.__dict__[fp.FP_TABLE_ATTR]
+        table[helper.uid] = plant(table[helper.uid])
+        candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
+        return cloned_unit(candidate, dirty=["kernel"])
+
+
+def _wrong_digest(record):
+    return fp.build_record(N.Empty())
+
+
+def _wrong_uids(record):
+    planted = fp.build_record(N.Empty())
+    for name in ("structural", "exact", "pragma_free", "loops", "arrays"):
+        setattr(planted, name, getattr(record, name))
+    planted.uids = record.uids[:-1]
+    return planted
+
+
+@pytest.mark.parametrize("plant", [_wrong_digest, _wrong_uids])
+def test_cross_mode_rejects_a_wrong_inherited_record(plant):
+    child = _child_with_planted_helper("cross", plant)
+    with fp.forced_mode("cross"):
+        with pytest.raises(fp.IncrementalMismatch, match="helper"):
+            fp.unit_fingerprint(child)
+
+
+def test_on_mode_trusts_inherited_records():
+    child = _child_with_planted_helper("on", _wrong_uids)
+    with fp.forced_mode("on"):
+        fp.unit_fingerprint(child)
+        assert fp.UNVERIFIED_ATTR not in child.__dict__
+
+
+def test_cross_mode_catches_a_write_outside_the_dirty_set():
+    with fp.forced_mode("cross"):
+        unit = parse(SOURCE, top_name="kernel")
+        fp.unit_fingerprint(unit)
+        candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
+        child = cloned_unit(candidate, dirty=["kernel"])
+        # The helper is shared with the parent; rewriting it breaks the
+        # contract its inherited record rests on.
+        _func(child, "helper").body.items.append(N.Empty())
+        with pytest.raises(fp.IncrementalMismatch):
+            fp.structural_fp(child, _func(child, "helper"))
+
+
+def test_cross_mode_checks_each_inherited_record_once():
+    with fp.forced_mode("cross"):
+        unit = parse(SOURCE, top_name="kernel")
+        fp.unit_fingerprint(unit)
+        candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
+        child = cloned_unit(candidate, dirty=["kernel"])
+        pending = child.__dict__[fp.UNVERIFIED_ATTR]
+        assert pending == {_func(unit, "helper").uid, unit.decls[0].uid}
+        fp.unit_fingerprint(child)
+        assert not pending
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.cfront import nodes as N
 from repro.cfront.fingerprint import unit_fingerprint
 from repro.cfront.parser import parse
 from repro.cfront.printer import render
-from repro.core.evalcache import _walk_uids
 from repro.interp.batch import batch_program
 from repro.subjects import all_subjects, generated_subjects
 
@@ -49,7 +48,6 @@ UNIT_FIELDS = set(N.TranslationUnit.__dataclass_fields__)
 def with_memos(unit: N.TranslationUnit) -> N.TranslationUnit:
     """Populate the unit-level caches a clone must drop."""
     unit_fingerprint(unit)
-    _walk_uids(unit)
     batch_program(unit)
     return unit
 
