@@ -21,7 +21,7 @@ from repro.fuzz import FuzzConfig, fuzz_kernel, get_kernel_seed
 from repro.hls import compile_unit
 from repro.subjects import get_subject
 
-from _shared import SEED, transpile, write_table
+from _shared import SEED, write_table
 
 
 def run_fig8():

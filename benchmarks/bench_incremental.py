@@ -7,19 +7,22 @@ end-to-end numbers live in ``bench_e2e``.
 Per subject, a simulated repair chain: clone the unit with a dirty-set
 naming only the kernel, mutate one literal, then run the five stages a
 search runs on each candidate (keying, style check, HLS compile,
-schedule estimate, interpreter lowering).  Timed once with the incremental caches on and once with
-``REPRO_INCREMENTAL=0``; stage outputs are asserted identical along the
-way, so the speedup is never bought with semantic drift.  Per-cache
-hit/miss counters from :func:`analysis_cache_stats` show *where* the
-time went.  Targets: the caches make the chains cheaper in total, no
-subject regresses, and the ``batch.code`` memo makes lowering the
-edited clones (the ``interp_compile`` stage) >= 1.2x cheaper.
+schedule estimate, interpreter lowering).  Timed with the incremental
+caches on and with ``REPRO_INCREMENTAL=0``; stage outputs are asserted
+identical along the way, so the speedup is never bought with semantic
+drift.  Per-cache hit/miss counters from :func:`analysis_cache_stats`
+(``compile.check_diags``, ``schedule.function_cost``, ``batch.code``)
+show *where* the time went.  Targets: the caches make the chains
+cheaper in total, no subject regresses, and the ``batch.code`` memo
+makes lowering the edited clones (the ``interp_compile`` stage) >= 1.2x
+cheaper.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import statistics
 import time
 
 from repro.cfront import nodes as N
@@ -37,20 +40,18 @@ from _shared import write_bench_json, write_table
 #: Simulated repair-chain length per subject in the microbench.
 CHAIN_LENGTH = 25
 
-#: Chain repetitions per (subject, mode); the reported per-stage time is
-#: the repetition minimum.  Single-shot stage timings on a shared host
-#: swing by milliseconds (scheduler preemption, GC pauses) — more than
-#: the few-millisecond per-stage costs being compared — and the minimum
-#: is the standard estimator that filters that additive noise out.  At
-#: 5 repetitions the minima of 0.1–0.3 s chain totals still moved by
-#: more than 2 % between runs; at 15 they hold to about ±1 %.
+#: Chain repetitions per (subject, mode).  Each repetition runs one
+#: on/off pair back to back; the reported per-stage time is the
+#: repetition minimum, which filters additive noise (scheduler
+#: preemption, GC pauses) out of the few-millisecond stage costs.
 CHAIN_REPS = 15
 
 #: Relative slowdown below which a subject counts as *parity*, not a
-#: regression.  Min-of-reps chain totals still wobble by ±1 % on a
-#: shared host (measured: ±0.4 ms on 50 ms chains at 15 reps), so a
-#: strict ``inc > off`` comparison of equal-cost modes is a coin flip;
-#: only a slowdown the measurement can actually resolve is flagged.
+#: regression.  A subject is judged by the median of its per-repetition
+#: on/off chain-total ratios: the two chains of one pair run moments
+#: apart, so a host that slows down between pairs moves both sides of
+#: a ratio alike, where min-of-reps totals taken minutes apart swung by
+#: more than this tolerance with no code change.
 REGRESSION_TOLERANCE = 0.02
 
 #: Minimum speedup the code memo must give the lowering stage.
@@ -132,7 +133,8 @@ def _run_chain_timed(subject, mode):
 
 
 def _best_chains(subject):
-    """Min-of-:data:`CHAIN_REPS` per-stage timings for both modes.
+    """Min-of-:data:`CHAIN_REPS` per-stage timings for both modes, and
+    the per-repetition ratios of on to off chain totals.
 
     Every repetition runs one chain per mode, and the mode that goes
     first alternates (on/off, off/on, ...) from the first pair on, so
@@ -144,9 +146,12 @@ def _best_chains(subject):
     best = {}
     observed = {}
     stats = None
+    ratios = []
     for rep in range(CHAIN_REPS):
+        totals = {}
         for mode in (("on", "off") if rep % 2 == 0 else ("off", "on")):
             timings, obs = run_chain(subject, mode)
+            totals[mode] = sum(timings.values())
             if mode not in best:
                 best[mode], observed[mode] = timings, obs
                 if mode == "on":
@@ -157,13 +162,15 @@ def _best_chains(subject):
             )
             for stage in STAGES:
                 best[mode][stage] = min(best[mode][stage], timings[stage])
-    return best["on"], best["off"], observed["on"], observed["off"], stats
+        ratios.append(totals["on"] / totals["off"])
+    return (best["on"], best["off"], observed["on"], observed["off"], stats,
+            statistics.median(ratios))
 
 
 def run_microbench():
     rows = []
     for subject in all_subjects():
-        inc_timings, off_timings, inc_obs, off_obs, stats = (
+        inc_timings, off_timings, inc_obs, off_obs, stats, ratio = (
             _best_chains(subject)
         )
         assert inc_obs == off_obs, (
@@ -177,9 +184,10 @@ def run_microbench():
         inc_total = sum(inc_timings.values())
         row["off_total_s"] = round(off_total, 4)
         row["inc_total_s"] = round(inc_total, 4)
-        if inc_total > off_total * (1.0 + REGRESSION_TOLERANCE):
+        row["median_on_off_ratio"] = round(ratio, 4)
+        if ratio > 1.0 + REGRESSION_TOLERANCE:
             row["verdict"] = "regressed"
-        elif off_total > inc_total * (1.0 + REGRESSION_TOLERANCE):
+        elif ratio * (1.0 + REGRESSION_TOLERANCE) < 1.0:
             row["verdict"] = "faster"
         else:
             row["verdict"] = "parity"
@@ -214,7 +222,8 @@ def test_incremental_eval(benchmark):
 
     lines = [
         "Incremental evaluation — content-addressed caches vs full re-analysis",
-        f"{'ID':4} {'Off(s)':>8} {'Incr(s)':>8} {'Speedup':>8}  Verdict",
+        f"{'ID':4} {'Off(s)':>8} {'Incr(s)':>8} {'Speedup':>8} "
+        f"{'On/off':>7}  Verdict",
     ]
     for row in rows:
         speedup = (
@@ -222,8 +231,10 @@ def test_incremental_eval(benchmark):
         )
         lines.append(
             f"{row['subject']:4} {row['off_total_s']:8.3f} "
-            f"{row['inc_total_s']:8.3f} {speedup:7.2f}x  {row['verdict']}"
+            f"{row['inc_total_s']:8.3f} {speedup:7.2f}x "
+            f"{row['median_on_off_ratio']:7.3f}  {row['verdict']}"
         )
+    lines.append("(verdict: median of the per-repetition on/off ratios)")
     lines.append("")
     lines.append("per-stage totals (all subjects):")
     for stage, totals in stage_totals.items():

@@ -12,7 +12,7 @@ import pytest
 
 from repro.subjects import all_subjects
 
-from _shared import subject_ids, transpile, write_table
+from _shared import transpile, write_table
 
 
 def run_table3():

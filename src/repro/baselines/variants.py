@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.heterogen import HeteroGen, HeteroGenConfig

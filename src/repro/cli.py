@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from typing import Any, List, Optional
 
@@ -26,6 +27,7 @@ from .baselines import default_config, run_variant
 from .cfront import parse
 from .core import HeteroGen, HeteroGenConfig, SearchConfig
 from .core.report import TranspileResult
+from .errors import ReproError
 from .fuzz import FuzzConfig, fuzz_kernel, get_kernel_seed
 from .hls import SolutionConfig, compile_unit
 from .interp import BACKENDS, set_default_backend
@@ -318,10 +320,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "flame":
-        if args.format == "speedscope":
+        if args.format == "chrome":
             text = json.dumps(
-                analyze.speedscope_document(trace, name=args.journal),
-                indent=1, sort_keys=True,
+                analyze.chrome_trace(trace), indent=1, sort_keys=True,
             ) + "\n"
         else:
             text = "\n".join(analyze.folded_lines(trace, args.clock)) + "\n"
@@ -432,13 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def obs_flags(p):
         p.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write a Chrome trace_event JSON here "
-                       "(chrome://tracing / Perfetto), plus the JSONL "
-                       "event journal (<stem>.jsonl) and the run manifest "
-                       "(<stem>.manifest.json).  Default: $REPRO_TRACE "
-                       "when it holds a path.  Tracing never changes "
-                       "results: history and simulated clock are "
-                       "bit-identical with it on or off")
+                       help="write the JSONL event journal here, its "
+                       "header carrying the run manifest; read it with "
+                       "'repro trace'.  Default: $REPRO_TRACE when it "
+                       "holds a path.  Tracing never changes results: "
+                       "history and simulated clock are bit-identical "
+                       "with it on or off")
         p.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write the metrics snapshot (cache/store "
                        "tiers, edit families, HLS diagnostics, fuzzer "
@@ -551,24 +551,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     ts = trsub.add_parser("summary", help="per-stage cost table, "
                           "per-edit evaluation split, critical paths")
-    ts.add_argument("journal", help="complete JSONL event journal (the "
-                    "<stem>.jsonl beside --trace-out); a truncated or "
-                    "corrupt journal is refused")
+    ts.add_argument("journal", help="complete JSONL event journal (as "
+                    "written by --trace-out); a truncated or corrupt "
+                    "journal is refused")
     ts.add_argument("--top", type=int, default=0,
                     help="show only the N hottest stages")
     ts.add_argument("--json", action="store_true", help="JSON output")
     ts.set_defaults(func=cmd_trace)
 
     tf = trsub.add_parser("flame", help="flamegraph export (collapsed "
-                          "stacks for flamegraph.pl, or speedscope JSON)")
+                          "stacks for flamegraph.pl, or a Chrome "
+                          "trace_event JSON for Perfetto / speedscope)")
     tf.add_argument("journal")
     tf.add_argument("-o", "--out", default=None,
                     help="output path (default: stdout)")
-    tf.add_argument("--format", choices=["folded", "speedscope"],
+    tf.add_argument("--format", choices=["folded", "chrome"],
                     default="folded")
     tf.add_argument("--clock", choices=["wall", "sim"], default="wall",
                     help="weight stacks by wall microseconds or simulated "
-                    "seconds (folded format; speedscope carries both)")
+                    "seconds (folded format; chrome carries both)")
     tf.set_defaults(func=cmd_trace)
 
     td = trsub.add_parser("diff", help="structural diff of two journals; "
@@ -617,13 +618,7 @@ def _export_observability(
     trace_out: Optional[str],
     metrics_out: Optional[str],
 ) -> None:
-    from .obs.export import (
-        trace_paths,
-        write_chrome_trace,
-        write_journal,
-        write_manifest,
-        write_metrics,
-    )
+    from .obs.export import run_manifest, write_journal, write_metrics
 
     config = {
         key: value
@@ -632,31 +627,33 @@ def _export_observability(
     }
     subject = getattr(args, "run", None) or getattr(args, "file", None) or ""
     if trace_out:
-        paths = trace_paths(trace_out)
-        write_chrome_trace(recorder, paths["trace"])
-        write_journal(recorder, paths["journal"])
-        write_manifest(paths["manifest"], config=config, subject=subject)
+        write_journal(recorder, trace_out,
+                      manifest=run_manifest(config=config, subject=subject))
     if metrics_out:
         write_metrics(recorder, metrics_out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", None),
                       getattr(args, "quiet", False))
     if getattr(args, "interp_backend", None):
         # The engine is a process setting: every interpreted run reads
         # the default.
         set_default_backend(args.interp_backend)
-    trace_out = _resolve_trace_out(args)
-    if trace_out:
-        from .obs.export import trace_paths
+    try:
+        return _run_command(args)
+    except BrokenPipeError:
+        raise  # the __main__ shim maps it to the SIGPIPE exit status
+    except (ReproError, OSError, sqlite3.DatabaseError) as exc:
+        # Bad input, a missing file, a store that is no database: one
+        # line naming the verb, not a traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
-        try:
-            trace_paths(trace_out)
-        except ValueError as exc:
-            parser.error(str(exc))
+
+def _run_command(args: argparse.Namespace) -> int:
+    trace_out = _resolve_trace_out(args)
     metrics_out = getattr(args, "metrics_out", None)
     progress = bool(getattr(args, "progress", False))
     if not (trace_out or metrics_out or progress):

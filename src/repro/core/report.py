@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cfront import nodes as N
 from ..cfront.printer import added_loc, count_loc, render
@@ -98,44 +98,10 @@ class TranspileResult:
             key=lambda row: (-row[1], row[0]),
         )
 
-    def guiding_tests(self, cap: int = 20) -> List[List[Any]]:
-        """Generated tests to hand to a developer finishing the port."""
-        if self.fuzz_report is None:
-            return []
-        return self.fuzz_report.suite(cap)
-
     def final_source(self) -> str:
         if self.final_unit is None:
             return ""
         return render(self.final_unit)
-
-    def resource_report(self) -> str:
-        """Device utilization of the final design, Vivado-report style."""
-        from ..hls.platform import DEVICES
-        from ..hls.schedule import estimate
-
-        if self.final_unit is None or self.final_config is None:
-            return "no synthesizable design"
-        schedule = estimate(self.final_unit, self.final_config)
-        device = DEVICES.get(self.final_config.device)
-        usage = schedule.resources
-        lines = [
-            f"device   : {self.final_config.device} "
-            f"@ {1000.0 / self.final_config.clock_period_ns:.0f} MHz",
-            f"latency  : {schedule.cycles:.0f} cycles "
-            f"({schedule.kernel_latency_ns / 1000.0:.2f} us kernel, "
-            f"{schedule.total_latency_ns / 1000.0:.2f} us with offload)",
-        ]
-        if device is not None:
-            for label, used, available in (
-                ("LUT", usage.luts, device.luts),
-                ("FF", usage.ffs, device.ffs),
-                ("BRAM", usage.bram_36k, device.bram_36k),
-                ("DSP", usage.dsps, device.dsps),
-            ):
-                share = used / available if available else 0.0
-                lines.append(f"{label:8} : {used:>10}  ({share:6.2%})")
-        return "\n".join(lines)
 
     def source_diff(self) -> str:
         """Unified diff from the original program to the converted one —

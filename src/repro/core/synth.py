@@ -25,7 +25,7 @@ and the search is bit-identical to the pre-synthesis implementation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..cfront import nodes as N

@@ -10,18 +10,9 @@ clamping to the parameter type's representable range.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
-from ..cfront import nodes as N
 from ..cfront import typesys as T
-
-
-def type_bounds(ctype: T.CType) -> Optional[tuple]:
-    """(lo, hi) representable range for integer-like types, else None."""
-    resolved = T.strip_typedefs(ctype)
-    if isinstance(resolved, (T.IntType, T.FpgaIntType)):
-        return (resolved.min_value, resolved.max_value)
-    return None
 
 
 def clamp_to_type(value: Any, ctype: T.CType) -> Any:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tupl
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import exact_fp, structural_fp, unit_loc
+from ..cfront.fingerprint import exact_fp, unit_loc
 from ..cfront.visitor import find_all
 from ..obs import SPAN_HLS_COMPILE, get_recorder
 from . import diagnostics as D
@@ -45,16 +45,12 @@ from .schedule import estimate, static_tripcount
 COMPILE_BASE_SECONDS = 90.0
 COMPILE_SECONDS_PER_LOC = 1.5
 
-#: Sub-analysis memos, content-addressed by AST fingerprints (see
+#: Diagnostic memo, content-addressed by AST fingerprints (see
 #: :mod:`repro.cfront.fingerprint`).  Diagnostic tuples are keyed by the
 #: *exact* fingerprint — equal exact digests mean value-identical
 #: subtrees, so the cached diagnostics (which embed node uids) are
-#: bit-identical to a recomputation.  Callee sequences depend only on
-#: semantic content and use the coarser *structural* fingerprint, which
-#: ignores positions and uids, so it also hits across separately parsed
-#: copies of one source and functions an edit rebuilt to equal content.
+#: bit-identical to a recomputation.
 _DIAG_MEMO = AnalysisCache("compile.check_diags")
-_CALLEE_SEQ_MEMO = AnalysisCache("compile.callee_seq")
 
 #: Real (not simulated) invocations of :func:`compile_unit` since process
 #: start.  The evaluation cache asserts against this: a cache hit must
@@ -135,17 +131,11 @@ class _Checker:
         """Named callees of *func* in syntactic order, duplicates kept —
         reachability pushes them on a stack, so the sequence (not the
         set) determines traversal order."""
-
-        def compute() -> Tuple[str, ...]:
-            assert func.body is not None
-            return tuple(
-                call.callee_name
-                for call in find_all(func.body, N.Call)
-                if call.callee_name
-            )
-
-        return _CALLEE_SEQ_MEMO.get_or_compute(
-            lambda: ("callees", structural_fp(self.unit, func)), compute
+        assert func.body is not None
+        return tuple(
+            call.callee_name
+            for call in find_all(func.body, N.Call)
+            if call.callee_name
         )
 
     def run(self) -> D.CompileReport:

@@ -85,11 +85,6 @@ def parse_pragma(node: N.Pragma) -> Optional[HlsPragma]:
     return HlsPragma(directive=directive, options=options, node_uid=node.uid)
 
 
-def make_pragma_stmt(pragma: HlsPragma) -> N.Pragma:
-    """Build a fresh pragma statement node from a structured pragma."""
-    return N.Pragma(text=pragma.render())
-
-
 def collect_pragmas(root: N.Node) -> List[HlsPragma]:
     """All HLS pragmas under *root*, in source order."""
     out: List[HlsPragma] = []

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import structural_fp, unit_fingerprint
+from ..cfront.fingerprint import structural_fp
 from ..cfront.visitor import find_all
 from ..obs import SPAN_SCHEDULE, get_recorder
 from ..memo import AnalysisCache
@@ -47,11 +47,6 @@ DEFAULT_TRIPCOUNT = 16
 #: fingerprint, the fingerprints of every transitive callee, and the
 #: unit-level typing context.
 _COST_MEMO = AnalysisCache("schedule.function_cost")
-
-#: Whole-design memo: ``(unit fingerprint, top, clock) -> report
-#: snapshot``.  Values are immutable tuples; every hit materializes a
-#: fresh ScheduleReport/ResourceUsage, because callers mutate reports.
-_ESTIMATE_MEMO = AnalysisCache("schedule.estimate")
 
 
 @dataclass
@@ -563,46 +558,11 @@ def _total_bits(array_type: T.ArrayType) -> int:
     return size * bits
 
 
-def _report_snapshot(
-    report: ScheduleReport,
-) -> Tuple[float, Tuple[int, int, int, int], float]:
-    res = report.resources
-    return (
-        report.cycles,
-        (res.luts, res.ffs, res.bram_36k, res.dsps),
-        report.clock_period_ns,
-    )
-
-
-def _report_from_snapshot(
-    snap: Tuple[float, Tuple[int, int, int, int], float],
-) -> ScheduleReport:
-    cycles, res, clock = snap
-    return ScheduleReport(
-        cycles=cycles,
-        resources=ResourceUsage(
-            luts=res[0], ffs=res[1], bram_36k=res[2], dsps=res[3]
-        ),
-        clock_period_ns=clock,
-    )
-
-
 def estimate(unit: N.TranslationUnit, config: SolutionConfig) -> ScheduleReport:
     """Schedule *unit* for *config* and return the latency/resource report.
 
-    Incrementally, the whole report is memoized content-addressed by the
-    unit's structural fingerprint plus the config fields scheduling reads
-    (``top_name``, ``clock_period_ns`` — the device does not enter the
-    model).  Hits return a freshly materialized report: callers mutate
-    report.resources, so the memo stores only immutable snapshots."""
+    Per-function costs come from the ``schedule.function_cost`` memo, so
+    re-scheduling a candidate that differs from its parent by one edit
+    recomputes only the edited function and its callers."""
     with get_recorder().span(SPAN_SCHEDULE, top=config.top_name):
-        snap = _ESTIMATE_MEMO.get_or_compute(
-            lambda: (
-                "estimate",
-                unit_fingerprint(unit),
-                config.top_name,
-                repr(config.clock_period_ns),
-            ),
-            lambda: _report_snapshot(Scheduler(unit, config).schedule()),
-        )
-        return _report_from_snapshot(snap)
+        return Scheduler(unit, config).schedule()

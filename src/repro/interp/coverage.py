@@ -121,9 +121,6 @@ class CoverageRecorder:
         self.hits |= other.hits
         return len(self.hits) > before
 
-    def would_add(self, other: "CoverageRecorder") -> bool:
-        return bool(other.hits - self.hits)
-
     def ratio(self, root: N.Node) -> float:
         """Branch coverage over the branches statically present in *root*."""
         points = branch_points(root)
@@ -132,13 +129,6 @@ class CoverageRecorder:
             return 1.0
         covered = sum(1 for (uid, _outcome) in self.hits if uid in points)
         return covered / total
-
-    def covered_branches(self, root: N.Node) -> int:
-        points = branch_points(root)
-        return sum(1 for (uid, _outcome) in self.hits if uid in points)
-
-    def total_branches(self, root: N.Node) -> int:
-        return 2 * len(branch_points(root))
 
 
 @dataclass

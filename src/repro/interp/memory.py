@@ -15,7 +15,7 @@ HeteroGen's differential testing must catch:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..errors import HlsSimulationFault, InterpError, MemoryFault

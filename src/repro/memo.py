@@ -1,15 +1,19 @@
 """Bounded, thread-safe memo tables for pure per-function sub-analyses.
 
-The style checker, the synthesizability checker and the scheduler all
-run pure analyses over individual functions; across a repair search the
-same (function-content, context) point is analysed hundreds of times
-because each candidate differs from its parent by one edit.  An
-:class:`AnalysisCache` memoizes those sub-results content-addressed by
-AST fingerprints (see :mod:`repro.cfront.fingerprint`).  The batch
-interpreter keeps its compiled code objects in one too, keyed by a
-digest of the generated source, and co-simulation keeps the per-test
-outcomes of each pragma-free candidate program in another (see
-:mod:`repro.hls.simulator`).
+Across a repair search the same (function-content, context) point is
+analysed hundreds of times, because each candidate differs from its
+parent by one edit.  An :class:`AnalysisCache` memoizes such pure
+sub-results.  There are four tables:
+
+* ``compile.check_diags`` — the synthesizability checker's per-function
+  diagnostics, keyed by exact AST fingerprints (see
+  :mod:`repro.cfront.fingerprint`);
+* ``schedule.function_cost`` — the scheduler's per-function cycles and
+  resources, keyed by structural fingerprints;
+* ``batch.code`` — the batch interpreter's compiled code objects, keyed
+  by a digest of the generated source;
+* ``simulate.outcomes`` — co-simulation's per-test outcomes of each
+  pragma-free candidate program (see :mod:`repro.hls.simulator`).
 
 The module depends on nothing but the fingerprint mode switches, so the
 interpreter and the HLS model can both import it without a cycle.  It is

@@ -2,10 +2,12 @@
 pipeline.
 
 Spans + events (:mod:`.recorder`), metrics (:mod:`.metrics`), exporters
-(:mod:`.export`: JSONL journal, Chrome ``trace_event``, run manifest),
-the live progress renderer (:mod:`.stream`), journal analytics
-(:mod:`.analyze`: per-stage aggregation, critical path, flamegraphs,
-structural diff; its ``load_journal`` is the journal's only reader),
+(:mod:`.export`: the JSONL journal, the one trace artifact of a run,
+with the run manifest in its header; the metrics snapshot), the live
+progress renderer (:mod:`.stream`), journal analytics (:mod:`.analyze`:
+per-stage aggregation, critical path, folded-stack and Chrome
+``trace_event`` exports, structural diff; its ``load_journal`` is the
+journal's only reader),
 per-stage perf baselines (:mod:`.baseline`: the ``repro trace check``
 gate) and logging wiring (:mod:`.logs`).
 

@@ -12,10 +12,10 @@ readable ground truth of one traced run.  This module is its reader:
   attribution (a stage's own cost minus its children's);
 * :func:`critical_path` — the heaviest root-to-leaf chain, the first
   place to look before optimizing anything;
-* :func:`collapsed_stacks` / :func:`folded_lines` /
-  :func:`speedscope_document` — flamegraph exports in the two lingua
-  franca formats (``flamegraph.pl`` collapsed stacks and the
-  speedscope JSON file format), over either clock;
+* :func:`collapsed_stacks` / :func:`folded_lines` — ``flamegraph.pl``
+  collapsed stacks, over either clock;
+* :func:`chrome_trace` — the journal as a Chrome ``trace_event``
+  document (Perfetto, ``chrome://tracing`` and speedscope import it);
 * :func:`stage_table` / :func:`diff_traces` — the one stage comparator,
   behind both ``repro trace diff`` (two journals) and ``repro trace
   check`` (a committed baseline against a journal).  Regressions are
@@ -71,7 +71,9 @@ _LEVEL = ("one of debug/info/warning/error",
 #: simulated-clock fields (null on spans without a clock) accept.
 _RECORD_RULES: Dict[str, Tuple[Tuple[str, Tuple[str, Any]], ...]] = {
     "header": (("version", _POSITIVE_INT), ("records", _COUNT),
-               ("dropped", _COUNT)),
+               ("dropped", _COUNT),
+               ("manifest", ("absent or an object",
+                             lambda v: v is None or isinstance(v, dict)))),
     "span": (("id", _POSITIVE_INT), ("parent", _COUNT), ("name", _TEXT),
              ("cat", _TEXT), ("ts_us", _DURATION), ("dur_us", _DURATION),
              ("sim_ts_s", _SIM), ("sim_dur_s", _SIM), ("tid", _TID),
@@ -295,9 +297,9 @@ def collapsed_stacks(trace: Trace, clock: str = "wall") -> Dict[str, int]:
     """Collapsed call stacks: ``"a;b;c" -> integer self weight``.
 
     Weights are integer microseconds for both clocks (simulated seconds
-    are scaled by 1e6), because both flamegraph.pl and speedscope want
-    integral sample counts.  Zero-weight stacks are elided — they still
-    appear as prefixes of their descendants."""
+    are scaled by 1e6), because flamegraph.pl wants integral sample
+    counts.  Zero-weight stacks are elided — they still appear as
+    prefixes of their descendants."""
     stacks: Dict[str, int] = {}
 
     def walk(sid: int, prefix: str) -> None:
@@ -323,58 +325,32 @@ def folded_lines(trace: Trace, clock: str = "wall") -> List[str]:
     ]
 
 
-def speedscope_document(
-    trace: Trace, name: str = "repro trace"
-) -> Dict[str, Any]:
-    """A speedscope file with one evented profile per clock.
+def chrome_trace(trace: Trace) -> Dict[str, Any]:
+    """The journal as a Chrome ``trace_event`` document.
 
-    Built from the collapsed stacks rather than raw span timestamps, so
-    one profile format serves both clocks.  Load at
-    https://www.speedscope.app or with the local viewer."""
-    frame_index: Dict[str, int] = {}
-    frames: List[Dict[str, str]] = []
-
-    def frame(label: str) -> int:
-        if label not in frame_index:
-            frame_index[label] = len(frames)
-            frames.append({"name": label})
-        return frame_index[label]
-
-    profiles = []
-    for clock, title in (("wall", "wall clock"), ("sim", "simulated seconds")):
-        stacks = sorted(collapsed_stacks(trace, clock).items())
-        events: List[Dict[str, Any]] = []
-        cursor = 0
-        open_stack: List[int] = []
-        for stack, weight in stacks:
-            target = [frame(label) for label in stack.split(";")]
-            shared = 0
-            while (shared < len(open_stack) and shared < len(target)
-                   and open_stack[shared] == target[shared]):
-                shared += 1
-            for fid in reversed(open_stack[shared:]):
-                events.append({"type": "C", "frame": fid, "at": cursor})
-            for fid in target[shared:]:
-                events.append({"type": "O", "frame": fid, "at": cursor})
-            open_stack = target
-            cursor += weight
-        for fid in reversed(open_stack):
-            events.append({"type": "C", "frame": fid, "at": cursor})
-        profiles.append({
-            "type": "evented",
-            "name": f"{name} ({title})",
-            "unit": "microseconds",
-            "startValue": 0,
-            "endValue": cursor,
-            "events": events,
-        })
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "shared": {"frames": frames},
-        "profiles": profiles,
-        "name": name,
-        "exporter": "repro.obs.analyze",
-    }
+    Spans become complete (``ph: "X"``) events carrying their simulated
+    start and duration in ``args``; journal events become thread-scoped
+    instants (``ph: "i"``).  The ``pid`` is fixed and events are ordered
+    by start time and id, so one journal always gives the same bytes."""
+    keyed: List[Tuple[float, int, Dict[str, Any]]] = []
+    for sid, span in trace.spans.items():
+        args = dict(span["args"])
+        if span.get("sim_dur_s") is not None:
+            args["sim_dur_s"] = span["sim_dur_s"]
+            args["sim_ts_s"] = span["sim_ts_s"]
+        keyed.append((span["ts_us"], sid, {
+            "ph": "X", "name": span["name"], "cat": span["cat"],
+            "ts": span["ts_us"], "dur": span["dur_us"],
+            "pid": 1, "tid": span["tid"], "args": args,
+        }))
+    for event in trace.events:
+        keyed.append((event["ts_us"], event["id"], {
+            "ph": "i", "s": "t", "name": event["name"], "cat": "event",
+            "ts": event["ts_us"], "pid": 1, "tid": event["tid"],
+            "args": dict(event["args"]),
+        }))
+    events = [entry for _ts, _id, entry in sorted(keyed, key=lambda k: k[:2])]
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 # --------------------------------------------------------------------------

@@ -131,15 +131,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(_series_key(name, labels), 0.0)
 
-    def counters_named(self, name: str) -> Dict[Tuple[Tuple[str, str], ...], float]:
-        """All label-series of one counter name."""
-        with self._lock:
-            return {
-                labels: value
-                for (n, labels), value in self._counters.items()
-                if n == name
-            }
-
     def snapshot(self) -> Dict[str, Any]:
         """Deterministically-ordered plain-dict view for JSON export.
 

@@ -1,18 +1,12 @@
-"""Visitor / AST-surgery helper tests."""
+"""AST search and rewriting helper tests."""
 
 from repro.cfront import nodes as N
-from repro.cfront.parser import parse, parse_fragment_stmts
+from repro.cfront.parser import parse
 from repro.cfront.visitor import (
-    Visitor,
-    calls_to,
     enclosing_function,
     find_all,
     find_by_uid,
     find_parent,
-    insert_after,
-    insert_before,
-    replace_expr,
-    replace_stmt_in,
     rewrite_exprs,
 )
 
@@ -52,75 +46,11 @@ def test_find_parent():
     assert find_parent(unit, unit) is None
 
 
-def test_calls_to():
-    unit = parse(SRC)
-    assert len(calls_to(unit, "helper")) == 1
-    assert calls_to(unit, "nonexistent") == []
-
-
 def test_enclosing_function():
     unit = parse(SRC)
-    call = calls_to(unit, "helper")[0]
+    call = find_all(unit, N.Call, lambda c: c.callee_name == "helper")[0]
     func = enclosing_function(unit, call.uid)
     assert func.name == "main_fn"
-
-
-def test_dispatching_visitor():
-    unit = parse(SRC)
-
-    class CallCounter(Visitor):
-        def __init__(self):
-            self.calls = 0
-
-        def visit_Call(self, node):
-            self.calls += 1
-            self.generic_visit(node)
-
-    counter = CallCounter()
-    counter.visit(unit)
-    assert counter.calls == 1
-
-
-def test_replace_stmt_in():
-    unit = parse("void f() { int a = 1; int b = 2; }")
-    body = unit.function("f").body
-    target = body.items[0]
-    new_stmts = parse_fragment_stmts("int c = 3; int d = 4;")
-    assert replace_stmt_in(body, target.uid, new_stmts)
-    assert len(body.items) == 3
-    assert body.items[0].decl.name == "c"
-
-
-def test_replace_stmt_deletion():
-    unit = parse("void f() { int a = 1; int b = 2; }")
-    body = unit.function("f").body
-    assert replace_stmt_in(body, body.items[0].uid, [])
-    assert len(body.items) == 1
-
-
-def test_insert_before_and_after():
-    unit = parse("void f() { int a = 1; }")
-    body = unit.function("f").body
-    anchor = body.items[0]
-    insert_before(body, anchor.uid, parse_fragment_stmts("int pre = 0;"))
-    insert_after(body, anchor.uid, parse_fragment_stmts("int post = 2;"))
-    names = [s.decl.name for s in body.items]
-    assert names == ["pre", "a", "post"]
-
-
-def test_replace_expr_in_field():
-    unit = parse("int f() { return 1 + 2; }")
-    ret = find_all(unit, N.Return)[0]
-    assert replace_expr(unit, ret.value.uid, N.IntLit(value=42, text="42"))
-    assert ret.value.value == 42
-
-
-def test_replace_expr_in_list():
-    unit = parse("void f() { g(1, 2); }")
-    call = find_all(unit, N.Call)[0]
-    old_arg = call.args[1]
-    assert replace_expr(unit, old_arg.uid, N.IntLit(value=9, text="9"))
-    assert call.args[1].value == 9
 
 
 def test_rewrite_exprs_bottom_up():

@@ -120,5 +120,5 @@ class TestBudgetExhaustion:
         # §1: the incomplete report carries the remaining errors and the
         # generated tests, to guide the remaining manual edits.
         assert any("recursive" in e for e in result.remaining_errors)
-        assert result.guiding_tests()
+        assert result.fuzz_report.suite()
         assert "manual edits needed" in result.summary()

@@ -362,7 +362,7 @@ def test_two_function_unit_reparsed_hits_the_memos():
         second = _run_stages(_fresh_parse(KERNEL_SRC))
         stats = analysis_cache_stats()
     assert second == first
-    for name in ("compile.check_diags", "schedule.estimate"):
+    for name in ("compile.check_diags", "schedule.function_cost"):
         assert stats[name]["hits"] > 0, name
 
 

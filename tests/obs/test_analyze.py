@@ -10,6 +10,7 @@ import pytest
 from repro.hls.clock import ACT_HLS_COMPILE, ACT_STYLE_CHECK, SimulatedClock
 from repro.obs import TraceRecorder
 from repro.obs.analyze import (
+    chrome_trace,
     collapsed_stacks,
     critical_path,
     diff_metrics,
@@ -19,7 +20,6 @@ from repro.obs.analyze import (
     load_journal,
     render_diff,
     render_summary,
-    speedscope_document,
     stage_stats,
     stage_table,
 )
@@ -216,6 +216,22 @@ class TestLoadJournal:
         with pytest.raises(ValueError, match="dropped.jsonl:1: .*dropped 1"):
             load_journal(path)
 
+    def test_header_carries_an_optional_manifest(self, tmp_path):
+        rec = _recorded_run()
+        path = write_journal(rec, str(tmp_path / "m.jsonl"),
+                             manifest={"subject": "P1"})
+        assert load_journal(path).header["manifest"] == {"subject": "P1"}
+        bare = load_journal(write_journal(rec, str(tmp_path / "b.jsonl")))
+        assert "manifest" not in bare.header
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        header["manifest"] = "P1"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: header\."
+                           "manifest must be absent or an object"):
+            load_journal(str(bad))
+
     @pytest.mark.parametrize("body,message", [
         ("", "missing journal header"),
         ('{"type": "span", "id": 1}\n', ":1: missing journal header"),
@@ -295,28 +311,24 @@ class TestFlamegraphs:
             stack, weight = line.rsplit(" ", 1)
             assert int(weight) > 0 and stack
 
-    def test_speedscope_profiles_are_well_nested(self, tmp_path):
+    def test_chrome_trace_spans_are_well_nested(self, tmp_path):
         trace = load_journal(_journal(tmp_path))
-        doc = speedscope_document(trace, name="t")
-        assert len(doc["profiles"]) == 2
-        frame_count = len(doc["shared"]["frames"])
-        for profile in doc["profiles"]:
-            depth = []
-            at = 0
-            for event in profile["events"]:
-                assert event["at"] >= at
-                at = event["at"]
-                assert 0 <= event["frame"] < frame_count
-                if event["type"] == "O":
-                    depth.append(event["frame"])
-                else:
-                    assert depth.pop() == event["frame"]
-            assert depth == []  # every open frame closed
-            assert profile["endValue"] == at
+        events = chrome_trace(trace)["traceEvents"]
+        spans = [e for e in events if e["ph"] == "X"]
+        assert len(spans) == len(trace.spans)
+        assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
+        by_name = {e["name"]: e for e in spans}
+        outer, inner = by_name["transpile"], by_name["fuzz"]
+        assert outer["ts"] <= inner["ts"]
+        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+        assert inner["args"]["sim_dur_s"] == 20.0
+        assert {e["pid"] for e in events} == {1}
 
-    def test_speedscope_document_is_json_serializable(self, tmp_path):
-        trace = load_journal(_journal(tmp_path))
-        json.dumps(speedscope_document(trace))
+    def test_chrome_trace_is_byte_stable(self, tmp_path):
+        path = _journal(tmp_path)
+        first = json.dumps(chrome_trace(load_journal(path)), sort_keys=True)
+        again = json.dumps(chrome_trace(load_journal(path)), sort_keys=True)
+        assert first == again
 
 
 # ---------------------------------------------------------------------------

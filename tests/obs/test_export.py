@@ -1,23 +1,18 @@
-"""Exporters: journal order, Chrome trace, metrics snapshot, manifest,
-path conventions.  Reading a journal back is the analyzer's job
-(``test_analyze.py::TestLoadJournal``)."""
+"""Exporters: journal order, the manifest in the journal header, the
+Chrome trace derived from a journal, the metrics snapshot.  Reading a
+journal back is the analyzer's job (``test_analyze.py::TestLoadJournal``)."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.hls.clock import ACT_STYLE_CHECK, SimulatedClock
 from repro.obs import TraceRecorder
+from repro.obs.analyze import chrome_trace, load_journal
 from repro.obs.export import (
-    chrome_trace,
     journal_lines,
     run_manifest,
-    trace_paths,
-    write_chrome_trace,
     write_journal,
-    write_manifest,
     write_metrics,
 )
 
@@ -57,23 +52,20 @@ def test_journal_body_is_sorted_by_start_time():
 
 
 def test_chrome_trace_shape(tmp_path):
-    rec = _traced_run()
-    doc = chrome_trace(rec)
+    path = write_journal(_traced_run(), str(tmp_path / "run.trace.jsonl"))
+    doc = chrome_trace(load_journal(path))
     events = doc["traceEvents"]
     complete = [e for e in events if e["ph"] == "X"]
     instants = [e for e in events if e["ph"] == "i"]
-    meta = [e for e in events if e["ph"] == "M"]
+    assert len(complete) + len(instants) == len(events)
     assert {e["name"] for e in complete} == {
         "transpile", "fuzz", "search", "search.evaluate"
     }
     assert [e["name"] for e in instants] == ["cache_hit"]
-    assert meta and all(e["name"] == "thread_name" for e in meta)
     fuzz = next(e for e in complete if e["name"] == "fuzz")
     assert fuzz["args"]["sim_dur_s"] == 20.0
-
-    path = write_chrome_trace(rec, str(tmp_path / "run.trace.json"))
-    with open(path) as handle:
-        assert json.load(handle) == doc
+    # Derived from the journal alone: one journal, one document.
+    assert chrome_trace(load_journal(path)) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -108,27 +100,9 @@ def test_run_manifest_identity_fields(tmp_path, monkeypatch):
     assert manifest["toolchain_salt"]
     assert manifest["env"]["REPRO_INTERP_BACKEND"] == "tree"
 
-    path = write_manifest(str(tmp_path / "run.manifest.json"),
-                          command=["x"], subject="P3")
-    with open(path) as handle:
-        assert json.load(handle)["subject"] == "P3"
-
-
-def test_trace_paths_conventions():
-    assert trace_paths("out/run.trace.json") == {
-        "trace": "out/run.trace.json",
-        "journal": "out/run.trace.jsonl",
-        "manifest": "out/run.trace.manifest.json",
-    }
-    assert trace_paths("plain") == {
-        "trace": "plain",
-        "journal": "plain.jsonl",
-        "manifest": "plain.manifest.json",
-    }
-    # A journal-suffixed path would put the Chrome trace under the
-    # journal's name and the journal under ``run.jsonl.jsonl``.
-    with pytest.raises(ValueError, match=r"run\.json and the journal"):
-        trace_paths("out/run.jsonl")
+    path = write_journal(_traced_run(), str(tmp_path / "run.jsonl"),
+                         manifest=run_manifest(command=["x"], subject="P3"))
+    assert load_journal(path).header["manifest"]["subject"] == "P3"
 
 
 def test_exporters_create_parent_directories(tmp_path):

@@ -14,7 +14,7 @@ def test_counters_accumulate_per_label_set():
     assert reg.counter_value("cache.lookups", tier="memory", outcome="hit") == 5.0
     assert reg.counter_value("cache.lookups", tier="store", outcome="miss") == 1.0
     assert reg.counter_value("cache.lookups", tier="disk", outcome="hit") == 0.0
-    assert len(reg.counters_named("cache.lookups")) == 2
+    assert len(reg.snapshot()["counters"]) == 2
 
 
 def test_label_order_does_not_split_series():

@@ -78,10 +78,10 @@ def journals(tmp_path_factory):
     kernel.write_text(KERNEL)
     paths = {}
     for stem, argv, _names in COMMANDS:
-        trace_out = root / f"{stem}.trace.json"
+        journal = str(root / f"{stem}.trace.jsonl")
         argv = [a.format(kernel=str(kernel)) for a in argv]
-        _run(argv + ["--trace-out", str(trace_out)])
-        paths[stem] = str(root / f"{stem}.trace.jsonl")
+        _run(argv + ["--trace-out", journal])
+        paths[stem] = journal
     return paths
 
 
@@ -123,7 +123,7 @@ class TestSinkDeterminism:
         _reset_process_state()
         code = main(argv + [
             "--progress",
-            "--trace-out", str(tmp_path / "run.trace.json"),
+            "--trace-out", str(tmp_path / "run.trace.jsonl"),
             "--metrics-out", str(tmp_path / "run.metrics.json"),
         ])
         sunk = capsys.readouterr()
@@ -156,13 +156,15 @@ class TestTraceVerbs:
         assert lines and all(" " in l for l in lines)
         assert any(l.startswith("transpile;search") for l in lines)
 
-    def test_flame_speedscope_file(self, journals, tmp_path, capsys):
-        out_path = tmp_path / "fg.speedscope.json"
-        assert main(["trace", "flame", journals["transpile"],
-                     "--format", "speedscope", "-o", str(out_path)]) == 0
-        doc = json.load(open(out_path))
-        assert doc["shared"]["frames"]
-        assert len(doc["profiles"]) == 2
+    def test_flame_chrome_file(self, journals, tmp_path, capsys):
+        outs = [tmp_path / "a.chrome.json", tmp_path / "b.chrome.json"]
+        for out_path in outs:
+            assert main(["trace", "flame", journals["transpile"],
+                         "--format", "chrome", "-o", str(out_path)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        doc = json.load(open(outs[0]))
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == len(load_journal(journals["transpile"]).spans)
 
     def test_diff_of_a_journal_with_itself_is_clean(self, journals,
                                                     capsys):
@@ -398,18 +400,37 @@ class TestDiffAndCheckAgree:
         assert diff["clean"] is False and check["passed"] is False
 
 
+#: A kernel with no HLS compatibility error, so ``check`` exits 0.
+CLEAN_KERNEL = "int k(int a) { return a + 1; }\n"
+
+
 class TestTraceOut:
-    def test_jsonl_trace_out_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["run.jsonl", "run.json", "run"])
+    def test_trace_out_writes_only_the_journal(self, name, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         kernel = tmp_path / "kernel.c"
-        kernel.write_text(KERNEL)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["check", str(kernel), "--top", "smooth",
-                  "--trace-out", str(tmp_path / "run.jsonl")])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert str(tmp_path / "run.json") + " " in err
-        assert str(tmp_path / "run.jsonl") in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel.c"]
+        kernel.write_text(CLEAN_KERNEL)
+        journal = tmp_path / name
+        assert main(["check", str(kernel), "--top", "k",
+                     "--trace-out", str(journal)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["kernel.c", name])
+        manifest = load_journal(str(journal)).header["manifest"]
+        assert manifest["toolchain_salt"]
+        assert manifest["subject"] == str(kernel)
+        assert manifest["config"]["top"] == "k"
+
+    def test_path_valued_repro_trace_names_the_journal(self, tmp_path,
+                                                       monkeypatch, capsys):
+        kernel = tmp_path / "kernel.c"
+        kernel.write_text(CLEAN_KERNEL)
+        journal = tmp_path / "env.trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(journal))
+        assert main(["check", str(kernel), "--top", "k"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["env.trace.jsonl", "kernel.c"]
+        assert load_journal(str(journal)).spans
 
 
 class TestBrokenPipe:

@@ -153,3 +153,40 @@ class TestSynthFlags:
         )
         assert on.synth is True
         assert off.synth is False
+
+
+class TestRefusals:
+    """A pipeline verb handed bad input refuses with one line on stderr,
+    ``repro <verb>: <error>``, and exit status 1 — never a traceback."""
+
+    def _refused(self, capsys, argv, verb, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"repro {verb}: ")
+        assert message in captured.err
+
+    def test_transpile_refuses_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text("int k(int a) { return a +; }\n")
+        self._refused(capsys, ["transpile", str(path), "--kernel", "k"],
+                      "transpile", "unexpected token ';'")
+
+    def test_check_refuses_a_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nofile.c")
+        self._refused(capsys, ["check", missing, "--top", "k"],
+                      "check", "No such file")
+
+    def test_fuzz_refuses_an_unknown_kernel(self, kernel_file, capsys):
+        self._refused(capsys, ["fuzz", kernel_file, "--kernel", "nope"],
+                      "fuzz", "no kernel function named 'nope'")
+
+    def test_transpile_refuses_a_store_that_is_no_database(
+            self, kernel_file, tmp_path, capsys):
+        store = tmp_path / "notdb.sqlite"
+        store.write_text("not a database " * 100)
+        self._refused(capsys, ["transpile", kernel_file, "--kernel",
+                               "smooth", "--store", str(store),
+                               "--fuzz-execs", "20"],
+                      "transpile", "file is not a database")
