@@ -11,7 +11,7 @@ schedule estimate, interpreter lowering).  Timed with the incremental
 caches on and with ``REPRO_INCREMENTAL=0``; stage outputs are asserted
 identical along the way, so the speedup is never bought with semantic
 drift.  Per-cache hit/miss counters from :func:`analysis_cache_stats`
-(``compile.check_diags``, ``schedule.function_cost``, ``batch.code``)
+(``schedule.function_cost``, ``batch.code``)
 show *where* the time went.  Targets: the caches make the chains
 cheaper in total, no subject regresses, and the ``batch.code`` memo
 makes lowering the edited clones (the ``interp_compile`` stage) >= 1.2x

@@ -7,8 +7,8 @@ subtree a *content hash* so downstream stages (cache keys, style checks,
 synthesizability checks, scheduling, interpreter compilation) can reuse
 work for subtrees whose content is unchanged.
 
-Two digests per node
---------------------
+Digests
+-------
 
 ``structural``
     Hash of every semantic dataclass field (operators, literal values
@@ -19,23 +19,18 @@ Two digests per node
     the pretty-printer distinguishes, so it is strictly finer-or-equal
     than the legacy ``render(unit)``-based key.
 
-``exact``
-    The structural hash *plus* a hash over every node's
-    ``(line, col, uid)`` triple in walk order.  Two subtrees with equal
-    exact digests are value-identical in **all** fields, so any pure
-    analysis result derived from one (diagnostics carrying ``node_uid``,
-    error strings quoting line numbers, coverage keyed by statement uid)
-    is bit-identical for the other.  Memoized sub-results are keyed by
-    exact digests for precisely this reason.
+``pragma_free``
+    What executing the declaration can observe: the structural stream
+    with every node's line and without pragmas (the co-simulation key).
 
 Caching and invalidation
 ------------------------
 
 One pre-order walk of a top-level declaration (or struct method) builds
-its :class:`DeclRecord`: the structural and exact digests (fed byte for
-byte as before, so evaluation-store keys do not move), a pragma-free
-digest, the walk's uid list, the ``for``/``while`` loops, the local
-array declarations, and, on first use, the printed line count.  Records
+its :class:`DeclRecord`: both digests (the structural one fed byte for
+byte as before, so evaluation-store keys do not move), the walk's uid
+list, the ``for``/``while`` loops, the ``Call``, ``DeclStmt`` and
+``Pragma`` nodes, and, on first use, the printed line count.  Records
 live in a side table on the :class:`~repro.cfront.nodes.TranslationUnit`
 (``unit.__dict__['_fp_table']``) keyed by the declaration's ``uid``:
 nodes are mutable dataclasses and therefore unhashable, while uids are
@@ -47,8 +42,9 @@ instead: the candidate key (:func:`unit_fingerprint`), the co-simulation
 key (:func:`pragma_free_fingerprint`), the compile cost
 (:func:`unit_loc`), the canonical uid space of the evaluation cache
 (the records' ``uids``), the loop edits' loop list (:func:`unit_loops`),
-dirty sets (``edits/base.owning_decl_names``) and the style checker's
-visible arrays.
+dirty sets (``edits/base.owning_decl_names``), the style checker's
+visible arrays, the synthesizability checks, the scheduler and the
+partition proposals (:func:`unit_pragmas`).
 
 The invalidation rule is *dirty-aware cloning*:
 
@@ -96,7 +92,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import nodes as N
-from . import typesys as T
 from .printer import decl_loc
 
 #: ``unit.__dict__`` key of the per-unit record table: ``uid ->``
@@ -176,7 +171,11 @@ def forced_mode(mode: str) -> Iterator[None]:
 _META_FIELDS = ("line", "col", "uid")
 
 #: Node kinds a record walk collects, besides digests and uids.
-_PLAIN, _FUNCTION, _FOR, _WHILE, _DECL_STMT = range(5)
+_PLAIN, _FUNCTION, _FOR, _WHILE, _CALL, _DECL_STMT, _PRAGMA = range(7)
+_KINDS = (
+    (N.FunctionDef, _FUNCTION), (N.For, _FOR), (N.While, _WHILE),
+    (N.Call, _CALL), (N.DeclStmt, _DECL_STMT), (N.Pragma, _PRAGMA),
+)
 
 #: ``type -> ("Name{", (("field", "field="), ...), kind)``, filled once
 #: per node class.
@@ -192,25 +191,22 @@ def _class_info(cls: type) -> _ClassInfo:
             for name in cls.__dataclass_fields__
             if name not in _META_FIELDS
         )
-        if issubclass(cls, N.FunctionDef):
-            kind = _FUNCTION
-        elif issubclass(cls, N.For):
-            kind = _FOR
-        elif issubclass(cls, N.While):
-            kind = _WHILE
-        elif issubclass(cls, N.DeclStmt):
-            kind = _DECL_STMT
-        else:
-            kind = _PLAIN
+        kind = next(
+            (kind for base, kind in _KINDS if issubclass(cls, base)), _PLAIN
+        )
         info = _CLASS_INFO[cls] = (cls.__name__ + "{", fields, kind)
     return info
+
+
+def _same_nodes(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 class DeclRecord:
     """What one pre-order walk of a declaration yields.
 
-    ``structural``/``exact``
-        The two hex digests described above.
+    ``structural``
+        The hex digest described above.
     ``pragma_free``
         Raw digest of the declaration as :func:`pragma_free_fingerprint`
         sees it (None for a top-level ``Pragma``, which it skips).
@@ -220,32 +216,37 @@ class DeclRecord:
         ``(function, loop)`` for every ``for``/``while`` loop, function
         by function: a function's ``for`` loops in pre-order, then its
         ``while`` loops.
-    ``arrays``
-        Names of the array-typed local declarations (``DeclStmt``s).
+    ``calls``/``decl_stmts``/``pragmas``
+        Every ``Call``, ``DeclStmt`` and ``Pragma`` node in pre-order,
+        as :func:`~repro.cfront.visitor.find_all` over the declaration
+        lists them (a top-level ``Pragma`` is its own pragma).
     ``loc``
         Non-blank lines the printer gives the declaration; filled on
         first use by :func:`unit_loc`, since only a compile needs it.
     """
 
     __slots__ = (
-        "structural", "exact", "pragma_free", "uids", "loops", "arrays", "loc"
+        "structural", "pragma_free", "uids", "loops", "calls", "decl_stmts",
+        "pragmas", "loc",
     )
 
-    def __init__(self, structural, exact, pragma_free, uids, loops, arrays):
+    def __init__(
+        self, structural, pragma_free, uids, loops, calls, decl_stmts, pragmas
+    ):
         self.structural: str = structural
-        self.exact: str = exact
         self.pragma_free: Optional[bytes] = pragma_free
         self.uids: List[int] = uids
         self.loops: List[Tuple[N.FunctionDef, N.Stmt]] = loops
-        self.arrays: Tuple[str, ...] = arrays
+        self.calls: List[N.Call] = calls
+        self.decl_stmts: List[N.DeclStmt] = decl_stmts
+        self.pragmas: List[N.Pragma] = pragmas
         self.loc: Optional[int] = None
 
     def same_as(self, other: "DeclRecord") -> bool:
-        """Equal in every field; loops compare by node identity and an
-        unfilled ``loc`` matches anything."""
+        """Equal in every field; node lists compare by node identity and
+        an unfilled ``loc`` matches anything."""
         return (
             self.structural == other.structural
-            and self.exact == other.exact
             and self.pragma_free == other.pragma_free
             and self.uids == other.uids
             and len(self.loops) == len(other.loops)
@@ -253,7 +254,9 @@ class DeclRecord:
                 a[0] is b[0] and a[1] is b[1]
                 for a, b in zip(self.loops, other.loops)
             )
-            and self.arrays == other.arrays
+            and _same_nodes(self.calls, other.calls)
+            and _same_nodes(self.decl_stmts, other.decl_stmts)
+            and _same_nodes(self.pragmas, other.pragmas)
             and (self.loc is None or other.loc is None or self.loc == other.loc)
         )
 
@@ -265,22 +268,20 @@ def build_record(node: N.Node) -> DeclRecord:
     class name and ``{`` … ``}`` around ``field=value`` for every field
     but ``line``/``col``/``uid``; a child node is wrapped in ``(`` … ``)``,
     a list in ``[`` … ``]``, and any other value is its ``repr`` plus
-    ``|``.  The exact stream adds ``line,col,uid;`` per node.  The
-    pragma-free stream is the structural one with every node's line,
-    without pragmas in lists, and with a pragma that fills a
-    single-statement slot read as ``(Empty{line})``.
+    ``|``.  The pragma-free stream is the structural one with every
+    node's line, without pragmas in lists, and with a pragma that fills
+    a single-statement slot read as ``(Empty{line})``.
     """
     # Pieces are kept as text and encoded once: UTF-8 of a concatenation
     # is the concatenation of the pieces' UTF-8.
     structural: List[str] = []
-    meta: List[str] = []
     free: List[str] = []
     uids: List[int] = []
     loops: List[Tuple[N.FunctionDef, N.Stmt]] = []
-    arrays: List[str] = []
-    s_add, m_add, p_add, uid_add = (
-        structural.append, meta.append, free.append, uids.append
-    )
+    calls: List[N.Call] = []
+    decl_stmts: List[N.DeclStmt] = []
+    pragmas: List[N.Pragma] = []
+    s_add, p_add, uid_add = structural.append, free.append, uids.append
     Node, Pragma, class_info = N.Node, N.Pragma, _CLASS_INFO.get
     # The function being walked and its ``while`` loops, which follow
     # its ``for`` loops.
@@ -292,25 +293,25 @@ def build_record(node: N.Node) -> DeclRecord:
         cls = type(node)
         opening, fields, kind = class_info(cls) or _class_info(cls)
         values = node.__dict__
-        uid = values["uid"]
-        line = values["line"]
-        uid_add(uid)
-        m_add(f"{line},{values['col']},{uid};")
+        uid_add(values["uid"])
         s_add(opening)
         if pf:
-            p_add(f"({opening}{line}")
-        if kind == _FUNCTION:
-            outer = func, whiles
-            func, whiles = node, []
-        elif func is not None:
-            if kind == _FOR:
-                loops.append((func, node))
-            elif kind == _WHILE:
-                whiles.append((func, node))
-            elif kind == _DECL_STMT and isinstance(
-                T.strip_typedefs(node.decl.type), T.ArrayType
-            ):
-                arrays.append(node.decl.name)
+            p_add(f"({opening}{values['line']}")
+        if kind:
+            if kind == _FUNCTION:
+                outer = func, whiles
+                func, whiles = node, []
+            elif kind == _CALL:
+                calls.append(node)
+            elif kind == _DECL_STMT:
+                decl_stmts.append(node)
+            elif kind == _PRAGMA:
+                pragmas.append(node)
+            elif func is not None:
+                if kind == _FOR:
+                    loops.append((func, node))
+                else:
+                    whiles.append((func, node))
         for field_name, label in fields:
             value = values[field_name]
             s_add(label)
@@ -367,25 +368,15 @@ def build_record(node: N.Node) -> DeclRecord:
     # The walkers reach each other through closure cells; unlinking them
     # frees the piece lists now instead of at the next cyclic collection.
     feed_node = feed_items = None
-    digest = hashlib.sha256("".join(structural).encode()).hexdigest()
-    exact = hashlib.sha256(
-        digest.encode() + b":"
-        + hashlib.sha256("".join(meta).encode()).hexdigest().encode()
-    ).hexdigest()
     return DeclRecord(
-        digest,
-        exact,
+        hashlib.sha256("".join(structural).encode()).hexdigest(),
         hashlib.sha256("".join(free).encode()).digest() if pf else None,
         uids,
         loops,
-        tuple(arrays),
+        calls,
+        decl_stmts,
+        pragmas,
     )
-
-
-def node_digests(node: N.Node) -> Tuple[str, str]:
-    """Compute ``(structural, exact)`` digests of *node* in one walk."""
-    record = build_record(node)
-    return record.structural, record.exact
 
 
 # --------------------------------------------------------------------------
@@ -434,19 +425,8 @@ def _verify(record: DeclRecord, node: N.Node) -> None:
         )
 
 
-def decl_digests(unit: N.TranslationUnit, node: N.Node) -> Tuple[str, str]:
-    """Memoized ``(structural, exact)`` digests of a top-level declaration
-    or struct method of *unit*."""
-    record = decl_record(unit, node)
-    return record.structural, record.exact
-
-
 def structural_fp(unit: N.TranslationUnit, node: N.Node) -> str:
     return decl_record(unit, node).structural
-
-
-def exact_fp(unit: N.TranslationUnit, node: N.Node) -> str:
-    return decl_record(unit, node).exact
 
 
 def unit_fingerprint(unit: N.TranslationUnit) -> str:
@@ -491,6 +471,15 @@ def unit_loops(unit: N.TranslationUnit) -> List[Tuple[N.FunctionDef, N.Stmt]]:
     for decl in unit.decls:
         loops.extend(decl_record(unit, decl).loops)
     return loops
+
+
+def unit_pragmas(unit: N.TranslationUnit) -> List[N.Pragma]:
+    """Every pragma of *unit* in walk order."""
+    return [
+        pragma
+        for decl in unit.decls
+        for pragma in decl_record(unit, decl).pragmas
+    ]
 
 
 def unit_loc(unit: N.TranslationUnit) -> int:

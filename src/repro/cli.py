@@ -58,7 +58,12 @@ def _parse_host_args(text: str) -> List[Any]:
         try:
             out.append(int(item, 0))
         except ValueError:
-            out.append(float(item))
+            try:
+                out.append(float(item))
+            except ValueError:
+                raise ReproError(
+                    f"--host-args item {item!r} is not a number"
+                ) from None
     return out
 
 
@@ -615,6 +620,7 @@ def _resolve_trace_out(args: argparse.Namespace) -> Optional[str]:
 def _export_observability(
     recorder: TraceRecorder,
     args: argparse.Namespace,
+    command: List[str],
     trace_out: Optional[str],
     metrics_out: Optional[str],
 ) -> None:
@@ -627,13 +633,14 @@ def _export_observability(
     }
     subject = getattr(args, "run", None) or getattr(args, "file", None) or ""
     if trace_out:
-        write_journal(recorder, trace_out,
-                      manifest=run_manifest(config=config, subject=subject))
+        write_journal(recorder, trace_out, manifest=run_manifest(
+            command=command, config=config, subject=subject))
     if metrics_out:
         write_metrics(recorder, metrics_out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     configure_logging(getattr(args, "log_level", None),
                       getattr(args, "quiet", False))
@@ -642,7 +649,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the default.
         set_default_backend(args.interp_backend)
     try:
-        return _run_command(args)
+        return _run_command(args, ["repro", *argv])
     except BrokenPipeError:
         raise  # the __main__ shim maps it to the SIGPIPE exit status
     except (ReproError, OSError, sqlite3.DatabaseError) as exc:
@@ -652,7 +659,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
-def _run_command(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace, command: List[str]) -> int:
     trace_out = _resolve_trace_out(args)
     metrics_out = getattr(args, "metrics_out", None)
     progress = bool(getattr(args, "progress", False))
@@ -671,7 +678,7 @@ def _run_command(args: argparse.Namespace) -> int:
                 sink.close()
             except Exception:
                 pass
-        _export_observability(recorder, args, trace_out, metrics_out)
+        _export_observability(recorder, args, command, trace_out, metrics_out)
         install_recorder(previous)
 
 

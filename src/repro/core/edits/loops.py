@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...cfront import nodes as N
 from ...cfront import typesys as T
-from ...cfront.fingerprint import unit_loops
+from ...cfront.fingerprint import decl_record, unit_loops, unit_pragmas
 from ...cfront.visitor import find_all, find_parent
 from ...hls.diagnostics import ErrorType
 from ...hls.pragmas import loop_pragmas, parse_pragma
@@ -467,7 +467,7 @@ class PerfPragmaEdit(Edit):
             else None
         )
         partitions: Dict[str, int] = {}
-        for pragma_node in find_all(unit, N.Pragma):
+        for pragma_node in unit_pragmas(unit):
             pragma = parse_pragma(pragma_node)
             if (
                 pragma is not None
@@ -606,7 +606,7 @@ class PerfPragmaEdit(Edit):
         out: List[EditApplication] = []
         unit = candidate.unit
         partitioned: Set[str] = set()
-        for pragma_node in find_all(unit, N.Pragma):
+        for pragma_node in unit_pragmas(unit):
             pragma = parse_pragma(pragma_node)
             if pragma is not None and pragma.directive == "array_partition":
                 partitioned.add(pragma.variable)
@@ -614,7 +614,7 @@ class PerfPragmaEdit(Edit):
             if func.body is None:
                 continue
             local_arrays: Dict[str, int] = {}
-            for decl_stmt in find_all(func.body, N.DeclStmt):
+            for decl_stmt in decl_record(unit, func).decl_stmts:
                 resolved = T.strip_typedefs(decl_stmt.decl.type)
                 if isinstance(resolved, T.ArrayType) and resolved.size:
                     local_arrays[decl_stmt.decl.name] = resolved.size

@@ -26,16 +26,15 @@ asymmetry is the subject of the Figure 9 ablation.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import exact_fp, unit_loc
+from ..cfront.fingerprint import DeclRecord, decl_record, unit_loc
 from ..cfront.visitor import find_all
 from ..obs import SPAN_HLS_COMPILE, get_recorder
 from . import diagnostics as D
 from .clock import ACT_HLS_COMPILE, SimulatedClock
-from ..memo import AnalysisCache
 from .platform import DEVICES, SolutionConfig
 from .pragmas import has_dataflow, loop_pragmas, parse_pragma
 from .schedule import estimate, static_tripcount
@@ -44,13 +43,6 @@ from .schedule import estimate, static_tripcount
 #: per-line cost, landing in the "minutes" regime the paper describes.
 COMPILE_BASE_SECONDS = 90.0
 COMPILE_SECONDS_PER_LOC = 1.5
-
-#: Diagnostic memo, content-addressed by AST fingerprints (see
-#: :mod:`repro.cfront.fingerprint`).  Diagnostic tuples are keyed by the
-#: *exact* fingerprint — equal exact digests mean value-identical
-#: subtrees, so the cached diagnostics (which embed node uids) are
-#: bit-identical to a recomputation.
-_DIAG_MEMO = AnalysisCache("compile.check_diags")
 
 #: Real (not simulated) invocations of :func:`compile_unit` since process
 #: start.  The evaluation cache asserts against this: a cache hit must
@@ -100,43 +92,26 @@ class _Checker:
         self.config = config
         self.diags: List[D.Diagnostic] = []
         self.functions = {f.name: f for f in unit.functions() if f.body is not None}
-        # Every check walks the same call graph and declaration set; the
-        # unit is immutable for the lifetime of one compilation, so both
-        # are computed once and reused across all ~10 checks.
-        self._reachable: Optional[List[N.FunctionDef]] = None
-        self._var_decls: Optional[List[N.VarDecl]] = None
-
-    # -- incremental helpers -----------------------------------------------------
-
-    def _memo_diags(
-        self,
-        check: str,
-        func: N.FunctionDef,
-        context: Hashable,
-        compute: Callable[[], Sequence[D.Diagnostic]],
-    ) -> None:
-        """Append *compute*'s per-function diagnostics, memoized by the
-        function's exact fingerprint plus whatever unit-level *context*
-        the check reads.  Each check keeps its own outer loop over the
-        reachable functions, so the report's diagnostic order is exactly
-        the legacy order whether entries hit or miss."""
-        self.diags.extend(
-            _DIAG_MEMO.get_or_compute(
-                lambda: (check, exact_fp(self.unit, func), context),
-                lambda: tuple(compute()),
+        # Every check reads the functions' declaration records (see
+        # repro.cfront.fingerprint), each read once per compile, and the
+        # call graph's named callees in syntactic order, duplicates kept:
+        # reachability pushes them on a stack, so the sequence (not the
+        # set) determines traversal order.
+        self._records: Dict[int, DeclRecord] = {
+            f.uid: decl_record(unit, f)
+            for f in unit.functions()
+            if f.body is not None
+        }
+        self._callees: Dict[int, Tuple[str, ...]] = {
+            uid: tuple(
+                call.callee_name for call in record.calls if call.callee_name
             )
-        )
+            for uid, record in self._records.items()
+        }
+        self._reachable: Optional[List[N.FunctionDef]] = None
 
-    def _callee_seq(self, func: N.FunctionDef) -> Tuple[str, ...]:
-        """Named callees of *func* in syntactic order, duplicates kept —
-        reachability pushes them on a stack, so the sequence (not the
-        set) determines traversal order."""
-        assert func.body is not None
-        return tuple(
-            call.callee_name
-            for call in find_all(func.body, N.Call)
-            if call.callee_name
-        )
+    def _locals(self, func: N.FunctionDef) -> List[N.VarDecl]:
+        return [d.decl for d in self._records[func.uid].decl_stmts]
 
     def run(self) -> D.CompileReport:
         self._check_top_function()
@@ -190,7 +165,7 @@ class _Checker:
             seen.add(name)
             func = self.functions[name]
             order.append(func)
-            stack.extend(self._callee_seq(func))
+            stack.extend(self._callees[func.uid])
         # Struct methods are reachable whenever their struct is used.
         for decl in self.unit.decls:
             if isinstance(decl, N.StructDef):
@@ -200,7 +175,7 @@ class _Checker:
     def _check_recursion(self) -> None:
         graph: Dict[str, Set[str]] = {}
         for func in self._reachable_functions():
-            graph[func.name] = set(self._callee_seq(func))
+            graph[func.name] = set(self._callees[func.uid])
         for name in graph:
             if self._reaches(graph, name, name):
                 func = self.functions.get(name)
@@ -223,73 +198,35 @@ class _Checker:
 
     def _check_dynamic_memory(self) -> None:
         for func in self._reachable_functions():
-            self._memo_diags(
-                "dynamic_memory",
-                func,
-                (),
-                lambda f=func: self._dynamic_memory_diags(f),
-            )
+            self.diags.extend(self._dynamic_memory_diags(func))
 
     def _dynamic_memory_diags(self, func: N.FunctionDef) -> List[D.Diagnostic]:
-        assert func.body is not None
         return [
-            D.dynamic_alloc_error(self._alloc_symbol(call, func), call.uid)
-            for call in find_all(func.body, N.Call)
+            D.dynamic_alloc_error(func.name, call.uid)
+            for call in self._records[func.uid].calls
             if call.callee_name in ("malloc", "calloc", "realloc", "free")
         ]
 
-    @staticmethod
-    def _alloc_symbol(call: N.Call, func: N.FunctionDef) -> str:
-        return func.name
-
     def _check_unknown_arrays(self) -> None:
-        # Same decl order as the legacy `_all_var_decls` walk: globals
-        # first, then each reachable function's locals.
+        # Globals first, then each reachable function's locals.
         self.diags.extend(_unknown_array_diags(self.unit.globals()))
         for func in self._reachable_functions():
-            self._memo_diags(
-                "unknown_arrays",
-                func,
-                (),
-                lambda f=func: _unknown_array_diags(_local_decls(f)),
-            )
+            self.diags.extend(_unknown_array_diags(self._locals(func)))
 
     # -- Unsupported Data Types ------------------------------------------------------
-
-    def _all_var_decls(self) -> List[N.VarDecl]:
-        if self._var_decls is not None:
-            return self._var_decls
-        decls = list(self.unit.globals())
-        for func in self._reachable_functions():
-            assert func.body is not None
-            decls.extend(d.decl for d in find_all(func.body, N.DeclStmt))
-        self._var_decls = decls
-        return decls
 
     def _check_pointers(self) -> None:
         top = self.config.top_name
         for func in self._reachable_functions():
-            # Whether the function is the top affects the verdict, so it
-            # is part of the memo context.
-            self._memo_diags(
-                "pointers.params",
-                func,
-                func.name == top,
-                lambda f=func: self._pointer_param_diags(f, f.name == top),
-            )
+            self.diags.extend(self._pointer_param_diags(func, func.name == top))
         for decl in self.unit.globals():
             if self._contains_pointer(decl.type):
                 self.diags.append(D.pointer_error(decl.name, decl.uid))
         for func in self._reachable_functions():
-            self._memo_diags(
-                "pointers.locals",
-                func,
-                (),
-                lambda f=func: [
-                    D.pointer_error(d.name, d.uid)
-                    for d in _local_decls(f)
-                    if self._contains_pointer(d.type)
-                ],
+            self.diags.extend(
+                D.pointer_error(d.name, d.uid)
+                for d in self._locals(func)
+                if self._contains_pointer(d.type)
             )
         for sdef in self.unit.decls:
             if isinstance(sdef, N.StructDef):
@@ -323,19 +260,9 @@ class _Checker:
     def _check_unsupported_types(self) -> None:
         self.diags.extend(_unsupported_type_diags(self.unit.globals()))
         for func in self._reachable_functions():
-            self._memo_diags(
-                "unsupported.locals",
-                func,
-                (),
-                lambda f=func: _unsupported_type_diags(_local_decls(f)),
-            )
+            self.diags.extend(_unsupported_type_diags(self._locals(func)))
         for func in self._reachable_functions():
-            self._memo_diags(
-                "unsupported.signature",
-                func,
-                (),
-                lambda f=func: self._unsupported_signature_diags(f),
-            )
+            self.diags.extend(self._unsupported_signature_diags(func))
 
     @staticmethod
     def _unsupported_signature_diags(func: N.FunctionDef) -> List[D.Diagnostic]:
@@ -361,12 +288,7 @@ class _Checker:
         repair puts the helpers it generates.
         """
         for func in self._reachable_functions():
-            self._memo_diags(
-                "implicit_conversions",
-                func,
-                (),
-                lambda f=func: self._implicit_conversion_diags(f),
-            )
+            self.diags.extend(self._implicit_conversion_diags(func))
 
     def _implicit_conversion_diags(self, func: N.FunctionDef) -> List[D.Diagnostic]:
         out: List[D.Diagnostic] = []
@@ -409,10 +331,9 @@ class _Checker:
         for param in func.params:
             if isinstance(T.strip_typedefs(param.type), T.FpgaFloatType):
                 names.add(param.name)
-        assert func.body is not None
-        for decl_stmt in find_all(func.body, N.DeclStmt):
-            if isinstance(T.strip_typedefs(decl_stmt.decl.type), T.FpgaFloatType):
-                names.add(decl_stmt.decl.name)
+        for decl in self._locals(func):
+            if isinstance(T.strip_typedefs(decl.type), T.FpgaFloatType):
+                names.add(decl.name)
         return names
 
     # -- Struct and Union ----------------------------------------------------------------
@@ -423,28 +344,15 @@ class _Checker:
             if isinstance(decl, N.StructDef):
                 assert isinstance(decl.type, T.StructType)
                 struct_defs[decl.tag] = decl.type
-        # The verdict for one function also reads the unit's struct
-        # definitions; their canonical reprs join the memo key.
-        structs_key = tuple(
-            (tag, repr(stype)) for tag, stype in struct_defs.items()
-        )
         for func in self._reachable_functions():
-            self._memo_diags(
-                "structs_streams",
-                func,
-                structs_key,
-                lambda f=func: self._struct_stream_diags(f, struct_defs),
-            )
+            self.diags.extend(self._struct_stream_diags(func, struct_defs))
 
-    @staticmethod
     def _struct_stream_diags(
-        func: N.FunctionDef, struct_defs: Dict[str, T.StructType]
+        self, func: N.FunctionDef, struct_defs: Dict[str, T.StructType]
     ) -> List[D.Diagnostic]:
         out: List[D.Diagnostic] = []
-        assert func.body is not None
         in_dataflow = has_dataflow(func)
-        for decl_stmt in find_all(func.body, N.DeclStmt):
-            decl = decl_stmt.decl
+        for decl in self._locals(func):
             resolved = T.strip_typedefs(decl.type)
             if isinstance(resolved, T.StructType):
                 definition = struct_defs.get(resolved.tag, resolved)
@@ -462,22 +370,14 @@ class _Checker:
 
     def _check_array_partition(self) -> None:
         sizes = self._array_sizes()
-        sizes_key = tuple(sorted(sizes.items()))
         for func in self._reachable_functions():
-            self._memo_diags(
-                "array_partition",
-                func,
-                sizes_key,
-                lambda f=func: self._array_partition_diags(f, sizes),
-            )
+            self.diags.extend(self._array_partition_diags(func, sizes))
 
-    @staticmethod
     def _array_partition_diags(
-        func: N.FunctionDef, sizes: Dict[str, int]
+        self, func: N.FunctionDef, sizes: Dict[str, int]
     ) -> List[D.Diagnostic]:
         out: List[D.Diagnostic] = []
-        assert func.body is not None
-        for pragma_node in find_all(func.body, N.Pragma):
+        for pragma_node in self._records[func.uid].pragmas:
             pragma = parse_pragma(pragma_node)
             if pragma is None or pragma.directive != "array_partition":
                 continue
@@ -494,7 +394,10 @@ class _Checker:
 
     def _array_sizes(self) -> Dict[str, int]:
         sizes: Dict[str, int] = {}
-        for decl in self._all_var_decls():
+        decls = list(self.unit.globals())
+        for func in self._reachable_functions():
+            decls.extend(self._locals(func))
+        for decl in decls:
             resolved = T.strip_typedefs(decl.type)
             if isinstance(resolved, T.ArrayType) and resolved.size is not None:
                 sizes[decl.name] = resolved.size
@@ -577,12 +480,9 @@ class _Checker:
                 return isinstance(
                     T.strip_typedefs(param.type), (T.ArrayType, T.PointerType)
                 )
-        assert func.body is not None
-        for decl_stmt in find_all(func.body, N.DeclStmt):
-            if decl_stmt.decl.name == name:
-                return isinstance(
-                    T.strip_typedefs(decl_stmt.decl.type), T.ArrayType
-                )
+        for decl in self._locals(func):
+            if decl.name == name:
+                return isinstance(T.strip_typedefs(decl.type), T.ArrayType)
         for decl in self.unit.globals():
             if decl.name == name:
                 return isinstance(T.strip_typedefs(decl.type), T.ArrayType)
@@ -592,19 +492,13 @@ class _Checker:
 
     def _check_loop_pragmas(self) -> None:
         for func in self._reachable_functions():
-            self._memo_diags(
-                "loop_pragmas",
-                func,
-                (),
-                lambda f=func: self._loop_pragma_diags(f),
-            )
+            self.diags.extend(self._loop_pragma_diags(func))
 
-    @staticmethod
-    def _loop_pragma_diags(func: N.FunctionDef) -> List[D.Diagnostic]:
+    def _loop_pragma_diags(self, func: N.FunctionDef) -> List[D.Diagnostic]:
         out: List[D.Diagnostic] = []
-        assert func.body is not None
         dataflow = has_dataflow(func)
-        for loop in find_all(func.body, N.For) + list(find_all(func.body, N.While)):
+        # A function's ``for`` loops in pre-order, then its ``while`` loops.
+        for _, loop in self._records[func.uid].loops:
             body = loop.body
             pragmas = loop_pragmas(body)
             unroll = next((p for p in pragmas if p.directive == "unroll"), None)
@@ -636,11 +530,6 @@ class _Checker:
             return
         for resource, used, available in report.resources.overflows(device):
             self.diags.append(D.resource_error(resource, used, available))
-
-
-def _local_decls(func: N.FunctionDef) -> List[N.VarDecl]:
-    assert func.body is not None
-    return [d.decl for d in find_all(func.body, N.DeclStmt)]
 
 
 def _unknown_array_diags(decls: Sequence[N.VarDecl]) -> List[D.Diagnostic]:

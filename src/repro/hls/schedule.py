@@ -31,12 +31,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfront import nodes as N
 from ..cfront import typesys as T
-from ..cfront.fingerprint import structural_fp
+from ..cfront.fingerprint import DeclRecord, decl_record, structural_fp
 from ..cfront.visitor import find_all
 from ..obs import SPAN_SCHEDULE, get_recorder
 from ..memo import AnalysisCache
 from .platform import OFFLOAD_OVERHEAD_NS, ResourceUsage, SolutionConfig
-from .pragmas import function_pragmas, loop_pragmas
+from .pragmas import function_pragmas, loop_pragmas, parse_pragma
 
 #: Default tripcount guess for loops whose bound the model cannot see.
 DEFAULT_TRIPCOUNT = 16
@@ -93,6 +93,12 @@ class Scheduler:
         self._partitions: Dict[str, int] = {}
         #: typing environment of the current function (set per function).
         self._env = None
+        #: the functions' declaration records by uid, each read once.
+        self._records: Dict[int, DeclRecord] = {
+            f.uid: decl_record(unit, f)
+            for f in unit.functions()
+            if f.body is not None
+        }
         #: per-scheduler memo of cost fingerprints; None marks functions
         #: on a recursive cycle (never memoized globally).
         self._fp_cache: Dict[str, Optional[str]] = {}
@@ -204,9 +210,10 @@ class Scheduler:
             return None
         _stack.add(name)
         digest = hashlib.sha256()
-        digest.update(structural_fp(self.unit, func).encode())
+        record = self._records[func.uid]
+        digest.update(record.structural.encode())
         acyclic = True
-        for call in find_all(func.body, N.Call):
+        for call in record.calls:
             callee = call.callee_name
             if not callee:
                 continue
@@ -244,10 +251,7 @@ class Scheduler:
 
     def _collect_partitions(self, func: N.FunctionDef) -> Dict[str, int]:
         partitions: Dict[str, int] = {}
-        assert func.body is not None
-        for pragma_node in find_all(func.body, N.Pragma):
-            from .pragmas import parse_pragma
-
+        for pragma_node in self._records[func.uid].pragmas:
             pragma = parse_pragma(pragma_node)
             if pragma is not None and pragma.directive == "array_partition":
                 factor = pragma.factor or 2
@@ -316,13 +320,10 @@ class Scheduler:
         if isinstance(stmt, (N.While, N.DoWhile)):
             return self._loop_cost(stmt, stmt.body, None)
         if isinstance(stmt, N.For):
-            return self._loop_cost(stmt, stmt.body, self._static_tripcount(stmt))
+            return self._loop_cost(stmt, stmt.body, static_tripcount(stmt))
         return 1.0, ResourceUsage()
 
     # -- loops ------------------------------------------------------------------------
-
-    def _static_tripcount(self, loop: N.For) -> Optional[int]:
-        return static_tripcount(loop)
 
     def _loop_cost(
         self, loop: N.Stmt, body: N.Stmt, static_n: Optional[int]
@@ -366,12 +367,9 @@ class Scheduler:
 
     def _body_calls_loopy(self, body: N.Stmt) -> bool:
         for call in find_all(body, N.Call):
-            name = call.callee_name
-            if name and name in self.functions:
-                func = self.functions[name]
-                assert func.body is not None
-                if find_all(func.body, N.For) or find_all(func.body, N.While):
-                    return True
+            func = self.functions.get(call.callee_name)
+            if func is not None and self._records[func.uid].loops:
+                return True
         return False
 
     def _memory_parallelism(self, body: N.Stmt) -> int:
@@ -499,7 +497,7 @@ class Scheduler:
         for func in self.unit.functions():
             if func.body is None:
                 continue
-            for decl_stmt in find_all(func.body, N.DeclStmt):
+            for decl_stmt in self._records[func.uid].decl_stmts:
                 resolved = T.strip_typedefs(decl_stmt.decl.type)
                 if isinstance(resolved, T.ArrayType):
                     arrays.append((resolved, 1))

@@ -97,7 +97,9 @@ def _visible_arrays(unit: N.TranslationUnit, func: N.FunctionDef) -> Set[str]:
         resolved = T.strip_typedefs(param.type)
         if isinstance(resolved, (T.ArrayType, T.PointerType)):
             names.add(param.name)
-    names.update(decl_record(unit, func).arrays)
+    for decl_stmt in decl_record(unit, func).decl_stmts:
+        if isinstance(T.strip_typedefs(decl_stmt.decl.type), T.ArrayType):
+            names.add(decl_stmt.decl.name)
     return names
 
 

@@ -3,13 +3,11 @@
 Across a repair search the same (function-content, context) point is
 analysed hundreds of times, because each candidate differs from its
 parent by one edit.  An :class:`AnalysisCache` memoizes such pure
-sub-results.  There are four tables:
+sub-results.  There are three tables:
 
-* ``compile.check_diags`` — the synthesizability checker's per-function
-  diagnostics, keyed by exact AST fingerprints (see
-  :mod:`repro.cfront.fingerprint`);
 * ``schedule.function_cost`` — the scheduler's per-function cycles and
-  resources, keyed by structural fingerprints;
+  resources, keyed by structural AST fingerprints (see
+  :mod:`repro.cfront.fingerprint`);
 * ``batch.code`` — the batch interpreter's compiled code objects, keyed
   by a digest of the generated source;
 * ``simulate.outcomes`` — co-simulation's per-test outcomes of each
@@ -24,15 +22,16 @@ else — no key is built, no table is touched.
 
 Rules for what may live in a cache:
 
-* **pure computation only** — diagnostics, violation tuples, cycle
-  counts, frozen resource snapshots, co-simulation outcomes.  Never
+* **pure computation only** — cycle counts, frozen resource snapshots,
+  compiled code objects, co-simulation outcomes.  Never
   simulated-clock charges, never invocation-counter bumps: those belong
   to the live pipeline so cached and uncached runs stay bit-identical in
   every reported measurement;
 * values must be immutable (tuples of frozen dataclasses) or defensively
   copied by the caller on every hit;
 * keys must capture *all* inputs of the computation — the function's
-  exact fingerprint plus whatever unit-level context the analysis reads.
+  structural fingerprint plus whatever unit-level context the analysis
+  reads.
 
 In cross-check mode (``REPRO_INCREMENTAL=cross``) every hit recomputes
 the value and raises :class:`~repro.cfront.fingerprint.IncrementalMismatch`
@@ -54,8 +53,9 @@ from .cfront.fingerprint import (
     incremental_enabled,
 )
 
-#: Per-cache capacity.  Entries are small (tuples of diagnostics or a
-#: handful of numbers); a few thousand cover the largest search runs.
+#: Per-cache capacity.  Entries are small (a handful of numbers, a code
+#: object, a tuple of outcomes); a few thousand cover the largest search
+#: runs.
 DEFAULT_MAX_ENTRIES = 4096
 
 _REGISTRY: List["AnalysisCache"] = []

@@ -130,7 +130,7 @@ def git_describe() -> Optional[str]:
 
 
 def run_manifest(
-    command: Optional[List[str]] = None,
+    command: List[str],
     config: Optional[Dict[str, Any]] = None,
     subject: str = "",
 ) -> Dict[str, Any]:
@@ -140,7 +140,7 @@ def run_manifest(
     return {
         "toolchain_salt": toolchain_salt(),
         "subject": subject,
-        "command": list(command) if command is not None else list(sys.argv),
+        "command": list(command),
         "config": config or {},
         "python": sys.version.split()[0],
         "platform": sys.platform,

@@ -4,7 +4,9 @@ computation it replaced.
 The references below are the walks the consumers used to make: a render
 for the LOC count, ``unit.walk()`` for the canonical uid space, a
 per-function walk for the loop list, a per-declaration walk for the
-owning declaration, and a streamed hash for the pragma-free digest.  They
+owning declaration and for the call, declaration and pragma lists, a
+streamed hash for the pragma-free digest, and, for the HLS model, a
+compile and a schedule of a fresh clone that inherits no record.  They
 run over the ten subjects, the generated programs, and every child a
 default-config P3 and P5 search builds.
 """
@@ -27,8 +29,9 @@ from repro.core.edits.base import Candidate, owning_decl_names
 from repro.core.edits.loops import _clone_at_loop, _find_loop
 from repro.hls import stylecheck
 from repro.hls.compiler import COMPILE_BASE_SECONDS, COMPILE_SECONDS_PER_LOC
-from repro.hls.compiler import compile_seconds_for
+from repro.hls.compiler import compile_seconds_for, compile_unit
 from repro.hls.platform import SolutionConfig
+from repro.hls.schedule import estimate
 from repro.subjects import all_subjects, generated_subjects, get_subject
 
 #: Search children are large in number; the quadratic references check
@@ -259,3 +262,40 @@ def test_pragma_free_digest_partitions_like_the_streamed_one(units):
         map(sorted, by_record.values())
     )
     assert len(by_record) > 10
+
+
+def _declarations(unit):
+    for decl in unit.decls:
+        yield decl
+        if isinstance(decl, N.StructDef):
+            yield from decl.methods
+
+
+def _same_nodes(got, expected):
+    return len(got) == len(expected) and all(
+        a is b for a, b in zip(got, expected)
+    )
+
+
+def test_node_lists_match_a_declaration_walk(units):
+    for unit in units:
+        for decl in _declarations(unit):
+            record = fp.decl_record(unit, decl)
+            assert _same_nodes(record.calls, find_all(decl, N.Call))
+            assert _same_nodes(record.decl_stmts, find_all(decl, N.DeclStmt))
+            assert _same_nodes(record.pragmas, find_all(decl, N.Pragma))
+
+
+def test_hls_model_on_records_matches_a_fresh_clone(children):
+    """Compile diagnostics and the schedule read from a child's inherited
+    records equal those of a clone that starts with no record table,
+    computed with every memo off."""
+    for child in children:
+        config = SolutionConfig(top_name=child.top_name)
+        diagnostics = compile_unit(child, config).diagnostics
+        schedule = estimate(child, config)
+        with fp.forced_mode("off"):
+            fresh = N.clone(child)
+            assert fp.FP_TABLE_ATTR not in fresh.__dict__
+            assert compile_unit(fresh, config).diagnostics == diagnostics
+            assert estimate(fresh, config) == schedule

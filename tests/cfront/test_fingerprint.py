@@ -1,8 +1,8 @@
 """Fingerprint semantics (the contract every incremental cache rests on).
 
 Structural digests must be blind to bookkeeping (uids, lines) and
-sensitive to every semantic token; exact digests must additionally pin
-the bookkeeping, so exact-equality means value-identity.
+sensitive to every semantic token; a declaration's record is inherited
+only where its declaration is clean, and ``cross`` mode re-checks it.
 """
 
 import itertools
@@ -49,11 +49,6 @@ def test_reparse_hashes_structurally_equal():
             b, _func(b, name)
         )
     assert fp.unit_fingerprint(a) == fp.unit_fingerprint(b)
-    # The second parse drew fresh uids, so the *exact* digests differ:
-    # they pin bookkeeping on purpose.
-    assert fp.exact_fp(a, _func(a, "kernel")) != fp.exact_fp(
-        b, _func(b, "kernel")
-    )
 
 
 @pytest.mark.parametrize(
@@ -90,14 +85,17 @@ def test_declaration_order_changes_unit_digest():
 
 def test_clone_roundtrip_preserves_both_digests():
     unit = parse(SOURCE, top_name="kernel")
-    structural = fp.structural_fp(unit, _func(unit, "kernel"))
-    exact = fp.exact_fp(unit, _func(unit, "kernel"))
+    record = fp.decl_record(unit, _func(unit, "kernel"))
     copied = clone(unit)
-    # clone() preserves uids/lines, so even the exact digest survives —
-    # and the clone starts with an empty table (recomputed, not inherited).
+    # clone() preserves lines and uids, so the structural and pragma-free
+    # digests survive — and the clone starts with an empty table
+    # (recomputed, not inherited).
     assert fp.FP_TABLE_ATTR not in copied.__dict__
-    assert fp.structural_fp(copied, _func(copied, "kernel")) == structural
-    assert fp.exact_fp(copied, _func(copied, "kernel")) == exact
+    fresh = fp.decl_record(copied, _func(copied, "kernel"))
+    assert fresh is not record
+    assert fresh.structural == record.structural
+    assert fresh.pragma_free == record.pragma_free
+    assert fresh.uids == record.uids
 
 
 def test_print_reparse_roundtrip_preserves_structural_digest():
@@ -116,8 +114,8 @@ def test_dirty_aware_clone_inherits_clean_entries_only():
         helper_uid = _func(unit, "helper").uid
         kernel_uid = _func(unit, "kernel").uid
         # Populate the parent's table.
-        fp.decl_digests(unit, _func(unit, "helper"))
-        fp.decl_digests(unit, _func(unit, "kernel"))
+        fp.decl_record(unit, _func(unit, "helper"))
+        fp.decl_record(unit, _func(unit, "kernel"))
         candidate = Candidate(
             unit=unit, config=SolutionConfig(top_name="kernel")
         )
@@ -125,16 +123,14 @@ def test_dirty_aware_clone_inherits_clean_entries_only():
         table = child.__dict__.get(fp.FP_TABLE_ATTR, {})
         assert helper_uid in table  # clean decl: digest inherited
         assert kernel_uid not in table  # dirty decl: recomputed lazily
-        # And the inherited entry matches a from-scratch recomputation.
-        entry = table[helper_uid]
-        assert (entry.structural, entry.exact) == fp.node_digests(
-            _func(child, "helper")
-        )
+        # And the inherited entry matches a from-scratch recomputation,
+        # node lists included: the clean helper is shared, not copied.
+        assert table[helper_uid].same_as(fp.build_record(_func(child, "helper")))
 
 
 def test_dirty_none_inherits_nothing():
     unit = parse(SOURCE, top_name="kernel")
-    fp.decl_digests(unit, _func(unit, "helper"))
+    fp.decl_record(unit, _func(unit, "helper"))
     candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
     child = cloned_unit(candidate, dirty=None)
     assert not child.__dict__.get(fp.FP_TABLE_ATTR)
@@ -150,8 +146,8 @@ def test_owning_decl_names_locates_enclosing_function():
 
 def test_mutation_after_dirty_clone_changes_only_dirty_digest():
     unit = parse(SOURCE, top_name="kernel")
-    fp.decl_digests(unit, _func(unit, "helper"))
-    fp.decl_digests(unit, _func(unit, "kernel"))
+    fp.decl_record(unit, _func(unit, "helper"))
+    fp.decl_record(unit, _func(unit, "kernel"))
     candidate = Candidate(unit=unit, config=SolutionConfig(top_name="kernel"))
     child = cloned_unit(candidate, dirty=["kernel"])
     lit = next(
@@ -167,18 +163,12 @@ def test_mutation_after_dirty_clone_changes_only_dirty_digest():
     assert fp.unit_fingerprint(child) != fp.unit_fingerprint(unit)
 
 
-#: Digests of :data:`SOURCE` parsed with uids counted from 1.  A change
-#: to the digest byte stream moves every persistent store key; it must
-#: show up here first.
+#: Structural digests of :data:`SOURCE` parsed with uids counted from 1.
+#: A change to the digest byte stream moves every persistent store key;
+#: it must show up here first.
 PINNED_UNIT = "12df12d100b13588a236c93a92eae97b76112e51f154e50198db8ff813fa7b4f"
-PINNED_KERNEL = (
-    "9dce7db66683f96331d3eef6355fb8d866d37a7e345a02606661a89767bdc56b",
-    "08dfa6c4bf8c9e8c58129c078124b0c0d2902248dbbaa2d0a44ad0b0445ff289",
-)
-PINNED_HELPER = (
-    "d85a28a3f4fd24434fe98dc88ef0ef7969f10b28128f31c0bb24d52fe1d8a4a0",
-    "15fcda2417b17fcc1a360577a52e7759b0464e7e350e7b90ff19e8189a9bef1d",
-)
+PINNED_KERNEL = "9dce7db66683f96331d3eef6355fb8d866d37a7e345a02606661a89767bdc56b"
+PINNED_HELPER = "d85a28a3f4fd24434fe98dc88ef0ef7969f10b28128f31c0bb24d52fe1d8a4a0"
 
 
 def test_digest_byte_stream_is_pinned():
@@ -189,9 +179,9 @@ def test_digest_byte_stream_is_pinned():
     finally:
         N._uid_counter = counter
     assert fp.unit_fingerprint(unit) == PINNED_UNIT
-    assert fp.node_digests(_func(unit, "kernel")) == PINNED_KERNEL
-    assert fp.node_digests(_func(unit, "helper")) == PINNED_HELPER
-    assert fp.decl_digests(unit, _func(unit, "kernel")) == PINNED_KERNEL
+    assert fp.build_record(_func(unit, "kernel")).structural == PINNED_KERNEL
+    assert fp.build_record(_func(unit, "helper")).structural == PINNED_HELPER
+    assert fp.structural_fp(unit, _func(unit, "kernel")) == PINNED_KERNEL
 
 
 def _child_with_planted_helper(mode, plant):
@@ -211,15 +201,26 @@ def _wrong_digest(record):
     return fp.build_record(N.Empty())
 
 
-def _wrong_uids(record):
+def _copy_record(record):
     planted = fp.build_record(N.Empty())
-    for name in ("structural", "exact", "pragma_free", "loops", "arrays"):
+    for name in fp.DeclRecord.__slots__:
         setattr(planted, name, getattr(record, name))
+    return planted
+
+
+def _wrong_uids(record):
+    planted = _copy_record(record)
     planted.uids = record.uids[:-1]
     return planted
 
 
-@pytest.mark.parametrize("plant", [_wrong_digest, _wrong_uids])
+def _wrong_calls(record):
+    planted = _copy_record(record)
+    planted.calls = record.calls + [N.Call(func=N.Ident(name="helper"))]
+    return planted
+
+
+@pytest.mark.parametrize("plant", [_wrong_digest, _wrong_uids, _wrong_calls])
 def test_cross_mode_rejects_a_wrong_inherited_record(plant):
     child = _child_with_planted_helper("cross", plant)
     with fp.forced_mode("cross"):

@@ -349,7 +349,8 @@ def _run_stages(unit):
 
 
 def _fresh_parse(source):
-    """Parse into the same uids every time, so exact digests match."""
+    """Parse into the same uids every time, so diagnostics (which carry
+    node uids) compare equal."""
     N._uid_counter = itertools.count(1)
     return parse(source, top_name="kernel")
 
@@ -362,8 +363,7 @@ def test_two_function_unit_reparsed_hits_the_memos():
         second = _run_stages(_fresh_parse(KERNEL_SRC))
         stats = analysis_cache_stats()
     assert second == first
-    for name in ("compile.check_diags", "schedule.function_cost"):
-        assert stats[name]["hits"] > 0, name
+    assert stats["schedule.function_cost"]["hits"] > 0
 
 
 def test_off_mode_builds_no_memo_key_and_touches_no_cache():

@@ -142,7 +142,7 @@ class TestStructure:
         assert fast.total_latency_ns == fast.kernel_latency_ns + OFFLOAD_OVERHEAD_NS
 
     def test_static_tripcount_recovery(self):
-        from repro.hls.schedule import Scheduler
+        from repro.hls.schedule import static_tripcount
         from repro.cfront import nodes as N
         from repro.cfront.visitor import find_all
 
@@ -151,11 +151,10 @@ class TestStructure:
             top_name="kernel",
         )
         loop = find_all(unit, N.For)[0]
-        sched = Scheduler(unit, SolutionConfig(top_name="kernel"))
-        assert sched._static_tripcount(loop) == 5
+        assert static_tripcount(loop) == 5
 
     def test_variable_bound_uses_default_tripcount(self):
-        from repro.hls.schedule import DEFAULT_TRIPCOUNT, Scheduler
+        from repro.hls.schedule import static_tripcount
         from repro.cfront import nodes as N
         from repro.cfront.visitor import find_all
 
@@ -164,8 +163,7 @@ class TestStructure:
             top_name="kernel",
         )
         loop = find_all(unit, N.For)[0]
-        sched = Scheduler(unit, SolutionConfig(top_name="kernel"))
-        assert sched._static_tripcount(loop) is None
+        assert static_tripcount(loop) is None
 
     def test_bram_scales_with_array_bits(self):
         narrow = parse("static fpga_uint<4> buf[4096];\nvoid kernel() {}", top_name="kernel")

@@ -421,6 +421,17 @@ class TestTraceOut:
         assert manifest["subject"] == str(kernel)
         assert manifest["config"]["top"] == "k"
 
+    def test_manifest_records_the_arguments_main_was_given(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        kernel = tmp_path / "kernel.c"
+        kernel.write_text(CLEAN_KERNEL)
+        argv = ["check", str(kernel), "--top", "k",
+                "--trace-out", str(tmp_path / "run.jsonl")]
+        assert main(argv) == 0
+        manifest = load_journal(argv[-1]).header["manifest"]
+        assert manifest["command"] == ["repro", *argv]
+
     def test_path_valued_repro_trace_names_the_journal(self, tmp_path,
                                                        monkeypatch, capsys):
         kernel = tmp_path / "kernel.c"

@@ -182,6 +182,18 @@ class TestRefusals:
         self._refused(capsys, ["fuzz", kernel_file, "--kernel", "nope"],
                       "fuzz", "no kernel function named 'nope'")
 
+    def test_transpile_refuses_host_args_that_are_no_numbers(
+            self, kernel_file, capsys):
+        self._refused(capsys, ["transpile", kernel_file, "--kernel", "smooth",
+                               "--host", "main", "--host-args", "1,abc"],
+                      "transpile", "--host-args item 'abc' is not a number")
+
+    def test_fuzz_refuses_host_args_that_are_no_numbers(
+            self, kernel_file, capsys):
+        self._refused(capsys, ["fuzz", kernel_file, "--kernel", "smooth",
+                               "--host", "main", "--host-args", "abc"],
+                      "fuzz", "--host-args item 'abc' is not a number")
+
     def test_transpile_refuses_a_store_that_is_no_database(
             self, kernel_file, tmp_path, capsys):
         store = tmp_path / "notdb.sqlite"
