@@ -9,7 +9,8 @@ without the code memo is the ``interp_compile`` stage of
 Each Table 3 subject's fuzz corpus is built once and replayed three ways:
 
 1. **per-input loop** — one ``run`` call per input on the batch engine
-   against the same loop on the tree-walker.  Target: >= 2x median.
+   (a one-input ``run_many`` batch) against the same loop on the
+   tree-walker.  Target: >= 2x median.
 2. **pooled pass** — one ``run_many`` call on the batch engine against
    the tree-walker's per-input loop (the loop ``engine_run_many`` falls
    back to for an engine without ``run_many``).  Target: >= 1.5x median.

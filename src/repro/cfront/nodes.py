@@ -199,7 +199,7 @@ def cow_clone_unit(
 def clone(node: NodeT) -> NodeT:
     """Copy a subtree for in-place rewriting, preserving node uids.
 
-    Edits operate on clones so the pristine program survives; preserved
+    Edits operate on clones so the unedited program survives; preserved
     uids let diagnostics produced against the original still locate nodes
     in the copy.  Nodes are copied with :func:`copy_tree`; a whole unit
     also goes through :func:`clone_unit_with`, which drops its cached

@@ -10,9 +10,10 @@ initializers are one more generated function.  On top of that sits
 :class:`BatchEngine` with ``run_many(func_name, arg_sets)``: the unit is
 compiled once, one :class:`Runtime` is pooled across the whole batch
 (coverage and profile recorders are handed off per input, arenas reset
-instead of reallocate, the global frame is snapshot/replayed when
-provably safe), and each input is fault-isolated so a faulting sibling
-never poisons the rest.
+instead of reallocate, the global frame is rebuilt by the generated
+initializer), and each input is fault-isolated so a faulting sibling
+never poisons the rest.  ``run`` is a batch of one, so every execution
+takes the same path.
 
 Charge semantics are bit-identical per input to the tree-walker
 (:mod:`.interpreter` is the specification of every charge, its order
@@ -37,9 +38,9 @@ code object into its own constant pool, so identical source gives an
 identical function bound to that program's objects.
 
 :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs the
-tree-walker and the batch engine on every input and asserts bit-identical
-results.  The backend registry (:data:`BACKENDS`, :func:`make_engine`)
-lives here too.
+tree-walker and batch's pooled pass on every input and asserts
+bit-identical results.  The backend registry (:data:`BACKENDS`,
+:func:`make_engine`) lives here too.
 """
 
 from __future__ import annotations
@@ -588,48 +589,6 @@ class _ConstPool:
 def _blk(lines: List[str]) -> List[str]:
     """Indent a block one level (pass body for an ``if``/``try`` header)."""
     return ["    " + line for line in lines] if lines else ["    pass"]
-
-
-#: Node types allowed in a global initializer for the snapshot/replay
-#: fast path of ``run_many``.  Anything that can touch coverage, the
-#: value profile, statics, or captured args (calls, assignments,
-#: short-circuit / ternary branches) disqualifies the unit: those effects
-#: would recur per input under full re-init but not under replay.
-_POOLABLE_INIT_NODES = (
-    N.IntLit, N.FloatLit, N.CharLit, N.StringLit, N.Ident, N.UnOp,
-    N.BinOp, N.Index, N.SizeofType, N.SizeofExpr, N.Cast, N.InitList,
-)
-
-
-def _poolable_init_expr(expr: Optional[N.Expr]) -> bool:
-    if expr is None:
-        return True
-    if not isinstance(expr, _POOLABLE_INIT_NODES):
-        return False
-    if isinstance(expr, N.BinOp) and expr.op in ("&&", "||"):
-        return False
-    return all(
-        _poolable_init_expr(child)
-        for child in expr.children()
-        if isinstance(child, N.Expr)
-    )
-
-
-def _poolable_globals(unit: N.TranslationUnit) -> bool:
-    """May ``run_many`` restore the global frame by value between inputs?
-
-    True only when re-running every global initializer is observably
-    equivalent to replaying its step/heap charges and restoring the cell
-    values — i.e. no initializer can branch (coverage), call (statics,
-    capture, profile, arbitrary effects), or assign (profile).
-    """
-    for decl in unit.decls:
-        if isinstance(decl, N.VarDecl):
-            if not _poolable_init_expr(decl.init):
-                return False
-            if decl.vla_size is not None:
-                return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -1801,7 +1760,6 @@ class BatchProgram:
         self.global_init = _BatchCompiler(self, pool).gen_globals(unit)
         for func, cf in shells:
             _BatchCompiler(self, pool).gen_function(func, cf)
-        self.poolable_globals = _poolable_globals(unit)
 
     def init_globals(self, rt: Runtime) -> None:
         self.global_init(rt, _NO_FRAME)
@@ -1851,7 +1809,7 @@ class BatchRecord:
 
     Exactly one of the three shapes holds: ``result`` is the
     :class:`ExecResult`; ``error`` is the fault the input raised (the
-    same type and message :meth:`BatchEngine.run` raises); ``skipped`` is
+    one :meth:`BatchEngine.run` raises); ``skipped`` is
     True when the batch's ``max_faults`` budget was exhausted before
     this input executed.
     """
@@ -1868,7 +1826,7 @@ class BatchRecord:
         self.error = error
         self.skipped = skipped
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         if self.skipped:
             return "BatchRecord(skipped)"
         if self.error is not None:
@@ -1877,7 +1835,8 @@ class BatchRecord:
 
 
 class BatchEngine:
-    """Drop-in engine with a batched fast path (`run_many`)."""
+    """Drop-in engine whose every run goes through one pooled pass
+    (:meth:`run_many`); :meth:`run` is a batch of one."""
 
     def __init__(
         self,
@@ -1896,48 +1855,17 @@ class BatchEngine:
         self.captured: List[List[Any]] = []
         self.steps = 0
 
-    # -- single-input path (drop-in for Interpreter.run) ------------------
-
     def run(self, func_name: str, args: List[Any]) -> ExecResult:
-        program = self.program
-        cf = program.functions.get(func_name)
-        if cf is None:
-            raise InterpError(f"no function named {func_name!r}")
-        rt = Runtime(self.limits, program.structs, self.capture_calls)
-        self.captured = rt.captured
-        try:
-            program.init_globals(rt)
-            runtime_args = self._marshal(rt, program, cf, func_name, args)
-            value = _call(rt, cf, runtime_args, None)
-        except MemoryFault as exc:
-            if self.hls_mode and getattr(exc, "oob_array", False):
-                raise HlsSimulationFault(str(exc)) from exc
-            raise
-        finally:
-            self.steps = rt.steps
-            self.coverage = rt.coverage
-            self.profile = rt.profile
-        out_args = (
-            [c_to_python(a) for a in runtime_args]
-            if self.want_out_args else []
-        )
-        return ExecResult(
-            value=c_to_python(value),
-            out_args=out_args,
-            steps=rt.steps,
-            coverage=rt.coverage,
-            profile=rt.profile,
-            captured_args=rt.captured,
-        )
+        """Drop-in for :meth:`Interpreter.run`: one input, its fault raised."""
+        return _run_one(self, func_name, args)
 
-    def _marshal(self, rt, program, cf, func_name, args) -> List[Any]:
+    def _marshal(self, cf, func_name, args) -> List[Any]:
         runtime_args: List[Any] = []
         params = cf.params
+        structs = self.program.structs
         for param, arg in zip(params, args):
             try:
-                runtime_args.append(
-                    python_to_c(arg, param.type, program.structs)
-                )
+                runtime_args.append(python_to_c(arg, param.type, structs))
             except (TypeError, ValueError) as exc:
                 raise InterpError(
                     f"{func_name}: cannot marshal argument "
@@ -1949,8 +1877,6 @@ class BatchEngine:
             )
         return runtime_args
 
-    # -- batched path ------------------------------------------------------
-
     def run_many(
         self,
         func_name: str,
@@ -1959,15 +1885,14 @@ class BatchEngine:
     ) -> List[BatchRecord]:
         """Run every input through one pooled pass.
 
-        Per-input results are bit-identical to calling
-        :meth:`run` once per input: the Runtime is reset (not shared
-        state) between inputs, coverage/profile recorders are handed off
-        into each ExecResult, and the global frame is either rebuilt or —
-        when the unit's initializers are provably effect-free — restored
-        by value with the init's step/heap charges replayed.  A faulting
-        input yields an error record and the batch continues; once
-        *max_faults* faults have occurred, remaining inputs are marked
-        ``skipped`` without executing (the difftest abort contract).
+        Per-input results are bit-identical to a fresh tree-walker run:
+        the Runtime is reset (not shared state) between inputs, every
+        input rebuilds the global frame, and coverage/profile recorders
+        are handed off into each ExecResult.  A faulting input yields an
+        error record and the batch continues; once *max_faults* faults
+        have occurred, remaining inputs are marked ``skipped`` without
+        executing (the difftest abort contract).  ``steps`` and
+        ``captured`` are left as the last executed input's, fault or not.
         """
         program = self.program
         cf = program.functions.get(func_name)
@@ -1976,8 +1901,6 @@ class BatchEngine:
         hls_mode = self.hls_mode
         records: List[BatchRecord] = []
         faults = 0
-        pristine: Optional[List[List[Any]]] = None
-        g_steps = g_heap = 0
         for args in arg_sets:
             if max_faults is not None and faults >= max_faults:
                 records.append(BatchRecord(skipped=True))
@@ -1993,6 +1916,7 @@ class BatchEngine:
                 rt.active.clear()
             if rt.statics:
                 rt.statics.clear()
+            rt.gframe.clear()
             rt.captured = []
             rt.retval = None
             error: Optional[BaseException] = None
@@ -2001,45 +1925,8 @@ class BatchEngine:
             try:
                 if cf is None:
                     raise InterpError(f"no function named {func_name!r}")
-                if pristine is not None:
-                    # Replay the init charges with one-shot budget checks:
-                    # the messages carry no running totals, so a crossing
-                    # raises identically to the incremental charges.
-                    rt.steps = g_steps
-                    if rt.steps > rt.max_steps:
-                        _over_steps(rt)
-                    rt.heap_cells = g_heap
-                    if rt.heap_cells > rt.max_heap:
-                        raise InterpLimitExceeded("heap budget exceeded")
-                    for block, cells in zip(rt.gframe, pristine):
-                        block.cells[:] = cells
-                        block.alive = True
-                else:
-                    rt.gframe.clear()
-                    program.init_globals(rt)
-                    # Snapshot only when init provably had no observable
-                    # effects beyond cell values and step/heap charges:
-                    # the AST whitelist rules out branching/calling
-                    # initializers, the runtime check (belt and braces)
-                    # rules out anything the whitelist missed, and the
-                    # int/float restriction rules out mutable values
-                    # (struct/stream/pointer) that a kernel could alias.
-                    if (
-                        program.poolable_globals
-                        and not rt.coverage.hits
-                        and not rt.profile.ranges
-                        and not rt.profile.call_depths
-                        and not rt.statics
-                        and not rt.captured
-                        and all(
-                            type(c) in (int, float)
-                            for b in rt.gframe for c in b.cells
-                        )
-                    ):
-                        pristine = [list(b.cells) for b in rt.gframe]
-                        g_steps = rt.steps
-                        g_heap = rt.heap_cells
-                runtime_args = self._marshal(rt, program, cf, func_name, args)
+                program.init_globals(rt)
+                runtime_args = self._marshal(cf, func_name, args)
                 value = _call(rt, cf, runtime_args, None)
             except MemoryFault as exc:
                 if hls_mode and getattr(exc, "oob_array", False):
@@ -2050,8 +1937,6 @@ class BatchEngine:
             except InterpError as exc:
                 error = exc
             self.steps = rt.steps
-            self.coverage = rt.coverage
-            self.profile = rt.profile
             self.captured = rt.captured
             if error is not None:
                 faults += 1
@@ -2069,6 +1954,14 @@ class BatchEngine:
                 captured_args=rt.captured,
             )))
         return records
+
+
+def _run_one(engine: Any, func_name: str, args: List[Any]) -> ExecResult:
+    """One input through ``engine.run_many``: its result, or its fault."""
+    (record,) = engine.run_many(func_name, [args])
+    if record.error is not None:
+        raise record.error
+    return record.result
 
 
 class BackendMismatch(AssertionError):
@@ -2102,9 +1995,11 @@ def _profile_key(profile: ValueProfile) -> Tuple[Dict[int, Tuple], Dict[str, int
 class BatchCrossCheckEngine:
     """Runs the tree-walker and batch on every input, asserting identity.
 
-    Observables, step counts, coverage hits, value profiles, captured
-    arguments and faults (type and message) must all agree; the batch
-    result is returned.
+    The tree-walker runs its per-input loop (:func:`engine_run_many`),
+    batch its pooled :meth:`BatchEngine.run_many` — the pass every
+    consumer runs.  Skips, faults (type and message), observables, step
+    counts, coverage hits, value profiles and captured arguments must all
+    agree record by record; the batch records are returned.
     """
 
     def __init__(
@@ -2131,59 +2026,74 @@ class BatchCrossCheckEngine:
         self.captured: List[List[Any]] = []
 
     def run(self, func_name: str, args: List[Any]) -> ExecResult:
-        tree_result = tree_exc = None
-        batch_result = batch_exc = None
-        try:
-            tree_result = self.tree.run(func_name, args)
-        except Exception as exc:
-            tree_exc = exc
-        try:
-            batch_result = self.batch.run(func_name, args)
-        except Exception as exc:
-            batch_exc = exc
-        where = f"{func_name}{args!r}"
-        if tree_exc is not None or batch_exc is not None:
-            if tree_exc is None or batch_exc is None:
-                raise BackendMismatch(
-                    f"{where}: tree raised {tree_exc!r} but batch raised "
-                    f"{batch_exc!r}"
-                )
-            if type(tree_exc) is not type(batch_exc) \
-                    or str(tree_exc) != str(batch_exc):
-                raise BackendMismatch(
-                    f"{where}: fault mismatch — tree {tree_exc!r}, "
-                    f"batch {batch_exc!r}"
-                )
-            # Calls captured before the fault are salvaged by callers
-            # (get_kernel_seed), so they must agree too.
-            tree_captured = getattr(self.tree, "captured", [])
-            if not _identical(tree_captured, self.batch.captured):
-                raise BackendMismatch(
-                    f"{where}: captured-args mismatch before the fault — "
-                    f"tree {tree_captured!r}, batch {self.batch.captured!r}"
-                )
-            self.captured = self.batch.captured
-            raise tree_exc
-        assert tree_result is not None and batch_result is not None
-        checks = (
-            ("observable", tree_result.observable(),
-             batch_result.observable()),
-            ("step", tree_result.steps, batch_result.steps),
-            ("coverage", tree_result.coverage.hits,
-             batch_result.coverage.hits),
-            ("value-profile", _profile_key(tree_result.profile),
-             _profile_key(batch_result.profile)),
-            ("captured-args", tree_result.captured_args,
-             batch_result.captured_args),
+        return _run_one(self, func_name, args)
+
+    def run_many(
+        self,
+        func_name: str,
+        arg_sets: Sequence[Sequence[Any]],
+        max_faults: Optional[int] = None,
+    ) -> List[BatchRecord]:
+        tree_records = engine_run_many(
+            self.tree, func_name, arg_sets, max_faults=max_faults
         )
-        for what, expected, actual in checks:
-            if not _identical(expected, actual):
-                raise BackendMismatch(
-                    f"{where}: {what} mismatch — tree {expected!r}, "
-                    f"batch {actual!r}"
-                )
-        self.captured = batch_result.captured_args
-        return batch_result
+        batch_records = self.batch.run_many(
+            func_name, arg_sets, max_faults=max_faults
+        )
+        if len(tree_records) != len(batch_records):
+            raise BackendMismatch(
+                f"{func_name}: tree gave {len(tree_records)} records, "
+                f"batch {len(batch_records)}"
+            )
+        for args, tree, batch in zip(arg_sets, tree_records, batch_records):
+            _compare_records(f"{func_name}{args!r}", tree, batch)
+        # Calls captured before a fault are salvaged by callers
+        # (get_kernel_seed), so they must agree too.
+        tree_captured = getattr(self.tree, "captured", [])
+        if not _identical(tree_captured, self.batch.captured):
+            raise BackendMismatch(
+                f"{func_name}: captured-args mismatch on the last input — "
+                f"tree {tree_captured!r}, batch {self.batch.captured!r}"
+            )
+        self.captured = self.batch.captured
+        return batch_records
+
+
+def _compare_records(where: str, tree: BatchRecord, batch: BatchRecord) -> None:
+    if tree.skipped or batch.skipped:
+        if tree.skipped != batch.skipped:
+            raise BackendMismatch(
+                f"{where}: tree {tree!r} but batch {batch!r}"
+            )
+        return
+    tree_exc, batch_exc = tree.error, batch.error
+    if tree_exc is not None or batch_exc is not None:
+        if tree_exc is None or batch_exc is None:
+            raise BackendMismatch(
+                f"{where}: tree raised {tree_exc!r} but batch raised "
+                f"{batch_exc!r}"
+            )
+        if type(tree_exc) is not type(batch_exc) \
+                or str(tree_exc) != str(batch_exc):
+            raise BackendMismatch(
+                f"{where}: fault mismatch — tree {tree_exc!r}, "
+                f"batch {batch_exc!r}"
+            )
+        return
+    expected, actual = tree.result, batch.result
+    checks = (
+        ("observable", expected.observable(), actual.observable()),
+        ("step", expected.steps, actual.steps),
+        ("coverage", expected.coverage.hits, actual.coverage.hits),
+        ("value-profile", _profile_key(expected.profile),
+         _profile_key(actual.profile)),
+        ("captured-args", expected.captured_args, actual.captured_args),
+    )
+    for what, left, right in checks:
+        if not _identical(left, right):
+            raise BackendMismatch(
+                f"{where}: {what} mismatch — tree {left!r}, batch {right!r}"
+            )
 
 
 def engine_run_many(
@@ -2194,10 +2104,10 @@ def engine_run_many(
 ) -> List[BatchRecord]:
     """Run a batch of inputs on any engine.
 
-    Uses the engine's native ``run_many`` when it has one (the batch
-    backend's pooled pass); otherwise loops ``run`` with the same
-    record/fault-isolation/abort contract, so consumers have a single
-    code path across all backends.
+    Uses the engine's native ``run_many`` when it has one (batch's pooled
+    pass, which ``batch-cross`` checks); otherwise, for the tree-walker,
+    loops ``run`` with the same record/fault-isolation/abort contract, so
+    consumers have a single code path across all backends.
     """
     native = getattr(engine, "run_many", None)
     if native is not None:
@@ -2232,7 +2142,21 @@ _ENGINES = {
     "batch-cross": BatchCrossCheckEngine,
 }
 
-_default_backend = os.environ.get("REPRO_INTERP_BACKEND", "batch")
+
+def _backend_from_env() -> str:
+    """``REPRO_INTERP_BACKEND``, case-folded; unset or empty means
+    ``batch``, and an unknown name fails at import, not at first use."""
+    raw = os.environ.get("REPRO_INTERP_BACKEND", "").strip().lower()
+    name = raw or "batch"
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown REPRO_INTERP_BACKEND value {raw!r}; choose from "
+            f"{BACKENDS}"
+        )
+    return name
+
+
+_default_backend = _backend_from_env()
 
 
 def default_backend() -> str:

@@ -1,16 +1,15 @@
 """``run_many`` semantics: pooling must never leak state between inputs.
 
-The batch backend reuses one Runtime, one global frame and (when the
-unit's initializers are provably effect-free) a by-value snapshot of the
-globals across the whole batch.  These tests pin the contract down:
+The batch backend reuses one Runtime and one global frame across the
+whole batch.  These tests pin the contract down:
 
 * a faulting input yields an error record and its batch siblings are
   bit-identical to fresh single-input runs (fault isolation);
 * ``max_faults`` aborts in input order and marks the remainder skipped
   without executing it;
 * statics, captured calls, coverage and step counters reset per input;
-* the global snapshot/replay fast path reproduces the rebuild exactly,
-  including for units whose initializers are *not* poolable;
+* every input rebuilds the globals exactly as a fresh run does,
+  including initializers that record coverage;
 * the generic :func:`engine_run_many` loop gives any backend the same
   record contract the batch backend implements natively.
 """
@@ -54,7 +53,7 @@ int tick(int step) {
 }
 """
 
-GLOBAL_POOLABLE_SRC = """
+GLOBAL_ARRAY_SRC = """
 int BASE = 40;
 int TABLE[4] = {1, 2, 4, 8};
 
@@ -64,7 +63,7 @@ int global_mix(int i) {
 }
 """
 
-GLOBAL_UNPOOLABLE_SRC = """
+GLOBAL_BRANCH_SRC = """
 int GATE = 1 && 2;
 
 int gated(int x) {
@@ -165,10 +164,10 @@ def test_statics_reset_between_inputs():
 
 
 def test_pooled_globals_reset_between_inputs():
-    """The kernel mutates a global array; the snapshot/replay path must
-    restore the pristine values (and the init step charges) per input."""
-    engine = batch_engine(GLOBAL_POOLABLE_SRC)
-    fresh = batch_engine(GLOBAL_POOLABLE_SRC)
+    """The kernel mutates a global array; every input must start from
+    the initial values, and pay the init step charges, afresh."""
+    engine = batch_engine(GLOBAL_ARRAY_SRC)
+    fresh = batch_engine(GLOBAL_ARRAY_SRC)
     records = engine.run_many("global_mix", [[0], [0], [2], [0]])
     assert [r.result.value for r in records] == [41, 41, 44, 41]
     single = fresh.run("global_mix", [0])
@@ -177,12 +176,10 @@ def test_pooled_globals_reset_between_inputs():
 
 
 def test_unpoolable_globals_rebuild_per_input():
-    """``1 && 2`` is outside the snapshot whitelist (it records branch
-    coverage), so the batch falls back to rebuilding globals — results
-    must still match fresh runs exactly."""
-    unit = parse(GLOBAL_UNPOOLABLE_SRC)
+    """``1 && 2`` records branch coverage in the initializer, so every
+    input's record must carry it, as a fresh run's does."""
+    unit = parse(GLOBAL_BRANCH_SRC)
     engine = make_engine(unit, backend="batch", limits=LIMITS)
-    assert not engine.program.poolable_globals
     # Same unit: coverage keys are node uids, so the comparison below
     # needs both engines looking at one parse.
     fresh = make_engine(unit, backend="batch", limits=LIMITS)

@@ -1,12 +1,14 @@
 """Acceptance: batch stays bit-identical to the tree-walker across Table 3.
 
 Fuzzing each subject under ``backend="batch-cross"`` executes every
-generated input through both the tree-walker (the oracle) and the batch
-engine and asserts identical observables, step counts, coverage hits,
-value profiles and captured arguments.  :class:`BackendMismatch` is an
-``AssertionError``, not an ``InterpError``, so a divergence is never
-swallowed as an ordinary candidate fault — it fails the fuzz campaign
-(and this test) outright.
+generated input through both the tree-walker (the oracle) and batch's
+pooled ``run_many`` pass, which the fuzzer reaches through
+``engine_run_many``, and asserts identical observables, step counts,
+coverage hits, value profiles, captured arguments and faults (type and
+message).  Part of the corpus is then replayed in HLS mode through one
+pooled pass.  :class:`BackendMismatch` is an ``AssertionError``, not an
+``InterpError``, so a divergence is never swallowed as an ordinary
+candidate fault — it fails the fuzz campaign (and this test) outright.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fuzz import FuzzConfig, fuzz_kernel, get_kernel_seed
-from repro.interp import ExecLimits, make_engine
+from repro.interp import ExecLimits, engine_run_many, make_engine
 from repro.errors import InterpError
 from repro.subjects import all_subjects
 
@@ -50,12 +52,10 @@ def test_fuzz_corpus_cross_checks(subject):
     assert report.execs > 0
 
     # Replay part of the corpus in HLS mode: the wrap/fault translation
-    # path must agree between backends too.
+    # path must agree between backends too.  A fault is fine — only
+    # divergence is not.
     engine = make_engine(
         unit, backend="batch-cross", limits=LIMITS, hls_mode=True
     )
-    for test in report.suite(20):
-        try:
-            engine.run(subject.kernel, test)
-        except InterpError:
-            pass  # a fault is fine — only divergence is not
+    tests = report.suite(40)
+    assert len(engine_run_many(engine, subject.kernel, tests)) == len(tests)
