@@ -18,10 +18,12 @@ charge the simulated clock so Table 4 can report minutes).
 Once the campaign has covered every branch outcome the kernel can reach
 (its *branch universe*, :func:`~repro.interp.coverage.branch_universe`),
 no input can add coverage, so the rest of the plateau is counted rather
-than run: each further input is an exec with delta 0.  Mutation, the
-corpus, the exec and plateau counters and the simulated clock go on
-exactly as if the inputs had run.  A kernel whose call graph is not
-known (a member call) has no universe and runs every input.
+than built or run: each further generation adds its mutants as execs
+with delta 0, and no mutant is drawn.  The corpus, the exec and plateau
+counters and the simulated clock go on exactly as if the inputs had
+run; the RNG is the campaign's own and is not read after it.  A kernel
+whose call graph is not known (a member call) has no universe and runs
+every input.
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ def fuzz_kernel(
 
         Once coverage equals the kernel's branch universe, no input is
         run at all: every input counts as an exec with delta 0, which is
-        what running it would give.  A run that records a branch outside
+        what running it would give.  Only the initial seeds of a kernel
+        with no branch take this path; the campaign loop draws no
+        mutants once saturated.  A run that records a branch outside
         the universe raises :class:`FuzzError`, since skipping on a wrong
         universe would change the campaign.  Without a universe (see
         :func:`~repro.interp.coverage.branch_universe`) every distinct
@@ -232,6 +236,17 @@ def fuzz_kernel(
             if entry is None:
                 break
             generation += 1
+            if saturated_at is not None:
+                # No mutant can add coverage, so none is drawn: the
+                # generation is counted as the execs with delta 0 that
+                # running it would give.  Nothing reads the RNG after
+                # the campaign, so skipping its draws changes no output.
+                count = min(config.mutations_per_input,
+                            config.max_execs - execs)
+                execs += count
+                tests_generated += count
+                since_new += count
+                continue
             mutants = mutator.mutate(entry.args, config.mutations_per_input)
             # The whole generation goes through one batched call,
             # truncated to the remaining execution budget (matching the

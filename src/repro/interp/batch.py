@@ -1,9 +1,9 @@
 """Batched execution backend: whole input sets through one specialized pass.
 
-This is the default engine.  It lowers each function once — into a
-single flat Python function generated as source and ``exec``-compiled —
-so that the hot path of a kernel is ordinary Python bytecode:
-local-variable step accounting, inline arithmetic with the exact
+This is the default engine.  It lowers each function once, at its first
+call — into a single flat Python function generated as source and
+``exec``-compiled — so that the hot path of a kernel is ordinary Python
+bytecode: local-variable step accounting, inline arithmetic with the exact
 charge/fault schedule of the tree-walker, and direct frame indexing,
 with names resolved to frame slots at compile time.  A unit's global
 initializers are one more generated function.  On top of that sits
@@ -33,9 +33,10 @@ relative to faults, and every fault's type and text):
 
 Candidates of one repair search differ by one edit, so most functions
 generate source seen before.  The compiled code objects are memoized by
-function name and source digest; each program still ``exec``s a shared
+function name and source digest; each function still ``exec``s a shared
 code object into its own constant pool, so identical source gives an
-identical function bound to that program's objects.
+identical function bound to that program's objects, and a function's
+source does not depend on the functions lowered before it.
 
 :class:`BatchCrossCheckEngine` (backend ``batch-cross``) runs the
 tree-walker and batch's pooled pass on every input and asserts
@@ -484,24 +485,51 @@ class _Binding:
         self.maybe_unset = maybe_unset
 
 
+#: Serializes lowering; a body is lowered once, by whichever call of it
+#: comes first.
+_LOWER_LOCK = threading.Lock()
+
+
 class CompiledFunction:
-    """One lowered function; execution state lives in :class:`Runtime`."""
+    """One function of a :class:`BatchProgram`; execution state lives in
+    :class:`Runtime`.
+
+    The shell exists from the start, so call sites can refer to it; its
+    body is generated by :meth:`lower` at the function's first call.
+    ``body`` is None until then and is set last, so a caller that sees a
+    body also sees its binders and slot count.
+    """
 
     __slots__ = ("name", "params", "binders", "n_slots", "body",
-                 "ret_coercer", "this_slot")
+                 "ret_coercer", "this_slot", "_source")
 
-    def __init__(self, func: N.FunctionDef) -> None:
+    def __init__(self, func: N.FunctionDef, program: "BatchProgram") -> None:
         self.name = func.name
         self.params = func.params
         self.binders: List[Callable[[Runtime, Any], MemBlock]] = []
         self.n_slots = 0
-        self.body: Callable[[Runtime, List[Any]], Any] = None  # type: ignore
+        self.body: Optional[Callable[[Runtime, List[Any]], Any]] = None
         self.ret_coercer = _make_coercer(func.return_type)
         self.this_slot = -1
+        self._source: Optional[Tuple[N.FunctionDef, BatchProgram]] = (
+            func, program,
+        )
+
+    def lower(self) -> None:
+        """Generate the body, unless another call already has."""
+        with _LOWER_LOCK:
+            if self.body is not None:
+                return
+            assert self._source is not None
+            func, program = self._source
+            _BatchCompiler(program).gen_function(func, self)
+            self._source = None
 
 
 def _call(rt: Runtime, cf: CompiledFunction, args: List[Any],
           this: Optional[StructValue]) -> Any:
+    if cf.body is None:
+        cf.lower()
     rt.depth += 1
     if rt.depth > rt.max_depth:
         rt.depth -= 1
@@ -548,7 +576,10 @@ def _no_globals(rt: Runtime, frame: List[Any]) -> None:
 
 
 class _ConstPool:
-    """Shared exec namespace: pooled objects plus the runtime helpers."""
+    """The exec namespace of one generated function: its pooled objects
+    plus the runtime helpers.  A function's pool is its own, so its
+    ``_gN`` names, and hence its source, depend on that function alone.
+    """
 
     def __init__(self) -> None:
         self.ns: Dict[str, Any] = {
@@ -621,9 +652,9 @@ class _BatchCompiler:
     :class:`_Lvalue`.
     """
 
-    def __init__(self, program: "BatchProgram", pool: _ConstPool) -> None:
+    def __init__(self, program: "BatchProgram") -> None:
         self.program = program
-        self.pool = pool
+        self.pool = _ConstPool()
         self.scopes: List[Dict[str, _Binding]] = []
         self.scope_resets: List[List[int]] = []
         self.n_slots = 0
@@ -1638,27 +1669,32 @@ class _BatchCompiler:
     # -- entry points ------------------------------------------------------
 
     def gen_function(self, func: N.FunctionDef, cf: CompiledFunction) -> None:
-        """Populate *cf* with binders, slot count, and a generated body."""
+        """Populate *cf* with binders, slot count, and a generated body
+        (assigned last)."""
         self._push_scope()
+        binders = []
         for param in func.params:
             binding = self._declare_param(param)
-            cf.binders.append(self._make_param_binder(param))
-            assert binding.slot == len(cf.binders) - 1
+            binders.append(self._make_param_binder(param))
+            assert binding.slot == len(binders) - 1
+        this_slot = -1
         if func.owner_struct:
-            this_binding = _Binding(
-                kind="local", slot=self._new_slot(), is_array=False,
+            this_slot = self._new_slot()
+            self.scopes[-1]["this"] = _Binding(
+                kind="local", slot=this_slot, is_array=False,
                 observe_uid=None, ctype=T.PointerType(T.VOID),
                 maybe_unset=False,
             )
-            self.scopes[-1]["this"] = this_binding
-            cf.this_slot = this_binding.slot
         assert func.body is not None
         # The tree-walker enters the body via _exec_block directly, so the
         # top-level compound is not charged as a statement.
         body = self.gen_compound(func.body, charge=False)
         self._pop_scope()
+        fn = self._emit(body, f"<batch:{cf.name}>")
+        cf.binders = binders
+        cf.this_slot = this_slot
         cf.n_slots = self.n_slots
-        cf.body = self._emit(body, f"<batch:{cf.name}>")
+        cf.body = fn
 
     def gen_globals(self, unit: N.TranslationUnit) -> Callable[..., Any]:
         """Generate the unit's global initializer (``_init_globals``).
@@ -1731,7 +1767,13 @@ class _BatchCompiler:
 
 class BatchProgram:
     """All functions of one unit, and its global initializer, lowered to
-    flat generated Python."""
+    flat generated Python.
+
+    The struct tables and the global initializer are built here; each
+    function body is lowered at its first call
+    (:meth:`CompiledFunction.lower`), so a function the run never calls,
+    such as a host beside the kernel being fuzzed, costs only its shell.
+    """
 
     def __init__(self, unit: N.TranslationUnit) -> None:
         self.unit = unit
@@ -1739,27 +1781,21 @@ class BatchProgram:
         self.global_bindings: Dict[str, _Binding] = {}
         self.functions: Dict[str, CompiledFunction] = {}
         self.methods: Dict[Tuple[str, str], CompiledFunction] = {}
-        # Create every shell first so generated call sites (including
-        # recursion and method dispatch) and global initializers that
-        # call a function can pool the callee.
-        shells: List[Tuple[N.FunctionDef, CompiledFunction]] = []
+        # Every shell exists before any code is generated, so generated
+        # call sites (including recursion and method dispatch) and global
+        # initializers that call a function can pool the callee.
         for decl in unit.decls:
             if isinstance(decl, N.FunctionDef) and decl.body is not None:
-                cf = CompiledFunction(decl)
-                self.functions[decl.name] = cf
-                shells.append((decl, cf))
+                self.functions[decl.name] = CompiledFunction(decl, self)
             elif isinstance(decl, N.StructDef):
                 assert isinstance(decl.type, T.StructType)
                 self.structs[decl.tag] = decl.type
                 for method in decl.methods:
                     if method.body is not None:
-                        cf = CompiledFunction(method)
-                        self.methods[(decl.tag, method.name)] = cf
-                        shells.append((method, cf))
-        pool = _ConstPool()
-        self.global_init = _BatchCompiler(self, pool).gen_globals(unit)
-        for func, cf in shells:
-            _BatchCompiler(self, pool).gen_function(func, cf)
+                        self.methods[(decl.tag, method.name)] = (
+                            CompiledFunction(method, self)
+                        )
+        self.global_init = _BatchCompiler(self).gen_globals(unit)
 
     def init_globals(self, rt: Runtime) -> None:
         self.global_init(rt, _NO_FRAME)
@@ -1772,10 +1808,11 @@ class BatchProgram:
 #: its units, drop the generated code with the memo entry.  Each entry
 #: holds its unit (``BatchProgram.unit``), so an ``id`` is never reused
 #: while it is cached.  Sized by counting, over one pass of each
-#: ``bench_e2e`` workload at seed 2022, the lowerings of a unit that had
-#: been lowered before and dropped out: with 8 entries table3 re-lowers 4
-#: units of 85 lowerings, repair 3 of 79, store-warm 0 of 4, generated 7
-#: of 210; with 1 entry 6, 4, 0 and 22; with 16 entries 3, 3, 0 and 5.
+#: ``bench_e2e`` workload at seed 2022, the programs built for a unit
+#: that had one before and dropped out: with 8 entries table3 rebuilds 0
+#: of 11 programs, repair 0 of 6, store-warm 0 of 4, generated 1 of 39;
+#: with 1 entry 4 of 15, 2 of 8, 0 of 4 and 16 of 54; with 16 entries
+#: none.
 _RECENT_PROGRAMS: "OrderedDict[int, BatchProgram]" = OrderedDict()
 _RECENT_LIMIT = 8
 _BATCH_CACHE_LOCK = threading.Lock()

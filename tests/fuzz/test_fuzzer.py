@@ -394,6 +394,53 @@ class TestSaturation:
         assert 0 < saturated_at < report.execs
         assert report.coverage.hits == branch_universe(unit, subject.kernel)
 
+    def test_saturated_campaign_draws_no_mutants(self, monkeypatch):
+        subject = get_subject("P5")
+        unit = subject.parse()
+        seeds = _subject_seeds(subject, unit)
+        config = default_config()
+        drawn = []
+        mutate = fuzzer.Mutator.mutate
+
+        def counting_mutate(self, args, count):
+            mutants = mutate(self, args, count)
+            drawn.append(len(mutants))
+            return mutants
+
+        monkeypatch.setattr(fuzzer.Mutator, "mutate", counting_mutate)
+
+        def campaign():
+            drawn.clear()
+            with scoped_recorder(TraceRecorder()) as rec:
+                report = fuzz_kernel(
+                    unit, subject.kernel, config.fuzz, seeds=seeds,
+                    limits=config.limits,
+                )
+            return report, rec.metrics.snapshot(), list(drawn)
+
+        report, metrics, drawn_on = campaign()
+        with monkeypatch.context() as patch:
+            _no_universe(patch)
+            every, metrics_off, drawn_off = campaign()
+
+        # Mutants are drawn only up to the generation that saturated.
+        saturated_at = metrics["gauges"].pop(
+            "fuzz.saturated_at{kernel=graph_kernel}"
+        )
+        mutants_per_generation = config.fuzz.mutations_per_input
+        built = len(seeds) + sum(drawn_on)
+        assert saturated_at <= built < saturated_at + mutants_per_generation
+        assert sum(drawn_on) < sum(drawn_off)
+        # Everything the campaign reports is as if it had run every input.
+        assert _report_fields(report) == _report_fields(every)
+        assert metrics["counters"]["fuzz.execs"] == report.execs
+        for kind in ("counters", "gauges", "histograms"):
+            fuzz_on = {k: v for k, v in metrics[kind].items()
+                       if k.startswith("fuzz.")}
+            fuzz_off = {k: v for k, v in metrics_off[kind].items()
+                        if k.startswith("fuzz.")}
+            assert fuzz_on == fuzz_off, kind
+
     def test_member_call_kernel_never_short_circuits(self, monkeypatch):
         unit = parse(
             "struct Acc {\n"

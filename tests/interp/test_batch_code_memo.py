@@ -1,9 +1,10 @@
 """The batch backend's memo of compiled code objects.
 
 Generated source is keyed by function name and source digest, so units
-that lower a function to the same text share one code object.  Each unit
-still ``exec``s it into its own constant pool: the functions are distinct
-and bound to that unit's callees and constants.
+that lower a function to the same text share one code object.  Each
+function still ``exec``s it into its own constant pool: the functions are
+distinct and bound to that unit's callees and constants, and a function's
+source does not depend on the functions lowered before it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from repro.cfront import parse
 from repro.cfront.fingerprint import forced_mode
 from repro.errors import MemoryFault
-from repro.interp import make_engine
+from repro.interp import batch, make_engine
 from repro.interp.batch import _CODE_MEMO, _RECENT_LIMIT
 from repro.memo import clear_analysis_caches
 
@@ -26,7 +27,12 @@ int f(int x) {{ return g(x) + 1; }}
 
 
 def lower(source: str):
-    return make_engine(parse(source), backend="batch").program
+    """The unit's batch program with every function body lowered, through
+    the hook a function's first call uses."""
+    program = make_engine(parse(source), backend="batch").program
+    for cf in program.functions.values():
+        cf.lower()
+    return program
 
 
 def test_same_source_shares_code_but_not_bindings():
@@ -42,6 +48,40 @@ def test_same_source_shares_code_but_not_bindings():
         assert f2.__globals__ is not f3.__globals__
         assert make_engine(two.unit, backend="batch").run("f", [5]).value == 11
         assert make_engine(three.unit, backend="batch").run("f", [5]).value == 16
+
+
+def test_function_source_does_not_depend_on_earlier_functions():
+    # h pools its float literal but inlines the int one; f, lowered after
+    # it, is the same text in both units and must hit the memo.
+    source = """
+    float h(float x) {{ return x * {factor}; }}
+    int f(int x) {{ return x + 1; }}
+    """
+    with forced_mode("on"):
+        clear_analysis_caches()
+        lower(source.format(factor="2"))
+        hits = _CODE_MEMO.hits
+        lower(source.format(factor="2.5f"))
+        assert _CODE_MEMO.hits == hits + 1  # f repeats; h differs
+
+
+def test_a_function_is_lowered_at_its_first_call(monkeypatch):
+    compiled = []
+
+    def recording_compile(src, filename, mode):
+        compiled.append(filename)
+        return compile(src, filename, mode)
+
+    monkeypatch.setattr(batch, "compile", recording_compile, raising=False)
+    source = CALLER.format(k=5) + "int host(void) { return f(2); }\n"
+    with forced_mode("on"):
+        clear_analysis_caches()
+        engine = make_engine(parse(source), backend="batch")
+        functions = engine.program.functions
+        assert [cf.body for cf in functions.values()] == [None] * 3
+        assert engine.run("f", [5]).value == 26
+    assert functions["host"].body is None
+    assert sorted(compiled) == ["<batch:f>", "<batch:g>"]
 
 
 def test_clear_analysis_caches_empties_the_memo():

@@ -92,6 +92,7 @@ def test_corpus_generates_without_fallbacks():
         bodies = list(program.functions.values()) + list(program.methods.values())
         assert bodies, gs.name
         for cf in bodies:
+            cf.lower()
             assert cf.body.__code__.co_filename == f"<batch:{cf.name}>", (
                 f"{gs.name}: {cf.name} is not generated code"
             )
