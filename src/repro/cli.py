@@ -97,14 +97,12 @@ def result_to_dict(result: TranspileResult) -> dict:
 
 
 def _apply_search_flags(search: SearchConfig, args: argparse.Namespace) -> None:
-    """Overlay the store/synthesis CLI flags on a search config whose
-    defaults already honour REPRO_STORE / REPRO_SYNTH."""
+    """Overlay the store CLI flags on a search config whose defaults
+    already honour REPRO_STORE."""
     if getattr(args, "no_store", False):
         search.store_path = None
     elif getattr(args, "store", None):
         search.store_path = args.store
-    if getattr(args, "synth", None) is not None:
-        search.use_synthesis = args.synth
 
 
 def cmd_transpile(args: argparse.Namespace) -> int:
@@ -472,17 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the candidate-evaluation memo cache "
                        "(also disables the persistent store)")
-        p.add_argument("--synth", dest="synth", action="store_true",
-                       default=None,
-                       help="synthesis-first repair: derive edit "
-                       "parameters (stack capacities, array extents, "
-                       "bitwidths, pragma factors) from profiled "
-                       "evidence instead of enumerating ladders.  "
-                       "Default: $REPRO_SYNTH or disabled")
-        p.add_argument("--no-synth", dest="synth", action="store_false",
-                       help="force enumerated proposals even if "
-                       "$REPRO_SYNTH is set (bit-identical to the "
-                       "pre-synthesis search)")
 
     t = sub.add_parser("transpile", help="transpile a C kernel to HLS-C")
     t.add_argument("file", help="C source file, or - for stdin")

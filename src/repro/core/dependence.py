@@ -16,10 +16,9 @@ by the search, the benchmarks and the documentation:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..hls.diagnostics import ErrorType
-from ..obs import get_recorder
 from .edits import Candidate, Edit, EditApplication, EditRegistry
 
 #: AST uids embedded in application labels (``loop@1124``).
@@ -55,47 +54,20 @@ def ordered_applications(
     candidate: Candidate,
     diagnostics,
     context,
-    evidence=None,
 ) -> List[EditApplication]:
     """Concretize only the dependence-ready edits against *candidate*.
 
     This is the heart of dependence-guided exploration: an edit whose
     prerequisites have not been applied yet is not even proposed, so the
     search never wastes an (expensive) evaluation on it.
-
-    With *evidence* (an :class:`repro.core.synth.Evidence`, synthesis
-    mode only — None keeps the pre-synthesis behaviour bit-identical),
-    each ready edit is first offered the chance to *derive* its
-    parameters; ``synthesize`` returning None falls back to the
-    enumerated ``propose`` path for that edit.
     """
-    rec = get_recorder()
     applications: List[EditApplication] = []
     for edit in edits:
         if not edit.dependencies_met(candidate):
             continue
         if edit.behavior_only and diagnostics:
             continue  # capacity edits cannot remove a diagnostic
-        apps: Optional[List[EditApplication]] = None
-        if evidence is not None:
-            apps = edit.synthesize(candidate, diagnostics, evidence, context)
-            if apps is not None and rec.enabled:
-                rec.metrics.inc(
-                    "synth.derived", value=len(apps), edit=edit.name
-                )
-        if apps is None:
-            apps = edit.propose(candidate, diagnostics, context)
-        applications.extend(apps)
-    if evidence is not None:
-        definitive = [a for a in applications if a.derived_definitive]
-        if definitive:
-            # Evidence witnessed exactly which parameter is violated;
-            # every other same-phase proposal would still be evaluated
-            # eventually (the frontier drains fully), so speculative
-            # siblings are dropped.  If the definitive repair does not
-            # clear the divergence, its child re-enters proposal with
-            # the witness consumed and breadth restored.
-            applications = definitive
+        applications.extend(edit.propose(candidate, diagnostics, context))
     # Stable order: strongest performance hint first (the paper prefers
     # the edit with the largest performance potential, §1).  Ties are
     # broken by the label with AST uids masked out: uids restart nowhere

@@ -21,7 +21,6 @@ from ...cfront import nodes as N
 from ...cfront.nodes import clone
 from ...hls.diagnostics import Diagnostic, ErrorType
 from ...hls.platform import SolutionConfig
-from ...interp.coverage import ValueProfile
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class RepairContext:
     """Shared read-only context the edits may consult."""
 
     kernel_name: str
-    profile: Optional[ValueProfile] = None
     rng: random.Random = field(default_factory=lambda: random.Random(2022))
 
 
@@ -66,14 +64,6 @@ class EditApplication:
     """Heuristic expected latency improvement; used only to order
     applications with equal repair value (the paper prefers the edit with
     the largest performance potential, §1)."""
-    derived_definitive: bool = False
-    """Synthesis-only: the evidence directly *witnessed* the current
-    parameter being violated and this application's derived value covers
-    the witness (e.g. the profiled call depth exceeds the declared stack
-    capacity).  When any ready edit offers a definitive application, the
-    dependence layer drops speculative same-phase siblings — every
-    queued proposal is eventually evaluated, so breadth the evidence has
-    already arbitrated is pure cost.  Never set on enumerated paths."""
 
     def apply(self, candidate: Candidate) -> Optional[Candidate]:
         return self.transform(candidate)
@@ -119,30 +109,6 @@ class Edit(abc.ABC):
         normal proposal; edits whose ``propose`` reads the edit history
         override this."""
         return self.propose(candidate, diagnostics, context)
-
-    def synthesize(
-        self,
-        candidate: Candidate,
-        diagnostics: Sequence[Diagnostic],
-        evidence,
-        context: RepairContext,
-    ) -> Optional[List[EditApplication]]:
-        """Evidence-driven proposal (see :mod:`repro.core.synth`).
-
-        Parameterized edit families override this to *derive* their
-        parameter from the :class:`~repro.core.synth.Evidence` bundle —
-        observed value ranges, call depths, difftest counterexamples —
-        instead of enumerating a ladder.  The contract:
-
-        * return ``None`` when the evidence gives no opinion — the
-          search falls back to :meth:`propose` unchanged;
-        * return a (possibly empty) list to replace the enumerated
-          proposals for this edit.
-
-        The default has no opinion, so structural edits keep the
-        existing fitness-search behaviour without any override.
-        """
-        return None
 
     # -- dependence helpers ------------------------------------------------
 

@@ -452,45 +452,6 @@ class WidenEdit(Edit):
             )
         return out
 
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Derive the needed width from the profiled value range.
-
-        Only offers an opinion when the profile shows some finitized
-        declaration genuinely needs more bits than it has.  When the
-        profile claims every width suffices yet the candidate diverges
-        (the §6.5 truncated-profile situation — divergence caused by
-        inputs the profile never saw), it returns None so the doubling
-        ladder still explores, driven by the counterexamples.
-        """
-        from ..synth import derive_bitwidth
-
-        if evidence.profile is None:
-            return None
-        out: List[EditApplication] = []
-        seen: Set[str] = set()
-        for decl in find_all(candidate.unit, N.VarDecl):
-            resolved = T.strip_typedefs(decl.type)
-            if not isinstance(resolved, T.FpgaIntType) or resolved.bits >= 32:
-                continue
-            if decl.name in seen:
-                continue
-            seen.add(decl.name)
-            rng = evidence.profile.range_for(decl.uid)
-            bits = derive_bitwidth(rng, resolved.bits)
-            if bits is None:
-                continue
-            label = f"widen({decl.name}, {bits})"
-            if label in candidate.applied:
-                continue
-            out.append(
-                EditApplication(
-                    label=label,
-                    transform=lambda cand, name=decl.name, bits=bits,
-                    label=label: self._apply(cand, name, bits, label),
-                )
-            )
-        return out or None
-
     def _apply(self, candidate: Candidate, name: str, bits: int, label: str):
         unit = cloned_unit(candidate)
         changed = False

@@ -202,57 +202,6 @@ class PartitionFixEdit(Edit):
                 )
         return out
 
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Pick pad-vs-snap from the actual size/factor mismatch instead
-        of proposing both: pad when the wasted storage stays small (the
-        padded array keeps the requested parallelism), otherwise snap
-        the factor down to a divisor."""
-        out: List[EditApplication] = []
-        any_derived = False
-        for diag in diagnostics:
-            if "partition factor" not in diag.message:
-                continue
-            size = None
-            for _decl, resolved in self._array_decls(candidate.unit, diag.symbol):
-                size = resolved.size
-            factor = None
-            for _node, pragma in self._find_partition_pragmas(
-                candidate.unit, diag.symbol
-            ):
-                factor = pragma.factor
-            if size and factor and size % factor != 0:
-                any_derived = True
-                padded = math.ceil(size / factor) * factor
-                if (padded - size) / size <= 0.25:
-                    label = f"partition_fix({diag.symbol}, pad_array)"
-                    if label not in candidate.applied:
-                        out.append(
-                            EditApplication(
-                                label=label,
-                                transform=lambda cand, sym=diag.symbol,
-                                label=label: self._pad_array(cand, sym, label),
-                                performance_hint=1.0,
-                            )
-                        )
-                else:
-                    label = f"partition_fix({diag.symbol}, snap_factor)"
-                    if label not in candidate.applied:
-                        out.append(
-                            EditApplication(
-                                label=label,
-                                transform=lambda cand, sym=diag.symbol,
-                                label=label: self._snap_factor(cand, sym, label),
-                            )
-                        )
-            else:
-                # Mismatch not visible in the program: both repairs, as
-                # the enumerated path proposes.
-                out.extend(
-                    app
-                    for app in self.propose(candidate, [diag], context)
-                )
-        return out if any_derived else None
-
     def _find_partition_pragmas(self, unit: N.TranslationUnit, array_name: str):
         for pragma_node in find_all(unit, N.Pragma):
             pragma = parse_pragma(pragma_node)

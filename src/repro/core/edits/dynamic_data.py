@@ -172,33 +172,6 @@ class ArrayStaticEdit(Edit):
             )
         return out
 
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Derive the extent from the profiled range of the VLA's size
-        variable instead of the fixed 1024 guess."""
-        from ..synth import derive_array_extent
-
-        out: List[EditApplication] = []
-        seen: Set[str] = set()
-        any_derived = False
-        for decl in self._vla_decls(candidate.unit):
-            if decl.name in seen:
-                continue
-            seen.add(decl.name)
-            size = derive_array_extent(evidence, decl.vla_size)
-            if size is None:
-                size = self._guess_size(decl, context)
-            else:
-                any_derived = True
-            label = f"array_static({decl.name}, {size})"
-            out.append(
-                EditApplication(
-                    label=label,
-                    transform=lambda cand, name=decl.name, size=size, label=label:
-                        self._apply(cand, name, size, label),
-                )
-            )
-        return out if any_derived else None
-
     @staticmethod
     def _vla_decls(unit: N.TranslationUnit) -> List[N.VarDecl]:
         out = []
@@ -211,8 +184,7 @@ class ArrayStaticEdit(Edit):
     @staticmethod
     def _guess_size(decl: N.VarDecl, context: RepairContext) -> int:
         # Type-based over-estimation (§6.5): pick a conservatively large
-        # power of two, optionally informed by the profiled value range of
-        # the size expression's variables.
+        # power of two.
         return DEFAULT_ARRAY_SIZE
 
     def _apply(self, candidate: Candidate, name: str, size: int, label: str):
@@ -471,64 +443,6 @@ class ResizeEdit(Edit):
             )
         return out
 
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Derive stack capacities from profiled call depths.
-
-        For a ``stack_trans``-converted function the profile's maximum
-        simultaneous activation count bounds the explicit stack's worst
-        case ``sp``; one derived resize replaces the doubling ladder.
-        Prefixes without depth evidence (pools, static arrays) keep the
-        doubling proposal, and if *no* prefix has evidence the whole
-        edit falls back to :meth:`propose`.
-        """
-        from ..synth import current_capacity, derive_stack_capacity
-
-        out: List[EditApplication] = []
-        any_derived = False
-        for prefix in self._resizable_prefixes(candidate):
-            cap: Optional[int] = None
-            if prefix.endswith("_stk"):
-                cap = derive_stack_capacity(
-                    evidence, prefix[: -len("_stk")]
-                )
-            current = current_capacity(candidate.unit, prefix)
-            if cap is not None and (current is None or cap > current):
-                label = f"resize({prefix}, cap={cap})"
-                if label not in candidate.applied:
-                    any_derived = True
-                    # The repair is *definitive* when the profile
-                    # witnessed more simultaneous activations than the
-                    # declared capacity holds: the current parameter is
-                    # proven inadequate, not merely suspected.
-                    from ..synth import SAFETY_MARGIN
-
-                    witnessed = (
-                        current is not None
-                        and cap - SAFETY_MARGIN > current
-                    )
-                    out.append(
-                        EditApplication(
-                            label=label,
-                            transform=lambda cand, prefix=prefix, cap=cap,
-                            label=label: self._apply_exact(
-                                cand, prefix, cap, label
-                            ),
-                            derived_definitive=witnessed,
-                        )
-                    )
-                continue
-            # The evidence is silent (or already satisfied and the
-            # candidate still diverges): keep the doubling proposal.
-            label = f"resize({prefix})"
-            out.append(
-                EditApplication(
-                    label=label,
-                    transform=lambda cand, prefix=prefix, label=label:
-                        self._apply(cand, prefix, label),
-                )
-            )
-        return out if any_derived else None
-
     def blind_propose(self, candidate, diagnostics, context):
         """WithoutDependence mode: discover resizable capacities from the
         program itself (``*_cap`` convention) instead of the history."""
@@ -587,29 +501,5 @@ class ResizeEdit(Edit):
             elif decl.name.endswith("_cap") and decl.name.startswith(prefix) and isinstance(decl.init, N.IntLit):
                 decl.init.value *= 2
                 decl.init.text = str(decl.init.value)
-                changed = True
-        return candidate.with_unit(unit, label) if changed else None
-
-    def _apply_exact(
-        self, candidate: Candidate, prefix: str, cap: int, label: str
-    ):
-        """Resize straight to the evidence-derived capacity *cap*."""
-        unit = cloned_unit(candidate)
-        changed = False
-        for decl in find_all(unit, N.VarDecl):
-            if not decl.name.startswith(prefix):
-                continue
-            resolved = T.strip_typedefs(decl.type)
-            if decl.name.endswith("_cap") and isinstance(decl.init, N.IntLit):
-                if decl.init.value < cap:
-                    decl.init.value = cap
-                    decl.init.text = str(cap)
-                    changed = True
-            elif (
-                isinstance(resolved, T.ArrayType)
-                and resolved.size
-                and resolved.size < cap
-            ):
-                decl.type = T.ArrayType(resolved.elem, cap)
                 changed = True
         return candidate.with_unit(unit, label) if changed else None

@@ -106,56 +106,7 @@ class IndexStaticEdit(Edit):
             )
         return out
 
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Derive the tripcount bound from the profiled ranges of the
-        loop condition's variables instead of the largest-indexed-array
-        guess."""
-        from ..synth import max_observed_by_name
-
-        if evidence.profile is None:
-            return None
-        out: List[EditApplication] = []
-        any_derived = False
-        for diag in diagnostics:
-            if "tripcount" not in diag.message:
-                continue
-            bound: Optional[int] = None
-            found = _find_loop(candidate.unit, diag.node_uid)
-            cond = getattr(found[1], "cond", None) if found else None
-            if cond is not None:
-                observed = [
-                    max_observed_by_name(evidence.profile, node.name)
-                    for node in cond.walk()
-                    if isinstance(node, N.Ident)
-                ]
-                observed = [v for v in observed if v is not None]
-                if observed:
-                    bound = max(1, int(max(observed)))
-            label = (
-                f"index_static(loop@{diag.node_uid}, max={bound})"
-                if bound is not None
-                else f"index_static(loop@{diag.node_uid})"
-            )
-            if label in candidate.applied:
-                continue
-            if bound is not None:
-                any_derived = True
-            out.append(
-                EditApplication(
-                    label=label,
-                    transform=lambda cand, uid=diag.node_uid, label=label,
-                    bound=bound: self._apply(cand, uid, label, bound=bound),
-                )
-            )
-        return out if any_derived else None
-
-    def _apply(
-        self,
-        candidate: Candidate,
-        loop_uid: int,
-        label: str,
-        bound: Optional[int] = None,
-    ):
+    def _apply(self, candidate: Candidate, loop_uid: int, label: str):
         unit, found = _clone_at_loop(candidate, loop_uid)
         if found is None:
             return None
@@ -163,8 +114,7 @@ class IndexStaticEdit(Edit):
         body = _loop_body_compound(loop)
         if body is None:
             return None
-        if bound is None:
-            bound = self._bound_guess(unit, loop)
+        bound = self._bound_guess(unit, loop)
         body.items.insert(
             0,
             N.Pragma(text=f"HLS loop_tripcount min=1 max={bound} avg={bound}"),
@@ -225,53 +175,6 @@ class ExploreUnrollEdit(Edit):
                     )
                 )
         return out
-
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Derive the one unroll factor compatible with the loop's
-        dominant array extent (the largest offered factor dividing it)
-        instead of sweeping the whole ladder; keep the delete escape
-        hatch."""
-        from ..synth import derive_partition_factor
-
-        out: List[EditApplication] = []
-        any_derived = False
-        for diag in diagnostics:
-            if "unroll factor" not in diag.message and "Pre-synthesis" not in diag.message:
-                continue
-            found = _find_loop(candidate.unit, diag.node_uid)
-            size = (
-                IndexStaticEdit._bound_guess(candidate.unit, found[1])
-                if found else None
-            )
-            factor = (
-                derive_partition_factor(size, UNROLL_FACTORS) if size else None
-            )
-            factors = (factor,) if factor is not None else UNROLL_FACTORS
-            if factor is not None:
-                any_derived = True
-            for f in factors:
-                label = f"explore(unroll@{diag.node_uid}, factor={f})"
-                if label in candidate.applied:
-                    continue
-                out.append(
-                    EditApplication(
-                        label=label,
-                        transform=lambda cand, uid=diag.node_uid, f=f,
-                        label=label: self._set_factor(cand, uid, f, label),
-                        performance_hint=f / 8.0,
-                    )
-                )
-            label = f"explore(unroll@{diag.node_uid}, delete)"
-            if label not in candidate.applied:
-                out.append(
-                    EditApplication(
-                        label=label,
-                        transform=lambda cand, uid=diag.node_uid, label=label:
-                            self._delete_unroll(cand, uid, label),
-                        performance_hint=-1.0,
-                    )
-                )
-        return out if any_derived else None
 
     def _set_factor(self, candidate: Candidate, loop_uid: int, factor: int, label: str):
         unit, found = _clone_at_loop(candidate, loop_uid)
@@ -428,106 +331,6 @@ class PerfPragmaEdit(Edit):
         out.extend(self._naive_placements(candidate))
         return out
 
-    #: Derived proposals per generation: the hill-climber extends one
-    #: accepted chain at a time, so offering more than the model's best
-    #: few loops only buys evaluations the climber will discard.
-    SYNTH_TOP_LOOPS = 2
-
-    def synthesize(self, candidate, diagnostics, evidence, context):
-        """Model-derived performance proposals.
-
-        The scheduler's latency model is known exactly, so there is
-        nothing to sweep: pipeline II=1 dominates the II ladder, and a
-        pipeline's payoff grows with the loop's trip count, so loops are
-        ranked by the evidence's trip estimate and only the top
-        :data:`SYNTH_TOP_LOOPS` are proposed per generation.  Loops in
-        functions the kernel never reaches (host-side drivers) cannot
-        change the kernel's modelled latency and are skipped, as are
-        loops the profile saw run at most once.  An unroll is proposed
-        only when memory ports can feed the lanes
-        (:func:`repro.core.synth.unroll_profitable`); bare
-        ``array_partition`` proposals are dropped outright — they leave
-        the modelled latency unchanged, so a lexicographic hill-climber
-        can never accept one.  The naive pragma placements — which exist
-        to exercise the style checker's rejection path — are likewise
-        skipped: each one costs an evaluation attempt that derivation
-        knows is wasted.
-        """
-        from ..synth import (
-            derive_pipeline_ii,
-            estimated_trips,
-            reachable_functions,
-            unroll_profitable,
-        )
-
-        unit = candidate.unit
-        reachable = (
-            reachable_functions(unit, evidence.kernel_name)
-            if evidence.kernel_name
-            else None
-        )
-        partitions: Dict[str, int] = {}
-        for pragma_node in unit_pragmas(unit):
-            pragma = parse_pragma(pragma_node)
-            if (
-                pragma is not None
-                and pragma.directive == "array_partition"
-                and pragma.factor
-            ):
-                partitions[pragma.variable] = pragma.factor
-        ranked: List[Tuple[int, N.Stmt, N.Compound]] = []
-        for func, loop in unit_loops(unit):
-            if reachable is not None and func.name not in reachable:
-                continue
-            body = _loop_body_compound(loop)
-            if body is None:
-                continue
-            existing = {p.directive for p in loop_pragmas(body)}
-            innermost = not any(
-                isinstance(n, (N.For, N.While)) for n in body.walk()
-            )
-            if not innermost or "pipeline" in existing or "unroll" in existing:
-                continue
-            trips = estimated_trips(evidence.profile, loop)
-            if trips is not None and trips < 2:
-                continue  # II=1 on a 0/1-trip loop saves nothing
-            ranked.append((trips if trips is not None else 0, loop, body))
-        # Highest estimated trip count first; uid breaks ties in AST
-        # enumeration order, which is parse-invariant.
-        ranked.sort(key=lambda item: (-item[0], item[1].uid))
-        out: List[EditApplication] = []
-        for trips, loop, body in ranked:
-            if len(out) >= self.SYNTH_TOP_LOOPS:
-                break
-            ii = derive_pipeline_ii()
-            label = f"insert(pipeline II={ii}, loop@{loop.uid})"
-            if label not in candidate.applied:
-                out.append(
-                    EditApplication(
-                        label=label,
-                        transform=lambda cand, uid=loop.uid, ii=ii, label=label:
-                            self._insert_loop_pragma(
-                                cand, uid, f"HLS pipeline II={ii}", label
-                            ),
-                        performance_hint=2.0 / ii,
-                    )
-                )
-            if unroll_profitable(body, partitions):
-                factor = max(UNROLL_FACTORS)
-                label = f"insert(unroll factor={factor}, loop@{loop.uid})"
-                if label not in candidate.applied:
-                    out.append(
-                        EditApplication(
-                            label=label,
-                            transform=lambda cand, uid=loop.uid, f=factor,
-                            label=label: self._insert_loop_pragma(
-                                cand, uid, f"HLS unroll factor={f}", label
-                            ),
-                            performance_hint=factor / 4.0,
-                        )
-                    )
-        return out
-
     def _naive_placements(self, candidate: Candidate) -> List[EditApplication]:
         """Pragma placements a human commonly tries first — *before* the
         loop, or at the *tail* of its body, instead of at the body head.
@@ -597,12 +400,7 @@ class PerfPragmaEdit(Edit):
         items[index:index] = [N.Pragma(text=text)]
         return candidate.with_unit(unit, label)
 
-    def _partition_proposals(
-        self, candidate: Candidate, derived: bool = False
-    ) -> List[EditApplication]:
-        """*derived* keeps only the largest size-dividing factor per
-        array (the dual-port BRAM model is monotone in the factor), so
-        synthesis mode proposes one partition instead of a ladder."""
+    def _partition_proposals(self, candidate: Candidate) -> List[EditApplication]:
         out: List[EditApplication] = []
         unit = candidate.unit
         partitioned: Set[str] = set()
@@ -625,13 +423,7 @@ class PerfPragmaEdit(Edit):
             for name, size in local_arrays.items():
                 if name in partitioned:
                     continue
-                factors: Tuple[int, ...] = UNROLL_FACTORS
-                if derived:
-                    from ..synth import derive_partition_factor
-
-                    best = derive_partition_factor(size, UNROLL_FACTORS)
-                    factors = (best,) if best is not None else ()
-                for factor in factors:
+                for factor in UNROLL_FACTORS:
                     if size % factor != 0:
                         continue
                     label = f"insert(array_partition {name} factor={factor}, {func.name})"

@@ -136,9 +136,8 @@ def candidate_key(
 def cached_candidate_key(candidate: Any, context: str = "") -> str:
     """:func:`candidate_key` memoized on the candidate object itself.
 
-    Synthesis-mode frontier dedup and the evaluation lookup both key the
-    same candidate; its unit and config are immutable once published, so
-    the key is computed once and stashed on the (frozen) dataclass via
+    A candidate's unit and config are immutable once published, so the
+    key is computed once and stashed on the (frozen) dataclass via
     ``object.__setattr__``.  The context token
     is kept alongside so a candidate crossing into another search (a
     shared frontier would be a bug, but a cheap guard beats a silent

@@ -201,12 +201,12 @@ class HeteroGen:
         profile_tests = suite[: max(self.config.final_diff_cap,
                                     self.config.search.diff_test_cap)]
         with rec.span(SPAN_BITWIDTH, clock=clock, tests=len(profile_tests)):
-            initial_unit, _plan, profile = generate_initial_version(
+            initial_unit, _plan, _profile = generate_initial_version(
                 unit, kernel_name, profile_tests, limits=self.config.limits,
             )
 
         # 3-5. Iterative repair.
-        context = RepairContext(kernel_name=kernel_name, profile=profile)
+        context = RepairContext(kernel_name=kernel_name)
         search = RepairSearch(
             original=unit,
             kernel_name=kernel_name,

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfront import nodes as N
 from ..difftest import DiffReport, differential_test, run_cpu_reference
@@ -32,7 +32,6 @@ from ..obs import (
     SPAN_EVALUATE,
     SPAN_ITERATION,
     SPAN_SEARCH,
-    SPAN_SYNTH,
     get_recorder,
 )
 from .classification import RepairLocalizer, classify
@@ -54,7 +53,6 @@ from .evalcache import (
 )
 from .fitness import Fitness, fitness_from_reports
 from .store import default_store_path, get_store
-from .synth import Evidence, synthesis_default
 
 #: Fault budget per fitness evaluation: deeply broken candidates fault on
 #: every test; cut them off early — the signal is already conclusive.
@@ -89,17 +87,6 @@ class SearchConfig:
     """Path of the persistent evaluation store (env ``REPRO_STORE`` sets
     the default; None/empty disables).  Ignored when ``use_cache`` is
     False — the store is a durable tier *under* the in-memory cache."""
-    use_synthesis: bool = field(default_factory=synthesis_default)
-    """Evidence-driven parameter synthesis (env ``REPRO_SYNTH`` sets the
-    default, off otherwise): parameterized edit families derive stack
-    capacities, array extents, bitwidths and partition/II factors from
-    the value profile and difftest counterexamples instead of
-    enumerating ladders (see :mod:`repro.core.synth`).  Changes only
-    *which* candidates are proposed — each candidate's evaluation, and
-    hence the cache/store keying, is untouched; with the flag off the
-    search is bit-identical to the pre-synthesis implementation.  Only
-    active together with ``use_dependence`` (the WithoutDependence
-    ablation measures blind enumeration by design)."""
 
 
 @dataclass
@@ -128,7 +115,8 @@ class SearchStats:
     """Evaluations that ran the real toolchain pipeline."""
     store_hits: int = 0
     """Subset of ``cache_hits`` answered by the persistent store (a
-    previous run or another worker produced the entry)."""
+    previous run, or a concurrent run sharing the store, produced the
+    entry)."""
     store_misses: int = 0
     """Evaluations that probed a configured store and found nothing."""
 
@@ -207,15 +195,12 @@ class _Frontier:
     the child's clone and rewrite run when the entry is popped, so the
     many proposals the search never reaches are never built.  Queueing
     needs nothing from the child's program: its priority comes from the
-    parent (:meth:`RepairSearch._child_priority`).  Enumerated mode's
-    dedup key, the applied chain ``parent.applied + (label,)``, can only
-    collide between siblings, which pop in proposal order, so deduping
-    at pop time rejects exactly what deduping at queue time would.
-    Synthesis mode dedups by content, where chains from different
-    parents collide, so it builds each child as it is queued
-    (``build_on_push``) — the same queue, entries merely arrive built.
+    parent (:meth:`RepairSearch._child_priority`).  The dedup key, the
+    applied chain ``parent.applied + (label,)``, can only collide
+    between siblings, which pop in proposal order, so deduping at pop
+    time rejects exactly what deduping at queue time would.
 
-    Either way the search is the one an eager loop gives, which builds
+    The search is therefore the one an eager loop gives, which builds
     the first ``max_children`` applicable children of every parent and
     queues those not seen before: an application that turns out
     inapplicable (``apply`` returns None) is dropped without spending an
@@ -224,22 +209,15 @@ class _Frontier:
     it.
     """
 
-    def __init__(
-        self,
-        initial: Candidate,
-        dedup_key: Callable[[Candidate], Any],
-        build_on_push: bool,
-        max_children: int,
-    ) -> None:
-        self._heap: List[Tuple] = [((math.inf, 0, 0.0), 0, 0, None, initial)]
-        self._seen: Set[Any] = {dedup_key(initial)}
-        self._dedup_key = dedup_key
-        self._build_on_push = build_on_push
+    def __init__(self, initial: Candidate, max_children: int) -> None:
+        self._initial: Optional[Candidate] = initial
+        self._heap: List[Tuple] = []
+        self._seen: Set[Tuple[str, ...]] = {initial.applied}
         self._max_children = max_children
         self._rounds = itertools.count(1)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._initial is not None or bool(self._heap)
 
     def push_children(
         self,
@@ -257,16 +235,17 @@ class _Frontier:
         self._fill(brood)
 
     def pop(self) -> Optional[Candidate]:
-        """The next child to evaluate, built now if still pending; None
+        """The initial candidate, then the next child, built now; None
         when every remaining entry was inapplicable or a duplicate."""
+        if self._initial is not None:
+            initial, self._initial = self._initial, None
+            return initial
         while self._heap:
-            _prio, _round, index, brood, child = heapq.heappop(self._heap)
-            if child is None:
-                child = self._build(brood, index)
-                if child is None:
-                    self._fill(brood)
-                    continue
-            return child
+            _prio, _round, index, brood = heapq.heappop(self._heap)
+            child = self._build(brood, index)
+            if child is not None:
+                return child
+            self._fill(brood)
         return None
 
     def _fill(self, brood: _Brood) -> None:
@@ -275,13 +254,8 @@ class _Frontier:
             index = brood.cursor
             brood.cursor += 1
             brood.slots -= 1
-            child = None
-            if self._build_on_push:
-                child = self._build(brood, index)
-                if child is None:
-                    continue
             heapq.heappush(
-                self._heap, (brood.priority, brood.round, index, brood, child)
+                self._heap, (brood.priority, brood.round, index, brood)
             )
 
     def _build(self, brood: _Brood, index: int) -> Optional[Candidate]:
@@ -292,10 +266,9 @@ class _Frontier:
         if child is None:
             brood.slots += 1
             return None
-        key = self._dedup_key(child)
-        if key in self._seen:
+        if child.applied in self._seen:
             return None
-        self._seen.add(key)
+        self._seen.add(child.applied)
         return child
 
 
@@ -377,25 +350,8 @@ class RepairSearch:
     # -- public ------------------------------------------------------------------
 
     def run(self, initial: Candidate) -> SearchResult:
-        # Synthesis mode dedupes frontier entries by candidate *content*
-        # (the evaluation cache's structural digest): derived
-        # applications are parameter-exact, so two chains applying the
-        # same edits in different orders build the same program, and
-        # with k commuting pragma insertions the chain-based key admits
-        # up to k! duplicate evaluations of it.  The enumerated path
-        # keeps the ordered applied-chain key for bit-identical
-        # behaviour with the pre-synthesis search.
-        if self.config.use_synthesis:
-            dedup_key = lambda cand: cached_candidate_key(
-                cand, self._cache_context
-            )
-        else:
-            dedup_key = lambda cand: cand.applied
         frontier = _Frontier(
-            initial,
-            dedup_key,
-            build_on_push=self.config.use_synthesis,
-            max_children=self.config.max_children_per_round,
+            initial, max_children=self.config.max_children_per_round
         )
         best: Optional[Evaluation] = None
         success_seconds: Optional[float] = None
@@ -468,14 +424,12 @@ class RepairSearch:
                                     iteration=self.stats.iterations,
                                     attempts=self.stats.attempts,
                                 )
-                                # Synthesis's headline measurement:
-                                # candidate evaluations spent per
+                                # Candidate evaluations spent per
                                 # repaired subject.
                                 rec.metrics.observe(
                                     "search.candidates_per_repair",
                                     float(self.stats.attempts),
                                     kernel=self.kernel_name,
-                                    synthesis=self.config.use_synthesis,
                                 )
                     frontier.push_children(
                         candidate,
@@ -633,56 +587,22 @@ class RepairSearch:
         Nothing is applied here: the frontier queues each application
         as a pending child and clones and rewrites the parent only when
         the search pops it (see :class:`_Frontier`)."""
-        report = evaluation.compile_report
-        assert report is not None
-        evidence = self._evidence_for(evaluation)
-        if evidence is not None:
-            # Synthesis-first proposal: derivations consume the evidence
-            # inside a dedicated span so journal consumers can see how
-            # often parameters were computed rather than enumerated.
-            with get_recorder().span(
-                SPAN_SYNTH,
-                clock=self.clock,
-                counterexamples=len(evidence.counterexamples),
-            ):
-                return self._applications_for(evaluation, evidence)
-        return self._applications_for(evaluation, None)
-
-    def _applications_for(
-        self, evaluation: Evaluation, evidence: Optional[Evidence]
-    ) -> List:
         candidate = evaluation.candidate
         report = evaluation.compile_report
         assert report is not None
         if report.errors:
-            return self._repair_proposals(candidate, report.errors, evidence)
+            return self._repair_proposals(candidate, report.errors)
         assert evaluation.diff_report is not None
         if not evaluation.diff_report.behavior_preserved:
-            return self._behavior_proposals(candidate, report.errors, evidence)
+            return self._behavior_proposals(candidate, report.errors)
         if self.config.perf_exploration:
-            return self._perf_proposals(candidate, evidence)
+            return self._perf_proposals(candidate)
         return []
-
-    def _evidence_for(self, evaluation: Evaluation) -> Optional[Evidence]:
-        """Evidence bundle for synthesis-first proposal, or None when
-        synthesis is off (None keeps every downstream code path
-        bit-identical to the pre-synthesis search)."""
-        if not (self.config.use_synthesis and self.config.use_dependence):
-            return None
-        counterexamples: Tuple = ()
-        if evaluation.diff_report is not None:
-            counterexamples = tuple(evaluation.diff_report.counterexamples)
-        return Evidence(
-            kernel_name=self.kernel_name,
-            profile=self.context.profile,
-            counterexamples=counterexamples,
-        )
 
     def _repair_proposals(
         self,
         candidate: Candidate,
         errors: Sequence[Diagnostic],
-        evidence: Optional[Evidence] = None,
     ):
         if not self.config.use_dependence:
             # WithoutDependence: every template, blind, shuffled.
@@ -701,36 +621,24 @@ class RepairSearch:
         # when they share the reported symbol.
         edits = self.registry.edits_for(family)
         applications = ordered_applications(
-            edits, candidate, errors, self.context, evidence=evidence
+            edits, candidate, errors, self.context
         )
         if not applications:
             # The focused family is exhausted; widen to all families.
             applications = ordered_applications(
-                self.registry.all_edits(), candidate, errors, self.context,
-                evidence=evidence,
+                self.registry.all_edits(), candidate, errors, self.context
             )
         return applications
 
-    def _behavior_proposals(
-        self,
-        candidate: Candidate,
-        errors,
-        evidence: Optional[Evidence] = None,
-    ):
+    def _behavior_proposals(self, candidate: Candidate, errors):
         edits = self.registry.behavior_edits
         if self.config.use_dependence:
-            return ordered_applications(
-                edits, candidate, errors, self.context, evidence=evidence
-            )
+            return ordered_applications(edits, candidate, errors, self.context)
         return unordered_applications(edits, candidate, errors, self.context, self.rng)
 
-    def _perf_proposals(
-        self, candidate: Candidate, evidence: Optional[Evidence] = None
-    ):
+    def _perf_proposals(self, candidate: Candidate):
         edits = self.registry.perf_edits
-        applications = ordered_applications(
-            edits, candidate, (), self.context, evidence=evidence
-        )
+        applications = ordered_applications(edits, candidate, (), self.context)
         if not self.config.use_dependence:
             self.rng.shuffle(applications)
         return applications

@@ -6,8 +6,8 @@ previous run already judged — even though the toolchain verdict for a
 (source, config, context) point never changes.  This module gives the
 verify loop a durable tier: a SQLite-backed key/value store of
 :class:`~repro.core.evalcache.CachedEvaluation` payloads that the
-in-memory cache reads through and writes back to, shared concurrently by
-the parent search and every process-pool worker, and across runs.
+in-memory cache reads through and writes back to, shared across runs
+and by concurrent CLI runs that name the same store file.
 
 Keying and invalidation
 -----------------------
@@ -40,9 +40,9 @@ Concurrency
 -----------
 
 SQLite in WAL mode with a generous busy timeout: one writer at a time,
-readers never block, which is exactly the access pattern of a subject
-sweep fanned out over worker processes (writes are rare — one per real
-toolchain execution — and tiny).  Every process opens its own
+readers never block, which is the access pattern of several runs sharing
+one ``REPRO_STORE`` (writes are rare — one per real toolchain execution —
+and tiny).  Every process opens its own
 connection; cross-process safety is the database's problem, not ours.
 """
 
@@ -66,11 +66,11 @@ _log = logging.getLogger(__name__)
 #: Bump when the CachedEvaluation payload layout (or the canonical uid
 #: encoding) changes shape: old payloads would unpickle into stale or
 #: unreadable objects.  2: ``CachedEvaluation`` grew a ``trace`` field.
-#: 3: ``DiffReport`` grew the ``counterexamples`` evidence payload —
-#: schema-2 pickles would rehydrate reports without it and starve the
-#: repair synthesizer.  4: ``CachedEvaluation`` grew a ``wire`` field
-#: (since deleted).  5: ``CachedEvaluation`` lost the ``trace`` field.
-SCHEMA_VERSION = 5
+#: 3: ``DiffReport`` grew a list of diverging inputs for the repair
+#: synthesizer.  4: ``CachedEvaluation`` grew a ``wire`` field (since
+#: deleted).  5: ``CachedEvaluation`` lost the ``trace`` field.
+#: 6: ``DiffReport`` lost the diverging-input list with the synthesizer.
+SCHEMA_VERSION = 6
 
 #: Environment variable naming the store file.  Empty / "0" disables.
 STORE_ENV = "REPRO_STORE"
@@ -159,11 +159,10 @@ class EvalStore:
         self._conn.execute(f"PRAGMA busy_timeout={_SQLITE_BUSY_TIMEOUT_MS}")
         # Switching a rollback-journal file to WAL needs a moment of
         # exclusivity and does not reliably honor the busy handler, so
-        # concurrent *first* opens of a fresh file can race.  Normal
-        # operation never hits this: the process that creates a store
-        # (the parent search / sweep driver) converts it before any
-        # worker opens it, and re-asserting WAL on an already-WAL file
-        # is a lock-free no-op.  The retry covers the remaining window.
+        # concurrent *first* opens of a fresh file can race (two runs
+        # started together on a new store).  Re-asserting WAL on an
+        # already-WAL file is a lock-free no-op; the retry covers the
+        # window before the first open converts it.
         for attempt in range(20):
             try:
                 self._conn.execute("PRAGMA journal_mode=WAL")
@@ -336,25 +335,17 @@ class EvalStore:
 
 _OPEN_STORES: dict = {}
 _OPEN_LOCK = threading.Lock()
-_OPEN_PID = os.getpid()
 
 
 def get_store(path: str) -> EvalStore:
     """One :class:`EvalStore` per path per process.
 
-    Searches, the pipeline and subject workers all route through here, so a
-    sweep over many subjects shares a single connection (and a single
-    set of counters) per store file instead of opening one per search.
+    Searches and the pipeline both route through here, so a sweep over
+    many subjects shares a single connection (and a single set of
+    counters) per store file instead of opening one per search.
     """
-    global _OPEN_PID
     key = os.path.abspath(path)
     with _OPEN_LOCK:
-        if _OPEN_PID != os.getpid():
-            # Forked worker: SQLite connections must not be used across
-            # a fork.  Drop the inherited registry (without closing —
-            # close could touch the shared file state) and reopen.
-            _OPEN_STORES.clear()
-            _OPEN_PID = os.getpid()
         store = _OPEN_STORES.get(key)
         if store is None:
             store = EvalStore(key)

@@ -2,8 +2,6 @@
 
 from .harness import (
     CPU_NS_PER_STEP,
-    MAX_COUNTEREXAMPLES,
-    Counterexample,
     DiffReport,
     differential_test,
     outputs_equal,
@@ -12,8 +10,6 @@ from .harness import (
 
 __all__ = [
     "CPU_NS_PER_STEP",
-    "MAX_COUNTEREXAMPLES",
-    "Counterexample",
     "DiffReport",
     "differential_test",
     "outputs_equal",

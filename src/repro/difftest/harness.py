@@ -34,32 +34,6 @@ FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
 
 
-#: Counterexamples retained per differential-testing session.  Three is
-#: enough for the repair synthesizer to triangulate a parameter while
-#: keeping cached evaluation payloads small; selection is deterministic
-#: (the first mismatches in test order).
-MAX_COUNTEREXAMPLES = 3
-
-
-@dataclass
-class Counterexample:
-    """One concrete diverging input with both observed behaviours.
-
-    This is the evidence payload ROADMAP's "counterexample-driven repair
-    synthesis" item asks for: not just *that* test ``test_index`` failed,
-    but the arguments that falsified the candidate and what each side
-    computed, so parameterized edits can derive fixes instead of
-    enumerating them.  ``actual`` is None when the candidate faulted
-    rather than producing a wrong answer.
-    """
-
-    test_index: int
-    args: List[Any]
-    expected: Any
-    actual: Optional[Any]
-    fault: str = ""
-
-
 @dataclass
 class DiffReport:
     """Outcome of one differential-testing session."""
@@ -67,9 +41,6 @@ class DiffReport:
     total: int
     matching: int
     mismatching_tests: List[int] = field(default_factory=list)
-    counterexamples: List[Counterexample] = field(default_factory=list)
-    """Concrete evidence for the first :data:`MAX_COUNTEREXAMPLES`
-    mismatches, in test order."""
     untested: int = 0
     """Tests never executed because ``max_faults`` aborted the simulation
     early.  They are neither matches nor observed mismatches, so the
@@ -200,7 +171,6 @@ def differential_test(
         matching = 0
         untested = 0
         mismatching: List[int] = []
-        counterexamples: List[Counterexample] = []
         for i, (ref, outcome) in enumerate(zip(reference, sim.outcomes)):
             if ref is None:
                 # The reference faulted on this input; any candidate
@@ -219,24 +189,10 @@ def differential_test(
                 matching += 1
             else:
                 mismatching.append(i)
-                if len(counterexamples) < MAX_COUNTEREXAMPLES:
-                    counterexamples.append(
-                        Counterexample(
-                            test_index=i,
-                            args=list(tests[i]),
-                            expected=_obs_py(ref),
-                            actual=(
-                                _obs_py(outcome.observable)
-                                if outcome.ok else None
-                            ),
-                            fault=outcome.fault,
-                        )
-                    )
     return DiffReport(
         total=len(tests),
         matching=matching,
         mismatching_tests=mismatching,
-        counterexamples=counterexamples,
         untested=untested,
         cpu_latency_ns=cpu_latency_ns,
         fpga_latency_ns=sim.kernel_latency_ns,

@@ -132,7 +132,7 @@ class Runtime:
 
     __slots__ = (
         "steps", "max_steps", "heap_cells", "max_heap", "depth", "max_depth",
-        "coverage", "cov_add", "profile", "observe", "active", "gframe",
+        "coverage", "cov_add", "profile", "observe", "gframe",
         "statics", "captured", "capture_name", "retval", "structs",
     )
 
@@ -152,7 +152,6 @@ class Runtime:
         self.cov_add = self.coverage.hits.add
         self.profile = ValueProfile()
         self.observe = self.profile.observe
-        self.active: Dict[str, int] = {}
         self.gframe: List[MemBlock] = []
         self.statics: Dict[int, MemBlock] = {}
         self.captured: List[List[Any]] = []
@@ -539,9 +538,6 @@ def _call(rt: Runtime, cf: CompiledFunction, args: List[Any],
     rt.steps += 5
     if rt.steps > rt.max_steps:
         _over_steps(rt)
-    active = rt.active.get(cf.name, 0) + 1
-    rt.active[cf.name] = active
-    rt.profile.observe_call(cf.name, active)
     frame: List[Any] = [_UNSET] * cf.n_slots
     nargs = len(args)
     i = 0
@@ -560,10 +556,8 @@ def _call(rt: Runtime, cf: CompiledFunction, args: List[Any],
         # A stray break/continue escaping a callee re-enters the caller's
         # loop machinery, exactly like the tree-walker's exceptions do.
         rt.depth -= 1
-        rt.active[cf.name] = active - 1
         raise
     rt.depth -= 1
-    rt.active[cf.name] = active - 1
     if sig is _RET:
         value = rt.retval
         rt.retval = None
@@ -1949,8 +1943,6 @@ class BatchEngine:
             rt.cov_add = rt.coverage.hits.add
             rt.profile = ValueProfile()
             rt.observe = rt.profile.observe
-            if rt.active:
-                rt.active.clear()
             if rt.statics:
                 rt.statics.clear()
             rt.gframe.clear()
@@ -2020,13 +2012,12 @@ def _identical(left: Any, right: Any) -> bool:
     return type(left) is type(right) and left == right
 
 
-def _profile_key(profile: ValueProfile) -> Tuple[Dict[int, Tuple], Dict[str, int]]:
-    ranges = {
+def _profile_key(profile: ValueProfile) -> Dict[int, Tuple]:
+    return {
         uid: (r.name, repr(r.min_value), repr(r.max_value),
               r.is_integer, r.samples)
         for uid, r in profile.ranges.items()
     }
-    return ranges, dict(profile.call_depths)
 
 
 class BatchCrossCheckEngine:

@@ -161,9 +161,7 @@ class VarRange:
 
 
 class ValueProfile:
-    """Tracks value ranges keyed by the uid of the declaring node, plus
-    the maximum simultaneous activation depth per function (the repair
-    synthesizer's stack-capacity evidence).
+    """Tracks value ranges keyed by the uid of the declaring node.
 
     uids are process-local: ``clone()`` preserves them, so a lookup
     answers for the profiled unit and every clone of it, but a render →
@@ -172,7 +170,6 @@ class ValueProfile:
 
     def __init__(self) -> None:
         self.ranges: Dict[int, VarRange] = {}
-        self.call_depths: Dict[str, int] = {}
 
     def observe(self, decl_uid: int, name: str, value: object) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -182,15 +179,6 @@ class ValueProfile:
             rng = VarRange(name=name)
             self.ranges[decl_uid] = rng
         rng.observe(float(value))
-
-    def observe_call(self, func_name: str, active: int) -> None:
-        """Record *active* simultaneous invocations of *func_name*."""
-        if active > self.call_depths.get(func_name, 0):
-            self.call_depths[func_name] = active
-
-    def call_depth(self, func_name: str) -> int:
-        """Max observed simultaneous activations (0 = never profiled)."""
-        return self.call_depths.get(func_name, 0)
 
     def range_for(self, decl_uid: int) -> Optional[VarRange]:
         return self.ranges.get(decl_uid)
@@ -207,6 +195,3 @@ class ValueProfile:
                 mine.max_value = max(mine.max_value, rng.max_value)
                 mine.is_integer = mine.is_integer and rng.is_integer
                 mine.samples += rng.samples
-        for name, depth in other.call_depths.items():
-            if depth > self.call_depths.get(name, 0):
-                self.call_depths[name] = depth

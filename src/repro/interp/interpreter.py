@@ -116,7 +116,6 @@ class Interpreter:
         self._max_depth = self.limits.max_depth
         self._max_heap = self.limits.max_heap_cells
         self.hls_mode = hls_mode
-        self._active: Dict[str, int] = {}
         self.capture_calls = capture_calls
         self.want_out_args = want_out_args
         self.functions: Dict[str, N.FunctionDef] = {}
@@ -141,7 +140,6 @@ class Interpreter:
             raise InterpError(f"no function named {func_name!r}")
         self.steps = 0
         self.depth = 0
-        self._active = {}
         self.heap_cells = 0
         self.coverage = CoverageRecorder()
         self.profile = ValueProfile()
@@ -295,9 +293,6 @@ class Interpreter:
                 f"recursion depth {self._max_depth} exceeded in {func.name!r}"
             )
         self._charge(_COST_CALL)
-        active = self._active.get(func.name, 0) + 1
-        self._active[func.name] = active
-        self.profile.observe_call(func.name, active)
         scope: Dict[str, MemBlock] = {}
         for param, arg in zip(func.params, args):
             ptype = T.strip_typedefs(param.type)
@@ -321,7 +316,6 @@ class Interpreter:
             return self._coerce(ret.value, func.return_type) if ret.value is not None else None
         finally:
             self.depth -= 1
-            self._active[func.name] = active - 1
         return None
 
     # -- statements ---------------------------------------------------------------------

@@ -41,7 +41,6 @@ SPAN_BITWIDTH = "bitwidth"
 SPAN_SEARCH = "search"
 SPAN_ITERATION = "search.iteration"
 SPAN_EVALUATE = "search.evaluate"
-SPAN_SYNTH = "search.synthesize"
 SPAN_STYLE_CHECK = "style_check"
 SPAN_HLS_COMPILE = "hls_compile"
 SPAN_SCHEDULE = "hls_schedule"
@@ -74,7 +73,6 @@ __all__ = [
     "SPAN_SEARCH",
     "SPAN_ITERATION",
     "SPAN_EVALUATE",
-    "SPAN_SYNTH",
     "SPAN_STYLE_CHECK",
     "SPAN_HLS_COMPILE",
     "SPAN_SCHEDULE",

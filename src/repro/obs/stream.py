@@ -38,7 +38,6 @@ _PHASE_OF = {
     "seed_capture": "fuzz",
     "fuzz": "bitwidth",          # fuzz closing => bitwidth is next
     "bitwidth": "search",
-    "search.synthesize": "search",
     "search.evaluate": "search",
     "search.iteration": "search",
     "style_check": "search",

@@ -166,11 +166,6 @@ TESTS = [
 def run_search(cache=None, **overrides):
     unit = parse(BROKEN_SRC, top_name="kernel")
     overrides.setdefault("max_iterations", 40)
-    # These tests assert enumerated-search behaviour (duplicate programs
-    # reached via distinct edit orders feed the cache-hit assertions);
-    # synthesis dedups those duplicates at proposal time, so pin it off
-    # regardless of $REPRO_SYNTH.
-    overrides.setdefault("use_synthesis", False)
     config = SearchConfig(**overrides)
     search = RepairSearch(
         original=unit,

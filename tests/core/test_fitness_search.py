@@ -179,16 +179,14 @@ class _ToyEdit(Edit):
     """A performance edit with a fixed ladder of applications.
 
     Application ``i`` is inapplicable (``apply`` returns None) when ``i``
-    is in *inapplicable*; otherwise it sets the clock period to
-    ``periods[i]``, or leaves the program as it is when *periods* is
-    None.  Applications are labelled so the proposal order is ``i``."""
+    is in *inapplicable*; otherwise it leaves the program as it is.
+    Applications are labelled so the proposal order is ``i``."""
 
     name = "toy"
 
-    def __init__(self, count, inapplicable=(), periods=None):
+    def __init__(self, count, inapplicable=()):
         self.count = count
         self.inapplicable = set(inapplicable)
-        self.periods = periods
         self.applied = 0
 
     def propose(self, candidate, diagnostics, context):
@@ -201,10 +199,7 @@ class _ToyEdit(Edit):
             self.applied += 1
             if i in self.inapplicable:
                 return None
-            if self.periods is None:
-                return cand.with_unit(cand.unit, label)
-            config = cand.config.with_clock(self.periods[i])
-            return cand.with_config(config, label)
+            return cand.with_unit(cand.unit, label)
 
         return EditApplication(label=label, transform=transform)
 
@@ -255,9 +250,7 @@ class TestPendingChildren:
 
     def test_inapplicable_child_is_replaced_in_eager_order(self):
         edit = _ToyEdit(count=20, inapplicable={3, 9})
-        search, result = run_toy_search(
-            edit, max_iterations=40, use_synthesis=False
-        )
+        search, result = run_toy_search(edit, max_iterations=40)
         expected = self.eager_order(20, {3, 9}, cap=14, limit=40)
         assert search.evaluated == expected
         # The round-1 replacements for toy(03) and toy(09) are the
@@ -266,9 +259,7 @@ class TestPendingChildren:
 
     def test_inapplicable_child_spends_no_iteration(self):
         edit = _ToyEdit(count=20, inapplicable={3, 9})
-        search, result = run_toy_search(
-            edit, max_iterations=40, use_synthesis=False
-        )
+        search, result = run_toy_search(edit, max_iterations=40)
         assert result.stats.iterations == 40
         assert result.stats.attempts == 40
         assert len(search.evaluated) == 40
@@ -284,26 +275,10 @@ class TestPendingChildren:
 
     def test_search_drains_when_only_inapplicable_children_remain(self):
         edit = _ToyEdit(count=3, inapplicable={0, 1, 2})
-        search, result = run_toy_search(edit, use_synthesis=False)
+        search, result = run_toy_search(edit)
         assert search.evaluated == [()]
         assert result.stats.iterations == 1
         assert edit.applied == 3
-
-    def test_synthesis_evaluates_content_duplicates_once(self):
-        # Four distinct programs: the initial 3.33 ns clock plus 5, 7
-        # and 8 ns.  Applications 0 and 2 build the same program, 3
-        # rebuilds the initial one, 1 is inapplicable, and every
-        # grandchild rebuilds a program some child already is.
-        periods = [5.0, 7.0, 5.0, 3.33, 8.0, 7.0]
-        edit = _ToyEdit(count=6, inapplicable={1}, periods=periods)
-        search, result = run_toy_search(
-            edit, max_iterations=100, use_synthesis=True
-        )
-        built = [
-            periods[int(chain[-1][4:6])] for chain in search.evaluated[1:]
-        ]
-        assert sorted(built) == [5.0, 7.0, 8.0]
-        assert result.stats.iterations == len(search.evaluated)
 
 
 def test_children_are_built_only_when_popped(monkeypatch):
@@ -318,7 +293,6 @@ def test_children_are_built_only_when_popped(monkeypatch):
 
     monkeypatch.setattr(EditApplication, "apply", counting_apply)
     config = default_config(fuzz_execs=200, max_iterations=60)
-    config.search.use_synthesis = False
     config.search.store_path = None
     result = run_variant(get_subject("P7"), "HeteroGen", config)
     evaluated_children = result.search_result.stats.iterations - 1

@@ -341,59 +341,3 @@ class TestConcurrentAccess:
             store.put("k", entry(3.0))
             got = store.get("k")
             assert got is not None and got.charges == (("hls_compile", 3.0),)
-
-
-class TestCounterexampleWireFormat:
-    """Difftest counterexamples are repair-synthesis evidence; they must
-    survive the full cache wire format — canonicalize, pickle to the
-    store, decode, rebind against a re-parsed unit."""
-
-    def _evaluation(self):
-        from repro.difftest import Counterexample, DiffReport
-
-        report = DiffReport(
-            total=3,
-            matching=1,
-            mismatching_tests=[1, 2],
-            counterexamples=[
-                Counterexample(
-                    test_index=1, args=[[1, 2, 3, 4], 4],
-                    expected=7, actual=9,
-                ),
-                Counterexample(
-                    test_index=2, args=[[9, 9, 9, 9], 4],
-                    expected=1, actual=None, fault="stack overflow",
-                ),
-            ],
-        )
-        return CachedEvaluation(
-            style_violations=(),
-            compile_report=None,
-            diff_report=report,
-            charges=(("difftest", 1.5),),
-        )
-
-    def test_round_trip_through_canonical_space_and_pickle(self):
-        from repro.cfront.printer import render
-
-        unit = parse(SRC, top_name="kernel")
-        evaluation = self._evaluation()
-        canonical = canonicalize_evaluation(evaluation, unit)
-        decoded = decode_evaluation(encode_evaluation(canonical))
-        rebound = rebind_evaluation(decoded, parse(render(unit), top_name="kernel"))
-        assert rebound.diff_report.counterexamples \
-            == evaluation.diff_report.counterexamples
-        assert rebound.diff_report.mismatching_tests == [1, 2]
-
-    def test_round_trip_through_store(self, tmp_path):
-        unit = parse(SRC, top_name="kernel")
-        evaluation = canonicalize_evaluation(self._evaluation(), unit)
-        with EvalStore(str(tmp_path / "s.sqlite")) as store:
-            store.put("k", evaluation)
-            got = store.get("k")
-        assert got is not None
-        ces = got.diff_report.counterexamples
-        assert [c.test_index for c in ces] == [1, 2]
-        assert ces[0].args == [[1, 2, 3, 4], 4]
-        assert ces[0].actual == 9
-        assert ces[1].actual is None and ces[1].fault == "stack overflow"

@@ -136,25 +136,6 @@ class TestStudy:
         assert payload["accuracy"] > 0.9
 
 
-class TestSynthFlags:
-    def test_default_is_unset(self):
-        args = build_parser().parse_args(
-            ["transpile", "f.c", "--kernel", "k"]
-        )
-        assert args.synth is None  # falls through to $REPRO_SYNTH
-
-    def test_synth_and_no_synth(self):
-        parser = build_parser()
-        on = parser.parse_args(
-            ["transpile", "f.c", "--kernel", "k", "--synth"]
-        )
-        off = parser.parse_args(
-            ["transpile", "f.c", "--kernel", "k", "--no-synth"]
-        )
-        assert on.synth is True
-        assert off.synth is False
-
-
 class TestRefusals:
     """A pipeline verb handed bad input refuses with one line on stderr,
     ``repro <verb>: <error>``, and exit status 1 — never a traceback."""
